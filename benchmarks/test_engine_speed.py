@@ -1,15 +1,17 @@
-"""Scalar vs batch engine throughput on a fixed gshare workload.
+"""Scalar vs batch engine throughput, per predictor family.
 
 Gated behind pytest-benchmark's opt-in flag so the figure-regeneration
 suite stays unaffected::
 
-    PYTHONPATH=src python -m pytest benchmarks/test_engine_speed.py --benchmark-enable
+    PYTHONPATH=src python -m pytest benchmarks/test_engine_speed.py --benchmark-enable -s
 
-The comparison pins the tentpole performance claim: at the default
-REPRO_SCALE the batch engine evaluates a 64KB-budget gshare over the gcc
-trace at >= 10x the scalar protocol's speed while producing bit-identical
-results (the differential suite proves the latter; this file measures the
-former).
+The comparison pins the engine's performance claims on the gcc trace at
+the default REPRO_SCALE: every registered family is timed on both engines
+(best of N wall time), must produce identical ``AccuracyResult``s, and the
+ratios are printed as a table.  gshare — a single-table scan — must run
+>= 10x faster batched; each family batched through a plain-int replay,
+row rounds or a composite of component kernels must run >= 3x faster.
+The differential suite proves bit-exactness; this file measures speed.
 """
 
 from __future__ import annotations
@@ -20,11 +22,28 @@ import pytest
 
 from repro.harness.experiment import measure_accuracy
 from repro.harness.scale import accuracy_instructions
+from repro.predictors import registry
 from repro.predictors.gshare import GsharePredictor
 from repro.workloads.spec2000 import spec2000_trace
 
 #: 2**18 two-bit counters = 64KB — the paper's mid-budget gshare.
 ENTRIES = 262_144
+
+#: Budget every family is built at for the per-family table.
+FAMILY_BUDGET = 64 * 1024
+
+#: Required batch/scalar speed-up per family; families not listed (the
+#: table predictors batched before the rest) are reported only.
+REQUIRED_SPEEDUP = {
+    "gshare": 10.0,
+    "2bcgskew": 3.0,
+    "bimode_fast": 3.0,
+    "egskew": 3.0,
+    "loop": 3.0,
+    "multicomponent": 3.0,
+    "perceptron": 3.0,
+    "tournament": 3.0,
+}
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +57,39 @@ def trace():
     trace = spec2000_trace("gcc", instructions=accuracy_instructions())
     trace.branch_arrays()  # pay the array extraction outside the timings
     return trace
+
+
+def best_of(n, build, trace, engine):
+    """Best wall time of ``n`` fresh-predictor runs, and the last result."""
+    best = float("inf")
+    result = None
+    for _ in range(n):
+        predictor = build()
+        start = time.perf_counter()
+        result = measure_accuracy(predictor, trace, engine=engine)
+        best = min(best, time.perf_counter() - start)
+    return best, result
+
+
+@pytest.fixture(scope="module")
+def family_timings(trace):
+    """(scalar seconds, batch seconds, scalar result, batch result) per
+    registered family; prints the ratio table once."""
+    timings = {}
+    for family in registry.family_names():
+        def build(family=family):
+            return registry.build(family, FAMILY_BUDGET)
+
+        scalar_time, scalar_result = best_of(2, build, trace, "scalar")
+        batch_time, batch_result = best_of(5, build, trace, "batch")
+        timings[family] = (scalar_time, batch_time, scalar_result, batch_result)
+    print(f"\n{'family':16s} {'scalar ms':>10s} {'batch ms':>9s} {'speedup':>8s}")
+    for family, (scalar_time, batch_time, _, _) in timings.items():
+        print(
+            f"{family:16s} {scalar_time * 1e3:10.1f} {batch_time * 1e3:9.1f} "
+            f"{scalar_time / batch_time:7.1f}x"
+        )
+    return timings
 
 
 def test_scalar_gshare_throughput(benchmark, trace):
@@ -56,18 +108,11 @@ def test_batch_gshare_throughput(benchmark, trace):
 
 def test_batch_speedup_at_least_10x(trace):
     """Head-to-head: best-of-N wall time, identical results required."""
+    def build():
+        return GsharePredictor(ENTRIES)
 
-    def best_of(n, engine):
-        best = float("inf")
-        result = None
-        for _ in range(n):
-            start = time.perf_counter()
-            result = measure_accuracy(GsharePredictor(ENTRIES), trace, engine=engine)
-            best = min(best, time.perf_counter() - start)
-        return best, result
-
-    scalar_time, scalar_result = best_of(3, "scalar")
-    batch_time, batch_result = best_of(5, "batch")
+    scalar_time, scalar_result = best_of(3, build, trace, "scalar")
+    batch_time, batch_result = best_of(5, build, trace, "batch")
     assert scalar_result == batch_result
     speedup = scalar_time / batch_time
     print(
@@ -75,3 +120,11 @@ def test_batch_speedup_at_least_10x(trace):
         f"speedup {speedup:.1f}x"
     )
     assert speedup >= 10.0
+
+
+@pytest.mark.parametrize("family", registry.family_names())
+def test_family_batch_speedup(family, family_timings):
+    """Identical results on both engines, and the required speed-up."""
+    scalar_time, batch_time, scalar_result, batch_result = family_timings[family]
+    assert scalar_result == batch_result
+    assert scalar_time / batch_time >= REQUIRED_SPEEDUP.get(family, 0.0)

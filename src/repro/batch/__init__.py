@@ -1,11 +1,11 @@
 """Vectorized batch prediction engine.
 
-Evaluates the table-based predictors (bimodal, gshare, the gshare.fast
-functional model, Bi-Mode) over whole traces with NumPy array kernels
-instead of the branch-at-a-time scalar protocol.  The engine is *bit-exact*
+Evaluates every registered predictor family over whole traces with NumPy
+array kernels instead of the branch-at-a-time scalar protocol (how each
+family is batched: :mod:`repro.batch.engine`).  The engine is *bit-exact*
 against the scalar reference — same per-branch prediction stream, same
-final table state — which :mod:`repro.batch.diff` checks and
-``tests/test_differential_batch.py`` enforces.
+full final state (``predictor.state()``) — which :mod:`repro.batch.diff`
+checks and ``tests/test_differential_batch.py`` enforces.
 
 Entry points:
 

@@ -4,10 +4,11 @@ The scalar ``predict``/``update`` protocol is the specification; the batch
 engine is an optimization.  :func:`diff_engines` drives both from identical
 fresh predictors over the same branch stream and compares
 
-* the **per-branch prediction stream** (every branch, not aggregates),
-* the **final state** of every named counter table,
-* the final **history register** value, and
-* the running **stats** counters,
+* the **per-branch prediction stream** (every branch, not aggregates), and
+* the **full final state** — everything ``predictor.state()`` exposes:
+  counter tables, history registers, local histories, weights, loop
+  entries, selection counters, composite components, pending delayed
+  updates and the running stats,
 
 reporting the first diverging branch when they disagree.  This is the
 machinery behind ``tests/test_differential_batch.py`` and is importable for
@@ -34,19 +35,13 @@ class DiffReport:
     first_divergence: int | None = None
     scalar_prediction: bool | None = None
     batch_prediction: bool | None = None
-    table_mismatches: list[str] = field(default_factory=list)
-    history_mismatch: str | None = None
-    stats_mismatch: str | None = None
+    #: One line per ``state()`` entry that differs.
+    state_mismatches: list[str] = field(default_factory=list)
 
     @property
     def matches(self) -> bool:
         """True when streams and final state are bit-exact."""
-        return (
-            self.first_divergence is None
-            and not self.table_mismatches
-            and self.history_mismatch is None
-            and self.stats_mismatch is None
-        )
+        return self.first_divergence is None and not self.state_mismatches
 
     def describe(self) -> str:
         """Human-readable mismatch summary (empty marker when exact)."""
@@ -58,11 +53,7 @@ class DiffReport:
                 f"  first prediction mismatch at branch {self.first_divergence}: "
                 f"scalar={self.scalar_prediction} batch={self.batch_prediction}"
             )
-        lines.extend(f"  table {entry}" for entry in self.table_mismatches)
-        if self.history_mismatch:
-            lines.append(f"  history {self.history_mismatch}")
-        if self.stats_mismatch:
-            lines.append(f"  stats {self.stats_mismatch}")
+        lines.extend(f"  state {entry}" for entry in self.state_mismatches)
         return "\n".join(lines)
 
 
@@ -77,16 +68,24 @@ def run_scalar(
     return predictions
 
 
-def _state_snapshot(predictor: BranchPredictor) -> dict:
-    tables = {name: table.snapshot() for name, table in predictor.tables().items()}
-    history = getattr(predictor, "history", None)
-    queue = getattr(predictor, "_deferred_updates", None)
-    return {
-        "tables": tables,
-        "history": history.value if history is not None else None,
-        "pending": queue.snapshot() if queue is not None else None,
-        "stats": (predictor.stats.predictions, predictor.stats.mispredictions),
-    }
+def state_mismatches(scalar: dict, batch: dict) -> list[str]:
+    """One line per entry of two ``state()`` snapshots that differs."""
+    lines = []
+    for name in sorted(scalar.keys() | batch.keys()):
+        if name not in scalar or name not in batch:
+            lines.append(f"{name!r}: only in {'scalar' if name in scalar else 'batch'}")
+            continue
+        want, got = scalar[name], batch[name]
+        if want.shape != got.shape:
+            lines.append(f"{name!r}: shape scalar={want.shape} batch={got.shape}")
+        elif not np.array_equal(want, got):
+            cells = np.argwhere(want != got)
+            first = tuple(int(i) for i in cells[0])
+            lines.append(
+                f"{name!r}: {len(cells)} differing cells, first at {first} "
+                f"(scalar={want[first]}, batch={got[first]})"
+            )
+    return lines
 
 
 def diff_engines(
@@ -105,11 +104,9 @@ def diff_engines(
 
     scalar = make_predictor()
     scalar_predictions = run_scalar(scalar, pcs, takens)
-    scalar_state = _state_snapshot(scalar)
 
     batch = make_predictor()
     batch_result = evaluate_stream(batch, pcs, takens, chunk_branches=chunk_branches)
-    batch_state = _state_snapshot(batch)
 
     report = DiffReport(predictor=scalar.name, branches=len(pcs))
 
@@ -120,27 +117,5 @@ def diff_engines(
         report.scalar_prediction = bool(scalar_predictions[first])
         report.batch_prediction = bool(batch_result.predictions[first])
 
-    for name, scalar_table in scalar_state["tables"].items():
-        batch_table = batch_state["tables"][name]
-        if not np.array_equal(scalar_table, batch_table):
-            cells = np.nonzero(scalar_table != batch_table)[0]
-            report.table_mismatches.append(
-                f"{name!r}: {len(cells)} differing cells, first at {int(cells[0])} "
-                f"(scalar={int(scalar_table[cells[0]])}, "
-                f"batch={int(batch_table[cells[0]])})"
-            )
-
-    if scalar_state["history"] != batch_state["history"]:
-        report.history_mismatch = (
-            f"scalar={scalar_state['history']:#x} batch={batch_state['history']:#x}"
-        )
-    if scalar_state["pending"] != batch_state["pending"]:
-        report.table_mismatches.append(
-            f"pending updates: scalar={scalar_state['pending']} "
-            f"batch={batch_state['pending']}"
-        )
-    if scalar_state["stats"] != batch_state["stats"]:
-        report.stats_mismatch = (
-            f"scalar={scalar_state['stats']} batch={batch_state['stats']}"
-        )
+    report.state_mismatches = state_mismatches(scalar.state(), batch.state())
     return report

@@ -1,13 +1,17 @@
 """Array kernels underlying the batch prediction engine.
 
-Three building blocks turn a branch-at-a-time predictor into chunked array
+These building blocks turn a branch-at-a-time predictor into chunked array
 code:
 
 * :func:`packed_history` — the global-history register value *before* every
   branch of a chunk, computed with ``length`` shifted-OR passes instead of a
   per-branch shift (the history a trace-driven predictor sees is a pure
   function of the preceding outcomes, which are all known up front);
-* :func:`fold_bits` — the vectorized XOR-fold used by every PC hash;
+* :func:`local_histories` — the same for per-row local histories, grouped
+  by history-table row;
+* :func:`fold_bits`, :func:`bit_reverse_bits`, :func:`rotate_left_bits` —
+  the vectorized index hashes (XOR-fold, and the skewing functions of the
+  gskew family);
 * :class:`CounterScan` — an exact, loop-free replay of saturating-counter
   updates grouped by table cell.
 
@@ -91,6 +95,64 @@ def pack_outcomes(takens: np.ndarray, length: int) -> int:
     return value
 
 
+def unpack_history(value: int, length: int) -> np.ndarray:
+    """The outcomes a ``length``-bit history register holding ``value``
+    stands for, oldest first — the inverse of :func:`pack_outcomes`, used
+    as the prefix of a stream evaluated from a non-empty history."""
+    return np.array([(value >> age) & 1 for age in reversed(range(length))], dtype=bool)
+
+
+def segment_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group a stream by key, keeping stream order within a key.
+
+    Returns ``(order, position)``: ``order`` is the stable argsort of
+    ``keys``, and ``position[j]`` counts the earlier events of the same key
+    as the ``j``-th event of the grouped order (0 for a key's first event).
+    """
+    order = np.argsort(keys, kind="stable")
+    n = len(order)
+    index = np.arange(n, dtype=np.int64)
+    head = np.zeros(n, dtype=np.int64)
+    if n:
+        grouped = keys[order]
+        starts = np.empty(n, dtype=bool)
+        starts[0] = True
+        np.not_equal(grouped[1:], grouped[:-1], out=starts[1:])
+        head = np.maximum.accumulate(np.where(starts, index, 0))
+    return order, index - head
+
+
+def local_histories(
+    rows: np.ndarray, takens: np.ndarray, table: np.ndarray, length: int
+) -> np.ndarray:
+    """Local-history value *before* each branch of a chunk.
+
+    Branch ``j`` reads and then shifts its outcome into row ``rows[j]`` of a
+    :class:`repro.common.history.LocalHistoryTable` whose ``length``-bit
+    row values are ``table``.  Per row this is :func:`packed_history` over
+    the row's own outcomes with the row's starting value as the prefix.
+    ``table`` is advanced in place to the values after the chunk.
+    """
+    n = len(rows)
+    out = np.zeros(n, dtype=np.int64)
+    if n == 0:
+        return out
+    order, position = segment_positions(rows)
+    grouped_rows = rows[order]
+    outcomes = takens[order].astype(np.int64)
+    width = mask(length)
+    # The starting value shifts left once per earlier outcome of the row.
+    kept = position < length
+    hist = np.where(kept, table[grouped_rows] << np.where(kept, position, 0), 0) & width
+    for k in range(1, min(length, int(position.max())) + 1):
+        same_row = position[k:] >= k
+        hist[k:] |= np.where(same_row, outcomes[:-k] << (k - 1), 0)
+    last = np.append(position[1:] == 0, True)  # each row's final branch
+    table[grouped_rows[last]] = ((hist[last] << 1) | outcomes[last]) & width
+    out[order] = hist
+    return out
+
+
 def fold_bits(values: np.ndarray, in_width: int, out_width: int) -> np.ndarray:
     """Vectorized :func:`repro.common.bits.fold` over an int64 array."""
     v = np.asarray(values, dtype=np.int64) & mask(in_width)
@@ -103,6 +165,34 @@ def fold_bits(values: np.ndarray, in_width: int, out_width: int) -> np.ndarray:
     while np.any(v):
         out ^= v & m
         v >>= out_width
+    return out
+
+
+def bit_reverse_bits(values: np.ndarray, width: int) -> np.ndarray:
+    """Vectorized :func:`repro.common.bits.bit_reverse`."""
+    v = np.asarray(values, dtype=np.int64)
+    out = np.zeros_like(v)
+    for bit in range(width):
+        out |= ((v >> bit) & 1) << (width - 1 - bit)
+    return out
+
+
+def rotate_left_bits(values: np.ndarray, amount: int, width: int) -> np.ndarray:
+    """Vectorized :func:`repro.common.bits.rotate_left`."""
+    if width <= 0:
+        raise ConfigurationError(f"rotate width must be positive, got {width}")
+    amount %= width
+    v = np.asarray(values, dtype=np.int64) & mask(width)
+    return ((v << amount) | (v >> (width - amount))) & mask(width)
+
+
+def bit_lengths(values: np.ndarray) -> np.ndarray:
+    """Vectorized ``int.bit_length`` of non-negative int64 values."""
+    v = np.array(values, dtype=np.int64)
+    out = np.zeros_like(v)
+    while v.any():
+        out += v != 0
+        v >>= 1
     return out
 
 

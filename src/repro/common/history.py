@@ -107,3 +107,13 @@ class LocalHistoryTable:
     def clear(self) -> None:
         """Reset every local history to all-not-taken."""
         self._rows[:] = 0
+
+    def snapshot(self) -> np.ndarray:
+        """Copy of every row's packed history (checkpoint/diff tooling)."""
+        return self._rows.copy()
+
+    def restore_all(self, rows: np.ndarray) -> None:
+        """Restore a snapshot taken by :meth:`snapshot`."""
+        if rows.shape != self._rows.shape:
+            raise ConfigurationError("local history snapshot shape mismatch")
+        self._rows[:] = rows

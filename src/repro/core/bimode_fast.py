@@ -30,6 +30,8 @@ Index structure per direction table (shared with gshare.fast):
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.bits import fold, log2_exact, mask
 from repro.common.counters import CounterTable
 from repro.common.errors import ConfigurationError
@@ -109,6 +111,18 @@ class BiModeFastPredictor(BranchPredictor):
             + line_buffers
         )
 
+    def tables(self) -> dict[str, CounterTable]:
+        """Named counter tables (checkpoint/diff tooling)."""
+        return {
+            "taken": self.taken_table,
+            "not_taken": self.not_taken_table,
+            "choice": self.choice_table,
+        }
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Counter tables, the speculative history and stats (diff tooling)."""
+        return {**super().state(), "history": np.array([self._history], dtype=np.int64)}
+
     def direction_index(self, pc: int) -> int:
         """Pipelinable index: identical structure to gshare.fast's."""
         high = (self._history >> self.staleness) & mask(self.index_bits - self.buffer_bits)
@@ -182,6 +196,7 @@ def _register() -> None:
             sizer=size_bimode_fast,
             builder=bimode_fast_from_config,
             predictor_type=BiModeFastPredictor,
+            batch_kernel="bimode_fast",
             single_cycle=True,
         )
     )

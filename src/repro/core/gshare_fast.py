@@ -44,6 +44,8 @@ from 4.03% to 4.07% mispredictions).
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.bits import fold, log2_exact, mask
 from repro.common.counters import CounterTable
 from repro.common.errors import ConfigurationError
@@ -153,6 +155,11 @@ class GshareFastPredictor(BranchPredictor):
     def tables(self) -> dict[str, CounterTable]:
         """Named counter tables (checkpoint/diff tooling)."""
         return {"pht": self.table}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """PHT, history, stats and the deferred PHT updates (diff tooling)."""
+        pending = np.array(self._deferred_updates.snapshot(), dtype=np.int64)
+        return {**super().state(), "pending": pending.reshape(-1, 2)}
 
     def index(self, pc: int) -> int:
         """The full PHT index for ``pc`` under the current history."""

@@ -13,8 +13,8 @@ Accuracy measurements can run on either of two engines:
 
 * ``scalar`` — the branch-at-a-time reference loop below;
 * ``batch``  — the vectorized engine in :mod:`repro.batch`, bit-exact with
-  the scalar loop (proven by the differential test suite) and an order of
-  magnitude faster on table-based predictors.
+  the scalar loop (proven by the differential test suite) and about an
+  order of magnitude faster on every registered family.
 
 ``engine="auto"`` (the default, overridable via the ``REPRO_ENGINE``
 environment variable) picks batch whenever the predictor has a batch

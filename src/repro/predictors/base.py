@@ -26,6 +26,8 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.common.errors import ProtocolError
 
 
@@ -108,6 +110,25 @@ class BranchPredictor(ABC):
         are :class:`repro.common.counters.CounterTable` instances.
         """
         return {}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Every piece of mutable predictor state, as named integer arrays.
+
+        The default covers :meth:`tables`, the global ``history`` register
+        when the predictor has one, and the running stats; families with
+        other state (local histories, weights, loop entries, composite
+        internals) extend it.  The batch engine's differential harness and
+        the conformance matrix compare it whole, so state missing here is
+        state nothing checks.
+        """
+        state = {name: table.snapshot() for name, table in self.tables().items()}
+        history = getattr(self, "history", None)
+        if history is not None:
+            state["history"] = np.array([history.value], dtype=np.int64)
+        state["stats"] = np.array(
+            [self.stats.predictions, self.stats.mispredictions], dtype=np.int64
+        )
+        return state
 
     def peek(self, pc: int) -> bool:
         """Prediction for ``pc`` without entering the in-flight protocol.

@@ -198,7 +198,7 @@ def build_loop(budget_bytes: int) -> LoopPredictor:
 # ``override_eligible`` mirrors the timing layer: only families with a
 # latency model (repro.timing.latency) can play the slow side of an
 # overriding pair.  ``batch_kernel`` names the bit-exact vectorized kernel
-# in repro.batch.engine, when one exists.
+# in repro.batch.engine; every shipped family has one.
 
 registry.register(
     FamilySpec(
@@ -240,6 +240,7 @@ registry.register(
         sizer=size_2bcgskew,
         builder=twobcgskew_from_config,
         predictor_type=TwoBcGskewPredictor,
+        batch_kernel="2bcgskew",
         override_eligible=True,
     )
 )
@@ -250,6 +251,7 @@ registry.register(
         sizer=size_egskew,
         builder=egskew_from_config,
         predictor_type=EGskewPredictor,
+        batch_kernel="egskew",
         override_eligible=True,
     )
 )
@@ -260,6 +262,7 @@ registry.register(
         sizer=size_perceptron,
         builder=perceptron_from_config,
         predictor_type=PerceptronPredictor,
+        batch_kernel="perceptron",
         override_eligible=True,
     )
 )
@@ -270,6 +273,7 @@ registry.register(
         sizer=size_multicomponent,
         builder=multicomponent_from_config,
         predictor_type=MultiComponentPredictor,
+        batch_kernel="multicomponent",
         override_eligible=True,
     )
 )
@@ -280,6 +284,7 @@ registry.register(
         sizer=size_tournament,
         builder=tournament_from_config,
         predictor_type=TournamentPredictor,
+        batch_kernel="tournament",
     )
 )
 registry.register(
@@ -289,6 +294,7 @@ registry.register(
         sizer=size_loop,
         builder=loop_from_config,
         predictor_type=LoopPredictor,
+        batch_kernel="loop",
     )
 )
 

@@ -79,6 +79,10 @@ class EGskewPredictor(BranchPredictor):
             + self.history.length
         )
 
+    def tables(self) -> dict[str, CounterTable]:
+        """Named counter tables (checkpoint/diff tooling)."""
+        return {"bim": self.bim, "g0": self.g0, "g1": self.g1}
+
     def _indices(self, pc: int) -> tuple[int, int, int]:
         bim_index = (pc >> 2) & (self.bim.size - 1)
         history = self.history.value
@@ -143,6 +147,10 @@ class TwoBcGskewPredictor(BranchPredictor):
             + self.meta.storage_bits
             + self.history.length
         )
+
+    def tables(self) -> dict[str, CounterTable]:
+        """Named counter tables (checkpoint/diff tooling)."""
+        return {"bim": self.bim, "g0": self.g0, "g1": self.g1, "meta": self.meta}
 
     def _indices(self, pc: int) -> tuple[int, int, int, int]:
         history = self.history.value

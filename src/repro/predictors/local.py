@@ -8,6 +8,8 @@ of the multi-component hybrid.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.bits import fold, log2_exact
 from repro.common.counters import CounterTable
 from repro.common.history import LocalHistoryTable
@@ -37,6 +39,14 @@ class LocalPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         """Hardware state consumed by the predictor, in bits."""
         return self.histories.storage_bits + self.pht.storage_bits
+
+    def tables(self) -> dict[str, CounterTable]:
+        """Named counter tables (checkpoint/diff tooling)."""
+        return {"pht": self.pht}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """PHT, local histories and stats (diff tooling)."""
+        return {**super().state(), "local_histories": self.histories.snapshot()}
 
     def _pht_index(self, pc: int) -> int:
         local = self.histories.read(pc)

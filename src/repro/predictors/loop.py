@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.common.bits import is_power_of_two
 from repro.common.errors import ConfigurationError
 from repro.predictors.base import BranchPredictor
@@ -27,6 +29,18 @@ class _LoopEntry:
     current_count: int = 0  # iterations seen in the loop in progress
     confidence: int = 0  # consecutive confirmations of trip_count
     direction: bool = True  # the "body" direction (exit is the opposite)
+
+    def fields(self) -> tuple[int, int, int, int, bool]:
+        """(tag, trip_count, current_count, confidence, direction)."""
+        return self.tag, self.trip_count, self.current_count, self.confidence, self.direction
+
+    def assign(self, tag: int, trip: int, current: int, confidence: int, direction: bool) -> None:
+        """Overwrite every field, in :meth:`fields` order."""
+        self.tag = tag
+        self.trip_count = trip
+        self.current_count = current
+        self.confidence = confidence
+        self.direction = bool(direction)
 
 
 class LoopPredictor(BranchPredictor):
@@ -56,6 +70,15 @@ class LoopPredictor(BranchPredictor):
     def storage_bits(self) -> int:
         """Hardware state consumed by the predictor, in bits."""
         return self.entries * self.ENTRY_BITS
+
+    def snapshot_entries(self) -> np.ndarray:
+        """Every entry as a row of (tag, trip_count, current_count,
+        confidence, direction) — checkpoint/diff tooling."""
+        return np.array([entry.fields() for entry in self._table], dtype=np.int64)
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Loop entries and stats (diff tooling)."""
+        return {**super().state(), "entries": self.snapshot_entries()}
 
     def _entry(self, pc: int) -> tuple[_LoopEntry, int]:
         index = (pc >> 2) & (self.entries - 1)

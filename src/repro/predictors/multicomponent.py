@@ -110,6 +110,15 @@ class MultiComponentPredictor(BranchPredictor):
         votes = [slot.predictor.peek(pc) for slot in self.slots]
         return votes[self._select(self._counters[index])]
 
+    def state(self) -> dict[str, np.ndarray]:
+        """Selection counters, stats, and every component's full state
+        under a ``<priority>.<name>.`` prefix (diff tooling)."""
+        state = {**super().state(), "selector": self._counters.copy()}
+        for slot in self.slots:
+            for key, value in slot.predictor.state().items():
+                state[f"{slot.priority}.{slot.name}.{key}"] = value
+        return state
+
     def component_names(self) -> list[str]:
         """Component names in priority order."""
         return [slot.name for slot in self.slots]

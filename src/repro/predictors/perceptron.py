@@ -72,6 +72,13 @@ class PerceptronPredictor(BranchPredictor):
             bits += self.local_histories.storage_bits
         return bits
 
+    def state(self) -> dict[str, np.ndarray]:
+        """Weights, both histories and stats (diff tooling)."""
+        state = {**super().state(), "weights": self.weights.copy()}
+        if self.local_histories is not None:
+            state["local_histories"] = self.local_histories.snapshot()
+        return state
+
     def _row(self, pc: int) -> int:
         return hash_pc(pc, 32) % self.num_perceptrons
 

@@ -12,6 +12,8 @@ chooser) are the defaults; all sizes scale for budget sweeps.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.bits import fold, log2_exact
 from repro.common.counters import CounterTable
 from repro.common.history import HistoryRegister, LocalHistoryTable
@@ -51,6 +53,14 @@ class TournamentPredictor(BranchPredictor):
             + self.chooser.storage_bits
             + self.history.length
         )
+
+    def tables(self) -> dict[str, CounterTable]:
+        """Named counter tables (checkpoint/diff tooling)."""
+        return {"global": self.global_pht, "local": self.local_pht, "chooser": self.chooser}
+
+    def state(self) -> dict[str, np.ndarray]:
+        """Counter tables, both histories and stats (diff tooling)."""
+        return {**super().state(), "local_histories": self.local_histories.snapshot()}
 
     def _indices(self, pc: int) -> tuple[int, int, int]:
         global_index = fold(self.history.value, self.history.length, self.global_index_bits)

@@ -25,9 +25,7 @@ BUDGET_SAMPLE = [4 * 1024, 32 * 1024]
 
 
 def table_digests(predictor) -> dict[str, bytes]:
-    return {
-        name: table.snapshot().tobytes() for name, table in predictor.tables().items()
-    }
+    return {name: values.tobytes() for name, values in predictor.state().items()}
 
 
 def warmup_stream(trace, limit=800):

@@ -42,10 +42,9 @@ BUDGET_LADDER = [2 * 1024, 8 * 1024, 64 * 1024, 512 * 1024]
 
 
 def table_digests(predictor) -> dict[str, bytes]:
-    """Byte-exact fingerprints of every named counter table."""
-    return {
-        name: table.snapshot().tobytes() for name, table in predictor.tables().items()
-    }
+    """Byte-exact fingerprints of the predictor's full ``state()``: counter
+    tables, histories, weights, loop entries, composite internals, stats."""
+    return {name: values.tobytes() for name, values in predictor.state().items()}
 
 
 def branch_stream(trace, limit=1200):
@@ -113,12 +112,11 @@ class TestPredictorContract:
 
     def test_peek_is_state_neutral(self, family, small_trace):
         """A twin instance peppered with ``peek()`` calls stays bit-identical
-        to an undisturbed one: same prediction stream, same final tables.
+        to an undisturbed one: same prediction stream, same final state.
 
-        The twin construction catches state drift even in families whose
-        ``tables()`` is empty (perceptron weights, loop counters, composite
-        internals): any disturbed state would surface as a diverged
-        prediction somewhere down the stream.
+        The twin construction also catches drift in state a family might
+        leave out of ``state()``: any disturbed state would surface as a
+        diverged prediction somewhere down the stream.
         """
         spec = registry.get_spec(family)
         if not spec.state_neutral_peek:
@@ -137,7 +135,7 @@ class TestPredictorContract:
 
     def test_peek_preserves_table_digests(self, family):
         """Direct digest check: a burst of peeks on a fresh predictor leaves
-        every named counter table byte-identical."""
+        its full state byte-identical."""
         predictor = build_family(family, CONFORMANCE_BUDGET)
         before = table_digests(predictor)
         for i in range(64):

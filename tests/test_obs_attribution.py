@@ -15,6 +15,7 @@ from repro.obs.attribution import (
     attribution_from_arrays,
     attribution_from_counts,
 )
+from repro.predictors import registry
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
 
@@ -74,12 +75,16 @@ class TestMeasurementAttribution:
         assert result.attribution.mispredictions == result.mispredictions
         assert result.attribution.branches == result.branches
 
-    def test_batch_matches_scalar(self, small_trace):
+    @pytest.mark.parametrize("family", registry.family_names())
+    def test_batch_matches_scalar(self, family, small_trace):
+        """Every family's per-branch table from the batch engine (which
+        ``engine="auto"`` picks, e.g. for the service's attribution route)
+        equals the scalar reference's."""
         scalar = measure_accuracy(
-            GsharePredictor(16384), small_trace, engine="scalar", attribution=True
+            registry.build(family, 8 * 1024), small_trace, engine="scalar", attribution=True
         )
         batch = measure_accuracy(
-            GsharePredictor(16384), small_trace, engine="batch", attribution=True
+            registry.build(family, 8 * 1024), small_trace, engine="batch", attribution=True
         )
         assert batch.attribution == scalar.attribution
 

@@ -10,8 +10,10 @@ the scalar implementations:
 * XOR folding is length-preserving (output fits ``out_width`` bits),
   deterministic, and the identity when no folding is needed;
 * the vectorized kernel twins (:func:`repro.batch.kernels.fold_bits`,
-  :func:`repro.batch.kernels.packed_history`) agree with the scalar
-  ``fold``/``HistoryRegister`` on every input.
+  ``bit_reverse_bits``, ``rotate_left_bits``, ``bit_lengths``,
+  :func:`repro.batch.kernels.packed_history`, ``local_histories``) agree
+  with the scalar ``fold``/``bit_reverse``/``rotate_left``/``int.bit_length``
+  and ``HistoryRegister``/``LocalHistoryTable`` on every input.
 """
 
 from __future__ import annotations
@@ -20,10 +22,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.kernels import fold_bits, pack_outcomes, packed_history
-from repro.common.bits import fold, mask
+from repro.batch.kernels import (
+    bit_lengths,
+    bit_reverse_bits,
+    fold_bits,
+    local_histories,
+    pack_outcomes,
+    packed_history,
+    rotate_left_bits,
+    unpack_history,
+)
+from repro.common.bits import bit_reverse, fold, mask, rotate_left
 from repro.common.counters import CounterTable
-from repro.common.history import HistoryRegister
+from repro.common.history import HistoryRegister, LocalHistoryTable
 
 # -- saturating counters -------------------------------------------------------
 
@@ -151,3 +162,52 @@ def test_packed_history_matches_history_register(outcomes, length, split):
     got = np.concatenate([first, second]).tolist()
     assert got == expected
     assert pack_outcomes(takens, length) == register.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    values=st.lists(st.integers(0, (1 << 20) - 1), max_size=50),
+    width=st.integers(1, 20),
+    amount=st.integers(0, 40),
+)
+def test_skew_bit_ops_match_scalar(values, width, amount):
+    array = np.asarray(values, dtype=np.int64)
+    assert bit_reverse_bits(array, width).tolist() == [bit_reverse(v, width) for v in values]
+    assert rotate_left_bits(array, amount, width).tolist() == [
+        rotate_left(v, amount, width) for v in values
+    ]
+    assert bit_lengths(array).tolist() == [v.bit_length() for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(value=st.integers(0, (1 << 24) - 1), length=st.integers(0, 24))
+def test_unpack_history_inverts_pack_outcomes(value, length):
+    assert pack_outcomes(unpack_history(value, length), length) == value & mask(length)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream=st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=120),
+    length=st.integers(1, 12),
+    split=st.integers(0, 120),
+    seed_rows=st.lists(st.integers(0, (1 << 12) - 1), min_size=4, max_size=4),
+)
+def test_local_histories_match_local_history_table(stream, length, split, seed_rows):
+    """Chunked per-row history packing equals reading then pushing each
+    branch through a LocalHistoryTable, from any starting rows."""
+    histories = LocalHistoryTable(4, length)
+    start = np.asarray(seed_rows, dtype=np.int64) & mask(length)
+    histories.restore_all(start)
+    expected = []
+    for slot, taken in stream:
+        expected.append(histories.read(4 * slot))
+        histories.push(4 * slot, taken)
+
+    rows = np.asarray([slot & 3 for slot, _ in stream], dtype=np.int64)
+    takens = np.asarray([taken for _, taken in stream], dtype=bool)
+    split = min(split, len(stream))
+    table = start.copy()
+    first = local_histories(rows[:split], takens[:split], table, length)
+    second = local_histories(rows[split:], takens[split:], table, length)
+    assert np.concatenate([first, second]).tolist() == expected
+    assert table.tolist() == histories.snapshot().tolist()
