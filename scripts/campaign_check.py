@@ -1,4 +1,4 @@
-"""End-to-end check of the campaign orchestrator, as CI runs it.
+"""End-to-end check of the campaign executor, as CI runs it.
 
 Drives the real ``repro-campaign`` CLI through the multi-process drills
 the in-process tier-1 tests cannot cover:
@@ -19,12 +19,25 @@ the in-process tier-1 tests cannot cover:
    damaged classes (plus the still-queued missing cells), and the final
    merge is again byte-identical to (1).
 
+Then the same executor under ``repro-figures``, over one tiny figure:
+
+5. serial baseline (``--jobs 1``, the in-memory path);
+6. ``--jobs 2`` — output must be byte-identical to (5);
+7. ``--jobs 2 --run-dir`` with a forced mid-run crash
+   (``REPRO_CAMPAIGN_ABORT_AFTER``), which must exit non-zero but leave
+   cell checkpoints behind;
+8. ``--resume`` of (7) — it must reclaim the dead workers' claims without
+   waiting out the stale threshold, leave every checkpoint of (7)
+   untouched, and again produce byte-identical output.
+
 Exit status 0 means every stage behaved; any mismatch aborts with a
 diagnostic.  ``--report-out`` writes a JSON report (CI uploads it).
+Pass ``--expect-speedup`` to additionally require the ``--jobs 2`` run to
+beat the serial run's wall time (only meaningful on multi-core machines).
 
 Usage::
 
-    PYTHONPATH=src python scripts/campaign_check.py [--report-out FILE]
+    PYTHONPATH=src python scripts/campaign_check.py [--report-out FILE] [--expect-speedup]
 """
 
 from __future__ import annotations
@@ -49,6 +62,9 @@ CHECK_ENV = {
 GRID_FLAGS = ["--kind", "accuracy", "--families", "gshare,bimodal", "--budgets", "2048,4096"]
 GRID_CELLS = 8
 ABORT_AFTER = 3
+#: figure1 over two benchmarks at 5% scale: a 72-cell grid that finishes
+#: in a few seconds per run.
+FIGURE = "figure1"
 
 
 def run_cli(module: str, args: list[str], extra_env: dict[str, str] | None = None):
@@ -77,6 +93,10 @@ def fail(message: str, proc=None) -> None:
     raise SystemExit(1)
 
 
+def figures_cli(args: list[str], extra_env: dict[str, str] | None = None):
+    return run_cli("repro.harness.cli", [FIGURE, *args], extra_env)
+
+
 def scan_counts(run_dir: Path) -> dict:
     proc = campaign_cli(["scan", str(run_dir), "--json"])
     if proc.returncode != 0:
@@ -90,13 +110,19 @@ def main(argv: list[str] | None = None) -> int:
         "--report-out", default=None, metavar="FILE",
         help="write the campaign drill report as JSON to FILE",
     )
+    parser.add_argument(
+        "--expect-speedup",
+        action="store_true",
+        help="require the --jobs 2 figure run to beat the serial wall time "
+        "(only meaningful on multi-core machines)",
+    )
     args = parser.parse_args(argv)
     report: dict = {"grid_cells": GRID_CELLS}
 
     with tempfile.TemporaryDirectory(prefix="campaign-check-") as tmp:
         tmp_path = Path(tmp)
 
-        print("[1/4] serial reference campaign")
+        print("[1/8] serial reference campaign")
         ref_dir = tmp_path / "ref"
         proc = campaign_cli(["run", str(ref_dir), *GRID_FLAGS, "--owner", "ref", "--json"])
         if proc.returncode != 0:
@@ -107,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         ref_merged = (ref_dir / "merged.json").read_bytes()
         report["serial"] = ref_result["worker"]
 
-        print("[2/4] two concurrent workers, one shared run dir")
+        print("[2/8] two concurrent workers, one shared run dir")
         shared_dir = tmp_path / "shared"
         logs = [tmp_path / "w1.jsonl", tmp_path / "w2.jsonl"]
         started = time.perf_counter()
@@ -178,7 +204,7 @@ def main(argv: list[str] | None = None) -> int:
             "wall_seconds": wall,
         }
 
-        print(f"[3/4] crash drill + synthetic damage (abort after {ABORT_AFTER})")
+        print(f"[3/8] crash drill + synthetic damage (abort after {ABORT_AFTER})")
         crash_dir = tmp_path / "crash"
         proc = campaign_cli(
             ["run", str(crash_dir), *GRID_FLAGS, "--owner", "victim", "--no-merge"],
@@ -206,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
         save_snippet = (
             "import json, sys\n"
             "from repro.harness.campaign import load_campaign\n"
-            "from repro.harness.parallel import _shard_result_key\n"
+            "from repro.harness.campaign import _shard_result_key\n"
             "from repro.harness.resultstore import active_result_store\n"
             "from repro.harness.campaign import shard_from_dict\n"
             f"spec = load_campaign({str(crash_dir)!r})\n"
@@ -261,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"      all five classes present: {counts}")
         report["damaged_scan"] = counts
 
-        print("[4/4] selective rerun --status failed,partial,results")
+        print("[4/8] selective rerun --status failed,partial,results")
         proc = campaign_cli(
             [
                 "rerun", str(crash_dir),
@@ -292,14 +318,100 @@ def main(argv: list[str] | None = None) -> int:
         )
         report["recovery"] = worker
 
+        report["figures"] = check_figure_sweeps(tmp_path, args.expect_speedup)
+
     if args.report_out:
         Path(args.report_out).write_text(
             json.dumps(report, indent=2, sort_keys=True) + "\n"
         )
         print(f"report -> {args.report_out}")
     print("OK: concurrent, crashed and damaged campaigns all reconverge "
-          "byte-identically with zero duplicated executions")
+          "byte-identically with zero duplicated executions, and serial, "
+          "--jobs 2 and crash+resume figure outputs are byte-identical")
     return 0
+
+
+def check_figure_sweeps(tmp_path: Path, expect_speedup: bool) -> dict:
+    """Stages 5-8: the executor under repro-figures."""
+    out = {name: tmp_path / name for name in ("serial", "parallel", "resumed")}
+
+    def output(name: str) -> str:
+        return (out[name] / f"{FIGURE}.txt").read_text()
+
+    print(f"[5/8] serial {FIGURE} (--jobs 1)")
+    started = time.perf_counter()
+    proc = figures_cli(["--jobs", "1", "--output-dir", str(out["serial"])])
+    serial_seconds = time.perf_counter() - started
+    if proc.returncode != 0:
+        fail("serial figure run failed", proc)
+
+    print(f"[6/8] {FIGURE} --jobs 2")
+    started = time.perf_counter()
+    proc = figures_cli(["--jobs", "2", "--output-dir", str(out["parallel"])])
+    parallel_seconds = time.perf_counter() - started
+    if proc.returncode != 0:
+        fail("--jobs 2 figure run failed", proc)
+    if output("parallel") != output("serial"):
+        fail("--jobs 2 output differs from serial output")
+    print(
+        f"      byte-identical ({serial_seconds:.1f}s serial, "
+        f"{parallel_seconds:.1f}s with --jobs 2)"
+    )
+
+    print(f"[7/8] --jobs 2 --run-dir crash after {ABORT_AFTER} cells per worker")
+    run_dir = tmp_path / "figure-run"
+    proc = figures_cli(
+        ["--jobs", "2", "--run-dir", str(run_dir)],
+        extra_env={"REPRO_CAMPAIGN_ABORT_AFTER": str(ABORT_AFTER)},
+    )
+    if proc.returncode == 0:
+        fail("crashed figure run unexpectedly exited 0")
+    counts = scan_counts(run_dir)
+    cells = sum(counts.values())
+    if not ABORT_AFTER <= counts["completed"] < cells or not counts["partial"]:
+        fail(f"crashed run left unexpected evidence: {counts}")
+    checkpoints = {
+        path.name: path.stat().st_mtime_ns
+        for path in (run_dir / "shards").glob("*.json")
+    }
+    print(f"      exit {proc.returncode}; scan {counts}")
+
+    print("[8/8] --resume the crashed run (default stale threshold)")
+    started = time.perf_counter()
+    proc = figures_cli(
+        ["--jobs", "2", "--resume", str(run_dir), "--output-dir", str(out["resumed"])],
+        extra_env={"REPRO_CAMPAIGN_STALE_SECONDS": ""},
+    )
+    resume_seconds = time.perf_counter() - started
+    if proc.returncode != 0:
+        fail("resumed figure run failed", proc)
+    for name, mtime in checkpoints.items():
+        if (run_dir / "shards" / name).stat().st_mtime_ns != mtime:
+            fail(f"resume recomputed checkpointed cell {name}")
+    if scan_counts(run_dir)["completed"] != cells:
+        fail("resumed campaign is not complete")
+    if output("resumed") != output("serial"):
+        fail("resumed output differs from serial output")
+    if resume_seconds > 300:
+        fail(f"resume took {resume_seconds:.0f}s: dead workers' claims were not "
+             f"reclaimed at once")
+    print(
+        f"      resumed {len(checkpoints)} cells, executed "
+        f"{cells - len(checkpoints)} in {resume_seconds:.1f}s; byte-identical"
+    )
+    if expect_speedup and parallel_seconds >= serial_seconds:
+        fail(
+            f"--jobs 2 ({parallel_seconds:.1f}s) not faster than serial "
+            f"({serial_seconds:.1f}s)"
+        )
+    return {
+        "cells": cells,
+        "serial_seconds": serial_seconds,
+        "parallel_seconds": parallel_seconds,
+        "crash_scan": counts,
+        "resumed": len(checkpoints),
+        "resume_seconds": resume_seconds,
+    }
 
 
 if __name__ == "__main__":

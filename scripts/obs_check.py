@@ -5,16 +5,18 @@ Drives the real ``repro-figures --config`` path over a small accuracy grid
 ``REPRO_LOG`` pointed at a run-local event file:
 
 1. parallel sweep with tracing on — the aggregated span tree must be
-   *complete*: no orphan spans, no unclosed spans, every worker
-   ``parallel.shard`` span parented to the parent run's ``parallel.run``
-   span with a shared trace id, at least two worker PIDs, and all
-   per-PID sidecar files merged back into the main log;
+   *complete*: no orphan spans, no unclosed spans, exactly one
+   ``campaign.run`` span, every worker ``campaign.shard`` span a
+   descendant of it (under its worker's ``campaign.worker`` span) with a
+   shared trace id, at least two worker PIDs, and all per-PID sidecar
+   files merged back into the main log;
 2. reporting surfaces — ``repro-stats timeline`` and ``critical-path``
    must render, and the aggregate's wall time must reproduce the root
    sweep span's duration within rounding;
 3. ``repro-stats regress --counters-only`` against the committed baseline
    (``results/obs_baseline.json``) — the machine-independent gate: shard
-   counts, retries and store totals must match exactly;
+   counts (summed over the workers' run summaries), retries and store
+   totals must match exactly;
 4. synthetic-slowdown drill — re-run the same grid with
    ``REPRO_PARALLEL_SLOW_SHARD`` injecting a straggler scaled to the
    measured baseline wall, and ``repro-stats regress`` against an in-job
@@ -127,16 +129,24 @@ def check_span_tree(log: Path) -> dict:
         fail(f"orphan spans in trace: {[n.name for n in tree.orphans]}")
     if tree.unclosed:
         fail(f"unclosed spans in trace: {[r.get('name') for r in tree.unclosed]}")
-    runs = [n for n in tree.by_id.values() if n.name == "parallel.run"]
+    runs = [n for n in tree.by_id.values() if n.name == "campaign.run"]
     if len(runs) != 1:
-        fail(f"expected exactly one parallel.run span, found {len(runs)}")
+        fail(f"expected exactly one campaign.run span, found {len(runs)}")
     run = runs[0]
-    shards = [n for n in tree.by_id.values() if n.name == "parallel.shard"]
+    shards = [n for n in tree.by_id.values() if n.name == "campaign.shard"]
     if len(shards) != SHARDS:
         fail(f"expected {SHARDS} worker shard spans, found {len(shards)}")
-    stray = [n.span_id for n in shards if n.parent_id != run.span_id]
+
+    def descends_from_run(node) -> bool:
+        while node.parent_id in tree.by_id:
+            node = tree.by_id[node.parent_id]
+            if node is run:
+                return True
+        return False
+
+    stray = [n.span_id for n in shards if not descends_from_run(n)]
     if stray:
-        fail(f"{len(stray)} worker spans not parented to the run span")
+        fail(f"{len(stray)} worker shard spans do not descend from the run span")
     off_trace = [n.span_id for n in shards if n.trace_id != run.trace_id]
     if off_trace:
         fail(f"{len(off_trace)} worker spans on a foreign trace id")
@@ -197,7 +207,9 @@ def main(argv: list[str] | None = None) -> int:
             )
         path_names = [step["name"] for step in agg["critical_path"]]
         # The figures CLI adds a target-level root span above the sweep.
-        if path_names[-3:] != ["accuracy_sweep", "parallel.run", "parallel.shard"]:
+        if path_names[-4:] != [
+            "accuracy_sweep", "campaign.run", "campaign.worker", "campaign.shard",
+        ]:
             fail(f"critical path has unexpected shape: {path_names}")
         print(f"      wall {agg['wall_seconds']:.3f}s, critical path {path_names}")
 

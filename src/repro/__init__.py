@@ -36,7 +36,6 @@ from repro.predictors import (
     FamilySpec,
     build_predictor,
     family_names,
-    predictor_families,
 )
 from repro.timing import PAPER_CLOCK, predictor_latency
 
@@ -54,6 +53,5 @@ __all__ = [
     "family_names",
     "measure_accuracy",
     "measure_override",
-    "predictor_families",
     "predictor_latency",
 ]

@@ -3,8 +3,8 @@
 POSIX ``rename(2)`` within one directory is atomic: a reader observes
 either the old file or the complete new one, never a torn write.
 Everything in this repo that persists state another process may read
-concurrently — trace-store entries, parallel-sweep shard checkpoints, run
-manifests — funnels through these helpers, so a writer killed mid-write
+concurrently — trace-store entries, campaign checkpoints, queue entries
+and claims — funnels through these helpers, so a writer killed mid-write
 can only leave a ``*.tmp.<pid>.<tid>`` dropping behind, never a truncated
 artifact under the final name.
 """

@@ -13,13 +13,7 @@ from repro.harness.experiment import (
     measure_accuracy,
     measure_override,
 )
-from repro.harness.parallel import (
-    Shard,
-    ShardOutcome,
-    SweepExecutionError,
-    pool_jobs,
-    run_shards,
-)
+from repro.harness.campaign import Shard, SweepExecutionError, execute_sweep
 from repro.harness.scale import (
     accuracy_instructions,
     benchmark_names,
@@ -33,13 +27,13 @@ __all__ = [
     "AccuracyResult",
     "OverrideResult",
     "Shard",
-    "ShardOutcome",
     "SweepExecutionError",
     "accuracy_instructions",
     "arithmetic_mean",
     "benchmark_names",
     "compare_predictors",
     "default_jobs",
+    "execute_sweep",
     "geometric_mean",
     "harmonic_mean",
     "history_context_profile",
@@ -47,9 +41,7 @@ __all__ = [
     "measure_accuracy",
     "measure_override",
     "per_site_accuracy",
-    "pool_jobs",
     "resolved_config",
-    "run_shards",
     "scale_factor",
     "warmup_branches",
 ]

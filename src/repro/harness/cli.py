@@ -14,11 +14,13 @@ Scale with ``REPRO_SCALE`` (trace length multiplier) and
 evaluation engine with ``--engine`` (or ``REPRO_ENGINE``).
 
 Parallel execution: ``--jobs N`` (or ``REPRO_JOBS``; ``auto`` = one worker
-per CPU) shards every sweep across a process pool with results identical
-to the serial path.  ``--run-dir DIR`` checkpoints finished shards so an
-interrupted run restarted with ``--resume DIR`` skips completed work;
-``--max-retries`` bounds per-shard retry attempts (failures land in
-``DIR/manifest.json``).
+per CPU) drains every sweep with N local campaign workers, with results
+identical to the serial path.  ``--run-dir DIR`` plans every sweep into
+the campaign in DIR — one checkpoint per finished cell, scannable with
+``repro-campaign scan DIR`` — so an interrupted run restarted with
+``--resume DIR`` skips completed work; ``--max-retries`` bounds per-cell
+retry attempts (a cell past its budget leaves a failure marker that
+``repro-campaign rerun --status failed`` replans).
 
 Trace store: ``--trace-store DIR`` (or ``REPRO_TRACE_STORE``) persists
 generated traces in a content-addressed on-disk store; later runs load
@@ -233,23 +235,24 @@ def main(argv: list[str] | None = None) -> int:
         "--run-dir",
         default=None,
         metavar="DIR",
-        help="checkpoint finished sweep shards under DIR so an interrupted "
-        "parallel run can be resumed (see --resume)",
+        help="plan every sweep into the campaign in DIR, checkpointing "
+        "each finished cell, so an interrupted run can be resumed (see "
+        "--resume) and scanned with repro-campaign scan DIR",
     )
     parser.add_argument(
         "--resume",
         default=None,
         metavar="DIR",
-        help="resume a parallel run from DIR's shard checkpoints, skipping "
-        "completed shards (DIR must exist; implies --run-dir DIR)",
+        help="resume a run from DIR's cell checkpoints, skipping completed "
+        "cells (DIR must exist; implies --run-dir DIR)",
     )
     parser.add_argument(
         "--max-retries",
         type=int,
         default=None,
         metavar="N",
-        help="retry a failed sweep shard up to N times before giving up "
-        "(or REPRO_MAX_RETRIES; default 2)",
+        help="retry a failed sweep cell up to N times before marking it "
+        "failed (or REPRO_MAX_RETRIES; default 2)",
     )
     parser.add_argument(
         "--trace-store",
@@ -419,8 +422,8 @@ def main(argv: list[str] | None = None) -> int:
 
 def _campaign_grid(args, parser) -> tuple[list, dict]:
     """(shards, cfg_by_kind) from the ``run`` subcommand's grid flags."""
+    from repro.harness.campaign import shard_grid
     from repro.harness.figconfig import grid_cfg
-    from repro.harness.parallel import Shard
     from repro.harness.scale import benchmark_names
 
     if not args.families or not args.budgets:
@@ -439,18 +442,10 @@ def _campaign_grid(args, parser) -> tuple[list, dict]:
         else benchmark_names()
     )
     modes = [m.strip() for m in (args.mode or "ideal").split(",") if m.strip()]
-    shards = []
-    # Canonical merge order: benchmark -> family -> budget (-> mode), the
-    # serial sweeps' iteration order.
-    for benchmark in benchmarks:
-        for family in families:
-            for budget in budgets:
-                if args.kind == "ipc":
-                    shards.extend(
-                        Shard("ipc", benchmark, family, budget, mode) for mode in modes
-                    )
-                else:
-                    shards.append(Shard("accuracy", benchmark, family, budget))
+    shards = shard_grid(
+        args.kind, families, budgets, benchmarks,
+        modes=tuple(modes) if args.kind == "ipc" else ("",),
+    )
     return shards, {args.kind: grid_cfg(args.kind)}
 
 
@@ -485,18 +480,6 @@ def _print_campaign_scan(run_dir: str, cells, label: str, as_json: bool) -> dict
             )
         )
     return report
-
-
-def _run_campaign_worker(args, run_dir: str) -> dict:
-    from repro.harness.campaign import run_worker
-
-    return run_worker(
-        run_dir,
-        owner=args.owner,
-        stale_seconds=args.stale_seconds,
-        poll_seconds=args.poll_seconds,
-        max_retries=args.max_retries,
-    )
 
 
 def campaign_main(argv: list[str] | None = None) -> int:
@@ -652,7 +635,13 @@ def campaign_main(argv: list[str] | None = None) -> int:
             cells = campaign.scan(args.run_dir)
             planned = campaign.plan(args.run_dir, statuses=statuses, cells=cells)
 
-        counters = _run_campaign_worker(args, args.run_dir)
+        counters = campaign.run_worker(
+            args.run_dir,
+            owner=args.owner,
+            stale_seconds=args.stale_seconds,
+            poll_seconds=args.poll_seconds,
+            max_retries=args.max_retries,
+        )
         result = {
             "run_dir": args.run_dir,
             "planned": planned,

@@ -52,9 +52,11 @@ def default_engine() -> str:
 def default_jobs() -> int:
     """The sweep worker count selected by ``REPRO_JOBS`` (default 1).
 
-    ``1`` keeps sweeps on the serial in-process path; anything larger routes
-    them through the process-pool executor in :mod:`repro.harness.parallel`.
-    ``auto`` (or ``0``) means one worker per CPU.
+    ``1`` keeps sweeps on the serial in-process path (unless a run
+    directory is given); anything larger plans them into a campaign
+    drained by that many local worker processes
+    (:func:`repro.harness.campaign.execute_sweep`).  ``auto`` (or ``0``)
+    means one worker per CPU.  This is the only worker-count resolver.
     """
     raw = os.environ.get("REPRO_JOBS", "1").strip().lower() or "1"
     if raw in ("auto", "0"):

@@ -290,7 +290,7 @@ def _import_family_modules(config: TargetConfig) -> None:
 
 def grid_cfg(kind: str) -> dict:
     """The per-kind sweep configuration the current environment resolves
-    to — the very dict the executors pin in ``run.json``, so a config
+    to — the very dict the sweeps pin in ``campaign.json``, so a config
     target's cell keys match the sweeps' exactly."""
     from repro.harness.experiment import default_engine
     from repro.harness.scale import (
@@ -309,16 +309,12 @@ def grid_cfg(kind: str) -> dict:
     return {"instructions": ipc_instructions(), "machine": asdict(PAPER_MACHINE)}
 
 
-def grid_shards(grid: GridSpec) -> Iterator:
-    """Every grid cell as a campaign/parallel :class:`Shard`."""
-    from repro.harness.parallel import Shard
+def grid_shards(grid: GridSpec) -> list:
+    """Every grid cell as a campaign :class:`~repro.harness.campaign.Shard`,
+    in the order :meth:`GridSpec.cells` yields them."""
+    from repro.harness.campaign import Shard
 
-    if grid.kind == "accuracy":
-        for benchmark, family, budget in grid.cells():
-            yield Shard("accuracy", benchmark, family, budget)
-    else:
-        for benchmark, family, budget, mode in grid.cells():
-            yield Shard("ipc", benchmark, family, budget, mode)
+    return [Shard(grid.kind, *cell) for cell in grid.cells()]
 
 
 def classify(config: TargetConfig, store, run_dir: str | None = None) -> dict:

@@ -29,16 +29,16 @@ predictions.
   (default :data:`DEFAULT_RESULT_CAPACITY`), mirroring the trace store.
 
 The store is enabled by pointing ``REPRO_RESULT_STORE`` at a directory (or
-``repro-figures --result-store DIR``).  :mod:`repro.harness.sweep` layers
-it under the serial sweeps and :mod:`repro.harness.parallel` under the
-process-pool workers (workers share the store directory exactly like they
-share the trace store), so a shard whose key hits returns its payload
-without executing anything.
+``repro-figures --result-store DIR``).  :func:`repro.harness.sweep.shard_payload`
+— the one cell computation, on the in-memory path and in every campaign
+worker — layers it under each cell (workers share the store directory
+exactly like they share the trace store), so a cell whose key hits
+returns its payload without executing anything.
 
 Statistics (hits/misses/writes/corrupt/evictions) are module-wide —
 :func:`result_store_stats` — and mirrored into obs counters
-(``result_store.*``) when profiling is enabled; the parallel executor
-aggregates per-shard deltas into run manifests.
+(``result_store.*``) when profiling is enabled; each campaign worker
+reports its deltas in its ``campaign.worker`` run summary.
 """
 
 from __future__ import annotations
@@ -103,9 +103,9 @@ def _workload_digest(benchmark: str, instructions: int, seed: int) -> str:
 
 
 def _family_spec_payload(family: str, budget_bytes: int) -> dict:
-    """The serialized FamilySpec sizing config — the same payload parallel
-    workers rebuild predictors from, so a sizing-rule change (different
-    config for the same budget) is a different key, not a false hit."""
+    """The serialized FamilySpec sizing config, so a sizing-rule change
+    (different config for the same budget) is a different key, not a
+    false hit."""
     from repro.predictors import registry
 
     return registry.serialize_spec(family, budget_bytes)

@@ -78,20 +78,6 @@ def benchmark_names() -> list[str]:
     return names
 
 
-def campaign_stale_seconds() -> float:
-    """Claim-staleness threshold (``REPRO_CAMPAIGN_STALE_SECONDS``)."""
-    from repro.harness.campaign import stale_seconds_default  # deferred: layering
-
-    return stale_seconds_default()
-
-
-def campaign_poll_seconds() -> float:
-    """Idle-worker poll interval (``REPRO_CAMPAIGN_POLL_SECONDS``)."""
-    from repro.harness.campaign import poll_seconds_default  # deferred: layering
-
-    return poll_seconds_default()
-
-
 def resolved_config() -> dict:
     """The fully-resolved experiment configuration as one dict.
 
@@ -99,6 +85,10 @@ def resolved_config() -> dict:
     environment variables and defaults determine about an experiment, so a
     ``results/*.txt`` can be reproduced from its sidecar.
     """
+    from repro.harness.campaign import (  # deferred: layering
+        poll_seconds_default,
+        stale_seconds_default,
+    )
     from repro.harness.experiment import default_engine, default_jobs  # deferred: layering
     from repro.harness.resultstore import result_store_path  # deferred: layering
     from repro.predictors import registry  # deferred: layering
@@ -119,8 +109,8 @@ def resolved_config() -> dict:
         # they shape multi-worker scheduling, so a manifest records them.
         "campaign": {
             "run_dir": os.environ.get("REPRO_RUN_DIR", "").strip() or None,
-            "stale_seconds": campaign_stale_seconds(),
-            "poll_seconds": campaign_poll_seconds(),
+            "stale_seconds": stale_seconds_default(),
+            "poll_seconds": poll_seconds_default(),
         },
         # The resolved predictor specs: which module registered each family
         # and the capability flags every consumer dispatched on.

@@ -8,13 +8,15 @@ with ``REPRO_TRACE_STORE`` set, persisted to the content-addressed trace
 store so later *processes* pay nothing either (warm runs replay columnar
 traces with byte-identical sweep results).
 
-Because cells are independent, both sweeps accept ``jobs`` (default: the
-``REPRO_JOBS`` environment variable, 1 = serial): with more than one job
-the grid is executed by the process-pool executor in
-:mod:`repro.harness.parallel`, which shards per cell, checkpoints finished
-shards under ``run_dir`` (default ``REPRO_RUN_DIR``) for crash resume, and
-merges results back in this module's serial iteration order — the returned
-cells are identical either way.
+Both sweeps build their grid of :class:`~repro.harness.campaign.Shard`
+cells and hand it to :func:`repro.harness.campaign.execute_sweep`, the one
+executor.  ``jobs`` (default: the ``REPRO_JOBS`` environment variable)
+and ``run_dir`` (default ``REPRO_RUN_DIR``) choose its path: ``jobs == 1``
+with no run directory computes the cells in order, in-process, through
+:func:`compute_shards`; anything else plans them into a campaign drained
+by ``jobs`` local worker processes, checkpointed under ``run_dir`` for
+crash resume.  Either way every cell is computed by :func:`shard_payload`
+and the returned cells are identical.
 """
 
 from __future__ import annotations
@@ -22,18 +24,26 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
+from itertools import groupby
 
 from repro import obs
 from repro.common.errors import ConfigurationError
 from repro.core.overriding import OverridingPredictor
 from repro.harness.aggregate import arithmetic_mean, harmonic_mean
-from repro.harness.experiment import default_engine, measure_accuracy, measure_override
-from repro.harness.resultstore import (
-    ResultCell,
-    accuracy_result_key,
-    active_result_store,
-    ipc_result_key,
+from repro.harness.campaign import (
+    Shard,
+    _shard_result_key,
+    accuracy_shard_grid,
+    execute_sweep,
+    shard_grid,
 )
+from repro.harness.experiment import (
+    default_engine,
+    default_jobs,
+    measure_accuracy,
+    measure_override,
+)
+from repro.harness.resultstore import active_result_store
 from repro.harness.scale import (
     WARMUP_FRACTION,
     accuracy_instructions,
@@ -62,8 +72,6 @@ def _resolve_parallel(
     ``jobs=None`` defers to ``REPRO_JOBS`` (default 1: serial in-process);
     ``run_dir=None`` defers to ``REPRO_RUN_DIR`` (default: no checkpoints).
     """
-    from repro.harness.experiment import default_jobs
-
     if jobs is None:
         jobs = default_jobs()
     if run_dir is None:
@@ -103,8 +111,8 @@ def accuracy_sweep(
     the vectorized batch engine); ``None`` defers to ``REPRO_ENGINE``.
 
     ``jobs`` > 1 fans the grid out across worker processes (``None`` defers
-    to ``REPRO_JOBS``); ``run_dir`` checkpoints finished shards there so an
-    interrupted sweep resumes without recomputation, retrying failed shards
+    to ``REPRO_JOBS``); ``run_dir`` checkpoints finished cells there so an
+    interrupted sweep resumes without recomputation, retrying failed cells
     ``max_retries`` times.  Results are identical to the serial path.
     """
     if benchmarks is None:
@@ -112,9 +120,15 @@ def accuracy_sweep(
     if instructions is None:
         instructions = accuracy_instructions()
     jobs, run_dir = _resolve_parallel(jobs, run_dir)
+    cfg = {
+        "instructions": instructions,
+        "engine": engine if engine is not None else default_engine(),
+        "warmup_fraction": WARMUP_FRACTION,
+    }
+    shards = accuracy_shard_grid(families, budgets, benchmarks)
     # The sweep-level span is the trace's local root for this sweep: the
-    # serial per-benchmark spans (and, with jobs > 1, the executor's
-    # parallel.run span plus every worker shard span) all parent beneath it.
+    # in-memory per-benchmark spans (or the campaign run span with every
+    # worker's shard spans) all parent beneath it.
     with obs.span(
         "accuracy_sweep",
         benchmarks=len(benchmarks),
@@ -122,51 +136,19 @@ def accuracy_sweep(
         budgets=len(budgets),
         jobs=jobs,
     ):
-        # Any run with a run directory goes through the planned-work
-        # executor (even serially, jobs=1): checkpoints, campaign
-        # classification, and selective rerun all live there now.
-        if jobs > 1 or run_dir is not None:
-            from repro.harness.parallel import parallel_accuracy_sweep
-
-            return parallel_accuracy_sweep(
-                families,
-                budgets,
-                benchmarks,
-                instructions,
-                engine,
-                jobs=jobs,
-                run_dir=run_dir,
-                max_retries=max_retries,
-            )
-        engine_name = engine if engine is not None else default_engine()
-        store = active_result_store()
-        cells = []
-        for benchmark in benchmarks:
-            with obs.span(
-                "accuracy_sweep.benchmark",
-                benchmark=benchmark,
-                families=",".join(families),
-                budgets=len(budgets),
-            ):
-                # Lazy: with a warm result store the trace (and every
-                # predictor) is never touched — the whole benchmark resolves
-                # from disk.
-                loader = _LazyTrace(benchmark, instructions)
-                for family in families:
-                    for budget in budgets:
-                        payload = _accuracy_cell_payload(
-                            store, benchmark, family, budget, instructions,
-                            engine_name, loader,
-                        )
-                        cells.append(
-                            AccuracyCell(
-                                benchmark=benchmark,
-                                family=family,
-                                budget_bytes=budget,
-                                misprediction_percent=payload["misprediction_percent"],
-                            )
-                        )
-        return cells
+        payloads = execute_sweep(
+            shards, cfg, jobs=jobs, run_dir=run_dir, max_retries=max_retries,
+            label="accuracy_sweep",
+        )
+    return [
+        AccuracyCell(
+            benchmark=shard.benchmark,
+            family=shard.family,
+            budget_bytes=shard.budget_bytes,
+            misprediction_percent=payload["misprediction_percent"],
+        )
+        for shard, payload in zip(shards, payloads)
+    ]
 
 
 class _LazyTrace:
@@ -189,34 +171,74 @@ class _LazyTrace:
         return warmup_branches(self.trace.conditional_branch_count)
 
 
-def _accuracy_cell_payload(
-    store,
-    benchmark: str,
-    family: str,
-    budget: int,
-    instructions: int,
-    engine_name: str,
-    loader: _LazyTrace,
+def compute_shards(shards: list[Shard], cfg: dict) -> list[dict]:
+    """Every shard's payload in order, computed in this process — the
+    executor's in-memory path.
+
+    Consecutive shards of one benchmark share one lazily fetched trace
+    under one ``<kind>_sweep.benchmark`` span: with a warm result store
+    the trace (and every predictor) is never touched.
+    """
+    store = active_result_store()
+    payloads = []
+    for benchmark, group in groupby(shards, key=lambda shard: shard.benchmark):
+        group = list(group)
+        with obs.span(
+            f"{group[0].kind}_sweep.benchmark", benchmark=benchmark, cells=len(group)
+        ):
+            loader = _LazyTrace(benchmark, cfg["instructions"])
+            payloads.extend(shard_payload(shard, cfg, store, loader) for shard in group)
+    return payloads
+
+
+def shard_payload(
+    shard: Shard, cfg: dict, store, loader: _LazyTrace | None = None
 ) -> dict:
-    """One accuracy cell through the result store (or computed directly).
+    """One cell through the result store (or computed directly) — the one
+    cell computation, called by the in-memory path and every campaign
+    worker alike.
 
     Cached and computed payloads are both JSON round-trips of the same
     floats, so warm sweeps are byte-identical to cold ones.
     """
+    if loader is None:
+        loader = _LazyTrace(shard.benchmark, cfg["instructions"])
 
-    def compute() -> dict:
-        predictor = build_family(family, budget)
+    def compute_accuracy() -> dict:
+        predictor = build_family(shard.family, shard.budget_bytes)
         result = measure_accuracy(
-            predictor, loader.trace, warmup_branches=loader.warmup, engine=engine_name
+            predictor, loader.trace, warmup_branches=loader.warmup, engine=cfg["engine"]
         )
         return {"misprediction_percent": result.misprediction_percent}
 
+    def compute_ipc() -> dict:
+        policy = make_policy(shard.family, shard.budget_bytes, shard.mode)
+        simulator = CycleSimulator(
+            policy,
+            config=MachineConfig(**cfg["machine"]),
+            ilp=get_profile(shard.benchmark).ilp,
+        )
+        result: SimulationResult = simulator.run(loader.trace)
+        override_rate = (
+            result.overrides / result.conditional_branches
+            if result.conditional_branches
+            else 0.0
+        )
+        return {
+            "ipc": result.ipc,
+            "misprediction_percent": 100.0 * result.misprediction_rate,
+            "override_rate": override_rate,
+        }
+
+    if shard.kind == "accuracy":
+        compute = compute_accuracy
+    elif shard.kind == "ipc":
+        compute = compute_ipc
+    else:
+        raise ConfigurationError(f"unknown shard kind {shard.kind!r}")
     if store is None:
         return compute()
-    key = accuracy_result_key(
-        benchmark, family, budget, instructions, engine_name, WARMUP_FRACTION
-    )
-    cell = ResultCell("accuracy", benchmark, family, budget)
+    key, cell = _shard_result_key(shard, cfg)
     return store.get_or_compute(key, cell, compute)
 
 
@@ -233,12 +255,7 @@ def mean_by_family_budget(cells: list[AccuracyCell]) -> dict[tuple[str, int], fl
 # -- IPC sweeps ---------------------------------------------------------------
 
 
-def make_policy(
-    family: str,
-    budget_bytes: int,
-    mode: str,
-    predictor: BranchPredictor | None = None,
-) -> FetchPolicy:
+def make_policy(family: str, budget_bytes: int, mode: str) -> FetchPolicy:
     """Build the fetch policy for a family/budget under ``mode``.
 
     Modes: ``ideal`` (zero-delay complex predictor — Figure 7 left),
@@ -247,13 +264,9 @@ def make_policy(
     ``single_cycle`` families (pipelined by construction) accept either
     mode and never need overriding; ``override_eligible`` families have a
     latency model and can play the slow side of an overriding pair.
-
-    ``predictor`` lets callers that already built the predictor (e.g. from
-    a serialized spec) skip the registry build.
     """
     spec = registry.get_spec(family)
-    if predictor is None:
-        predictor = registry.build(family, budget_bytes)
+    predictor = registry.build(family, budget_bytes)
     if spec.single_cycle or mode == "ideal":
         return SingleCyclePolicy(predictor)
     if mode == "overriding":
@@ -293,16 +306,18 @@ def ipc_sweep(
 ) -> list[IpcCell]:
     """Cycle-simulated IPC for every (family, budget, benchmark) cell.
 
-    Parallel execution mirrors :func:`accuracy_sweep`: ``jobs`` > 1 shards
-    the grid across worker processes with optional ``run_dir`` checkpoints.
+    Execution mirrors :func:`accuracy_sweep`: ``jobs`` > 1 shards the grid
+    across worker processes with optional ``run_dir`` checkpoints.
     """
     if benchmarks is None:
         benchmarks = benchmark_names()
     if instructions is None:
         instructions = ipc_instructions()
     jobs, run_dir = _resolve_parallel(jobs, run_dir)
+    cfg = {"instructions": instructions, "machine": asdict(config)}
+    shards = shard_grid("ipc", families, budgets, benchmarks, modes=(mode,))
     # Same trace shape as accuracy_sweep: one sweep-level root span over
-    # either the serial per-benchmark spans or the parallel executor's tree.
+    # either the in-memory per-benchmark spans or the campaign's tree.
     with obs.span(
         "ipc_sweep",
         mode=mode,
@@ -311,83 +326,22 @@ def ipc_sweep(
         budgets=len(budgets),
         jobs=jobs,
     ):
-        if jobs > 1 or run_dir is not None:
-            from repro.harness.parallel import parallel_ipc_sweep
-
-            return parallel_ipc_sweep(
-                families,
-                budgets,
-                mode,
-                benchmarks,
-                instructions,
-                config,
-                jobs=jobs,
-                run_dir=run_dir,
-                max_retries=max_retries,
-            )
-        store = active_result_store()
-        machine = asdict(config)
-        cells = []
-        for benchmark in benchmarks:
-            with obs.span(
-                "ipc_sweep.benchmark", benchmark=benchmark, mode=mode, budgets=len(budgets)
-            ):
-                loader = _LazyTrace(benchmark, instructions)
-                for family in families:
-                    for budget in budgets:
-                        payload = _ipc_cell_payload(
-                            store, benchmark, family, budget, mode, instructions,
-                            machine, config, loader,
-                        )
-                        cells.append(
-                            IpcCell(
-                                benchmark=benchmark,
-                                family=family,
-                                mode=mode,
-                                budget_bytes=budget,
-                                ipc=payload["ipc"],
-                                misprediction_percent=payload["misprediction_percent"],
-                                override_rate=payload["override_rate"],
-                            )
-                        )
-        return cells
-
-
-def _ipc_cell_payload(
-    store,
-    benchmark: str,
-    family: str,
-    budget: int,
-    mode: str,
-    instructions: int,
-    machine: dict,
-    config: MachineConfig,
-    loader: _LazyTrace,
-) -> dict:
-    """One IPC cell through the result store (or simulated directly)."""
-
-    def compute() -> dict:
-        policy = make_policy(family, budget, mode)
-        simulator = CycleSimulator(
-            policy, config=config, ilp=get_profile(benchmark).ilp
+        payloads = execute_sweep(
+            shards, cfg, jobs=jobs, run_dir=run_dir, max_retries=max_retries,
+            label=f"ipc_sweep.{mode}",
         )
-        result: SimulationResult = simulator.run(loader.trace)
-        override_rate = (
-            result.overrides / result.conditional_branches
-            if result.conditional_branches
-            else 0.0
+    return [
+        IpcCell(
+            benchmark=shard.benchmark,
+            family=shard.family,
+            mode=mode,
+            budget_bytes=shard.budget_bytes,
+            ipc=payload["ipc"],
+            misprediction_percent=payload["misprediction_percent"],
+            override_rate=payload["override_rate"],
         )
-        return {
-            "ipc": result.ipc,
-            "misprediction_percent": 100.0 * result.misprediction_rate,
-            "override_rate": override_rate,
-        }
-
-    if store is None:
-        return compute()
-    key = ipc_result_key(benchmark, family, budget, mode, instructions, machine)
-    cell = ResultCell("ipc", benchmark, family, budget, mode)
-    return store.get_or_compute(key, cell, compute)
+        for shard, payload in zip(shards, payloads)
+    ]
 
 
 def hmean_ipc_by_family_budget(cells: list[IpcCell]) -> dict[tuple[str, int], float]:

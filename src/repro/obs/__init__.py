@@ -23,13 +23,13 @@ Event-log layout (``REPRO_LOG=<dir>/events.jsonl``):
 
 * The **owning process** appends to ``events.jsonl`` itself.  Ownership is
   recorded in the ``REPRO_LOG_OWNER_PID`` environment variable by
-  :func:`claim_log_ownership` (the parallel executor and the figures CLI
+  :func:`claim_log_ownership` (the sweep executor and the figures CLI
   both claim before any fan-out).
-* Every **other process** that inherits ``REPRO_LOG`` — a process-pool
-  sweep worker, chiefly — sees a foreign owner PID and appends to its own
+* Every **other process** that inherits ``REPRO_LOG`` — a local campaign
+  worker, chiefly — sees a foreign owner PID and appends to its own
   per-PID sidecar ``events.jsonl.<pid>`` instead, so concurrent writers
   never interleave records inside one file.
-* When a parallel run finishes, the parent merges all worker sidecars back
+* When a ``--jobs N`` sweep finishes, the parent merges all worker sidecars back
   into the main file, timestamp-ordered
   (:func:`repro.obs.events.collect_worker_events`), and deletes them.
   Leftover sidecars from a crashed run are still read by

@@ -36,9 +36,10 @@ AGGREGATE_SCHEMA = 1
 _STORE_OPS = ("hits", "misses", "corrupt", "writes", "evictions")
 
 #: Counters excluded from baselines: scheduling-dependent (which worker
-#: got which shard decides cache hits), so run-to-run equality is not a
+#: got which shard decides cache hits; a worker may claim a cell another
+#: just finished, or steal one), so run-to-run equality is not a
 #: regression signal.
-_VOLATILE_COUNTER_PREFIXES = ("trace_cache.",)
+_VOLATILE_COUNTER_PREFIXES = ("trace_cache.", "campaign.claims", "campaign.steals")
 
 
 @dataclass
@@ -138,7 +139,7 @@ def phase_stats(tree: SpanTree) -> dict[str, dict]:
 
     *Self* time is a span's duration minus its direct children's — the
     time a phase spent in its own code rather than delegating.  Children
-    running concurrently (worker shards under ``parallel.run``) can sum
+    running concurrently (worker spans under ``campaign.run``) can sum
     past the parent; self time floors at zero rather than going negative.
     """
     stats: dict[str, dict] = {}
@@ -165,34 +166,41 @@ def phase_stats(tree: SpanTree) -> dict[str, dict]:
     return dict(sorted(stats.items()))
 
 
-def _worker_top_spans(tree: SpanTree) -> list[SpanNode]:
-    """Spans whose PID differs from their parent's — the first span each
-    worker opened under a remote parent (shard executions, today)."""
-    tops = []
-    for node in tree.by_id.values():
-        parent = tree.by_id.get(node.parent_id) if node.parent_id else None
-        if parent is not None and node.pid != parent.pid:
-            tops.append(node)
-    return tops
+def _shard_spans(tree: SpanTree) -> list[SpanNode]:
+    """The per-cell execution spans: every span carrying a ``shard``."""
+    return [node for node in tree.by_id.values() if "shard" in node.attrs]
+
+
+def _run_span(tree: SpanTree, shard: SpanNode) -> SpanNode:
+    """The span a shard's worker served: its nearest ancestor in another
+    process (the executor's run span), else its root (an in-process
+    worker)."""
+    node = shard
+    while node.parent_id in tree.by_id:
+        node = tree.by_id[node.parent_id]
+        if node.pid != shard.pid:
+            break
+    return node
 
 
 def worker_stats(tree: SpanTree) -> dict[str, dict]:
-    """Per-worker busy time, span count and utilization.
+    """Per-worker busy time, shard count and utilization.
 
-    Utilization is busy seconds over the parent run span's wall — 1.0
-    means the worker never idled while the run was open.  Stragglers show
-    up as one worker's busy time dwarfing the others'.
+    Busy time sums a worker process's shard spans; utilization is that
+    over the wall of the run span it served — 1.0 means the worker never
+    idled while the run was open.  Stragglers show up as one worker's busy
+    time dwarfing the others'.
     """
     workers: dict[str, dict] = {}
-    for node in _worker_top_spans(tree):
-        parent = tree.by_id[node.parent_id]
+    for node in _shard_spans(tree):
+        run_wall = _run_span(tree, node).duration
         entry = workers.setdefault(
             str(node.pid),
-            {"spans": 0, "busy_seconds": 0.0, "run_wall_seconds": parent.duration},
+            {"spans": 0, "busy_seconds": 0.0, "run_wall_seconds": run_wall},
         )
         entry["spans"] += 1
         entry["busy_seconds"] += node.duration
-        entry["run_wall_seconds"] = max(entry["run_wall_seconds"], parent.duration)
+        entry["run_wall_seconds"] = max(entry["run_wall_seconds"], run_wall)
     for entry in workers.values():
         wall = entry["run_wall_seconds"]
         entry["utilization"] = entry["busy_seconds"] / wall if wall > 0 else 0.0
@@ -200,9 +208,9 @@ def worker_stats(tree: SpanTree) -> dict[str, dict]:
 
 
 def straggler_stats(tree: SpanTree, top: int = 5) -> dict:
-    """Slowest worker spans plus dispersion stats — the "which shard held
+    """Slowest shard spans plus dispersion stats — the "which shard held
     the run hostage" answer."""
-    spans = _worker_top_spans(tree)
+    spans = _shard_spans(tree)
     if not spans:
         return {"count": 0, "mean_seconds": 0.0, "max_seconds": 0.0, "slowest": []}
     durations = [node.duration for node in spans]
@@ -229,12 +237,24 @@ def critical_path(tree: SpanTree) -> list[dict]:
     """The chain of spans that determined the run's end time.
 
     Starting from the latest-ending root, descend at each level into the
-    child that finished last — the span the parent was (transitively)
-    waiting on.  Rows carry start offsets relative to the root.
+    child whose work finished last — the span the parent was
+    (transitively) waiting on.  A child's work ends at the latest end of
+    any leaf beneath it, so a worker that idled polling the queue past the
+    straggler it waited for does not take the path.  Rows carry start
+    offsets relative to the root.
     """
     candidates = tree.roots + tree.orphans
     if not candidates:
         return []
+    work_ends: dict[str, float] = {}
+
+    def work_end(node: SpanNode) -> float:
+        if node.span_id not in work_ends:
+            work_ends[node.span_id] = max(
+                (work_end(child) for child in node.children), default=node.end
+            )
+        return work_ends[node.span_id]
+
     node = max(candidates, key=lambda n: n.end)
     t0 = node.start
     path = []
@@ -250,7 +270,7 @@ def critical_path(tree: SpanTree) -> list[dict]:
         )
         if not node.children:
             return path
-        node = max(node.children, key=lambda n: n.end)
+        node = max(node.children, key=work_end)
 
 
 def store_rollup(events: list[dict]) -> dict[str, dict]:
@@ -283,8 +303,10 @@ def counter_totals(events: list[dict]) -> dict[str, int]:
     """Flat deterministic counters of one run.
 
     ``counter`` event deltas are summed; ``run_summary`` events contribute
-    shard counts, retries and the parent-aggregated store totals (the
-    authoritative numbers the executor also writes to its manifest).
+    shard counts, retries and store totals.  A ``campaign.worker`` summary
+    reports its cells — executed, regenerated, failed attempts — which
+    count as ``shards.executed``, ``shards.regenerated`` and ``retries``,
+    so a run's totals sum over every worker that served it.
     """
     totals: dict[str, int] = {}
 
@@ -299,9 +321,17 @@ def counter_totals(events: list[dict]) -> dict[str, int]:
         elif event == "run_summary":
             summary = record.get("summary") or {}
             shards = summary.get("shards") or {}
+            retries = summary.get("retries", 0)
+            if record.get("label") == "campaign.worker":
+                cells = summary.get("cells") or {}
+                shards = {
+                    "executed": cells.get("cells_executed", 0),
+                    "regenerated": cells.get("cells_regenerated", 0),
+                }
+                retries = cells.get("failures", 0)
             for key in ("executed", "resumed", "regenerated", "incomplete"):
                 add(f"shards.{key}", shards.get(key, 0))
-            add("retries", summary.get("retries", 0))
+            add("retries", retries)
             for store in ("trace_store", "result_store"):
                 for op, value in (summary.get(store) or {}).items():
                     add(f"{store}.{op}", value)

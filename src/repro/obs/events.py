@@ -42,8 +42,8 @@ unix time, and ``pid`` = the emitting process):
     One failed campaign work unit going back on the queue with its
     attempt budget decremented (``shard``, ``attempt``, ``error``).
 ``run_summary``
-    The parallel executor's (or a campaign worker's) end-of-run summary
-    (shard counts, retries, store totals, per-worker loads) — the
+    A campaign worker's end-of-run summary (``label`` ``campaign.worker``:
+    cells executed / regenerated, claims, failures, store deltas) — the
     authoritative source for the deterministic counters the regression
     gate compares.
 
@@ -141,7 +141,7 @@ def emit_requeue(shard: str, attempt: int, error: str) -> None:
 
 
 def emit_run_summary(label: str, summary: Mapping) -> None:
-    """Emit the parallel executor's end-of-run summary."""
+    """Emit an end-of-run summary (a campaign worker's, chiefly)."""
     _emit("run_summary", label=label, summary=dict(summary))
 
 
@@ -222,7 +222,7 @@ def sidecar_paths(path: str | os.PathLike) -> list[str]:
 def collect_worker_events(sink: str | None = None) -> int:
     """Merge per-PID worker sidecars into the main event log.
 
-    The parallel executor calls this after its pool drains: every sidecar's
+    The sweep executor calls this after its workers drain: every sidecar's
     records are appended to ``sink`` (this process's own event sink when
     None), ordered by timestamp, and the sidecar files are removed.
     Returns the number of merged records.

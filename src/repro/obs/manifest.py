@@ -88,7 +88,7 @@ def build_manifest(
 
         config = resolved_config()
     snapshot = (registry or default_registry()).snapshot()
-    manifest = {
+    return {
         "manifest_version": MANIFEST_VERSION,
         "target": target,
         "created_unix": time.time(),
@@ -102,14 +102,6 @@ def build_manifest(
         "phases": _phases(snapshot),
         "metrics": snapshot,
     }
-    from repro.harness.parallel import drain_run_reports  # deferred: layering
-
-    reports = drain_run_reports()
-    if reports:
-        # Per-shard worker timings, retry counts and failures of every
-        # parallel sweep that fed this target (volatile: not diffed).
-        manifest["parallel"] = reports
-    return manifest
 
 
 def manifest_path_for(output_path: str) -> str:

@@ -171,7 +171,7 @@ def event_sink() -> str | None:
 
     The owning process (per ``REPRO_LOG_OWNER_PID``) writes to the
     ``REPRO_LOG`` path itself; every other process writes to its own
-    ``<path>.<pid>`` sidecar, merged back by the parallel executor via
+    ``<path>.<pid>`` sidecar, merged back by the sweep executor via
     :func:`repro.obs.events.collect_worker_events`.
     """
     path = log_path()

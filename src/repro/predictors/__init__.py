@@ -3,7 +3,7 @@
 from repro.predictors.base import BranchPredictor, PredictorStats
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.bimode import BiModePredictor
-from repro.predictors.factory import build_predictor, predictor_families
+from repro.predictors.factory import build_predictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.registry import FamilySpec, family_names
 from repro.predictors.gskew import EGskewPredictor, TwoBcGskewPredictor
@@ -37,5 +37,4 @@ __all__ = [
     "TwoBcGskewPredictor",
     "build_predictor",
     "family_names",
-    "predictor_families",
 ]

@@ -3,14 +3,11 @@
 This is the entry point the harness and the examples use.  The mapping from
 the paper's predictor names to implementations lives in the declarative
 registry (:mod:`repro.predictors.registry`); this module registers the nine
-classic families and keeps the budget-taking ``build_*`` helpers as thin
-sizer + builder compositions.  The budget-sizing rules themselves are in
-:mod:`repro.predictors.sizing`.
+classic families, each as a sizer plus a config -> predictor builder.  The
+budget-sizing rules themselves are in :mod:`repro.predictors.sizing`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.predictors import registry
 from repro.predictors.base import BranchPredictor
@@ -42,7 +39,6 @@ from repro.predictors.sizing import (
     size_multicomponent,
     size_perceptron,
     size_tournament,
-    validate_budget,
 )
 from repro.predictors.tournament import TournamentPredictor
 
@@ -134,63 +130,6 @@ def loop_from_config(config: LoopConfig) -> LoopPredictor:
     return LoopPredictor(
         entries=config.entries, confidence_threshold=config.confidence_threshold
     )
-
-
-# -- budget-taking builders (sizer + builder composition) ----------------------
-
-
-def build_bimodal(budget_bytes: int) -> BimodalPredictor:
-    """Bimodal sized to fill ``budget_bytes`` with 2-bit counters."""
-    validate_budget(budget_bytes)
-    return bimodal_from_config(size_bimodal(budget_bytes))
-
-
-def build_gshare(budget_bytes: int) -> GsharePredictor:
-    """gshare sized per :func:`repro.predictors.sizing.size_gshare`."""
-    validate_budget(budget_bytes)
-    return gshare_from_config(size_gshare(budget_bytes))
-
-
-def build_bimode(budget_bytes: int) -> BiModePredictor:
-    """Bi-Mode sized per :func:`repro.predictors.sizing.size_bimode`."""
-    validate_budget(budget_bytes)
-    return bimode_from_config(size_bimode(budget_bytes))
-
-
-def build_2bcgskew(budget_bytes: int) -> TwoBcGskewPredictor:
-    """2Bc-gskew sized per :func:`repro.predictors.sizing.size_2bcgskew`."""
-    validate_budget(budget_bytes)
-    return twobcgskew_from_config(size_2bcgskew(budget_bytes))
-
-
-def build_egskew(budget_bytes: int) -> EGskewPredictor:
-    """e-gskew with three equal banks filling ``budget_bytes``."""
-    validate_budget(budget_bytes)
-    return egskew_from_config(size_egskew(budget_bytes))
-
-
-def build_perceptron(budget_bytes: int) -> PerceptronPredictor:
-    """Perceptron sized per :func:`repro.predictors.sizing.size_perceptron`."""
-    validate_budget(budget_bytes)
-    return perceptron_from_config(size_perceptron(budget_bytes))
-
-
-def build_multicomponent(budget_bytes: int) -> MultiComponentPredictor:
-    """Evers multi-hybrid sized per ``size_multicomponent``."""
-    validate_budget(budget_bytes)
-    return multicomponent_from_config(size_multicomponent(budget_bytes))
-
-
-def build_tournament(budget_bytes: int) -> TournamentPredictor:
-    """EV6-style tournament scaled to ``budget_bytes``."""
-    validate_budget(budget_bytes)
-    return tournament_from_config(size_tournament(budget_bytes))
-
-
-def build_loop(budget_bytes: int) -> LoopPredictor:
-    """Standalone loop predictor filling ``budget_bytes``."""
-    validate_budget(budget_bytes)
-    return loop_from_config(size_loop(budget_bytes))
 
 
 # -- registration --------------------------------------------------------------
@@ -300,22 +239,6 @@ registry.register(
 
 
 # -- public entry points -------------------------------------------------------
-
-
-def predictor_families() -> list[str]:
-    """Deprecated: use :func:`repro.predictors.registry.family_names`.
-
-    Historically this listed only the factory's nine families, silently
-    omitting the pipelined ``repro.core`` families (gshare_fast,
-    bimode_fast).  It now returns the registry's full authoritative list.
-    """
-    warnings.warn(
-        "predictor_families() is deprecated; use "
-        "repro.predictors.registry.family_names()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return registry.family_names()
 
 
 def build_predictor(family: str, budget_bytes: int) -> BranchPredictor:

@@ -6,7 +6,7 @@ place that knows *what a family is*.  Each family registers one
 :class:`FamilySpec` carrying its name, its serializable sizing config, a
 sizer (budget -> config), a builder (config -> predictor), and capability
 flags; every consumer — the factory, the sweep harness, the batch engine,
-the parallel executor, the CLI, and the conformance/fuzz test suites —
+the campaign executor, the CLI, and the conformance/fuzz test suites —
 derives its behaviour from the spec instead of hard-coding family lists.
 
 Adding a family is a one-module change:
@@ -233,7 +233,7 @@ def spec_for_predictor(predictor: BranchPredictor) -> FamilySpec | None:
     return None
 
 
-# -- serialized specs (parallel-sweep transport, run manifests) ----------------
+# -- serialized specs (result-store keys, fresh-process rebuilds) --------------
 
 
 def serialize_spec(family: str, budget_bytes: int) -> dict:

@@ -11,7 +11,7 @@ The executor drains jobs either on in-process worker threads (default;
 obs tracing is thread-local so request spans and campaign spans coexist)
 or by spawning ``python -m repro.service.worker`` per job
 (``--worker-mode spawn``), which exercises the same cross-process trace
-parenting and per-PID event sidecars the parallel harness uses.
+parenting and per-PID event sidecars the sweep executor uses.
 
 Graceful shutdown (SIGTERM/SIGINT): stop accepting, wake long-polls,
 signal workers via the campaign drain hook (finish the current cell, not

@@ -2,7 +2,7 @@
 
 Every harness consumer resolves workloads by *name* through
 :func:`repro.workloads.spec2000.get_profile` and ``spec2000_trace`` — the
-sweeps, the parallel executor's forked workers, the trace/result stores and
+sweeps, the campaign executor's forked workers, the trace/result stores and
 the declarative figure configs all funnel through those two calls.  This
 module gives that funnel a registry backend, exactly the way the predictor
 registry (PR 4) gave the family list one: registering a workload here

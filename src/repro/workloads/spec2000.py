@@ -240,8 +240,8 @@ def get_profile(name: str):
     Resolution goes through the workload catalog, so any registered
     workload — SPEC stand-in, scenario profile, string-matching oracle
     kernel, or an externally registered one — is addressable by every
-    harness consumer that funnels through this call (sweeps, the parallel
-    executor's workers, trace/result stores, figure configs).
+    harness consumer that funnels through this call (sweeps, campaign
+    workers, trace/result stores, figure configs).
     """
     from repro.workloads.catalog import get_workload
 
@@ -297,8 +297,8 @@ def trace_cache_capacity() -> int:
 def trace_cache_info() -> dict:
     """Hit/miss/eviction counts and current occupancy of the trace cache.
 
-    The parallel sweep executor snapshots this around each shard so run
-    manifests can report how often workers re-decoded a benchmark trace.
+    Tests and profiling read it to see how often a process re-decoded a
+    benchmark trace.
     """
     return {
         "hits": _trace_cache_stats["hits"],

@@ -33,8 +33,8 @@ last writer wins with byte-identical content.
 
 Statistics (hits/misses/corrupt/writes/evictions) are kept module-wide —
 :func:`store_stats` — and mirrored into obs counters (``trace_store.*``)
-when profiling is enabled; the parallel executor reports per-shard deltas
-into run manifests.
+when profiling is enabled; each campaign worker reports its deltas in its
+``campaign.worker`` run summary.
 """
 
 from __future__ import annotations

@@ -24,7 +24,12 @@ from repro.harness.campaign import (
     CampaignError,
     CampaignLayout,
     CellStatus,
+    CheckpointStore,
+    Shard,
+    ShardOutcome,
     WorkQueue,
+    _shard_result_key,
+    accuracy_shard_grid,
     class_counts,
     classify_shard,
     create_campaign,
@@ -34,14 +39,6 @@ from repro.harness.campaign import (
     plan,
     run_worker,
     scan,
-)
-from repro.harness.parallel import (
-    CheckpointStore,
-    Shard,
-    ShardOutcome,
-    _shard_result_key,
-    accuracy_shard_grid,
-    drain_run_reports,
 )
 from repro.harness.sweep import accuracy_sweep
 
@@ -77,13 +74,6 @@ def write_checkpoint(run_dir, shard: Shard, payload=None) -> None:
             worker_pid=os.getpid(),
         )
     )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_reports():
-    drain_run_reports()
-    yield
-    drain_run_reports()
 
 
 # -- configuration knobs -------------------------------------------------------

@@ -220,3 +220,69 @@ class TestRegressionGate:
         del snapshot["phases"]["parallel.shard"]
         agg = aggregate.aggregate_run(run_events)
         assert aggregate.regress(agg, snapshot) == []
+
+
+class TestCampaignWorkerRuns:
+    """The executor's shape: run > one worker span per process > shards,
+    with counters reported in each worker's ``campaign.worker`` summary."""
+
+    @pytest.fixture
+    def worker_events(self):
+        def summary(pid, executed, failures, hits):
+            return {
+                "event": "run_summary",
+                "label": "campaign.worker",
+                "summary": {
+                    "cells": {
+                        "cells_executed": executed,
+                        "cells_regenerated": 0,
+                        "claims": executed + 3,
+                        "failures": failures,
+                    },
+                    "trace_store": {"hits": hits},
+                    "result_store": {"writes": executed},
+                },
+                "ts": 10.0,
+                "pid": pid,
+            }
+
+        return [
+            span("accuracy_sweep", "s-root", None, pid=1, start=0.0, duration=10.5),
+            span("campaign.run", "s-run", "s-root", pid=1, start=0.1, duration=10.3),
+            # Worker 2 ran out of cells at 3.0 but polled until 10.2.
+            span("campaign.worker", "w-2", "s-run", pid=2, start=0.2, duration=10.0),
+            span("campaign.shard", "a", "w-2", pid=2, start=0.3, duration=2.7,
+                 shard="gcc__gshare"),
+            span("campaign.worker", "w-3", "s-run", pid=3, start=0.2, duration=9.8),
+            span("campaign.shard", "b", "w-3", pid=3, start=0.4, duration=9.5,
+                 shard="eon__bimodal"),
+            {"event": "counter", "counters": {"campaign.claims": 7}, "ts": 10.0, "pid": 2},
+            summary(2, 1, 1, 2),
+            summary(3, 1, 0, 1),
+        ]
+
+    def test_counters_derive_from_worker_summaries(self, worker_events):
+        totals = aggregate.counter_totals(worker_events)
+        assert totals["shards.executed"] == 2
+        assert totals["retries"] == 1
+        assert totals["trace_store.hits"] == 3
+        assert totals["result_store.writes"] == 2
+
+    def test_claims_are_volatile(self, worker_events):
+        snapshot = aggregate.baseline_snapshot(aggregate.aggregate_run(worker_events))
+        assert "campaign.claims" not in snapshot["counters"]
+        assert snapshot["counters"]["shards.executed"] == 2
+
+    def test_stragglers_and_workers_come_from_shard_spans(self, worker_events):
+        tree = aggregate.build_span_tree(worker_events)
+        assert aggregate.straggler_stats(tree)["slowest"][0]["shard"] == "eon__bimodal"
+        workers = aggregate.worker_stats(tree)
+        assert workers["2"]["busy_seconds"] == pytest.approx(2.7)
+        assert workers["3"]["utilization"] == pytest.approx(9.5 / 10.3)
+
+    def test_critical_path_skips_an_idle_worker(self, worker_events):
+        path = aggregate.critical_path(aggregate.build_span_tree(worker_events))
+        assert [step["name"] for step in path] == [
+            "accuracy_sweep", "campaign.run", "campaign.worker", "campaign.shard",
+        ]
+        assert path[-1]["shard"] == "eon__bimodal"

@@ -1,39 +1,52 @@
-"""The parallel sweep executor: sharding, merging, checkpoints, retries.
+"""Parallel and resumable sweeps: the campaign executor under the sweeps.
 
 Serial/parallel byte-identity for the full grids is asserted in
-``test_conformance_matrix.py``; here we exercise the executor machinery
-itself — worker-count resolution, checkpoint resume after a simulated
-crash, the retry budget, config pinning, and the run reports that feed
-obs manifests.
+``test_conformance_matrix.py``; here we exercise what ``--jobs`` and
+``--run-dir`` add — worker-count resolution, the campaign record a run
+directory keeps, checkpoint resume after a simulated crash, the retry
+budget, config pinning, reclaiming a dead worker's claim, and the
+telemetry workers leave in the event log.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.harness.experiment import default_jobs
-from repro.harness.parallel import (
+from repro.harness.campaign import (
+    CampaignLayout,
     CheckpointStore,
     Shard,
+    ShardOutcome,
     SweepExecutionError,
+    WorkQueue,
     accuracy_shard_grid,
-    drain_run_reports,
-    parallel_accuracy_sweep,
-    pool_jobs,
+    class_counts,
+    classify_shard,
+    load_campaign,
     resolve_max_retries,
-    run_shards,
+    scan,
+    shard_from_dict,
 )
-from repro.harness.sweep import accuracy_sweep, ipc_sweep
-from repro.obs.manifest import build_manifest
+from repro.harness.experiment import default_jobs
+from repro.harness.sweep import _resolve_parallel, accuracy_sweep, ipc_sweep
+from repro.obs.aggregate import aggregate_run
+from repro.obs.events import read_run_events
 from repro.workloads.spec2000 import (
     clear_trace_cache,
     trace_cache_capacity,
     trace_cache_info,
 )
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 FAMILIES = ["gshare", "bimodal"]
 BUDGETS = [2 * 1024]
@@ -48,12 +61,40 @@ SWEEP_KWARGS = dict(
 )
 
 
-@pytest.fixture(autouse=True)
-def _fresh_reports():
-    """Each test sees only its own parallel-run reports."""
-    drain_run_reports()
-    yield
-    drain_run_reports()
+def event_log(tmp_path, monkeypatch, name: str = "events.jsonl") -> Path:
+    """Point REPRO_LOG at a fresh file owned by this process."""
+    log = tmp_path / name
+    monkeypatch.setenv("REPRO_LOG", str(log))
+    monkeypatch.setenv("REPRO_LOG_OWNER_PID", str(os.getpid()))
+    return log
+
+
+def counters_of(log: Path) -> dict:
+    return aggregate_run(read_run_events(log))["counters"]
+
+
+def run_in_session(args: list[str], env: dict, timeout: float):
+    """Run a command in its own session; on timeout its whole process
+    group — the workers it forked included — is killed."""
+    proc = subprocess.Popen(
+        args, cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+    return subprocess.CompletedProcess(args, proc.returncode, out, err)
+
+
+def checkpoint_mtimes(run_dir: Path) -> dict[str, int]:
+    return {
+        path.name: path.stat().st_mtime_ns
+        for path in (run_dir / "shards").glob("*.json")
+        if not path.name.endswith(".failed.json")
+    }
 
 
 # -- configuration resolution --------------------------------------------------
@@ -62,19 +103,15 @@ def _fresh_reports():
 class TestJobResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        assert pool_jobs(3) == 3
+        assert _resolve_parallel(3, None)[0] == 3
 
     def test_explicit_argument_must_be_positive(self):
         with pytest.raises(ConfigurationError):
-            pool_jobs(0)
+            accuracy_sweep(**SWEEP_KWARGS, jobs=0)
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert pool_jobs() == 5
-
-    def test_unset_env_defaults_to_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert pool_jobs() == (os.cpu_count() or 1)
+        assert _resolve_parallel(None, None)[0] == 5
 
     @pytest.mark.parametrize("raw", ["auto", "0", "AUTO"])
     def test_default_jobs_auto(self, monkeypatch, raw):
@@ -133,22 +170,71 @@ def test_ipc_sweep_parallel_matches_serial():
     assert ipc_sweep(**kwargs, jobs=1) == ipc_sweep(**kwargs, jobs=2)
 
 
-def test_parallel_sweep_writes_run_manifest(tmp_path):
+def test_parallel_sweep_writes_campaign_record(tmp_path):
+    """A --run-dir sweep leaves a campaign: the pinned universe and config,
+    one checkpoint per cell, an empty queue, no claims — and nothing else."""
     run_dir = tmp_path / "run"
-    cells = parallel_accuracy_sweep(
-        **SWEEP_KWARGS, engine=None, jobs=2, run_dir=str(run_dir)
-    )
+    cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
     assert len(cells) == len(FAMILIES) * len(BUDGETS) * len(BENCHMARKS)
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["status"] == "completed"
-    assert manifest["shards"] == {
-        "total": 4, "resumed": 0, "regenerated": 0, "executed": 4, "incomplete": 0,
-    }
-    assert manifest["retries"] == 0 and manifest["failures"] == []
-    assert len(manifest["shard_timings"]) == 4
-    assert sum(w["shards"] for w in manifest["workers"].values()) == 4
-    run = json.loads((run_dir / "run.json").read_text())
-    assert run["config"]["accuracy"]["instructions"] == INSTRUCTIONS
+    spec = load_campaign(str(run_dir))
+    assert [shard_from_dict(s) for s in spec["shards"]] == accuracy_shard_grid(
+        FAMILIES, BUDGETS, BENCHMARKS
+    )
+    assert spec["cfg"]["accuracy"]["instructions"] == INSTRUCTIONS
+    assert class_counts(scan(str(run_dir)))["completed"] == 4
+    assert sorted(p.name for p in run_dir.iterdir()) == [
+        "campaign.json", "claims", "queue", "shards",
+    ]
+    assert not list((run_dir / "queue").iterdir())
+    assert not list((run_dir / "claims").iterdir())
+
+
+def test_bare_jobs_leaves_no_run_dir_behind(tmp_path, monkeypatch):
+    """``jobs > 1`` without a run dir drains a private campaign directory
+    and removes it afterwards."""
+    import tempfile
+
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    assert accuracy_sweep(**SWEEP_KWARGS, jobs=2) == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
+    assert list(scratch.iterdir()) == []
+
+
+def test_figure_run_dir_is_a_scannable_campaign(tmp_path):
+    """``repro-figures figure7 --jobs 2 --run-dir DIR`` plans both panels'
+    sweeps into one campaign: ``repro-campaign scan`` classifies every cell
+    of both modes completed, and ``rerun --status failed`` runs there."""
+    run_dir = tmp_path / "run"
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(REPO_ROOT / "src"),
+        REPRO_SCALE="0.02",
+        REPRO_BENCHMARKS="gcc",
+    )
+    for key in ("REPRO_JOBS", "REPRO_RUN_DIR", "REPRO_LOG", "REPRO_LOG_OWNER_PID"):
+        env.pop(key, None)
+
+    def run(module: str, *args: str):
+        proc = run_in_session([sys.executable, "-m", module, *args], env, 300)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    run("repro.harness.cli", "figure7", "--jobs", "2", "--run-dir", str(run_dir))
+    report = json.loads(
+        run("repro.harness.cli_campaign", "scan", str(run_dir), "--json").stdout
+    )
+    modes = {row["shard"].rsplit("__", 1)[1] for row in report["shards"]}
+    assert modes == {"ideal", "overriding"}
+    assert report["counts"]["completed"] == report["cells"] > 0
+    rerun = json.loads(
+        run(
+            "repro.harness.cli_campaign", "rerun", str(run_dir),
+            "--status", "failed", "--json",
+        ).stdout
+    )
+    assert rerun["planned"]["execute"] == 0
+    assert rerun["rows"] == report["cells"]
 
 
 # -- crash / resume ------------------------------------------------------------
@@ -156,44 +242,107 @@ def test_parallel_sweep_writes_run_manifest(tmp_path):
 
 def test_abort_then_resume_skips_checkpointed_shards(tmp_path, monkeypatch):
     run_dir = tmp_path / "run"
-    kwargs = dict(SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir))
+    kwargs = dict(SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
 
-    monkeypatch.setenv("REPRO_PARALLEL_ABORT_AFTER", "2")
-    with pytest.raises(RuntimeError, match="REPRO_PARALLEL_ABORT_AFTER"):
-        parallel_accuracy_sweep(**kwargs)
-    aborted = drain_run_reports()[-1]
-    assert aborted["status"] == "aborted"
-    assert aborted["shards"]["executed"] == 2
-    assert aborted["shards"]["incomplete"] == 2
+    monkeypatch.setenv("REPRO_CAMPAIGN_ABORT_AFTER", "2")
+    with pytest.raises(RuntimeError, match="REPRO_CAMPAIGN_ABORT_AFTER"):
+        accuracy_sweep(**kwargs)
+    counts = class_counts(scan(str(run_dir)))
+    assert counts["completed"] == 2
+    assert counts["partial"] == 1  # the claim the crashed worker held
+    assert counts["missing"] == 1
 
-    shard_dir = run_dir / "shards"
-    checkpoints = sorted(shard_dir.glob("*.json"))
-    assert len(checkpoints) == 2
-    mtimes = {p.name: p.stat().st_mtime_ns for p in checkpoints}
+    mtimes = checkpoint_mtimes(run_dir)
+    assert len(mtimes) == 2
 
-    monkeypatch.delenv("REPRO_PARALLEL_ABORT_AFTER")
-    cells = parallel_accuracy_sweep(**kwargs)
-    resumed = drain_run_reports()[-1]
-    assert resumed["status"] == "completed"
-    assert resumed["shards"]["resumed"] == 2
-    assert resumed["shards"]["executed"] == 2
-    # The checkpointed shards were skipped, not recomputed.
-    for path in checkpoints:
-        assert path.stat().st_mtime_ns == mtimes[path.name]
+    monkeypatch.delenv("REPRO_CAMPAIGN_ABORT_AFTER")
+    log = event_log(tmp_path, monkeypatch)
+    cells = accuracy_sweep(**kwargs)
+    # The checkpointed shards were skipped, not recomputed; the crashed
+    # worker's claim was reclaimed at once (its loop is gone).
+    assert counters_of(log)["shards.executed"] == 2
+    for name, mtime in mtimes.items():
+        assert (run_dir / "shards" / name).stat().st_mtime_ns == mtime
     # Merged results match a fresh uncheckpointed run exactly.
     assert cells == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
 
 
+def test_crash_then_resume_in_a_fresh_process_does_not_wait(tmp_path):
+    """A ``--jobs 2 --run-dir`` run crashes (REPRO_CAMPAIGN_ABORT_AFTER),
+    leaving claims held by its dead workers; ``--resume`` in a fresh
+    process, with the default 600 s stale threshold, reclaims them at once
+    and renders byte-identical output."""
+    config = tmp_path / "grid.json"
+    config.write_text(
+        json.dumps(
+            {
+                "schema": 1,
+                "target": "resume_grid",
+                "mode": "sweep",
+                "title": "resume drill grid",
+                "grids": [
+                    {"kind": "accuracy", "families": ["gshare", "bimodal"],
+                     "budgets": [2048, 4096]}
+                ],
+            }
+        )
+    )
+    env = dict(
+        os.environ,
+        PYTHONPATH=str(REPO_ROOT / "src"),
+        REPRO_SCALE="0.02",
+        REPRO_BENCHMARKS="gcc,eon",
+    )
+    for key in (
+        "REPRO_JOBS", "REPRO_RUN_DIR", "REPRO_LOG", "REPRO_LOG_OWNER_PID",
+        "REPRO_CAMPAIGN_STALE_SECONDS",
+    ):
+        env.pop(key, None)
+
+    def figures(*args: str, **extra: str):
+        return run_in_session(
+            [sys.executable, "-m", "repro.harness.cli", "--config", str(config), *args],
+            dict(env, **extra),
+            300,
+        )
+
+    serial = figures("--jobs", "1")
+    assert serial.returncode == 0, serial.stderr
+    run_dir = tmp_path / "run"
+    crashed = figures(
+        "--jobs", "2", "--run-dir", str(run_dir), REPRO_CAMPAIGN_ABORT_AFTER="1"
+    )
+    assert crashed.returncode != 0
+    assert list((run_dir / "claims").iterdir())  # held by dead workers
+    started = time.monotonic()
+    resumed = figures("--jobs", "2", "--resume", str(run_dir))
+    assert resumed.returncode == 0, resumed.stderr
+    assert time.monotonic() - started < 120
+    assert resumed.stdout == serial.stdout
+
+
 def test_resume_refuses_different_config(tmp_path):
     run_dir = str(tmp_path / "run")
-    parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=1, run_dir=run_dir)
+    accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=run_dir)
     with pytest.raises(ConfigurationError, match="different"):
-        parallel_accuracy_sweep(
+        accuracy_sweep(
             **dict(SWEEP_KWARGS, instructions=INSTRUCTIONS * 2),
-            engine=None,
             jobs=1,
             run_dir=run_dir,
         )
+
+
+def test_one_run_dir_grows_across_sweeps(tmp_path):
+    """Sweeps planned into one directory append to its universe; an IPC
+    sweep pins its own kind's config next to the accuracy one."""
+    run_dir = str(tmp_path / "run")
+    accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=run_dir)
+    accuracy_sweep(**dict(SWEEP_KWARGS, families=["bimode"]), jobs=1, run_dir=run_dir)
+    ipc_sweep(["gshare"], BUDGETS, "ideal", ["gcc"], INSTRUCTIONS, jobs=1, run_dir=run_dir)
+    spec = load_campaign(run_dir)
+    assert sorted(spec["cfg"]) == ["accuracy", "ipc"]
+    assert len(spec["shards"]) == 4 + 2 + 1
+    assert class_counts(scan(run_dir))["completed"] == 7
 
 
 def test_checkpoint_store_ignores_corrupt_and_mismatched_files(tmp_path):
@@ -207,28 +356,26 @@ def test_checkpoint_store_ignores_corrupt_and_mismatched_files(tmp_path):
     assert store.load(shard) is None  # wrong schema
 
 
-def test_run_json_schema_mismatch_is_refused(tmp_path):
-    (tmp_path / "run.json").write_text(json.dumps({"schema": -1, "config": {}}))
-    store = CheckpointStore(str(tmp_path))
+def test_campaign_json_schema_mismatch_is_refused(tmp_path):
+    (tmp_path / "campaign.json").write_text(
+        json.dumps({"schema": -1, "cfg": {}, "shards": []})
+    )
     with pytest.raises(ConfigurationError, match="schema"):
-        store.pin_config("accuracy", {"instructions": 1})
+        accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=str(tmp_path))
 
 
 # -- retries -------------------------------------------------------------------
 
 
-def test_injected_failure_is_retried_and_recorded(monkeypatch):
+def test_injected_failure_is_retried_and_recorded(tmp_path, monkeypatch):
+    log = event_log(tmp_path, monkeypatch)
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "2")
-    cells = parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=2, max_retries=2)
-    report = drain_run_reports()[-1]
-    assert report["status"] == "completed"
-    assert report["retries"] == 2
-    assert [f["shard"] for f in report["failures"]] == [
-        "accuracy__gcc__gshare__2048",
-        "accuracy__gcc__gshare__2048",
-    ]
-    assert [f["attempt"] for f in report["failures"]] == [0, 1]
+    cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, max_retries=2)
+    retries = [e for e in read_run_events(log) if e["event"] == "retry"]
+    assert [e["shard"] for e in retries] == ["accuracy__gcc__gshare__2048"] * 2
+    assert [e["attempt"] for e in retries] == [0, 1]
+    assert counters_of(log)["retries"] == 2
     # Retried results are still byte-identical to the clean serial run.
     monkeypatch.delenv("REPRO_PARALLEL_FAIL_SHARD")
     monkeypatch.delenv("REPRO_PARALLEL_FAIL_ATTEMPTS")
@@ -240,36 +387,127 @@ def test_exhausted_retry_budget_fails_the_run(monkeypatch, tmp_path):
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
     monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "99")
     with pytest.raises(SweepExecutionError, match="max_retries=1"):
-        parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=1, max_retries=1, run_dir=str(run_dir)
+        accuracy_sweep(**SWEEP_KWARGS, jobs=1, max_retries=1, run_dir=str(run_dir))
+    marker = json.loads(
+        (run_dir / "shards" / "accuracy__gcc__gshare__2048.failed.json").read_text()
+    )
+    assert marker["attempts"] == 2  # initial attempt + one retry, both failed
+    counts = class_counts(scan(str(run_dir)))
+    assert counts["failed"] == 1 and counts["completed"] == 3
+
+
+def test_exhausted_cell_keeps_the_rest_of_the_run(tmp_path, monkeypatch):
+    """One cell past its budget fails the sweep, but every other cell the
+    workers computed stays checkpointed; a resume executes exactly the
+    failed cell and matches the serial sweep."""
+    kwargs = dict(
+        families=["gshare", "bimodal", "bimode", "gshare_fast"],
+        budgets=[2048, 4096],
+        benchmarks=BENCHMARKS,
+        instructions=INSTRUCTIONS,
+    )
+    run_dir = tmp_path / "run"
+    monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "accuracy__gcc__gshare__2048")
+    with pytest.raises(SweepExecutionError, match="accuracy__gcc__gshare__2048"):
+        accuracy_sweep(**kwargs, jobs=2, run_dir=str(run_dir), max_retries=0)
+    counts = class_counts(scan(str(run_dir)))
+    assert counts["completed"] == 15 and counts["failed"] == 1
+
+    monkeypatch.delenv("REPRO_PARALLEL_FAIL_SHARD")
+    log = event_log(tmp_path, monkeypatch)
+    resumed = accuracy_sweep(**kwargs, jobs=2, run_dir=str(run_dir))
+    assert counters_of(log)["shards.executed"] == 1
+    assert resumed == accuracy_sweep(**kwargs, jobs=1)
+
+
+# -- dead owners ---------------------------------------------------------------
+
+
+class TestDeadOwners:
+    @pytest.fixture
+    def queue(self, tmp_path):
+        return WorkQueue(CampaignLayout(str(tmp_path)).ensure())
+
+    def write_claim(self, tmp_path, **claim):
+        path = tmp_path / "claims" / "cell.json"
+        path.write_text(json.dumps({"owner": "w0", "ts": time.time(), **claim}))
+
+    def test_claim_of_an_exited_local_process_is_reclaimed_at_once(
+        self, queue, tmp_path
+    ):
+        import socket
+
+        child = subprocess.run([sys.executable, "-c", "import os; print(os.getpid())"],
+                               capture_output=True, text=True, check=True)
+        self.write_claim(tmp_path, host=socket.gethostname(), pid=int(child.stdout))
+        assert queue.try_claim("cell", "w1", stale_seconds=600) == "stolen"
+
+    def test_claim_of_a_finished_worker_loop_here_is_reclaimed_at_once(
+        self, queue, tmp_path
+    ):
+        gone = WorkQueue(CampaignLayout(str(tmp_path)))
+        assert gone.try_claim("cell", "w0", stale_seconds=600) == "claimed"
+        assert queue.try_claim("cell", "w1", stale_seconds=600) is None  # live loop
+        gone.retire()
+        assert queue.try_claim("cell", "w1", stale_seconds=600) == "stolen"
+
+    def test_other_hosts_keep_the_timeout(self, queue, tmp_path):
+        self.write_claim(tmp_path, host="elsewhere.invalid", pid=1)
+        assert queue.try_claim("cell", "w1", stale_seconds=600) is None
+
+    def test_killed_worker_is_reclaimed_without_waiting(self, tmp_path):
+        """SIGKILL the worker holding a slowed cell mid-run: a surviving
+        worker reclaims the claim at once (one retry charged), far inside
+        the 600 s stale threshold, and the cells equal the serial sweep."""
+        key = "accuracy__gcc__bimodal__2048"
+        log = tmp_path / "events.jsonl"
+        run_dir = tmp_path / "run"
+        env = dict(
+            os.environ,
+            PYTHONPATH=str(REPO_ROOT / "src"),
+            REPRO_LOG=str(log),
+            REPRO_PARALLEL_SLOW_SHARD=key,
+            REPRO_PARALLEL_SLOW_SHARD_SECONDS="3",
         )
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    assert manifest["status"] == "failed"
-    assert manifest["retries"] == 2  # initial attempt + one retry, both failed
+        for name in ("REPRO_LOG_OWNER_PID", "REPRO_CAMPAIGN_STALE_SECONDS"):
+            env.pop(name, None)
+        code = (
+            "import json, sys\n"
+            "from repro.harness.sweep import accuracy_sweep\n"
+            f"cells = accuracy_sweep(**{SWEEP_KWARGS!r}, jobs=2, run_dir=sys.argv[1])\n"
+            "print(json.dumps([c.misprediction_percent for c in cells]))\n"
+        )
+        started = time.monotonic()
+        sweep = subprocess.Popen(
+            [sys.executable, "-c", code, str(run_dir)],
+            cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True, start_new_session=True,
+        )
+        try:
+            claim = run_dir / "claims" / f"{key}.json"
+            while not claim.exists() and time.monotonic() - started < 60:
+                time.sleep(0.005)
+            os.kill(json.loads(claim.read_text())["pid"], signal.SIGKILL)
+            out, err = sweep.communicate(timeout=120)
+        finally:
+            if sweep.poll() is None:
+                os.killpg(sweep.pid, signal.SIGKILL)
+                sweep.communicate()
+        assert sweep.returncode == 0, err
+        assert time.monotonic() - started < 60
+        retries = [e for e in read_run_events(log) if e["event"] == "retry"]
+        assert [e["shard"] for e in retries] == [key]
+        serial = accuracy_sweep(**SWEEP_KWARGS, jobs=1)
+        assert json.loads(out) == [cell.misprediction_percent for cell in serial]
 
 
 # -- obs integration -----------------------------------------------------------
 
 
-def test_run_reports_land_in_obs_manifest():
-    parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=2)
-    manifest = build_manifest("test", "output", 0.0, config={})
-    [report] = manifest["parallel"]
-    assert report["label"] == "accuracy_sweep"
-    assert report["shards"]["executed"] == 4
-    # drain: a second manifest must not repeat the report.
-    assert "parallel" not in build_manifest("test", "output", 0.0, config={})
-
-
 def test_parallel_counters_when_profiling(obs_enabled):
-    run_shards(
-        accuracy_shard_grid(["bimodal"], BUDGETS, ["gcc"]),
-        {"instructions": INSTRUCTIONS, "engine": None, "warmup_fraction": 0.2},
-        jobs=1,
-    )
+    accuracy_sweep(["bimodal"], BUDGETS, ["gcc"], instructions=INSTRUCTIONS, jobs=2)
     counters = obs_enabled.snapshot()["counters"]
-    assert counters["parallel.shards_executed"] == 1
-    drain_run_reports()
+    assert counters["campaign.cells_executed"] == 1
 
 
 # -- trace store ---------------------------------------------------------------
@@ -294,45 +532,46 @@ class TestTraceStoreIntegration:
         clear_trace_cache()
         reset_store_stats()
 
-    def test_workers_share_warm_store(self, warm_store, tmp_path):
-        """Every worker loads from the shared store — per-worker manifest
-        stats show store hits and zero misses (nothing regenerated)."""
-        run_dir = tmp_path / "run"
-        parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=2, run_dir=str(run_dir)
-        )
-        manifest = json.loads((run_dir / "manifest.json").read_text())
-        assert manifest["trace_store"]["hits"] >= 2  # one per benchmark at least
-        assert manifest["trace_store"]["misses"] == 0
-        assert manifest["trace_store"]["corrupt"] == 0
-        workers = manifest["workers"].values()
-        assert all("trace_store" in worker for worker in workers)
-        assert sum(w["trace_store"]["hits"] for w in workers) == (
-            manifest["trace_store"]["hits"]
+    def test_workers_share_warm_store(self, warm_store, tmp_path, monkeypatch):
+        """Every worker loads from the shared store — the workers' run
+        summaries show store hits and zero misses (nothing regenerated)."""
+        log = event_log(tmp_path, monkeypatch)
+        accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(tmp_path / "run"))
+        counters = counters_of(log)
+        assert counters["trace_store.hits"] >= 2  # one per benchmark at least
+        assert counters["trace_store.misses"] == 0
+        assert counters["trace_store.corrupt"] == 0
+        summaries = [
+            e["summary"] for e in read_run_events(log)
+            if e["event"] == "run_summary" and e["label"] == "campaign.worker"
+        ]
+        assert len(summaries) == 2
+        assert sum(s["trace_store"]["hits"] for s in summaries) == (
+            counters["trace_store.hits"]
         )
 
     def test_crash_resume_under_warm_store_matches_serial(
         self, warm_store, tmp_path, monkeypatch
     ):
         run_dir = tmp_path / "run"
-        kwargs = dict(SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir))
-        monkeypatch.setenv("REPRO_PARALLEL_ABORT_AFTER", "2")
-        with pytest.raises(RuntimeError, match="REPRO_PARALLEL_ABORT_AFTER"):
-            parallel_accuracy_sweep(**kwargs)
-        monkeypatch.delenv("REPRO_PARALLEL_ABORT_AFTER")
-        resumed = parallel_accuracy_sweep(**kwargs)
-        report = drain_run_reports()[-1]
-        assert report["shards"]["resumed"] == 2
+        kwargs = dict(SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
+        monkeypatch.setenv("REPRO_CAMPAIGN_ABORT_AFTER", "2")
+        with pytest.raises(RuntimeError, match="REPRO_CAMPAIGN_ABORT_AFTER"):
+            accuracy_sweep(**kwargs)
+        monkeypatch.delenv("REPRO_CAMPAIGN_ABORT_AFTER")
+        mtimes = checkpoint_mtimes(run_dir)
+        assert len(mtimes) == 2
+        resumed = accuracy_sweep(**kwargs)
+        assert checkpoint_mtimes(run_dir).items() >= mtimes.items()
         # Byte-identical to the serial, storeless path.
         monkeypatch.delenv("REPRO_TRACE_STORE")
         clear_trace_cache()
         assert resumed == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
 
     def test_parallel_store_counters_reach_obs(self, warm_store, obs_enabled):
-        parallel_accuracy_sweep(**SWEEP_KWARGS, engine=None, jobs=2)
+        accuracy_sweep(**SWEEP_KWARGS, jobs=2)
         counters = obs_enabled.snapshot()["counters"]
         assert counters["trace_store.hits"] >= 2
-        drain_run_reports()
 
 
 # -- checkpoint atomicity ------------------------------------------------------
@@ -340,8 +579,6 @@ class TestTraceStoreIntegration:
 
 class TestCheckpointAtomicity:
     def test_checkpoint_write_leaves_no_staging_files(self, tmp_path):
-        from repro.harness.parallel import ShardOutcome
-
         store = CheckpointStore(str(tmp_path))
         shard = Shard("accuracy", "gcc", "gshare", 2048)
         store.store(
@@ -354,7 +591,9 @@ class TestCheckpointAtomicity:
         assert leftovers == []
         assert store.load(shard) is not None
 
-    def test_checkpoint_killed_mid_write_is_ignored_on_resume(self, tmp_path):
+    def test_checkpoint_killed_mid_write_is_ignored_on_resume(
+        self, tmp_path, monkeypatch
+    ):
         """A writer killed mid-write leaves only a ``*.tmp.<pid>`` staging
         file; resume neither crashes on it nor trusts it — the shard is
         simply re-executed."""
@@ -368,21 +607,18 @@ class TestCheckpointAtomicity:
         # ...and, belt-and-braces, torn JSON under a *final* name too
         # (pre-atomic layouts could produce this).
         (shard_dir / "accuracy__eon__gshare__2048.json").write_text('{"sch')
-        cells = parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir)
-        )
-        report = drain_run_reports()[-1]
-        assert report["status"] == "completed"
-        assert report["shards"]["resumed"] == 0  # nothing was trusted
-        assert report["shards"]["executed"] == 4
+        log = event_log(tmp_path, monkeypatch)
+        cells = accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
+        assert counters_of(log)["shards.executed"] == 4  # nothing was trusted
+        assert not list(shard_dir.glob("*.tmp.*"))
         assert cells == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
 
-    def test_torn_checkpoint_classifies_partial_and_reexecutes(self, tmp_path):
+    def test_torn_checkpoint_classifies_partial_and_reexecutes(
+        self, tmp_path, monkeypatch
+    ):
         """Fault injection: a checkpoint whose writer died mid-write (torn
         JSON under the final name, or only a staging sibling) must classify
         as ``partial`` — never ``completed`` — and the shard re-executes."""
-        from repro.harness.campaign import CampaignLayout, classify_shard
-
         run_dir = tmp_path / "run"
         shard_dir = run_dir / "shards"
         shard_dir.mkdir(parents=True)
@@ -396,13 +632,10 @@ class TestCheckpointAtomicity:
         assert classify_shard(torn_final, layout=layout) == "partial"
         assert classify_shard(torn_staging, layout=layout) == "partial"
 
-        cells = parallel_accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=1, run_dir=str(run_dir)
-        )
-        report = drain_run_reports()[-1]
-        assert report["status"] == "completed"
-        assert report["shards"]["resumed"] == 0  # the torn shard was not trusted
-        assert report["shards"]["executed"] == 4
+        log = event_log(tmp_path, monkeypatch)
+        cells = accuracy_sweep(**SWEEP_KWARGS, jobs=1, run_dir=str(run_dir))
+        # The torn shards were not trusted: all four executed.
+        assert counters_of(log)["shards.executed"] == 4
         assert cells == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
         # The re-executed checkpoints are whole again.
         for shard in (torn_final, torn_staging):
@@ -448,14 +681,12 @@ class TestTraceCache:
 class TestParallelTelemetry:
     def test_worker_spans_parent_to_run_trace(self, tmp_path, monkeypatch):
         """A --jobs 2 sweep with REPRO_LOG leaves one complete cross-process
-        span tree: no orphans, every worker shard span resolving to the
-        parent's parallel.run span, and wall times that agree."""
-        from repro.obs.aggregate import aggregate_run, build_span_tree
-        from repro.obs.events import read_run_events, validate_event
+        span tree: no orphans, every shard span under a worker span under
+        the parent's campaign.run span, and wall times that agree."""
+        from repro.obs.aggregate import build_span_tree
+        from repro.obs.events import validate_event
 
-        log = tmp_path / "events.jsonl"
-        monkeypatch.setenv("REPRO_LOG", str(log))
-        monkeypatch.delenv("REPRO_LOG_OWNER_PID", raising=False)
+        log = event_log(tmp_path, monkeypatch)
         accuracy_sweep(**SWEEP_KWARGS, jobs=2)
 
         events = read_run_events(log)
@@ -464,17 +695,20 @@ class TestParallelTelemetry:
 
         tree = build_span_tree(events)
         assert not tree.orphans and not tree.unclosed
-        run_spans = [n for n in tree.by_id.values() if n.name == "parallel.run"]
+        run_spans = [n for n in tree.by_id.values() if n.name == "campaign.run"]
         assert len(run_spans) == 1
         run = run_spans[0]
-        shard_spans = [n for n in tree.by_id.values() if n.name == "parallel.shard"]
+        shard_spans = [n for n in tree.by_id.values() if n.name == "campaign.shard"]
         assert len(shard_spans) == len(FAMILIES) * len(BUDGETS) * len(BENCHMARKS)
-        assert all(n.parent_id == run.span_id for n in shard_spans)
+        for shard in shard_spans:
+            worker = tree.by_id[shard.parent_id]
+            assert worker.name == "campaign.worker" and worker.pid == shard.pid
+            assert worker.parent_id == run.span_id
         assert all(n.trace_id == run.trace_id for n in shard_spans)
         assert all(n.pid != run.pid for n in shard_spans)
 
         agg = aggregate_run(events)
-        # One run summary closed the trail; its counters match the tree.
+        # The workers' run summaries agree with the tree.
         assert agg["counters"]["shards.executed"] == len(shard_spans)
         assert agg["counters"]["retries"] == 0
         # The aggregate's wall covers the root span within rounding.
@@ -487,33 +721,21 @@ class TestParallelTelemetry:
         assert all(w["busy_seconds"] > 0 for w in agg["workers"].values())
 
     def test_retry_and_checkpoint_events_recorded(self, tmp_path, monkeypatch):
-        from repro.obs.events import read_run_events
-
-        log = tmp_path / "events.jsonl"
-        monkeypatch.setenv("REPRO_LOG", str(log))
-        monkeypatch.delenv("REPRO_LOG_OWNER_PID", raising=False)
+        log = event_log(tmp_path, monkeypatch)
         monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
         monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "1")
         run_dir = tmp_path / "run"
-        accuracy_sweep(
-            **SWEEP_KWARGS, engine=None, jobs=2, run_dir=str(run_dir)
-        )
+        accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
         events = read_run_events(log)
         retries = [e for e in events if e["event"] == "retry"]
         assert len(retries) == 1 and "gcc__gshare" in retries[0]["shard"]
         stored = [e for e in events if e["event"] == "checkpoint"]
         assert {e["action"] for e in stored} == {"store"}
         assert len(stored) == 4
-        summaries = [e for e in events if e["event"] == "run_summary"]
-        assert summaries[-1]["summary"]["retries"] == 1
+        assert counters_of(log)["retries"] == 1
 
     def test_slow_shard_hook_injects_straggler(self, tmp_path, monkeypatch):
-        from repro.obs.aggregate import aggregate_run
-        from repro.obs.events import read_run_events
-
-        log = tmp_path / "events.jsonl"
-        monkeypatch.setenv("REPRO_LOG", str(log))
-        monkeypatch.delenv("REPRO_LOG_OWNER_PID", raising=False)
+        log = event_log(tmp_path, monkeypatch)
         monkeypatch.setenv("REPRO_PARALLEL_SLOW_SHARD", "eon__bimodal")
         monkeypatch.setenv("REPRO_PARALLEL_SLOW_SHARD_SECONDS", "0.5")
         accuracy_sweep(**SWEEP_KWARGS, jobs=2)

@@ -3,10 +3,10 @@
 ``tests/toy_family.py`` defines a complete predictor family (predictor +
 config + sizer + builder + one ``register()`` call) in a single module.
 This suite pushes it through the budget sweep, the engine-selection
-fallback, the parallel executor, and the conformance contract — and the
+fallback, the campaign executor, and the conformance contract — and the
 point of the exercise is what it does *not* import: nothing family-specific
 from :mod:`repro.harness`, :mod:`repro.batch`, or
-:mod:`repro.harness.parallel`.  Every entry point used below is generic;
+:mod:`repro.harness.campaign`.  Every entry point used below is generic;
 the registry is the only coupling.
 """
 
@@ -75,8 +75,8 @@ def test_toy_spec_serializes_for_workers():
 
 def test_toy_sweeps_serial_and_parallel_identically():
     """The full tentpole proof: the toy rides an accuracy sweep next to a
-    shipped family, and the process-pool path (spec payloads rebuilt in
-    workers) reproduces the serial cells exactly."""
+    shipped family, and the campaign path (forked workers inheriting the
+    registration) reproduces the serial cells exactly."""
     kwargs = dict(
         families=[FAMILY, "bimodal"],
         budgets=[BUDGET],

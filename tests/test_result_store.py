@@ -95,18 +95,25 @@ class TestStoreBasics:
         assert registry.build_count() == 0
         assert warm == cold
 
-    def test_parallel_workers_share_store(self, store_env, tmp_path):
-        """A parallel cold run populates the store (manifest records the
-        writes); a serial warm run then hits every cell with zero builds."""
+    def test_parallel_workers_share_store(self, store_env, tmp_path, monkeypatch):
+        """A parallel cold run populates the store (the workers' run
+        summaries record the writes); a serial warm run then hits every
+        cell with zero builds."""
+        from repro.obs.aggregate import counter_totals
+        from repro.obs.events import read_run_events
+
+        log = tmp_path / "events.jsonl"
+        monkeypatch.setenv("REPRO_LOG", str(log))
+        monkeypatch.setenv("REPRO_LOG_OWNER_PID", str(os.getpid()))
         run_dir = tmp_path / "run"
         cold = accuracy_sweep(
             ["gshare"], [2048, 4096], benchmarks=["gcc"], jobs=2,
             run_dir=str(run_dir),
         )
-        with open(run_dir / "manifest.json", encoding="utf-8") as handle:
-            manifest = json.load(handle)
-        assert manifest["result_store"]["writes"] == 2
-        assert manifest["result_store"]["hits"] == 0
+        counters = counter_totals(read_run_events(log))
+        assert counters["result_store.writes"] == 2
+        assert counters["result_store.hits"] == 0
+        monkeypatch.delenv("REPRO_LOG")
 
         registry.reset_build_count()
         clear_trace_cache()

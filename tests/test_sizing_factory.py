@@ -7,7 +7,7 @@ import pytest
 from repro.common.errors import BudgetError, ConfigurationError
 from repro.core.gshare_fast import build_gshare_fast
 from repro.predictors import registry
-from repro.predictors.factory import build_predictor, predictor_families
+from repro.predictors.factory import build_predictor
 from repro.predictors.sizing import (
     GSHARE_MAX_HISTORY,
     floor_pow2,
@@ -126,15 +126,6 @@ class TestFactory:
         families = registry.family_names()
         for expected in ("gshare", "bimode", "2bcgskew", "perceptron", "multicomponent"):
             assert expected in families
-
-    def test_deprecated_families_shim(self):
-        """predictor_families() warns, and now reports the *full* registry
-        list — historically it omitted the repro.core families."""
-        with pytest.warns(DeprecationWarning):
-            families = predictor_families()
-        assert families == registry.family_names()
-        assert "gshare_fast" in families
-        assert "bimode_fast" in families
 
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
