@@ -11,7 +11,14 @@ the default REPRO_SCALE: every registered family is timed on both engines
 ratios are printed as a table.  gshare — a single-table scan — must run
 >= 10x faster batched; each family batched through a plain-int replay,
 row rounds or a composite of component kernels must run >= 3x faster.
-The differential suite proves bit-exactness; this file measures speed.
+
+A second table times the cycle simulator on the same benchmark at the
+default IPC trace length: the Figure 7 families in both modes, the
+per-block reference loop (``tests/uarch_reference.py``) against
+``CycleSimulator``, which must give identical ``SimulationResult``s at
+least 3x faster.
+
+The differential suites prove bit-exactness; this file measures speed.
 """
 
 from __future__ import annotations
@@ -21,10 +28,13 @@ import time
 import pytest
 
 from repro.harness.experiment import measure_accuracy
-from repro.harness.scale import accuracy_instructions
+from repro.harness.scale import accuracy_instructions, ipc_instructions
+from repro.harness.sweep import make_policy
 from repro.predictors import registry
 from repro.predictors.gshare import GsharePredictor
-from repro.workloads.spec2000 import spec2000_trace
+from repro.uarch.simulator import CycleSimulator
+from repro.workloads.spec2000 import get_profile, spec2000_trace
+from tests.uarch_reference import ReferenceSimulator
 
 #: 2**18 two-bit counters = 64KB — the paper's mid-budget gshare.
 ENTRIES = 262_144
@@ -128,3 +138,53 @@ def test_family_batch_speedup(family, family_timings):
     scalar_time, batch_time, scalar_result, batch_result = family_timings[family]
     assert scalar_result == batch_result
     assert scalar_time / batch_time >= REQUIRED_SPEEDUP.get(family, 0.0)
+
+
+# -- cycle simulator -------------------------------------------------------------
+
+#: The Figure 7 families and modes the IPC table covers.
+IPC_FAMILIES = ("gshare_fast", "2bcgskew", "perceptron", "multicomponent")
+IPC_MODES = ("ideal", "overriding")
+
+
+@pytest.fixture(scope="module")
+def ipc_timings():
+    """(reference seconds, simulator seconds, reference result, simulator
+    result) per (family, mode) on gcc; prints the ratio table once."""
+    trace = spec2000_trace("gcc", instructions=ipc_instructions())
+    ilp = get_profile("gcc").ilp
+
+    def timed(simulator_type, family, mode):
+        simulator = simulator_type(make_policy(family, FAMILY_BUDGET, mode), ilp=ilp)
+        start = time.perf_counter()
+        result = simulator.run(trace)
+        return time.perf_counter() - start, result
+
+    timings = {}
+    for family in IPC_FAMILIES:
+        for mode in IPC_MODES:
+            reference_time, reference_result = timed(ReferenceSimulator, family, mode)
+            runs = [timed(CycleSimulator, family, mode) for _ in range(3)]
+            simulator_time = min(seconds for seconds, _ in runs)
+            timings[family, mode] = (
+                reference_time, simulator_time, reference_result, runs[-1][1]
+            )
+    print(
+        f"\n{'family':16s} {'mode':11s} {'reference ms':>12s} "
+        f"{'simulator ms':>12s} {'speedup':>8s}"
+    )
+    for (family, mode), (reference_time, simulator_time, _, _) in timings.items():
+        print(
+            f"{family:16s} {mode:11s} {reference_time * 1e3:12.1f} "
+            f"{simulator_time * 1e3:12.1f} {reference_time / simulator_time:7.1f}x"
+        )
+    return timings
+
+
+@pytest.mark.parametrize("mode", IPC_MODES)
+@pytest.mark.parametrize("family", IPC_FAMILIES)
+def test_simulator_speedup(family, mode, ipc_timings):
+    """Identical results to the per-block loop, at least 3x faster."""
+    reference_time, simulator_time, reference_result, result = ipc_timings[family, mode]
+    assert result == reference_result
+    assert reference_time / simulator_time >= 3.0

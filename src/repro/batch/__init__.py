@@ -13,6 +13,9 @@ Entry points:
   for the scalar :func:`repro.harness.experiment.measure_accuracy`;
 * :func:`repro.batch.engine.supports_batch` — which predictors have a
   batch kernel;
+* :func:`repro.predictors.engines.direction_stream` — a predictor's
+  prediction stream on whichever engine resolution picks (the cycle
+  simulator's and ``measure_override``'s way in);
 * :func:`repro.batch.diff.diff_engines` — the differential checker.
 """
 

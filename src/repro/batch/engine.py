@@ -50,8 +50,11 @@ A predictor whose exact type is not a registered family, or a
 multicomponent whose components or selection table no kernel models
 exactly, resolves to the scalar engine under ``engine="auto"``.
 
-IPC (cycle-level) simulation intentionally stays on the scalar model; the
-batch engine covers functional accuracy only.
+The cycle simulator uses the same kernels: every fetch policy's
+components train on every conditional branch in trace order whatever the
+timing, so an IPC run takes each component's whole prediction stream from
+:func:`evaluate_stream` (via :func:`repro.predictors.engines.
+direction_stream`, which resolves the engine) before its timing loop.
 """
 
 from __future__ import annotations

@@ -21,8 +21,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from repro.common.errors import ConfigurationError
 from repro.predictors.base import BranchPredictor
+from repro.predictors.engines import direction_stream
 from repro.predictors.gshare import GsharePredictor
 from repro.timing.latency import QUICK_PREDICTOR_ENTRIES
 
@@ -134,6 +137,23 @@ class OverridingPredictor:
         if quick_correct != final_correct:
             self.stats.overrides += 1
         return final_correct
+
+    def predict_stream(self, pcs: np.ndarray, takens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (quick, final) direction of every branch of a whole
+        ``(pc, taken)`` stream.
+
+        Both components train on every branch whatever the other says, so
+        each runs its own stream (on the engine ``REPRO_ENGINE`` resolves
+        to); components and :attr:`stats` end exactly as
+        ``predict``/``update`` per branch would leave them.
+        """
+        quick = direction_stream(self.quick, pcs, takens)
+        final = direction_stream(self.slow, pcs, takens)
+        self.stats.predictions += len(takens)
+        self.stats.quick_mispredictions += int(np.count_nonzero(quick != takens))
+        self.stats.final_mispredictions += int(np.count_nonzero(final != takens))
+        self.stats.overrides += int(np.count_nonzero(quick != final))
+        return quick, final
 
     def record_stats(self, registry) -> None:
         """Publish agreement/disagreement/penalty counts into ``registry``.

@@ -10,8 +10,10 @@ Usage::
     repro-figures --list-families            # the registered predictor zoo
 
 Scale with ``REPRO_SCALE`` (trace length multiplier) and
-``REPRO_BENCHMARKS`` (subset of benchmark names); pick the accuracy
-evaluation engine with ``--engine`` (or ``REPRO_ENGINE``).
+``REPRO_BENCHMARKS`` (subset of benchmark names); pick the predictor
+evaluation engine with ``--engine`` (or ``REPRO_ENGINE``).  It covers
+accuracy sweeps and the direction streams the cycle simulator takes for
+IPC figures alike; both engines give byte-identical output.
 
 Parallel execution: ``--jobs N`` (or ``REPRO_JOBS``; ``auto`` = one worker
 per CPU) drains every sweep with N local campaign workers, with results
@@ -220,7 +222,8 @@ def main(argv: list[str] | None = None) -> int:
         "--engine",
         choices=ENGINES,
         default=None,
-        help="accuracy evaluation engine (default: REPRO_ENGINE or 'auto'; "
+        help="predictor evaluation engine for accuracy sweeps and the cycle "
+        "simulator's direction streams (default: REPRO_ENGINE or 'auto'; "
         "'batch' uses the vectorized engine, 'scalar' the reference loop)",
     )
     parser.add_argument(

@@ -9,7 +9,7 @@ Two measurement modes mirror the paper's methodology:
   same stream, additionally collecting the override (disagreement) rate the
   paper analyzes in Section 4.5.
 
-Accuracy measurements can run on either of two engines:
+Both run on either of two engines:
 
 * ``scalar`` — the branch-at-a-time reference loop below;
 * ``batch``  — the vectorized engine in :mod:`repro.batch`, bit-exact with
@@ -19,7 +19,9 @@ Accuracy measurements can run on either of two engines:
 ``engine="auto"`` (the default, overridable via the ``REPRO_ENGINE``
 environment variable) picks batch whenever the predictor has a batch
 kernel and falls back to scalar otherwise, so sweeps speed up without
-changing any result.
+changing any result.  Resolution lives in :mod:`repro.predictors.engines`,
+which the cycle simulator's direction streams share; ``measure_override``
+runs the overriding pair's whole-stream method on the resolved engine.
 """
 
 from __future__ import annotations
@@ -28,25 +30,21 @@ import os
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro import obs
 from repro.common.errors import ConfigurationError
 from repro.core.overriding import OverridingPredictor
-from repro.obs.attribution import Attribution, attribution_from_counts
+from repro.obs.attribution import (
+    Attribution,
+    attribution_from_arrays,
+    attribution_from_counts,
+)
 from repro.predictors.base import BranchPredictor
+# Engine resolution lives with the predictors, where the cycle simulator
+# resolves it too; these names stay importable from here.
+from repro.predictors.engines import ENGINES, default_engine, resolve_engine  # noqa: F401
 from repro.workloads.trace import Trace
-
-#: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
-ENGINES = ("auto", "scalar", "batch")
-
-
-def default_engine() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default ``auto``)."""
-    engine = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"REPRO_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 def default_jobs() -> int:
@@ -70,31 +68,6 @@ def default_jobs() -> int:
     if value < 1:
         raise ConfigurationError(f"REPRO_JOBS must be >= 1, got {value}")
     return value
-
-
-def resolve_engine(predictor: BranchPredictor, engine: str | None = None) -> str:
-    """Resolve ``engine`` (or the environment default) to scalar/batch.
-
-    ``auto`` degrades gracefully to scalar for predictors without a batch
-    kernel; asking for ``batch`` explicitly on such a predictor is an error
-    rather than a silent slowdown.
-    """
-    if engine is None:
-        engine = default_engine()
-    if engine not in ENGINES:
-        raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
-    if engine == "scalar":
-        return "scalar"
-    from repro.batch import supports_batch  # deferred: batch imports numpy
-
-    if supports_batch(predictor):
-        return "batch"
-    if engine == "batch":
-        raise ConfigurationError(
-            f"engine='batch' does not support {type(predictor).__name__}; "
-            f"use engine='auto' or 'scalar'"
-        )
-    return "scalar"
 
 
 @dataclass(frozen=True)
@@ -255,36 +228,28 @@ def measure_override(
 ) -> OverrideResult:
     """Drive an overriding quick/slow pair over ``trace``'s branches.
 
+    Both components run their whole direction streams
+    (:meth:`OverridingPredictor.predict_stream`, on the engine
+    ``REPRO_ENGINE`` resolves to), with the same results and side effects
+    as a per-branch loop.
+
     ``attribution`` buckets scored *final* mispredictions per static branch
     PC (``None`` collects exactly when observability is enabled).
     """
     if attribution is None:
         attribution = obs.enabled()
-    branches = 0
-    final_mispredictions = 0
-    quick_mispredictions = 0
-    overrides = 0
-    executions: dict[int, int] | None = {} if attribution else None
-    wrong: dict[int, int] = {}
-    for position, (pc, taken) in enumerate(trace.conditional_branches()):
-        outcome = overriding.predict(pc)
-        overriding.update(pc, taken)
-        if position < warmup_branches:
-            continue
-        branches += 1
-        if outcome.final_taken != taken:
-            final_mispredictions += 1
-            if executions is not None:
-                wrong[pc] = wrong.get(pc, 0) + 1
-        if outcome.quick_taken != taken:
-            quick_mispredictions += 1
-        if outcome.overridden:
-            overrides += 1
-        if executions is not None:
-            executions[pc] = executions.get(pc, 0) + 1
+    pcs, takens = trace.branch_arrays()
+    quick, final = overriding.predict_stream(pcs, takens)
+    scored_pcs = pcs[warmup_branches:]
+    outcomes = takens[warmup_branches:]
+    final_wrong = final[warmup_branches:] != outcomes
+    branches = len(outcomes)
+    final_mispredictions = int(np.count_nonzero(final_wrong))
+    quick_mispredictions = int(np.count_nonzero(quick[warmup_branches:] != outcomes))
+    overrides = int(np.count_nonzero(quick[warmup_branches:] != final[warmup_branches:]))
     breakdown = (
-        attribution_from_counts(overriding.name, trace.name, executions, wrong)
-        if executions is not None
+        attribution_from_arrays(overriding.name, trace.name, scored_pcs, final_wrong)
+        if attribution
         else None
     )
     result = OverrideResult(

@@ -293,6 +293,7 @@ def grid_cfg(kind: str) -> dict:
     to — the very dict the sweeps pin in ``campaign.json``, so a config
     target's cell keys match the sweeps' exactly."""
     from repro.harness.experiment import default_engine
+    from repro.harness.resultstore import IPC_MODEL_VERSION
     from repro.harness.scale import (
         WARMUP_FRACTION,
         accuracy_instructions,
@@ -306,7 +307,11 @@ def grid_cfg(kind: str) -> dict:
             "engine": default_engine(),
             "warmup_fraction": WARMUP_FRACTION,
         }
-    return {"instructions": ipc_instructions(), "machine": asdict(PAPER_MACHINE)}
+    return {
+        "instructions": ipc_instructions(),
+        "machine": asdict(PAPER_MACHINE),
+        "model_version": IPC_MODEL_VERSION,
+    }
 
 
 def grid_shards(grid: GridSpec) -> list:

@@ -16,8 +16,9 @@ predictions.
   just its name — a sizing change is a different predictor), the hardware
   budget, the evaluation engine (accuracy) or machine config and policy
   mode (IPC), the warm-up fraction, the result-format version and the
-  measurement :data:`CODE_VERSION`.  Changing any component changes the
-  key; stale entries simply stop matching.
+  measurement :data:`CODE_VERSION` (IPC keys also carry
+  :data:`IPC_MODEL_VERSION`).  Changing any component changes the key;
+  stale entries simply stop matching.
 * :class:`ResultStore` — a directory of checksummed JSON entries written
   through the shared atomic helper (:mod:`repro.common.atomic`).  An entry
   is never trusted on faith: the payload checksum and the full stored key
@@ -64,6 +65,12 @@ RESULT_SCHEMA = 1
 #: if the current code had produced them.  (Purely structural refactors
 #: that provably keep results bit-identical do not require a bump.)
 CODE_VERSION = 1
+
+#: Bumped whenever the cycle simulator's results change while accuracy
+#: results do not; part of IPC keys (and of the IPC sweep configuration a
+#: campaign run directory pins) only.  Version 2: ``MachineConfig``'s
+#: cache geometry is simulated (version 1 always simulated Table 1's).
+IPC_MODEL_VERSION = 2
 
 #: Default maximum entries per store directory (mtime LRU).  Results are
 #: small JSON files, so the default is far above the trace store's.
@@ -146,6 +153,7 @@ def ipc_key_payload(
     return {
         "result_schema": RESULT_SCHEMA,
         "code_version": CODE_VERSION,
+        "ipc_model_version": IPC_MODEL_VERSION,
         "kind": "ipc",
         "workload": _workload_digest(benchmark, instructions, seed),
         "spec": _family_spec_payload(family, budget_bytes),

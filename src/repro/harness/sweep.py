@@ -43,7 +43,7 @@ from repro.harness.experiment import (
     measure_accuracy,
     measure_override,
 )
-from repro.harness.resultstore import active_result_store
+from repro.harness.resultstore import IPC_MODEL_VERSION, active_result_store
 from repro.harness.scale import (
     WARMUP_FRACTION,
     accuracy_instructions,
@@ -314,7 +314,11 @@ def ipc_sweep(
     if instructions is None:
         instructions = ipc_instructions()
     jobs, run_dir = _resolve_parallel(jobs, run_dir)
-    cfg = {"instructions": instructions, "machine": asdict(config)}
+    cfg = {
+        "instructions": instructions,
+        "machine": asdict(config),
+        "model_version": IPC_MODEL_VERSION,
+    }
     shards = shard_grid("ipc", families, budgets, benchmarks, modes=(mode,))
     # Same trace shape as accuracy_sweep: one sweep-level root span over
     # either the in-memory per-benchmark spans or the campaign's tree.

@@ -1,7 +1,13 @@
 """Microarchitecture substrate: caches, BTB, fetch policies, cycle simulator."""
 
 from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.uarch.caches import Cache, CacheStats, MemoryHierarchy, paper_hierarchy
+from repro.uarch.caches import (
+    Cache,
+    CacheStats,
+    MemoryHierarchy,
+    machine_hierarchy,
+    paper_hierarchy,
+)
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
 from repro.uarch.policies import (
     CascadingFetchPolicy,
@@ -9,6 +15,7 @@ from repro.uarch.policies import (
     FetchPolicy,
     OverridingPolicy,
     PolicyPrediction,
+    PolicyStream,
     SingleCyclePolicy,
 )
 from repro.uarch.simulator import CycleSimulator, SimulationResult, StallBreakdown
@@ -26,9 +33,11 @@ __all__ = [
     "OverridingPolicy",
     "PAPER_MACHINE",
     "PolicyPrediction",
+    "PolicyStream",
     "ReturnAddressStack",
     "SimulationResult",
     "SingleCyclePolicy",
     "StallBreakdown",
+    "machine_hierarchy",
     "paper_hierarchy",
 ]

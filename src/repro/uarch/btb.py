@@ -4,6 +4,11 @@ Table 1: a 512-entry, 2-way set-associative branch target buffer.  The BTB
 supplies targets for taken branches; a miss means the front end cannot
 redirect until the target is computed in decode, a short bubble.  Returns
 are predicted by a classic return-address stack pushed by calls.
+
+Both structures see their operations in trace order whatever the timing,
+so the simulator replays a whole trace's operations at once (``replay``);
+``lookup``/``install`` and ``push``/``pop`` are the same models one
+operation at a time.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ class BranchTargetBuffer:
             raise ConfigurationError(f"BTB set count must be a power of two, got {self.sets}")
         self.ways = ways
         self.stats = BtbStats()
-        # Per set: list of (tag, target), most recent last.
-        self._sets: list[list[tuple[int, int]]] = [[] for _ in range(self.sets)]
+        # Per set: tag -> target, least recently used first.
+        self._sets: list[dict[int, int]] = [{} for _ in range(self.sets)]
 
     def _index(self, pc: int) -> tuple[int, int]:
         line = pc >> 2
@@ -54,24 +59,44 @@ class BranchTargetBuffer:
         set_index, tag = self._index(pc)
         entries = self._sets[set_index]
         self.stats.lookups += 1
-        for position, (entry_tag, target) in enumerate(entries):
-            if entry_tag == tag:
-                entries.append(entries.pop(position))  # LRU bump
-                return target
-        self.stats.misses += 1
-        return None
+        target = entries.pop(tag, None)
+        if target is None:
+            self.stats.misses += 1
+            return None
+        entries[tag] = target  # LRU bump
+        return target
 
     def install(self, pc: int, target: int) -> None:
         """Insert or refresh the target for the branch at ``pc``."""
         set_index, tag = self._index(pc)
         entries = self._sets[set_index]
-        for position, (entry_tag, _) in enumerate(entries):
-            if entry_tag == tag:
-                entries.pop(position)
-                break
-        entries.append((tag, target))
+        entries.pop(tag, None)
+        entries[tag] = target
         if len(entries) > self.ways:
-            entries.pop(0)
+            del entries[next(iter(entries))]
+
+    def replay(self, pcs: list[int], targets: list[int]) -> list[bool]:
+        """``lookup`` then ``install`` for each branch in order; returns
+        True where the lookup supplied the branch's target."""
+        sets = self._sets
+        set_count = self.sets
+        ways = self.ways
+        correct = []
+        misses = 0
+        for pc, target in zip(pcs, targets):
+            line = pc >> 2
+            entries = sets[line % set_count]
+            tag = line // set_count
+            previous = entries.pop(tag, None)
+            if previous is None:
+                misses += 1
+                if len(entries) == ways:
+                    del entries[next(iter(entries))]
+            correct.append(previous == target)
+            entries[tag] = target
+        self.stats.lookups += len(correct)
+        self.stats.misses += misses
+        return correct
 
 
 class ReturnAddressStack:
@@ -97,6 +122,24 @@ class ReturnAddressStack:
         if self._stack:
             return self._stack.pop()
         return None
+
+    def replay(self, calls: list[bool], addresses: list[int]) -> list[bool]:
+        """Push each call's return address and pop for each return, in
+        order; returns, per operation, False only for a return whose
+        target (its address) the stack did not predict."""
+        stack = self._stack
+        depth = self.depth
+        predicted = []
+        for call, address in zip(calls, addresses):
+            if call:
+                stack.append(address)
+                if len(stack) > depth:
+                    del stack[0]
+                    self.overflows += 1
+                predicted.append(True)
+            else:
+                predicted.append(bool(stack) and stack.pop() == address)
+        return predicted
 
     def __len__(self) -> int:
         return len(self._stack)

@@ -21,6 +21,32 @@ Event accounting per block:
                     (the branch must reach execute before redirecting)
 
 IPC = instructions / cycles at the last block's completion.
+
+Predict, then simulate
+----------------------
+
+Most of what happens to a block does not depend on when it is fetched.
+Every policy's component predictors train on every conditional branch in
+trace order; the caches, the BTB and the RAS see their operations in trace
+order; a block's size fixes its fetch and retire work.  :meth:`CycleSimulator.run`
+therefore makes two passes over the trace's columns (``trace.columns()``,
+no ``Block`` objects):
+
+1. a pre-pass takes every branch's direction from the policy's whole
+   stream (:meth:`FetchPolicy.stream` — on the batch engine wherever engine
+   resolution picks it, exactly as ``measure_accuracy`` does) and replays
+   L1I/L1D/L2, the BTB and the RAS as plain ints, leaving per block its
+   I-cache and data stalls and what its terminator costs the front end
+   (override bubble, half-width window, BTB-miss penalty, redirect);
+2. one timing loop runs the float fetch/back-end recurrence above over
+   those per-block values.
+
+Cascading is the one policy whose directions depend on timing: the fetch
+gap before a branch picks the component that answers it, and with it
+whether the BTB is probed.  Its component streams still come from the
+pre-pass; the choice, and its BTB probes, stay in the loop.
+``tests/uarch_reference.py`` keeps the former per-block loop, which the
+differential suite checks this one against.
 """
 
 from __future__ import annotations
@@ -28,13 +54,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro import obs
 from repro.common.errors import ConfigurationError
 from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.uarch.caches import MemoryHierarchy, paper_hierarchy
+from repro.uarch.caches import MemoryHierarchy, machine_hierarchy
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
-from repro.uarch.policies import FetchPolicy
+from repro.uarch.policies import FetchPolicy, PolicyStream
 from repro.workloads.trace import BranchKind, Trace
+
+#: What a block's terminator makes fetch wait for once it reaches execute.
+_MISPREDICT = 1
+_RAS_MISS = 2
 
 
 @dataclass
@@ -92,152 +124,33 @@ class CycleSimulator:
         self.policy = policy
         self.config = config
         self.ilp = min(ilp, float(config.issue_width))
-        self.hierarchy = hierarchy or paper_hierarchy(
-            l2_hit_cycles=config.l2_hit_cycles, memory_cycles=config.memory_cycles
-        )
+        self.hierarchy = hierarchy or machine_hierarchy(config)
         self.btb = BranchTargetBuffer(entries=config.btb_entries, ways=config.btb_ways)
         self.ras = ReturnAddressStack(depth=config.ras_depth)
 
     def run(self, trace: Trace) -> SimulationResult:
         """Simulate ``trace`` start to finish and return cycles/IPC/stats."""
-        config = self.config
+        columns = trace.columns()
+        kinds = columns["branch_kind"]
+        conditional = np.flatnonzero(kinds == int(BranchKind.CONDITIONAL))
+        actual = columns["taken"][conditional]
+        stream = self.policy.stream(columns["branch_pc"][conditional], actual)
         stalls = StallBreakdown()
-        next_fetch = 0.0  # next free fetch cycle
-        backend_end = float(config.front_depth)  # in-order retirement cursor
-        half_width_until = 0.0  # dual-path window
-        rob_lead = config.rob_size / self.ilp  # max cycles fetch may lead
-        last_branch_fetch_end = 0.0  # for gap-aware (cascading) policies
-        gap_aware = hasattr(self.policy, "note_gap")
-        # Multi-block fetch group (Section 3.3.1): consecutive blocks share
-        # a fetch cycle while the group has slots and width to spare.
-        group_end = -1.0
-        group_count = 0
-        group_instructions = 0
-        mispredictions = 0
-        overrides = 0
-        branches = 0
-        instructions = 0
-
-        for block in trace.blocks:
-            instructions += block.instructions
-            # ROB throttle: fetch cannot run arbitrarily ahead of retire.
-            if next_fetch < backend_end - rob_lead:
-                next_fetch = backend_end - rob_lead
-
-            fetch_start = next_fetch
-            # I-cache: charge the block's first line; long blocks touch more.
-            icache_stall = self.hierarchy.access_instruction(block.pc)
-            last_byte = block.pc + block.instructions * 4 - 1
-            if (last_byte >> 6) != (block.pc >> 6):
-                icache_stall += self.hierarchy.access_instruction(last_byte)
-            stalls.icache += icache_stall
-
-            width = config.issue_width
-            if fetch_start < half_width_until:
-                width = max(width // 2, 1)
-            # EV8-style multi-block fetch: each block in a group gets a full
-            # fetch-block's width (bandwidth scales with blocks_per_cycle),
-            # so a block joins the open group when slots remain, it follows
-            # immediately (no bubble/redirect in between), it hit the
-            # I-cache, and it fits one fetch block by itself.
-            same_cycle = (
-                config.blocks_per_cycle > 1
-                and group_count < config.blocks_per_cycle
-                and fetch_start == group_end
-                and icache_stall == 0
-                and block.instructions <= width
-            )
-            if same_cycle:
-                fetch_end = group_end
-                group_count += 1
-                group_instructions += block.instructions
-            else:
-                fetch_cycles = math.ceil(block.instructions / width)
-                fetch_end = fetch_start + icache_stall + fetch_cycles
-                group_end = fetch_end
-                group_count = 1
-                group_instructions = block.instructions
-            next_fetch = fetch_end
-
-            # Back end: pace retirement by ILP and data stalls.
-            data_stall = 0.0
-            for address in block.loads:
-                data_stall += self.hierarchy.access_data(address)
-            for address in block.stores:
-                self.hierarchy.access_data(address)  # fills, no retire stall
-            data_stall /= config.memory_level_parallelism
-            stalls.dcache += int(data_stall)
-            exec_ready = fetch_end + config.front_depth
-            prev_backend_end = backend_end
-            backend_end = (
-                max(backend_end, exec_ready) + block.instructions / self.ilp + data_stall
-            )
-
-            if block.branch_kind == BranchKind.NONE:
-                continue
-
-            # -- branch handling at the block terminator -------------------
-            if block.branch_kind == BranchKind.CONDITIONAL:
-                branches += 1
-                if gap_aware:
-                    self.policy.note_gap(int(fetch_end - last_branch_fetch_end))
-                last_branch_fetch_end = fetch_end
-                prediction = self.policy.predict(block.branch_pc)
-                correct = self.policy.update(block.branch_pc, block.taken)
-                if prediction.bubble_cycles:
-                    overrides += 1
-                    next_fetch += prediction.bubble_cycles
-                    stalls.override_bubble += prediction.bubble_cycles
-                if prediction.half_width_cycles:
-                    # A second branch inside an open window cannot fork
-                    # again: fetch waits for the window to close first.
-                    if fetch_end < half_width_until:
-                        stall = half_width_until - fetch_end
-                        next_fetch += stall
-                        stalls.override_bubble += int(stall)
-                    half_width_until = next_fetch + prediction.half_width_cycles
-                if prediction.taken:
-                    target = self.btb.lookup(block.branch_pc)
-                    if target is None or target != block.target:
-                        # Redirect waits for decode to compute the target.
-                        next_fetch += config.btb_miss_penalty
-                        stalls.btb_miss += config.btb_miss_penalty
-                    self.btb.install(block.branch_pc, block.target)
-                if not correct:
-                    mispredictions += 1
-                    resolve = max(exec_ready, prev_backend_end) + 1
-                    if resolve > next_fetch:
-                        stalls.mispredict += int(resolve - next_fetch)
-                        next_fetch = resolve
-            elif block.branch_kind == BranchKind.CALL:
-                self.ras.push(block.branch_pc + 4)
-                target = self.btb.lookup(block.branch_pc)
-                if target is None or target != block.target:
-                    next_fetch += config.btb_miss_penalty
-                    stalls.btb_miss += config.btb_miss_penalty
-                self.btb.install(block.branch_pc, block.target)
-            elif block.branch_kind == BranchKind.RETURN:
-                predicted = self.ras.pop()
-                if predicted != block.target:
-                    # RAS miss: treated like a mispredicted branch.
-                    resolve = max(exec_ready, prev_backend_end) + 1
-                    if resolve > next_fetch:
-                        stalls.ras_miss += int(resolve - next_fetch)
-                        next_fetch = resolve
-            else:  # unconditional direct jump
-                target = self.btb.lookup(block.branch_pc)
-                if target is None or target != block.target:
-                    next_fetch += config.btb_miss_penalty
-                    stalls.btb_miss += config.btb_miss_penalty
-                self.btb.install(block.branch_pc, block.target)
-
-        cycles = int(math.ceil(max(next_fetch, backend_end)))
+        work = self._block_work(columns, stalls)
+        events, mispredictions, overrides = self._terminators(
+            columns, conditional, stream, stalls
+        )
+        cycles, cascade = self._time(*work, events, stream, actual, stalls)
+        if cascade is not None:
+            slow_used, wrong = cascade
+            mispredictions += wrong
+            self.policy.record_choices(len(conditional), slow_used, wrong)
         result = SimulationResult(
             trace=trace.name,
             policy=self.policy.name,
-            instructions=instructions,
+            instructions=int(columns["instructions"].sum()),
             cycles=max(cycles, 1),
-            conditional_branches=branches,
+            conditional_branches=len(conditional),
             mispredictions=mispredictions,
             overrides=overrides,
             stalls=stalls,
@@ -245,6 +158,254 @@ class CycleSimulator:
         if obs.enabled():
             self._publish(result)
         return result
+
+    def _block_work(self, columns: dict, stalls: StallBreakdown) -> tuple[list, ...]:
+        """Per block, as plain lists: instructions, I-cache stall cycles,
+        full-width fetch cycles, retire cycles (instructions / ILP) and
+        data stall cycles (load stalls / MLP).  Replays the caches."""
+        config = self.config
+        pcs = columns["pc"]
+        instructions = columns["instructions"].astype(np.int64)
+        load_offsets = columns["load_offsets"]
+        store_offsets = columns["store_offsets"]
+        # A block accesses, in order: its first line, its last line when
+        # that is another one, its loads, its stores.
+        shift = self.hierarchy.l1i.line_shift
+        last_bytes = pcs + instructions * 4 - 1
+        second_line = (last_bytes >> shift) != (pcs >> shift)
+        fetches = 1 + second_line.astype(np.int64)
+        loads = np.diff(load_offsets)
+        sizes = fetches + loads + np.diff(store_offsets)
+        starts = np.cumsum(sizes) - sizes
+        seconds = starts[second_line] + 1
+        addresses = np.empty(int(sizes.sum()), dtype=np.int64)
+        addresses[starts] = pcs
+        addresses[seconds] = last_bytes[second_line]
+        data = np.ones(len(addresses), dtype=bool)
+        data[starts] = data[seconds] = False
+        _scatter(addresses, columns["loads"], load_offsets, starts + fetches)
+        _scatter(addresses, columns["stores"], store_offsets, starts + fetches + loads)
+        totals = np.concatenate(([0], np.cumsum(self.hierarchy.replay(addresses, data))))
+        icache = totals[starts + fetches] - totals[starts]
+        load_stalls = totals[starts + fetches + loads] - totals[starts + fetches]
+        data_stalls = load_stalls / config.memory_level_parallelism
+        stalls.icache += int(icache.sum())
+        stalls.dcache += int(data_stalls.astype(np.int64).sum())
+        return (
+            instructions.tolist(),
+            icache.tolist(),
+            (-(-instructions // config.issue_width)).tolist(),
+            (instructions / self.ilp).tolist(),
+            data_stalls.tolist(),
+        )
+
+    def _terminators(
+        self,
+        columns: dict,
+        conditional: np.ndarray,
+        stream: PolicyStream,
+        stalls: StallBreakdown,
+    ) -> tuple[list, int, int]:
+        """Per block, what its terminator costs the front end: None, or
+        ``(bubble, window, penalty, flush, probe)``.  Replays the RAS and,
+        unless directions wait on timing (``probe`` set), the BTB.
+
+        Returns the events, the mispredictions and the overrides known
+        before timing.
+        """
+        kinds = columns["branch_kind"]
+        branch_pcs = columns["branch_pc"]
+        targets = columns["target"]
+        blocks = len(kinds)
+        calls = kinds == int(BranchKind.CALL)
+        ras_ops = np.flatnonzero(calls | (kinds == int(BranchKind.RETURN)))
+        pushes = calls[ras_ops]
+        addresses = np.where(pushes, branch_pcs[ras_ops] + 4, targets[ras_ops])
+        predicted = np.array(self.ras.replay(pushes.tolist(), addresses.tolist()), dtype=bool)
+        flushes = np.zeros(blocks, dtype=np.int64)
+        flushes[ras_ops[~predicted]] = _RAS_MISS
+        bubbles = np.zeros(blocks, dtype=np.int64)
+        windows = np.zeros(blocks, dtype=np.int64)
+        penalties = np.zeros(blocks, dtype=np.int64)
+        # The BTB is probed by calls, jumps and branches predicted taken.
+        probed = calls | (kinds == int(BranchKind.UNCONDITIONAL))
+        if stream.quick is None:
+            probed[conditional] = stream.taken
+            flushes[conditional[stream.taken != columns["taken"][conditional]]] = _MISPREDICT
+            if stream.bubble_cycles is not None:
+                bubbles[conditional] = stream.bubble_cycles
+            if stream.half_width_cycles is not None:
+                windows[conditional] = stream.half_width_cycles
+            probes = np.flatnonzero(probed)
+            correct = self.btb.replay(branch_pcs[probes].tolist(), targets[probes].tolist())
+            penalties[probes[~np.array(correct, dtype=bool)]] = self.config.btb_miss_penalty
+        stalls.override_bubble += int(bubbles.sum())
+        stalls.btb_miss += int(penalties.sum())
+        events: list = [None] * blocks
+        active = np.flatnonzero(bubbles | windows | penalties | flushes)
+        for block, bubble, window, penalty, flush in zip(
+            active.tolist(),
+            bubbles[active].tolist(),
+            windows[active].tolist(),
+            penalties[active].tolist(),
+            flushes[active].tolist(),
+        ):
+            events[block] = (bubble, window, penalty, flush, None)
+        if stream.quick is not None:
+            # Each conditional branch gets its index in the branch stream;
+            # a call or jump gets -1 (always probes the BTB).
+            index = np.full(blocks, -1, dtype=np.int64)
+            index[conditional] = np.arange(len(conditional))
+            dynamic = np.flatnonzero(probed | (index >= 0))
+            for block, pc, target, branch in zip(
+                dynamic.tolist(),
+                branch_pcs[dynamic].tolist(),
+                targets[dynamic].tolist(),
+                index[dynamic].tolist(),
+            ):
+                events[block] = (0, 0, 0, 0, (pc, target, branch))
+        return (
+            events,
+            int(np.count_nonzero(flushes == _MISPREDICT)),
+            int(np.count_nonzero(bubbles)),
+        )
+
+    def _time(
+        self,
+        instructions: list[int],
+        icache: list[int],
+        fetch_cycles: list[int],
+        retire: list[float],
+        data: list[float],
+        events: list,
+        stream: PolicyStream,
+        actual: np.ndarray,
+        stalls: StallBreakdown,
+    ) -> tuple[int, tuple[int, int] | None]:
+        """The timing loop: fetch and back-end cursors, block by block.
+
+        Returns the cycle count and, for a gap-arbitrated policy, how many
+        branches the slow component answered and how many were wrong.
+        """
+        config = self.config
+        issue_width = config.issue_width
+        half_width = max(issue_width // 2, 1)
+        blocks_per_cycle = config.blocks_per_cycle
+        grouped = blocks_per_cycle > 1
+        front_depth = config.front_depth
+        btb_miss_penalty = config.btb_miss_penalty
+        rob_lead = config.rob_size / self.ilp  # max cycles fetch may lead
+        next_fetch = 0.0  # next free fetch cycle
+        backend_end = float(front_depth)  # in-order retirement cursor
+        half_width_until = 0.0  # dual-path window
+        # Multi-block fetch group (Section 3.3.1): consecutive blocks share
+        # a fetch cycle while the group has slots and width to spare.
+        group_end = -1.0
+        group_count = 0
+        mispredict_stall = 0
+        ras_stall = 0
+        window_stall = 0
+        # Gap-arbitrated pair (cascading) only.
+        gapped = stream.quick is not None
+        gap_cycles = stream.gap_cycles
+        quick = stream.quick.tolist() if gapped else []
+        slow = stream.taken.tolist() if gapped else []
+        outcomes = actual.tolist() if gapped else []
+        btb_lookup = self.btb.lookup
+        btb_install = self.btb.install
+        last_branch_fetch_end = 0.0
+        slow_used = 0
+        gap_wrong = 0
+        gap_btb_stall = 0
+
+        for n, icache_stall, cycles, retire_cycles, data_stall, event in zip(
+            instructions, icache, fetch_cycles, retire, data, events
+        ):
+            # ROB throttle: fetch cannot run arbitrarily ahead of retire.
+            if next_fetch < backend_end - rob_lead:
+                next_fetch = backend_end - rob_lead
+            fetch_start = next_fetch
+            width = issue_width
+            if fetch_start < half_width_until:
+                width = half_width
+                cycles = -(-n // half_width)
+            # EV8-style multi-block fetch: a block joins the open group when
+            # slots remain, it follows immediately, it hit the I-cache and
+            # it fits one fetch block by itself.
+            if (
+                grouped
+                and group_count < blocks_per_cycle
+                and fetch_start == group_end
+                and icache_stall == 0
+                and n <= width
+            ):
+                fetch_end = group_end
+                group_count += 1
+            else:
+                fetch_end = fetch_start + icache_stall + cycles
+                group_end = fetch_end
+                group_count = 1
+            next_fetch = fetch_end
+            exec_ready = fetch_end + front_depth
+            prev_backend_end = backend_end
+            backend_end = (
+                exec_ready if exec_ready > backend_end else backend_end
+            ) + retire_cycles + data_stall
+            if event is None:
+                continue
+
+            # -- the block's terminator ------------------------------------
+            bubble, window, penalty, flush, probe = event
+            if probe is not None:
+                pc, target, branch = probe
+                predicted = True
+                if branch >= 0:
+                    use_slow = int(fetch_end - last_branch_fetch_end) >= gap_cycles
+                    last_branch_fetch_end = fetch_end
+                    if use_slow:
+                        slow_used += 1
+                        predicted = slow[branch]
+                    else:
+                        predicted = quick[branch]
+                    if predicted != outcomes[branch]:
+                        gap_wrong += 1
+                        flush = _MISPREDICT
+                if predicted:
+                    if btb_lookup(pc) != target:
+                        penalty = btb_miss_penalty
+                        gap_btb_stall += penalty
+                    btb_install(pc, target)
+            if bubble:
+                next_fetch += bubble
+            if window:
+                # A second branch inside an open window cannot fork again:
+                # fetch waits for the window to close first.
+                if fetch_end < half_width_until:
+                    stall = half_width_until - fetch_end
+                    next_fetch += stall
+                    window_stall += int(stall)
+                half_width_until = next_fetch + window
+            if penalty:
+                # Redirect waits for decode to compute the target.
+                next_fetch += penalty
+            if flush:
+                # The branch must reach execute before redirecting fetch.
+                resolve = (
+                    prev_backend_end if prev_backend_end > exec_ready else exec_ready
+                ) + 1
+                if resolve > next_fetch:
+                    if flush == _MISPREDICT:
+                        mispredict_stall += int(resolve - next_fetch)
+                    else:
+                        ras_stall += int(resolve - next_fetch)
+                    next_fetch = resolve
+
+        stalls.mispredict += mispredict_stall
+        stalls.ras_miss += ras_stall
+        stalls.override_bubble += window_stall
+        stalls.btb_miss += gap_btb_stall
+        cycles = int(math.ceil(max(next_fetch, backend_end)))
+        return cycles, ((slow_used, gap_wrong) if gapped else None)
 
     def _publish(self, result: SimulationResult) -> None:
         """Account this run's cycles — bubbles broken down by cause — into
@@ -269,3 +430,10 @@ class CycleSimulator:
         overriding = getattr(self.policy, "overriding", None)
         if overriding is not None and hasattr(overriding, "record_stats"):
             overriding.record_stats(registry)
+
+
+def _scatter(out: np.ndarray, values: np.ndarray, offsets: np.ndarray, firsts: np.ndarray) -> None:
+    """Place CSR ``values`` (block ``b`` owns ``values[offsets[b]:offsets[b+1]]``)
+    into ``out`` so that block ``b``'s run starts at ``firsts[b]``."""
+    owners = np.repeat(np.arange(len(firsts)), np.diff(offsets))
+    out[firsts[owners] + np.arange(len(owners)) - offsets[:-1][owners]] = values[: len(owners)]

@@ -28,6 +28,7 @@ Round-tripping is exact: ``load_trace(save_trace(t)) == t`` field for field
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -58,33 +59,23 @@ COLUMN_ORDER = (
 def trace_to_columns(trace: Trace) -> dict[str, np.ndarray]:
     """Flatten a block-object trace into its columnar (SoA) arrays."""
     blocks = trace.blocks
-    load_offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-    store_offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-    for i, block in enumerate(blocks):
-        load_offsets[i + 1] = load_offsets[i] + len(block.loads)
-        store_offsets[i + 1] = store_offsets[i] + len(block.stores)
-    loads = np.fromiter(
-        (address for block in blocks for address in block.loads),
-        dtype=np.int64,
-        count=int(load_offsets[-1]),
-    )
-    stores = np.fromiter(
-        (address for block in blocks for address in block.stores),
-        dtype=np.int64,
-        count=int(store_offsets[-1]),
-    )
-    return {
+    columns = {
         "pc": np.array([b.pc for b in blocks], dtype=np.int64),
         "instructions": np.array([b.instructions for b in blocks], dtype=np.int32),
         "branch_kind": np.array([int(b.branch_kind) for b in blocks], dtype=np.int8),
         "branch_pc": np.array([b.branch_pc for b in blocks], dtype=np.int64),
         "taken": np.array([b.taken for b in blocks], dtype=np.bool_),
         "target": np.array([b.target for b in blocks], dtype=np.int64),
-        "loads": loads,
-        "stores": stores,
-        "load_offsets": load_offsets,
-        "store_offsets": store_offsets,
     }
+    for name in ("loads", "stores"):
+        addresses = [getattr(block, name) for block in blocks]
+        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([len(block_addresses) for block_addresses in addresses])
+        columns[name] = np.fromiter(
+            chain.from_iterable(addresses), dtype=np.int64, count=int(offsets[-1])
+        )
+        columns[f"{name[:-1]}_offsets"] = offsets
+    return {key: columns[key] for key in COLUMN_ORDER}
 
 
 def blocks_from_columns(columns: dict[str, np.ndarray]) -> list[Block]:

@@ -9,7 +9,7 @@ replay (every experiment replays the same trace across many predictors).
 Only conditional branches matter to direction predictors; the accuracy
 harness iterates ``Trace.conditional_branches()`` while the cycle simulator
 consumes whole blocks (instruction counts, memory addresses, branch kind and
-target).
+target) as columns (``Trace.columns()``).
 """
 
 from __future__ import annotations
@@ -123,6 +123,14 @@ class Trace:
         takens = np.fromiter((t for _, t in pairs), dtype=bool, count=len(pairs))
         self._branch_arrays = (len(self.blocks), pcs, takens)
         return pcs, takens
+
+    def columns(self) -> dict[str, "np.ndarray"]:
+        """The trace as structure-of-arrays columns, exactly those of
+        :meth:`repro.workloads.store.ColumnarTrace.columns` (built afresh
+        on each call; the cycle simulator reads its blocks this way)."""
+        from repro.workloads.io import trace_to_columns  # deferred: io imports this module
+
+        return trace_to_columns(self)
 
     def static_branch_count(self) -> int:
         """Number of distinct conditional-branch sites in the trace."""

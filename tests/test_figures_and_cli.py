@@ -133,6 +133,36 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    def test_figure7_identical_on_both_engines(self, tmp_path, capsys, monkeypatch):
+        """``--engine`` reaches the cycle simulator's direction streams:
+        scalar runs no batch kernel, auto runs them, and the figure is the
+        same byte for byte.  IPC result keys do not carry the engine, so
+        each engine gets its own result store."""
+        import repro.batch.engine as batch_engine
+
+        calls = []
+        evaluate_stream = batch_engine.evaluate_stream
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate_stream(*args, **kwargs)
+
+        monkeypatch.setattr(batch_engine, "evaluate_stream", counted)
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        monkeypatch.setenv("REPRO_ENGINE", "auto")  # restored after main() sets it
+        rendered = {}
+        kernel_calls = {}
+        for engine in ("scalar", "auto"):
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / f"store-{engine}"))
+            out = tmp_path / f"out-{engine}"
+            calls.clear()
+            assert main(["figure7", "--engine", engine, "--output-dir", str(out)]) == 0
+            rendered[engine] = (out / "figure7.txt").read_bytes()
+            kernel_calls[engine] = len(calls)
+        capsys.readouterr()
+        assert kernel_calls["scalar"] == 0 < kernel_calls["auto"]
+        assert rendered["scalar"] == rendered["auto"]
+
     def test_cli_list_families(self, capsys):
         from repro.predictors import registry
 

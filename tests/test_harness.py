@@ -75,6 +75,50 @@ class TestMeasurement:
         # quick(2K gshare) should not beat the bigger slow gshare overall
         assert result.final_mispredictions <= result.quick_mispredictions * 1.3
 
+    @pytest.mark.parametrize("engine", ["auto", "scalar"])
+    def test_override_streams_match_per_branch_loop(self, small_trace, engine, monkeypatch):
+        """Whole-stream measurement equals driving the pair branch by
+        branch: counts, attribution, stats and component state."""
+        from repro.obs.attribution import attribution_from_counts
+
+        monkeypatch.setenv("REPRO_ENGINE", engine)
+        warmup = 500
+
+        def pair():
+            return OverridingPredictor(build_family("perceptron", 16384), slow_latency=3)
+
+        stream = pair()
+        result = measure_override(stream, small_trace, warmup_branches=warmup, attribution=True)
+        loop = pair()
+        counts = {"final": 0, "quick": 0, "overrides": 0}
+        executions: dict[int, int] = {}
+        wrong: dict[int, int] = {}
+        for position, (pc, taken) in enumerate(small_trace.conditional_branches()):
+            outcome = loop.predict(pc)
+            loop.update(pc, taken)
+            if position < warmup:
+                continue
+            executions[pc] = executions.get(pc, 0) + 1
+            counts["final"] += outcome.final_taken != taken
+            counts["quick"] += outcome.quick_taken != taken
+            counts["overrides"] += outcome.overridden
+            if outcome.final_taken != taken:
+                wrong[pc] = wrong.get(pc, 0) + 1
+        assert result.branches == sum(executions.values())
+        assert (result.final_mispredictions, result.quick_mispredictions, result.overrides) == (
+            counts["final"],
+            counts["quick"],
+            counts["overrides"],
+        )
+        assert result.attribution == attribution_from_counts(
+            loop.name, small_trace.name, executions, wrong
+        )
+        assert stream.stats == loop.stats
+        for mine, theirs in ((stream.quick, loop.quick), (stream.slow, loop.slow)):
+            assert {k: v.tolist() for k, v in mine.state().items()} == {
+                k: v.tolist() for k, v in theirs.state().items()
+            }
+
 
 class TestReport:
     def test_format_budget(self):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.cascading import CascadingPredictor
 from repro.core.dualpath import DualPathPolicy
 from repro.core.overriding import OverridingPredictor
@@ -10,6 +12,7 @@ from repro.predictors.gshare import GsharePredictor
 from repro.uarch.policies import (
     CascadingFetchPolicy,
     DualPathFetchPolicy,
+    FetchPolicy,
     OverridingPolicy,
     PolicyPrediction,
     SingleCyclePolicy,
@@ -85,3 +88,19 @@ class TestPolicyPrediction:
         prediction = PolicyPrediction(taken=True)
         assert prediction.bubble_cycles == 0
         assert prediction.half_width_cycles == 0
+
+
+def test_policy_without_stream_cannot_be_created():
+    """The simulator drives only :meth:`FetchPolicy.stream`: a policy that
+    implements just ``predict``/``update`` fails when it is built, not with
+    wrong results later."""
+
+    class PerBranchOnly(FetchPolicy):
+        def predict(self, pc):
+            return PolicyPrediction(taken=True)
+
+        def update(self, pc, taken):
+            return taken
+
+    with pytest.raises(TypeError, match="stream"):
+        PerBranchOnly()

@@ -15,6 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -35,8 +36,10 @@ from repro.harness.resultstore import (
     result_store_capacity,
     result_store_stats,
 )
+from repro.harness.campaign import Shard, extend_campaign
 from repro.harness.sweep import accuracy_sweep, ipc_sweep
 from repro.predictors import registry
+from repro.uarch.config import MachineConfig
 from repro.workloads.spec2000 import clear_trace_cache, reset_executor_runs
 
 INSTRUCTIONS = 20_000
@@ -186,6 +189,41 @@ class TestKeys:
             cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
         ).stdout.strip()
         assert there == here
+
+
+class TestIpcModelVersion:
+    """IPC model version 1 simulated Table 1's caches whatever the
+    machine said, and its keys and sweep configurations carried no
+    ``ipc_model_version``/``model_version``.  Nothing it stored is served
+    for a machine with another cache geometry."""
+
+    SMALL_L1 = MachineConfig(l1_size=4096)
+
+    def test_entry_under_version1_key_is_not_served(self, store_env):
+        machine = asdict(self.SMALL_L1)
+        payload = ipc_key_payload("gcc", "gshare", 4096, "ideal", INSTRUCTIONS, machine)
+        del payload["ipc_model_version"]
+        stale = {"ipc": 9.0, "misprediction_percent": 0.0, "override_rate": 0.0}
+        ResultStore(store_env).save(
+            result_digest(payload), ResultCell("ipc", "gcc", "gshare", 4096, "ideal"), stale
+        )
+        [cell] = ipc_sweep(
+            ["gshare"], [4096], mode="ideal", benchmarks=["gcc"],
+            instructions=INSTRUCTIONS, config=self.SMALL_L1,
+        )
+        assert cell.ipc != 9.0
+        assert result_store_stats()["hits"] == 0
+
+    def test_run_dir_pinned_by_version1_is_refused(self, store_env, tmp_path):
+        run_dir = str(tmp_path / "run")
+        shards = [Shard("ipc", "gcc", "gshare", 4096, "ideal")]
+        version1 = {"instructions": INSTRUCTIONS, "machine": asdict(self.SMALL_L1)}
+        extend_campaign(run_dir, shards, {"ipc": version1})
+        with pytest.raises(ConfigurationError, match="different ipc-sweep configuration"):
+            ipc_sweep(
+                ["gshare"], [4096], mode="ideal", benchmarks=["gcc"],
+                instructions=INSTRUCTIONS, config=self.SMALL_L1, run_dir=run_dir,
+            )
 
 
 class TestFaultInjection:

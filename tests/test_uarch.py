@@ -156,6 +156,40 @@ class TestMachineConfig:
             MachineConfig(pipeline_depth=4)
 
 
+class TestMachineGeometry:
+    """The simulated hierarchy is the one ``MachineConfig`` names."""
+
+    def _simulator(self, config):
+        return CycleSimulator(SingleCyclePolicy(build_gshare_fast(16 * 1024)), config=config)
+
+    def test_hierarchy_follows_config(self):
+        config = MachineConfig(l1_size=4096, l1_line=32, l2_size=256 * 1024, l2_line=64, l2_ways=8)
+        hierarchy = self._simulator(config).hierarchy
+        for l1 in (hierarchy.l1i, hierarchy.l1d):
+            assert (l1.size_bytes, l1.line_bytes, l1.ways) == (4096, 32, 1)
+        assert (hierarchy.l2.size_bytes, hierarchy.l2.line_bytes, hierarchy.l2.ways) == (
+            256 * 1024,
+            64,
+            8,
+        )
+
+    def test_smaller_l1_raises_icache_stalls(self, small_trace):
+        def icache_stalls(config):
+            return self._simulator(config).run(small_trace).stalls.icache
+
+        assert icache_stalls(MachineConfig(l1_size=4096)) > icache_stalls(PAPER_MACHINE)
+
+    def test_second_fetch_line_follows_l1i_line(self, small_trace):
+        """A block crossing an L1I line boundary fetches a second line."""
+
+        def fetches(line):
+            simulator = self._simulator(MachineConfig(l1_line=line))
+            simulator.run(small_trace)
+            return simulator.hierarchy.l1i.stats.accesses
+
+        assert fetches(16) > fetches(64) > fetches(256)
+
+
 class TestSimulator:
     def _run(self, policy, trace, ilp=2.8, config=PAPER_MACHINE):
         return CycleSimulator(policy, config=config, ilp=ilp).run(trace)
