@@ -8,7 +8,10 @@ Drives the real ``repro-figures`` CLI over one tiny figure grid:
 3. ``--warm-traces`` prewarm — reports every entry already present;
 4. warm run (``--profile``) — byte-identical again, with obs counters
    proving **zero** ``ProgramExecutor`` invocations and only store hits;
-5. corruption drill: truncate one store entry, flip bytes in another, and
+5. header drill: flip one byte of a warm entry's JSON header — the next
+   run must count exactly one ``trace_store.corrupt``, regenerate that one
+   entry and print byte-identical output;
+6. corruption drill: truncate one store entry, flip bytes in another, and
    plant a half-written ``*.tmp.<pid>`` staging file — the next run must
    still exit 0 with byte-identical output, counting ``trace_store.corrupt``
    and regenerating the damaged entries.
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -41,6 +45,11 @@ CHECK_ENV = {
     "REPRO_BENCHMARKS": "gcc,eon",
 }
 TARGET = "figure1"
+
+#: Store entries (``repro.workloads.io``: ``SUFFIX``), and where an entry's
+#: JSON header starts: after the 8-byte magic and the uint32 header length.
+ENTRY_GLOB = "*.trace"
+HEADER_START = 12
 
 
 def run_cli(args: list[str], extra_env: dict[str, str] | None = None):
@@ -92,14 +101,14 @@ def main(argv: list[str] | None = None) -> int:
             tmp_path / "warm", tmp_path / "repaired",
         )
 
-        print(f"[1/5] baseline {TARGET} (no store)")
+        print(f"[1/6] baseline {TARGET} (no store)")
         started = time.perf_counter()
         proc = run_cli([TARGET, "--jobs", "1", "--output-dir", str(baseline_dir)])
         baseline_seconds = time.perf_counter() - started
         if proc.returncode != 0:
             fail("baseline run failed", proc)
 
-        print("[2/5] cold run with --trace-store")
+        print("[2/6] cold run with --trace-store")
         proc = run_cli(
             [TARGET, "--jobs", "1", "--trace-store", str(store_dir),
              "--output-dir", str(cold_dir)]
@@ -108,11 +117,11 @@ def main(argv: list[str] | None = None) -> int:
             fail("cold store run failed", proc)
         if read_output(cold_dir) != read_output(baseline_dir):
             fail("cold store output differs from storeless baseline")
-        entries = sorted(store_dir.glob("*.npz"))
+        entries = sorted(store_dir.glob(ENTRY_GLOB))
         if len(entries) != 2:  # one per benchmark
             fail(f"expected 2 store entries, found {len(entries)}")
 
-        print("[3/5] --warm-traces prewarm, twice (second pass is a no-op)")
+        print("[3/6] --warm-traces prewarm, twice (second pass is a no-op)")
         # The first prewarm may top up grid lengths figure1 does not use
         # (the IPC trace length); the second must find everything present.
         proc = run_cli(["--trace-store", str(store_dir), "--warm-traces"])
@@ -124,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
         if "0 generated" not in proc.stdout:
             fail(f"second prewarm regenerated entries: {proc.stdout!r}")
 
-        print("[4/5] warm run: byte-identical, zero generation")
+        print("[4/6] warm run: byte-identical, zero generation")
         started = time.perf_counter()
         proc = run_cli(
             [TARGET, "--jobs", "1", "--trace-store", str(store_dir),
@@ -149,7 +158,28 @@ def main(argv: list[str] | None = None) -> int:
             f"({baseline_seconds:.1f}s cold, {warm_seconds:.1f}s warm)"
         )
 
-        print("[5/5] corruption drill: truncate + bit-flip + stale tmp")
+        print("[5/6] header drill: one flipped header byte")
+        blob = bytearray(entries[0].read_bytes())
+        (length,) = struct.unpack_from("<I", blob, HEADER_START - 4)
+        blob[HEADER_START + length // 2] ^= 0xFF
+        entries[0].write_bytes(bytes(blob))
+        proc = run_cli(
+            [TARGET, "--jobs", "1", "--trace-store", str(store_dir),
+             "--output-dir", str(repaired_dir), "--profile"]
+        )
+        if proc.returncode != 0:
+            fail("run over a flipped header crashed", proc)
+        if read_output(repaired_dir) != read_output(baseline_dir):
+            fail("flipped header changed results")
+        counters = counters_of(repaired_dir)
+        stats["header"] = {k: v for k, v in counters.items() if "trace_store" in k}
+        if counters.get("trace_store.corrupt", 0) != 1:
+            fail(f"expected 1 corrupt entry counted, got {counters}")
+        if counters.get("workloads.executor_runs", 0) != 1:
+            fail(f"expected 1 regeneration, got {counters}")
+        print("      regenerated the entry, results unchanged")
+
+        print("[6/6] corruption drill: truncate + bit-flip + stale tmp")
         first, second = entries
         data = first.read_bytes()
         first.write_bytes(data[: len(data) // 2])  # truncation

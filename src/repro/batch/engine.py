@@ -677,7 +677,7 @@ class _LoopKernel(_Kernel):
             taken_list = takens[start:stop][order].tolist()
             out: list[bool] = []
             for entry, lo, hi in zip(index[order[heads]].tolist(), heads.tolist(), ends):
-                fields = self.entries.get(entry) or p._table[entry].fields()
+                fields = self.entries.get(entry) or p.entry_fields(entry)
                 self.entries[entry] = self._replay(
                     fields, tag_list[lo:hi], taken_list[lo:hi], out, p.confidence_threshold
                 )
@@ -710,9 +710,8 @@ class _LoopKernel(_Kernel):
         return tag, trip, current, confidence, direction
 
     def writeback(self) -> None:
-        table = self.predictor._table
         for entry, fields in self.entries.items():
-            table[entry].assign(*fields)
+            self.predictor.assign_entry(entry, fields)
 
 
 # -- multicomponent ----------------------------------------------------------------

@@ -104,6 +104,7 @@ from repro import obs
 from repro.common.atomic import (
     atomic_write_json,
     exclusive_create_json,
+    pid_exited,
     stale_tmp_siblings,
 )
 from repro.common.errors import ConfigurationError, ReproError
@@ -498,8 +499,8 @@ def extend_campaign(
             raise ConfigurationError(
                 f"run directory {run_dir!r} was created with a different "
                 f"{kind}-sweep configuration; resume with the original "
-                f"REPRO_SCALE/REPRO_ENGINE/machine settings or use a fresh "
-                f"--run-dir (pinned: {pinned}, requested: {cfg})"
+                f"REPRO_SCALE/REPRO_ENGINE/machine settings and code version, "
+                f"or use a fresh --run-dir (pinned: {pinned}, requested: {cfg})"
             )
     known = {shard_from_dict(item).key for item in spec["shards"]}
     added = [asdict(shard) for shard in shards if shard.key not in known]
@@ -664,13 +665,7 @@ def _owner_gone(claim: dict) -> bool:
         return claim.get("token") not in _LIVE_TOKENS
     if not isinstance(pid, int) or pid <= 0:
         return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except OSError:
-        return False  # EPERM: alive, owned by another user
-    return False
+    return pid_exited(pid)
 
 
 class WorkQueue:

@@ -293,7 +293,7 @@ def grid_cfg(kind: str) -> dict:
     to — the very dict the sweeps pin in ``campaign.json``, so a config
     target's cell keys match the sweeps' exactly."""
     from repro.harness.experiment import default_engine
-    from repro.harness.resultstore import IPC_MODEL_VERSION
+    from repro.harness.resultstore import CODE_VERSION, IPC_MODEL_VERSION
     from repro.harness.scale import (
         WARMUP_FRACTION,
         accuracy_instructions,
@@ -306,11 +306,13 @@ def grid_cfg(kind: str) -> dict:
             "instructions": accuracy_instructions(),
             "engine": default_engine(),
             "warmup_fraction": WARMUP_FRACTION,
+            "code_version": CODE_VERSION,
         }
     return {
         "instructions": ipc_instructions(),
         "machine": asdict(PAPER_MACHINE),
         "model_version": IPC_MODEL_VERSION,
+        "code_version": CODE_VERSION,
     }
 
 

@@ -27,7 +27,10 @@ predictions.
   (``result_store.corrupt``), deleted and recomputed.  Corruption can cost
   time, never correctness.
 * capacity — mtime-LRU eviction above ``REPRO_RESULT_STORE_CAPACITY``
-  (default :data:`DEFAULT_RESULT_CAPACITY`), mirroring the trace store.
+  (default :data:`DEFAULT_RESULT_CAPACITY`), shared with the trace store
+  (:class:`repro.common.storedir.StoreDirectory`): entries are counted
+  once per store instance and rescanned only when the count passes the
+  cap, so a save does not scan the directory.
 
 The store is enabled by pointing ``REPRO_RESULT_STORE`` at a directory (or
 ``repro-figures --result-store DIR``).  :func:`repro.harness.sweep.shard_payload`
@@ -52,8 +55,9 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro import obs
-from repro.common.atomic import atomic_path, stale_tmp_siblings
+from repro.common.atomic import atomic_path
 from repro.common.errors import ConfigurationError, ReproError
+from repro.common.storedir import StoreDirectory
 
 #: Bumped when the entry layout or key recipe changes; part of every key,
 #: so old entries stop matching instead of being misread.
@@ -271,7 +275,7 @@ def result_store_capacity() -> int:
     return value
 
 
-class ResultStore:
+class ResultStore(StoreDirectory):
     """A directory of content-addressed, checksummed sweep-result entries.
 
     Safe for concurrent use by sweep workers: entries are immutable once
@@ -279,15 +283,13 @@ class ResultStore:
     reader that loses a race simply recomputes.
     """
 
-    def __init__(self, root: str | os.PathLike, capacity: int | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._capacity = capacity
+    patterns = ("*.json",)
 
-    @property
-    def capacity(self) -> int:
-        """Entry cap: constructor override or the environment default."""
-        return self._capacity if self._capacity is not None else result_store_capacity()
+    def _default_capacity(self) -> int:
+        return result_store_capacity()
+
+    def _evicted(self) -> None:
+        _count("evictions")
 
     def entry_path(self, key: str, cell: ResultCell) -> Path:
         """On-disk location of one entry (exists or not)."""
@@ -366,12 +368,6 @@ class ResultStore:
         it will read back (a JSON round-trip, so floats are bit-stable)."""
         payload = json.loads(json.dumps(payload))
         path = self.entry_path(key, cell)
-        for stale in stale_tmp_siblings(path):
-            # A writer died mid-write earlier; its staging file is garbage.
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
         entry = {
             "schema": RESULT_SCHEMA,
             "key": key,
@@ -384,7 +380,7 @@ class ResultStore:
                 json.dump(entry, handle, indent=2, sort_keys=True)
                 handle.write("\n")
         _count("writes")
-        self._evict_over_capacity()
+        self._after_write()
         return payload
 
     def get_or_compute(
@@ -400,26 +396,6 @@ class ResultStore:
             return cached
         _count("misses")
         return self.save(key, cell, compute())
-
-    def entries(self) -> list[Path]:
-        """Every entry file, oldest first (mtime, then name for stability)."""
-        paths = []
-        for path in self.root.glob("*.json"):
-            try:
-                paths.append((path.stat().st_mtime_ns, path.name, path))
-            except OSError:
-                continue  # concurrently evicted
-        return [path for _, _, path in sorted(paths)]
-
-    def _evict_over_capacity(self) -> None:
-        entries = self.entries()
-        excess = len(entries) - self.capacity
-        for path in entries[:max(excess, 0)]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            _count("evictions")
 
 
 # -- the process-wide active store ---------------------------------------------

@@ -43,7 +43,7 @@ from repro.harness.experiment import (
     measure_accuracy,
     measure_override,
 )
-from repro.harness.resultstore import IPC_MODEL_VERSION, active_result_store
+from repro.harness.resultstore import CODE_VERSION, IPC_MODEL_VERSION, active_result_store
 from repro.harness.scale import (
     WARMUP_FRACTION,
     accuracy_instructions,
@@ -124,6 +124,7 @@ def accuracy_sweep(
         "instructions": instructions,
         "engine": engine if engine is not None else default_engine(),
         "warmup_fraction": WARMUP_FRACTION,
+        "code_version": CODE_VERSION,
     }
     shards = accuracy_shard_grid(families, budgets, benchmarks)
     # The sweep-level span is the trace's local root for this sweep: the
@@ -318,6 +319,7 @@ def ipc_sweep(
         "instructions": instructions,
         "machine": asdict(config),
         "model_version": IPC_MODEL_VERSION,
+        "code_version": CODE_VERSION,
     }
     shards = shard_grid("ipc", families, budgets, benchmarks, modes=(mode,))
     # Same trace shape as accuracy_sweep: one sweep-level root span over

@@ -43,6 +43,11 @@ class _LoopEntry:
         self.direction = bool(direction)
 
 
+#: An untouched entry; never mutated (entries are created on first update).
+_COLD = _LoopEntry()
+_COLD_FIELDS = _COLD.fields()
+
+
 class LoopPredictor(BranchPredictor):
     """Tagged table of loop trip-count monitors.
 
@@ -64,7 +69,10 @@ class LoopPredictor(BranchPredictor):
             raise ConfigurationError("confidence threshold must be >= 1")
         self.entries = entries
         self.confidence_threshold = confidence_threshold
-        self._table = [_LoopEntry() for _ in range(entries)]
+        #: Entries by index, created on first update: building all of them
+        #: up front cost more than evaluating a whole 100k-instruction trace
+        #: at 64KB.  An absent entry is a cold one.
+        self._table: dict[int, _LoopEntry] = {}
 
     @property
     def storage_bits(self) -> int:
@@ -74,35 +82,57 @@ class LoopPredictor(BranchPredictor):
     def snapshot_entries(self) -> np.ndarray:
         """Every entry as a row of (tag, trip_count, current_count,
         confidence, direction) — checkpoint/diff tooling."""
-        return np.array([entry.fields() for entry in self._table], dtype=np.int64)
+        rows = np.empty((self.entries, len(_COLD_FIELDS)), dtype=np.int64)
+        rows[:] = _COLD_FIELDS
+        for index, entry in self._table.items():
+            rows[index] = entry.fields()
+        return rows
+
+    def entry_fields(self, index: int) -> tuple[int, int, int, int, bool]:
+        """Entry ``index`` as :meth:`_LoopEntry.fields` (cold if untouched)."""
+        return self._table.get(index, _COLD).fields()
+
+    def assign_entry(self, index: int, fields: tuple[int, int, int, int, bool]) -> None:
+        """Overwrite entry ``index``, in :meth:`_LoopEntry.fields` order."""
+        self._touch(index).assign(*fields)
+
+    def _touch(self, index: int) -> _LoopEntry:
+        """Entry ``index``, created cold on first touch."""
+        entry = self._table.get(index)
+        if entry is None:
+            entry = self._table[index] = _LoopEntry()
+        return entry
 
     def state(self) -> dict[str, np.ndarray]:
         """Loop entries and stats (diff tooling)."""
         return {**super().state(), "entries": self.snapshot_entries()}
 
-    def _entry(self, pc: int) -> tuple[_LoopEntry, int]:
+    def _entry(self, pc: int) -> tuple[int, int]:
+        """(index, tag) of ``pc``'s entry."""
         index = (pc >> 2) & (self.entries - 1)
-        tag = (pc >> 2) >> index.bit_length() & 0xFF
-        return self._table[index], tag
+        return index, (pc >> 2) >> index.bit_length() & 0xFF
 
     def is_confident(self, pc: int) -> bool:
         """True when the entry for ``pc`` has a confirmed trip count."""
-        entry, tag = self._entry(pc)
+        index, tag = self._entry(pc)
+        entry = self._table.get(index, _COLD)
         return entry.tag == tag and entry.confidence >= self.confidence_threshold
 
     def _predict(self, pc: int) -> tuple[bool, object]:
-        entry, tag = self._entry(pc)
+        index, tag = self._entry(pc)
+        entry = self._table.get(index, _COLD)
         if entry.tag != tag:
-            return True, (entry, tag)  # cold: loop-back branches are mostly taken
+            return True, (index, tag)  # cold: loop-back branches are mostly taken
         confident = entry.confidence >= self.confidence_threshold
         if confident and entry.trip_count and entry.current_count + 1 >= entry.trip_count:
             prediction = not entry.direction  # exit iteration
         else:
             prediction = entry.direction
-        return prediction, (entry, tag)
+        return prediction, (index, tag)
 
     def _update(self, pc: int, taken: bool, predicted: bool, context: object) -> None:
-        entry, tag = context
+        index, tag = context
+        entry = self._touch(index)
         if entry.tag != tag:
             # Allocate: assume taken is the body direction of a new loop.
             entry.tag = tag

@@ -12,11 +12,14 @@ cost a one-time expense per machine:
   the scalar and batch accuracy engines, and ``columns()`` the cycle
   simulator, straight off the arrays; a ``blocks`` view materializes
   lazily, only for a consumer that iterates ``Block`` objects.
-* :class:`TraceStore` — a directory of ``<benchmark>__<digest>.npz``
-  entries keyed by a content digest of (full workload profile,
-  instruction budget, seed, format versions).  Editing any profile
-  constant or bumping a format version changes the digest, so stale
-  entries are never consulted — invalidation is structural, not manual.
+* :class:`TraceStore` — a directory of ``<benchmark>__<digest>.trace``
+  entries (the flat column files of :mod:`repro.workloads.io`, loaded as
+  read-only views with one read) keyed by a content digest of (full
+  workload profile, instruction budget, seed, format versions).  Editing
+  any profile constant or bumping a format version changes the digest,
+  so stale entries are never consulted — invalidation is structural, not
+  manual.  Entries of older formats (``*.npz``) are listed with the rest,
+  so they age out under the capacity bound instead of leaking.
 * integrity — every entry embeds a sha256 checksum over all columns
   (see :func:`repro.workloads.io.load_columns`); a truncated or
   bit-flipped entry is detected, counted (``trace_store.corrupt``),
@@ -29,7 +32,9 @@ layers it *under* the in-process LRU trace cache, so a process pays at
 most one disk load per (benchmark, length, seed) and the fleet pays at
 most one generation.  Writes go through the shared atomic tmp+rename
 helper, so concurrent sweep workers warming the same entry race benignly:
-last writer wins with byte-identical content.
+last writer wins with byte-identical content, and neither removes the
+other's staging file (only abandoned ones are swept; see
+:func:`repro.common.atomic.abandoned_staging_files`).
 
 Statistics (hits/misses/corrupt/writes/evictions) are kept module-wide —
 :func:`store_stats` — and mirrored into obs counters (``trace_store.*``)
@@ -44,15 +49,17 @@ import json
 import os
 from collections.abc import Callable
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from repro import obs
-from repro.common.atomic import stale_tmp_siblings
 from repro.common.errors import ConfigurationError, TraceError
+from repro.common.storedir import StoreDirectory
 from repro.workloads.io import (
     FORMAT_VERSION,
+    SUFFIX,
     blocks_from_columns,
     load_columns,
     save_columns,
@@ -81,7 +88,23 @@ def trace_digest(profile: WorkloadProfile, instructions: int, seed: int) -> str:
     so *any* calibration change — a predicate-mix weight, a memory
     personality, a loop-trip mean — produces a different key.  Format
     versions ride along so serializer changes invalidate too.
+
+    Every store load and every result key asks for a digest, so digests
+    are memoized by profile value (equal profiles share one digest); an
+    unhashable profile is digested afresh on each call.
     """
+    try:
+        return _memoized_digest(profile, int(instructions), int(seed))
+    except TypeError:  # a profile dataclass that is not frozen
+        return _digest(profile, int(instructions), int(seed))
+
+
+@lru_cache(maxsize=4096)
+def _memoized_digest(profile: WorkloadProfile, instructions: int, seed: int) -> str:
+    return _digest(profile, instructions, seed)
+
+
+def _digest(profile: WorkloadProfile, instructions: int, seed: int) -> str:
     payload = {
         "store_version": STORE_VERSION,
         "trace_format": FORMAT_VERSION,
@@ -129,6 +152,8 @@ class ColumnarTrace:
     Construction is cheap (arrays are adopted, not copied); neither the
     accuracy paths nor the cycle simulator touch Python block objects, and
     the ``blocks`` view exists only for consumers that genuinely need it.
+    A trace loaded from the store holds read-only views of the entry's
+    bytes, so no consumer can change a trace the LRU cache shares.
     """
 
     def __init__(
@@ -284,7 +309,7 @@ def store_capacity() -> int:
     return value
 
 
-class TraceStore:
+class TraceStore(StoreDirectory):
     """A directory of content-addressed, checksummed columnar trace entries.
 
     Safe for concurrent use by sweep workers: entries are immutable once
@@ -292,20 +317,19 @@ class TraceStore:
     reader that loses a race simply regenerates.
     """
 
-    def __init__(self, root: str | os.PathLike, capacity: int | None = None) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-        self._capacity = capacity
+    #: Current entries, then entries of the ``.npz`` format (version 2).
+    patterns = (f"*{SUFFIX}", "*.npz")
 
-    @property
-    def capacity(self) -> int:
-        """Entry cap: constructor override or the environment default."""
-        return self._capacity if self._capacity is not None else store_capacity()
+    def _default_capacity(self) -> int:
+        return store_capacity()
+
+    def _evicted(self) -> None:
+        _count("evictions")
 
     def entry_path(self, profile: WorkloadProfile, instructions: int, seed: int) -> Path:
         """On-disk location of one entry (exists or not)."""
         digest = trace_digest(profile, instructions, seed)
-        return self.root / f"{profile.name}__{digest[:DIGEST_PREFIX]}.npz"
+        return self.root / f"{profile.name}__{digest[:DIGEST_PREFIX]}{SUFFIX}"
 
     def load(
         self, profile: WorkloadProfile, instructions: int, seed: int
@@ -350,15 +374,9 @@ class TraceStore:
             trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
         )
         path = self.entry_path(profile, instructions, seed)
-        for stale in stale_tmp_siblings(path):
-            # A writer died mid-write earlier; its staging file is garbage.
-            try:
-                os.unlink(stale)
-            except OSError:
-                pass
         save_columns(path, columnar.name, columnar.columns())
         _count("writes")
-        self._evict_over_capacity()
+        self._after_write()
         return columnar
 
     def get_or_generate(
@@ -378,26 +396,6 @@ class TraceStore:
             return loaded
         _count("misses")
         return self.save(generate(), profile, instructions, seed)
-
-    def entries(self) -> list[Path]:
-        """Every entry file, oldest first (mtime, then name for stability)."""
-        paths = []
-        for path in self.root.glob("*.npz"):
-            try:
-                paths.append((path.stat().st_mtime_ns, path.name, path))
-            except OSError:
-                continue  # concurrently evicted
-        return [path for _, _, path in sorted(paths)]
-
-    def _evict_over_capacity(self) -> None:
-        entries = self.entries()
-        excess = len(entries) - self.capacity
-        for path in entries[:max(excess, 0)]:
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            _count("evictions")
 
 
 # -- the process-wide active store ---------------------------------------------

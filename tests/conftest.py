@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from repro import obs
+from repro.common.atomic import HOST, STALE_STAGING_SECONDS, atomic_path
 from repro.workloads.spec2000 import spec2000_trace
 
 
@@ -59,3 +66,65 @@ def run_stream(predictor, stream):
         if not predictor.update(pc, taken):
             wrong += 1
     return wrong
+
+
+def exited_pid() -> int:
+    """The pid of a process of this host that has exited."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    return child.pid
+
+
+def plant_staging_files(path: Path) -> tuple[list[Path], list[Path]]:
+    """Half-written staging siblings of ``path``: ``(dead, live)``.
+
+    Dead writers: a process of this host that has exited, and a writer on
+    another host (and one named without a host, as older code named
+    them) whose files are older than the staleness bound.  Live writer:
+    another host's fresh file, which no one here can prove abandoned.
+    """
+    dead = [
+        path.parent / f"{path.name}.tmp.{HOST}.{exited_pid()}.1",
+        path.parent / f"{path.name}.tmp.other-host.example.4242.1",
+        path.parent / f"{path.name}.tmp.99999",
+    ]
+    live = [path.parent / f"{path.name}.tmp.other-host.example.4243.1"]
+    for staging in dead + live:
+        staging.write_bytes(b"\x00" * 64)
+    old = time.time() - 2 * STALE_STAGING_SECONDS
+    for staging in dead[1:]:
+        os.utime(staging, (old, old))
+    return dead, live
+
+
+def race_live_writer(path: Path, content: bytes, second_save) -> None:
+    """Writer A stages ``content`` for ``path`` through the atomic helper
+    and stalls half-way; ``second_save()`` (writer B, saving the same
+    entry) runs meanwhile; then A finishes.  Re-raises A's failure."""
+    staged, resumed = threading.Event(), threading.Event()
+    errors: list[BaseException] = []
+
+    def writer_a() -> None:
+        try:
+            with atomic_path(path) as tmp:
+                with open(tmp, "wb") as handle:
+                    handle.write(content[: len(content) // 2])
+                    handle.flush()
+                    staged.set()
+                    resumed.wait(30)
+                    handle.write(content[len(content) // 2 :])
+        except BaseException as exc:
+            errors.append(exc)
+        finally:
+            staged.set()
+
+    thread = threading.Thread(target=writer_a)
+    thread.start()
+    staged.wait(30)
+    try:
+        second_save()
+    finally:
+        resumed.set()
+        thread.join(30)
+    if errors:
+        raise errors[0]

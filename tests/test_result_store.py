@@ -22,8 +22,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.common.atomic import stale_tmp_siblings
 from repro.common.errors import ConfigurationError
+from repro.harness import resultstore, sweep
 from repro.harness.resultstore import (
+    CODE_VERSION,
+    IPC_MODEL_VERSION,
     ResultCell,
     ResultStore,
     accuracy_key_payload,
@@ -36,11 +40,12 @@ from repro.harness.resultstore import (
     result_store_capacity,
     result_store_stats,
 )
-from repro.harness.campaign import Shard, extend_campaign
+from repro.harness.campaign import Shard, _shard_result_key, extend_campaign
 from repro.harness.sweep import accuracy_sweep, ipc_sweep
 from repro.predictors import registry
 from repro.uarch.config import MachineConfig
 from repro.workloads.spec2000 import clear_trace_cache, reset_executor_runs
+from tests.conftest import plant_staging_files, race_live_writer
 
 INSTRUCTIONS = 20_000
 ENGINE = "scalar"
@@ -226,6 +231,66 @@ class TestIpcModelVersion:
             )
 
 
+class TestCodeVersionPin:
+    """Sweep configurations pin ``code_version``: a run directory planned
+    by code of another :data:`CODE_VERSION` (or by code that pinned none)
+    is refused rather than resumed.  Result keys do not carry the pin."""
+
+    ACCURACY_SHARD = Shard("accuracy", "gcc", "gshare", 4096)
+    IPC_SHARD = Shard("ipc", "gcc", "gshare", 4096, "ideal")
+
+    def test_accuracy_run_dir_pinned_without_code_version_is_refused(
+        self, store_env, tmp_path
+    ):
+        run_dir = str(tmp_path / "run")
+        older = {"instructions": INSTRUCTIONS, "engine": ENGINE, "warmup_fraction": WARMUP}
+        extend_campaign(run_dir, [self.ACCURACY_SHARD], {"accuracy": older})
+        with pytest.raises(ConfigurationError, match="different accuracy-sweep configuration"):
+            accuracy_sweep(
+                ["gshare"], [4096], benchmarks=["gcc"], instructions=INSTRUCTIONS,
+                engine=ENGINE, run_dir=run_dir,
+            )
+
+    def test_ipc_run_dir_pinned_without_code_version_is_refused(self, store_env, tmp_path):
+        run_dir = str(tmp_path / "run")
+        older = {
+            "instructions": INSTRUCTIONS,
+            "machine": asdict(MachineConfig()),
+            "model_version": IPC_MODEL_VERSION,
+        }
+        extend_campaign(run_dir, [self.IPC_SHARD], {"ipc": older})
+        with pytest.raises(ConfigurationError, match="different ipc-sweep configuration"):
+            ipc_sweep(
+                ["gshare"], [4096], mode="ideal", benchmarks=["gcc"],
+                instructions=INSTRUCTIONS, run_dir=run_dir,
+            )
+
+    def test_run_dir_pinned_with_another_code_version_is_refused(
+        self, store_env, tmp_path, monkeypatch
+    ):
+        run_dir = str(tmp_path / "run")
+        accuracy_sweep(
+            ["gshare"], [4096], benchmarks=["gcc"], instructions=INSTRUCTIONS,
+            engine=ENGINE, run_dir=run_dir,
+        )
+        monkeypatch.setattr(resultstore, "CODE_VERSION", CODE_VERSION + 1)
+        monkeypatch.setattr(sweep, "CODE_VERSION", CODE_VERSION + 1)
+        with pytest.raises(ConfigurationError, match="different accuracy-sweep configuration"):
+            accuracy_sweep(
+                ["gshare"], [4096], benchmarks=["gcc"], instructions=INSTRUCTIONS,
+                engine=ENGINE, run_dir=run_dir,
+            )
+
+    def test_pin_leaves_result_keys_alone(self):
+        from repro.harness.figconfig import grid_cfg
+
+        for shard, kind in ((self.ACCURACY_SHARD, "accuracy"), (self.IPC_SHARD, "ipc")):
+            cfg = grid_cfg(kind)
+            assert cfg["code_version"] == CODE_VERSION
+            unpinned = {k: v for k, v in cfg.items() if k != "code_version"}
+            assert _shard_result_key(shard, cfg) == _shard_result_key(shard, unpinned)
+
+
 class TestFaultInjection:
     """Corrupted store entries are detected, counted, and recomputed —
     results never change and nothing crashes."""
@@ -308,18 +373,36 @@ class TestFaultInjection:
     def test_stale_tmp_sibling_ignored_and_cleaned(self, store_env):
         reference = gshare_cells()
         path = self._entry()
-        tmp = path.parent / f"{path.name}.tmp.99999"
-        tmp.write_bytes(b"\x00" * 50)  # a writer died mid-write
+        dead, live = plant_staging_files(path)  # writers died mid-write
         clear_trace_cache()
         reset_result_store_stats()
         warm = gshare_cells()
         assert warm == reference
         assert result_store_stats()["hits"] == 1  # the real entry, not the tmp
-        # The dropping is swept on the next write to the same entry.
-        path.unlink()
-        clear_trace_cache()
-        gshare_cells()
-        assert not tmp.exists()
+        # The next process to write sweeps dead writers' droppings (a store
+        # scans its directory on its first save); a writer that may still
+        # run keeps its staging file.
+        cell = ResultCell("accuracy", "gcc", "gshare", 2048)
+        ResultStore(store_env).save(result_digest({"budget": 2048}), cell, {"x": 1.0})
+        assert [p for p in dead if p.exists()] == []
+        assert all(p.exists() for p in live)
+
+    def test_second_writer_keeps_live_staging_file(self, tmp_path):
+        """Writer A is still filling its staging file when writer B saves
+        the same entry: B must leave A's file alone, so A's rename
+        succeeds and the entry is sound."""
+        key = result_digest({"cell": "race"})
+        cell = ResultCell("accuracy", "gcc", "gshare", 4096)
+        payload = {"misprediction_percent": 1.5}
+        reference = ResultStore(tmp_path / "ref")
+        reference.save(key, cell, payload)
+        content = reference.entry_path(key, cell).read_bytes()
+        store = ResultStore(tmp_path / "s")
+        path = store.entry_path(key, cell)
+        race_live_writer(path, content, lambda: store.save(key, cell, payload))
+        assert path.read_bytes() == content
+        assert store.load(key, cell) == payload
+        assert stale_tmp_siblings(path) == []
 
     def test_probe_is_non_mutating(self, store_env):
         """Dry-run classification must not repair, delete, or count."""
@@ -360,6 +443,21 @@ class TestEviction:
         # Oldest (2048) was evicted.
         oldest = result_digest({"budget": 2048})
         assert store.load(oldest, ResultCell("accuracy", "gcc", "gshare", 2048)) is None
+
+    def test_saves_scan_the_directory_only_past_capacity(self, tmp_path, monkeypatch):
+        """Entries are counted by one scan on the first save; later saves
+        rescan only when the count passes capacity."""
+        store = ResultStore(tmp_path / "s", capacity=5)
+        scans = []
+        entries = ResultStore.entries
+        monkeypatch.setattr(
+            ResultStore, "entries", lambda self: scans.append(1) or entries(self)
+        )
+        for budget in range(8):
+            cell = ResultCell("accuracy", "gcc", "gshare", budget)
+            store.save(result_digest({"budget": budget}), cell, {"x": 1.0})
+        assert len(scans) == 1 + 3  # first save, then saves 6, 7 and 8
+        assert len(entries(store)) == 5
 
     def test_capacity_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_STORE_CAPACITY", "nope")

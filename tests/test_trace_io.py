@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,18 @@ from hypothesis import strategies as st
 from repro.common.errors import TraceError
 from repro.harness.experiment import measure_accuracy
 from repro.predictors.gshare import GsharePredictor
-from repro.workloads.io import save_trace, load_trace
+from repro.workloads.io import (
+    ALIGN,
+    COLUMN_ORDER,
+    HEADER_LENGTH,
+    MAGIC,
+    SUFFIX,
+    columns_checksum,
+    load_columns,
+    load_trace,
+    save_trace,
+    trace_to_columns,
+)
 from repro.workloads.store import ColumnarTrace
 from repro.workloads.trace import Block, BranchKind, Trace
 
@@ -24,7 +37,7 @@ def traces_equal(a: Trace, b: Trace) -> bool:
 class TestRoundTrip:
     def test_exact_roundtrip(self, small_trace, tmp_path):
         path = save_trace(small_trace, tmp_path / "gcc_trace")
-        assert path.suffix == ".npz"
+        assert path.suffix == SUFFIX
         loaded = load_trace(path)
         assert traces_equal(small_trace, loaded)
         loaded.validate()
@@ -70,29 +83,130 @@ class TestRoundTrip:
         assert loaded.blocks[1].loads == (0xD000,)
 
 
+def split_file(path):
+    """(header dict, header end offset, file bytes) of a saved trace."""
+    data = path.read_bytes()
+    (length,) = HEADER_LENGTH.unpack_from(data, len(MAGIC))
+    start = len(MAGIC) + HEADER_LENGTH.size
+    return json.loads(data[start : start + length]), start + length, data
+
+
+def rewrite_header(path, header):
+    """Re-encode ``path`` with ``header``, keeping its column bytes."""
+    _, end, data = split_file(path)
+    text = json.dumps(header, separators=(",", ":")).encode()
+    text += b" " * (-(len(MAGIC) + HEADER_LENGTH.size + len(text)) % ALIGN)
+    path.write_bytes(MAGIC + HEADER_LENGTH.pack(len(text)) + text + data[end:])
+
+
 class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceError):
-            load_trace(tmp_path / "nope.npz")
+            load_trace(tmp_path / "nope.trace")
 
     def test_malformed_file(self, tmp_path):
-        import numpy as np
-
         path = tmp_path / "bad.npz"
         np.savez(path, junk=np.zeros(3))
         with pytest.raises(TraceError):
             load_trace(path)
 
     def test_future_version_rejected(self, tmp_path, small_trace):
-        import numpy as np
-
         path = save_trace(small_trace, tmp_path / "v")
-        with np.load(path) as data:
-            arrays = {key: data[key] for key in data.files}
-        arrays["version"] = np.int64(99)
-        np.savez(path, **arrays)
+        header, _, _ = split_file(path)
+        header["version"] = 99
+        rewrite_header(path, header)
+        with pytest.raises(TraceError, match="version 99 unsupported"):
+            load_trace(path)
+
+    def test_rewritten_header_round_trips(self, tmp_path, small_trace):
+        """The helpers above re-encode a file exactly, so the rejections
+        below are each caused by the one change a test makes."""
+        path = save_trace(small_trace, tmp_path / "same")
+        original = path.read_bytes()
+        rewrite_header(path, split_file(path)[0])
+        assert path.read_bytes() == original
+
+    def test_truncated_header_rejected(self, tmp_path, small_trace):
+        path = save_trace(small_trace, tmp_path / "t")
+        _, end, data = split_file(path)
+        for cut in (3, len(MAGIC) + 2, end // 2, end - 1):
+            path.write_bytes(data[:cut])
+            with pytest.raises(TraceError, match="truncated|magic"):
+                load_trace(path)
+
+    def test_flipped_header_byte_rejected(self, tmp_path, small_trace):
+        path = save_trace(small_trace, tmp_path / "f")
+        header, end, data = split_file(path)
+        start = len(MAGIC) + HEADER_LENGTH.size
+        for offset in (0, len(MAGIC), start, start + (end - start) // 2, end - 1):
+            flipped = bytearray(data)
+            flipped[offset] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            with pytest.raises(TraceError):
+                load_trace(path)
+        # A flip that leaves the JSON well-formed is caught by the checks
+        # behind it: here a shape digit, then a checksum digit.
+        path.write_bytes(data)
+        header["columns"][0][2][0] += 1
+        rewrite_header(path, header)
         with pytest.raises(TraceError):
             load_trace(path)
+        header["columns"][0][2][0] -= 1
+        header["checksum"] = ("0" if header["checksum"][0] != "0" else "1") + header["checksum"][1:]
+        rewrite_header(path, header)
+        with pytest.raises(TraceError, match="checksum mismatch"):
+            load_trace(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, small_trace):
+        path = save_trace(small_trace, tmp_path / "x")
+        data = path.read_bytes()
+        for extra in (b"\x00", b"\x00" * ALIGN, b"junk"):
+            path.write_bytes(data + extra)
+            with pytest.raises(TraceError, match="trailing bytes"):
+                load_trace(path)
+
+    def test_nonzero_column_padding_rejected(self, tmp_path):
+        """Padding is outside the checksum, so it is checked on its own."""
+        blocks = [Block(pc=0x1000 + 16 * i, instructions=4) for i in range(3)]
+        path = save_trace(Trace(name="odd", blocks=blocks), tmp_path / "p")
+        _, end, data = split_file(path)
+        # Three int32 instruction counts are followed by 4 padding bytes.
+        pad = end + 8 * 3 + 4 * 3
+        corrupted = bytearray(data)
+        corrupted[pad] = 1
+        path.write_bytes(bytes(corrupted))
+        with pytest.raises(TraceError, match="padding"):
+            load_trace(path)
+
+    def test_v2_npz_rejected_as_unsupported_format(self, tmp_path, small_trace):
+        """An entry of the previous (compressed ``.npz``) format is refused
+        with a message that names it, not misread or reported as rot."""
+        columns = trace_to_columns(small_trace)
+        path = tmp_path / "old.npz"
+        with open(path, "wb") as handle:
+            np.savez_compressed(
+                handle,
+                version=np.int64(2),
+                name=np.bytes_(small_trace.name.encode()),
+                checksum=np.bytes_(columns_checksum(small_trace.name, columns).encode()),
+                **columns,
+            )
+        with pytest.raises(TraceError, match=r"unsupported trace format.*\.npz"):
+            load_trace(path)
+
+    def test_loaded_columns_are_read_only(self, tmp_path, small_trace):
+        """Loaded columns are views of one read-only buffer: no consumer
+        can change a trace the in-process cache hands to everyone."""
+        name, columns = load_columns(save_trace(small_trace, tmp_path / "ro"))
+        assert list(columns) == list(COLUMN_ORDER)
+        for key, column in columns.items():
+            assert not column.flags.writeable, key
+            assert column.flags.aligned, key
+        with pytest.raises(ValueError):
+            columns["taken"][0] = not columns["taken"][0]
+        trace = ColumnarTrace(name, **columns)
+        with pytest.raises(ValueError):
+            trace.branch_pc[0] = 0
 
 
 ADDRESS = st.integers(min_value=0, max_value=2**48)

@@ -16,8 +16,9 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.common.atomic import stale_tmp_siblings
 from repro.common.errors import ConfigurationError, TraceError
-from repro.workloads.io import load_columns, save_trace
+from repro.workloads.io import SUFFIX, load_columns, save_trace
 from repro.workloads.spec2000 import (
     clear_trace_cache,
     executor_run_count,
@@ -34,6 +35,7 @@ from repro.workloads.store import (
     store_stats,
     trace_digest,
 )
+from tests.conftest import plant_staging_files, race_live_writer
 
 INSTRUCTIONS = 20_000
 
@@ -88,6 +90,7 @@ class TestStoreBasics:
         entries = active_store().entries()
         assert len(entries) == 1
         assert entries[0].name.startswith("gcc__")
+        assert entries[0].suffix == SUFFIX
         name, columns = load_columns(entries[0])
         assert name == "gcc"
         assert columns["pc"].dtype == np.int64
@@ -165,14 +168,22 @@ class TestFaultInjection:
         reference = replay(spec2000_trace("gcc", instructions=INSTRUCTIONS))
         path = self._entry(store_env)
         data = bytearray(path.read_bytes())
-        # Flip bytes in the compressed payload region, past the zip header.
+        # Flip bytes in the column region, past the header.
         for offset in (len(data) // 2, len(data) // 2 + 1, 3 * len(data) // 4):
             data[offset] ^= 0xFF
         path.write_bytes(bytes(data))
         self._assert_recovers(store_env, reference)
 
+    def test_header_byte_flip_regenerates(self, store_env):
+        reference = replay(spec2000_trace("gcc", instructions=INSTRUCTIONS))
+        path = self._entry(store_env)
+        data = bytearray(path.read_bytes())
+        data[20] ^= 0xFF  # inside the JSON header
+        path.write_bytes(bytes(data))
+        self._assert_recovers(store_env, reference)
+
     def test_wrong_content_under_right_name_regenerates(self, store_env):
-        """An intact .npz holding the *wrong* trace is refused too: the
+        """An intact entry holding the *wrong* trace is refused too: the
         store cross-checks the embedded trace name against the requested
         profile, so a hand-copied foreign file cannot smuggle in a wrong
         trace even though its internal checksum is self-consistent."""
@@ -203,18 +214,34 @@ class TestFaultInjection:
     def test_half_written_tmp_is_ignored_and_cleaned(self, store_env):
         reference = replay(spec2000_trace("gcc", instructions=INSTRUCTIONS))
         path = self._entry(store_env)
-        tmp = path.parent / f"{path.name}.tmp.99999"
-        tmp.write_bytes(b"\x00" * 100)  # a writer died mid-write
+        dead, live = plant_staging_files(path)  # writers died mid-write
         clear_trace_cache()
         reset_store_stats()
         warm = spec2000_trace("gcc", instructions=INSTRUCTIONS)
         assert replay(warm) == reference
         assert store_stats()["hits"] == 1  # the real entry, not the tmp
-        # The dropping is swept on the next write to the same entry.
-        path.unlink()
-        clear_trace_cache()
-        spec2000_trace("gcc", instructions=INSTRUCTIONS)
-        assert not tmp.exists()
+        # The next process to write sweeps dead writers' droppings (a store
+        # scans its directory on its first save); a writer that may still
+        # run keeps its staging file.
+        TraceStore(store_env).save(warm, get_profile("eon"), INSTRUCTIONS, 1)
+        assert [p for p in dead if p.exists()] == []
+        assert all(p.exists() for p in live)
+
+    def test_second_writer_keeps_live_staging_file(self, tmp_path):
+        """Writer A is still filling its staging file when writer B saves
+        the same entry: B must leave A's file alone, so A's rename
+        succeeds and the entry is sound."""
+        profile = get_profile("gcc")
+        trace = spec2000_trace("gcc", instructions=INSTRUCTIONS)
+        reference = TraceStore(tmp_path / "ref")
+        reference.save(trace, profile, INSTRUCTIONS, 1)
+        content = reference.entry_path(profile, INSTRUCTIONS, 1).read_bytes()
+        store = TraceStore(tmp_path / "s")
+        path = store.entry_path(profile, INSTRUCTIONS, 1)
+        race_live_writer(path, content, lambda: store.save(trace, profile, INSTRUCTIONS, 1))
+        assert path.read_bytes() == content
+        assert store.load(profile, INSTRUCTIONS, 1) is not None
+        assert stale_tmp_siblings(path) == []
 
     def test_missing_store_file_raises_trace_error(self, tmp_path):
         with pytest.raises(TraceError):
@@ -235,6 +262,18 @@ class TestEviction:
         # Oldest (gcc) was evicted.
         assert store.load(get_profile("gcc"), INSTRUCTIONS, 1) is None
         assert store.load(get_profile("gzip"), INSTRUCTIONS, 1) is not None
+
+    def test_legacy_npz_entries_are_listed_and_evicted(self, tmp_path):
+        """An upgraded store still lists its format-2 ``.npz`` entries, so
+        they age out under the capacity bound instead of leaking."""
+        store = TraceStore(tmp_path / "s", capacity=1)
+        legacy = store.root / "gcc__0123456789abcdef01234567.npz"
+        legacy.write_bytes(b"PK\x03\x04 an old archive")
+        os.utime(legacy, (1_000_000, 1_000_000))
+        assert store.entries() == [legacy]
+        profile = get_profile("eon")
+        store.save(spec2000_trace("eon", instructions=INSTRUCTIONS), profile, INSTRUCTIONS, 1)
+        assert store.entries() == [store.entry_path(profile, INSTRUCTIONS, 1)]
 
     def test_capacity_env_validation(self, monkeypatch, tmp_path):
         from repro.workloads.store import store_capacity
