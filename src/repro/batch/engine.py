@@ -91,7 +91,7 @@ from repro.predictors.gshare import GsharePredictor
 from repro.predictors.local import LocalPredictor
 from repro.predictors.loop import LoopPredictor
 from repro.predictors.perceptron import WEIGHT_MAX, WEIGHT_MIN
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ColumnarTrace
 
 #: Default branches per chunk: large enough to amortize kernel launches,
 #: small enough that every intermediate array stays cache-friendly.
@@ -1016,7 +1016,7 @@ def evaluate_stream(
 
 def evaluate_trace(
     predictor: BranchPredictor,
-    trace: Trace,
+    trace: ColumnarTrace,
     chunk_branches: int = DEFAULT_CHUNK,
     commit: bool = True,
 ) -> BatchResult:
@@ -1027,7 +1027,7 @@ def evaluate_trace(
 
 def measure_accuracy_batch(
     predictor: BranchPredictor,
-    trace: Trace,
+    trace: ColumnarTrace,
     warmup_branches: int = 0,
     attribution: bool = False,
 ):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from repro.common.bits import mask
 from repro.predictors.base import BranchPredictor
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ColumnarTrace
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class SiteAccuracy:
 
 
 def per_site_accuracy(
-    predictor: BranchPredictor, trace: Trace, top: int | None = None
+    predictor: BranchPredictor, trace: ColumnarTrace, top: int | None = None
 ) -> list[SiteAccuracy]:
     """Drive ``predictor`` over ``trace`` and break accuracy down by site.
 
@@ -88,7 +88,7 @@ class SiteComparison:
 
 
 def compare_predictors(
-    predictor_a: BranchPredictor, predictor_b: BranchPredictor, trace: Trace
+    predictor_a: BranchPredictor, predictor_b: BranchPredictor, trace: ColumnarTrace
 ) -> list[SiteComparison]:
     """Run both predictors on ``trace`` and compare per site, sorted by the
     absolute size of the disagreement."""
@@ -131,7 +131,7 @@ class ContextProfile:
         return self.contexts / self.branches
 
 
-def history_context_profile(trace: Trace, history_bits: int = 14) -> ContextProfile:
+def history_context_profile(trace: ColumnarTrace, history_bits: int = 14) -> ContextProfile:
     """Count distinct (site, global-history) contexts in ``trace``.
 
     This is the quantity that controls how well gshare-style predictors can

@@ -44,7 +44,7 @@ from repro.predictors.base import BranchPredictor
 # Engine resolution lives with the predictors, where the cycle simulator
 # resolves it too; these names stay importable from here.
 from repro.predictors.engines import ENGINES, default_engine, resolve_engine  # noqa: F401
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ColumnarTrace
 
 
 def default_jobs() -> int:
@@ -137,7 +137,7 @@ def _publish_result(kind: str, result, storage_bytes: int) -> None:
 
 def measure_accuracy(
     predictor: BranchPredictor,
-    trace: Trace,
+    trace: ColumnarTrace,
     warmup_branches: int = 0,
     engine: str | None = None,
     attribution: bool | None = None,
@@ -196,7 +196,7 @@ def measure_accuracy(
 
 
 def _measure_accuracy_attributed(
-    predictor: BranchPredictor, trace: Trace, warmup_branches: int
+    predictor: BranchPredictor, trace: ColumnarTrace, warmup_branches: int
 ) -> AccuracyResult:
     """The scalar loop with per-PC bucketing of scored branches."""
     executions: dict[int, int] = {}
@@ -222,7 +222,7 @@ def _measure_accuracy_attributed(
 
 def measure_override(
     overriding: OverridingPredictor,
-    trace: Trace,
+    trace: ColumnarTrace,
     warmup_branches: int = 0,
     attribution: bool | None = None,
 ) -> OverrideResult:

@@ -29,8 +29,7 @@ Most of what happens to a block does not depend on when it is fetched.
 Every policy's component predictors train on every conditional branch in
 trace order; the caches, the BTB and the RAS see their operations in trace
 order; a block's size fixes its fetch and retire work.  :meth:`CycleSimulator.run`
-therefore makes two passes over the trace's columns (``trace.columns()``,
-no ``Block`` objects):
+therefore makes two passes over the trace's columns (``trace.columns()``):
 
 1. a pre-pass takes every branch's direction from the policy's whole
    stream (:meth:`FetchPolicy.stream` — on the batch engine wherever engine
@@ -62,7 +61,7 @@ from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.uarch.caches import MemoryHierarchy, machine_hierarchy
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
 from repro.uarch.policies import FetchPolicy, PolicyStream
-from repro.workloads.trace import BranchKind, Trace
+from repro.workloads.trace import BranchKind, ColumnarTrace
 
 #: What a block's terminator makes fetch wait for once it reaches execute.
 _MISPREDICT = 1
@@ -128,7 +127,7 @@ class CycleSimulator:
         self.btb = BranchTargetBuffer(entries=config.btb_entries, ways=config.btb_ways)
         self.ras = ReturnAddressStack(depth=config.ras_depth)
 
-    def run(self, trace: Trace) -> SimulationResult:
+    def run(self, trace: ColumnarTrace) -> SimulationResult:
         """Simulate ``trace`` start to finish and return cycles/IPC/stats."""
         columns = trace.columns()
         kinds = columns["branch_kind"]

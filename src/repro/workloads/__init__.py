@@ -41,7 +41,6 @@ from repro.workloads.spec2000 import (
     warm_trace_store,
 )
 from repro.workloads.store import (
-    ColumnarTrace,
     TraceStore,
     active_store,
     reset_store_stats,
@@ -61,7 +60,7 @@ from repro.workloads.synth import (
     build_program,
     scenario_profiles,
 )
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.trace import Block, BranchKind, ColumnarTrace
 
 __all__ = [
     "BiasedPredicate",
@@ -87,7 +86,6 @@ __all__ = [
     "ProgramState",
     "StraightCode",
     "StringMatchProfile",
-    "Trace",
     "TripSampler",
     "WorkloadProfile",
     "WorkloadSpec",

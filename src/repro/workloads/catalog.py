@@ -16,8 +16,8 @@ for synthesized programs, :class:`~repro.workloads.stringmatch
 turns the profile into a laid-out :class:`~repro.workloads.cfg.Program`.
 Generation always runs the standard :class:`ProgramExecutor` over the built
 program, so every workload — SPEC stand-in, scenario profile or
-Morris-Pratt/KMP oracle kernel — emits the same ``Trace``/``ColumnarTrace``
-objects and is content-addressed by the same
+Morris-Pratt/KMP oracle kernel — emits the same ``ColumnarTrace`` columns
+and is content-addressed by the same
 :func:`repro.workloads.store.trace_digest` recipe (the profile dataclass is
 serialized field-by-field into the digest).
 

@@ -3,7 +3,8 @@
 Synthetic traces are cheap to regenerate, but serialized traces make
 experiments portable (share the exact workload with a colleague, pin a
 trace in a regression suite, or feed externally-captured branch traces into
-the harness).  A trace is a flat set of numpy columns:
+the harness).  A trace is a flat set of numpy columns
+(:data:`~repro.workloads.trace.COLUMN_ORDER`):
 
 * per-block columns: ``pc``, ``instructions``, ``branch_kind``,
   ``branch_pc``, ``taken``, ``target``;
@@ -26,15 +27,14 @@ padding and the checksum, so a truncated, extended or bit-flipped file is
 detected at load time instead of silently corrupting an experiment.  The
 loaded columns are read-only views of the one buffer read from disk.
 
-The column codec (:func:`trace_to_columns` / :func:`blocks_from_columns` /
-:func:`save_columns` / :func:`load_columns`) is shared with the
-content-addressed trace store (:mod:`repro.workloads.store`), which keeps
-the columns as-is instead of materializing ``Block`` objects.  Writes are
-atomic (tmp file + rename) so a killed writer never leaves a truncated
-file under the final name.
+The column codec (:func:`save_columns` / :func:`load_columns`) is shared
+with the content-addressed trace store (:mod:`repro.workloads.store`).
+Writes are atomic (tmp file + rename) so a killed writer never leaves a
+truncated file under the final name.
 
-Round-tripping is exact: ``load_trace(save_trace(t)) == t`` field for field
-(verified by test and by the checksum of the full column set).
+Round-tripping is exact: ``load_trace(save_trace(t))`` has the name and
+every column of ``t``, byte for byte (verified by test and by the checksum
+of the full column set).
 """
 
 from __future__ import annotations
@@ -43,14 +43,13 @@ import hashlib
 import json
 import math
 import struct
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from repro.common.atomic import atomic_path
 from repro.common.errors import TraceError
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.trace import COLUMN_ORDER, BranchKind, ColumnarTrace
 
 #: v3: one flat file of raw columns behind a JSON header.  v2 was a
 #: compressed ``.npz`` archive and v1 predates the checksum; both are
@@ -74,72 +73,6 @@ _ZIP_MAGIC = b"PK\x03\x04"
 
 #: Column dtype kinds a trace file may declare: bool, signed, unsigned.
 _COLUMN_KINDS = "biu"
-
-#: Column names in canonical (checksum) order.
-COLUMN_ORDER = (
-    "pc",
-    "instructions",
-    "branch_kind",
-    "branch_pc",
-    "taken",
-    "target",
-    "loads",
-    "stores",
-    "load_offsets",
-    "store_offsets",
-)
-
-
-def trace_to_columns(trace: Trace) -> dict[str, np.ndarray]:
-    """Flatten a block-object trace into its columnar (SoA) arrays."""
-    blocks = trace.blocks
-    columns = {
-        "pc": np.array([b.pc for b in blocks], dtype=np.int64),
-        "instructions": np.array([b.instructions for b in blocks], dtype=np.int32),
-        "branch_kind": np.array([int(b.branch_kind) for b in blocks], dtype=np.int8),
-        "branch_pc": np.array([b.branch_pc for b in blocks], dtype=np.int64),
-        "taken": np.array([b.taken for b in blocks], dtype=np.bool_),
-        "target": np.array([b.target for b in blocks], dtype=np.int64),
-    }
-    for name in ("loads", "stores"):
-        addresses = [getattr(block, name) for block in blocks]
-        offsets = np.zeros(len(blocks) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([len(block_addresses) for block_addresses in addresses])
-        columns[name] = np.fromiter(
-            chain.from_iterable(addresses), dtype=np.int64, count=int(offsets[-1])
-        )
-        columns[f"{name[:-1]}_offsets"] = offsets
-    return {key: columns[key] for key in COLUMN_ORDER}
-
-
-def blocks_from_columns(columns: dict[str, np.ndarray]) -> list[Block]:
-    """Materialize ``Block`` objects from columnar arrays (exact inverse of
-    :func:`trace_to_columns`; plain Python ints/bools, like the generator
-    emits)."""
-    pcs = columns["pc"].tolist()
-    instructions = columns["instructions"].tolist()
-    kinds = columns["branch_kind"].tolist()
-    branch_pcs = columns["branch_pc"].tolist()
-    takens = columns["taken"].tolist()
-    targets = columns["target"].tolist()
-    loads = columns["loads"].tolist()
-    stores = columns["stores"].tolist()
-    load_offsets = columns["load_offsets"].tolist()
-    store_offsets = columns["store_offsets"].tolist()
-    return [
-        Block(
-            pc=pcs[i],
-            instructions=instructions[i],
-            loads=tuple(loads[load_offsets[i] : load_offsets[i + 1]]),
-            stores=tuple(stores[store_offsets[i] : store_offsets[i + 1]]),
-            branch_kind=BranchKind(kinds[i]),
-            branch_pc=branch_pcs[i],
-            taken=bool(takens[i]),
-            target=targets[i],
-        )
-        for i in range(len(pcs))
-    ]
-
 
 def columns_checksum(name: str, columns: dict[str, np.ndarray]) -> str:
     """sha256 over the trace name plus every column's dtype/shape/bytes."""
@@ -289,22 +222,22 @@ def load_columns(path: str | Path) -> tuple[str, dict[str, np.ndarray]]:
     return name, columns
 
 
-def save_trace(trace: Trace, path: str | Path) -> Path:
+def save_trace(trace: ColumnarTrace, path: str | Path) -> Path:
     """Write ``trace`` to ``path`` (``.trace`` appended if missing)."""
-    return save_columns(path, trace.name, trace_to_columns(trace))
+    return save_columns(path, trace.name, trace.columns())
 
 
-def load_trace(path: str | Path) -> Trace:
+def load_trace(path: str | Path) -> ColumnarTrace:
     """Read a trace written by :func:`save_trace`."""
     name, columns = load_columns(path)
-    return Trace(name=name, blocks=blocks_from_columns(columns))
+    return ColumnarTrace(name, **columns)
 
 
 def read_branch_trace(
     path: str | Path,
     name: str | None = None,
     instructions_per_branch: int = 6,
-) -> Trace:
+) -> ColumnarTrace:
     """Import a plain-text conditional-branch trace.
 
     Accepts the format branch-trace tools commonly emit: one branch per
@@ -326,7 +259,8 @@ def read_branch_trace(
         raise TraceError("instructions_per_branch must be >= 1")
     taken_words = {"t", "1", "taken", "true"}
     not_taken_words = {"n", "0", "not-taken", "nottaken", "false"}
-    blocks = []
+    pcs: list[int] = []
+    takens: list[bool] = []
     for line_number, raw in enumerate(path.read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -338,25 +272,33 @@ def read_branch_trace(
             pc = int(parts[0], 0)
         except ValueError:
             raise TraceError(f"{path}:{line_number}: bad pc {parts[0]!r}") from None
+        if not 0 <= pc < 1 << 62:
+            raise TraceError(f"{path}:{line_number}: pc {parts[0]!r} out of range")
         outcome = parts[1].lower()
         if outcome in taken_words:
-            taken = True
+            takens.append(True)
         elif outcome in not_taken_words:
-            taken = False
+            takens.append(False)
         else:
             raise TraceError(f"{path}:{line_number}: bad outcome {parts[1]!r}")
-        block_pc = pc - (instructions_per_branch - 1) * 4
-        target = pc - 32 if taken else pc + 4  # synthetic backward hop
-        blocks.append(
-            Block(
-                pc=block_pc,
-                instructions=instructions_per_branch,
-                branch_kind=BranchKind.CONDITIONAL,
-                branch_pc=pc,
-                taken=taken,
-                target=target,
-            )
-        )
-    if not blocks:
+        pcs.append(pc)
+    if not pcs:
         raise TraceError(f"{path} contains no branches")
-    return Trace(name=name or path.stem, blocks=blocks)
+    branch_pc = np.array(pcs, dtype=np.int64)
+    taken = np.array(takens, dtype=np.bool_)
+    count = len(pcs)
+    no_addresses = np.zeros(0, dtype=np.int64)
+    no_offsets = np.zeros(count + 1, dtype=np.int64)
+    return ColumnarTrace(
+        name or path.stem,
+        pc=branch_pc - (instructions_per_branch - 1) * 4,
+        instructions=np.full(count, instructions_per_branch, dtype=np.int32),
+        branch_kind=np.full(count, BranchKind.CONDITIONAL, dtype=np.int8),
+        branch_pc=branch_pc,
+        taken=taken,
+        target=np.where(taken, branch_pc - 32, branch_pc + 4),  # synthetic backward hop
+        loads=no_addresses,
+        stores=no_addresses,
+        load_offsets=no_offsets,
+        store_offsets=no_offsets,
+    )

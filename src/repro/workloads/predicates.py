@@ -27,7 +27,7 @@ bit-reproducible.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,6 +40,12 @@ class ProgramState:
     ``outcome_history`` is the program-wide sequence of conditional-branch
     outcomes (newest in bit 0), maintained by the executor — the ground
     truth that a predictor's global history register approximates.
+
+    ``predicate_state`` holds what a stateful predicate carries from one
+    evaluation to the next (a pattern's position, a matcher's automaton
+    state), keyed by ``id(predicate)``.  Keeping it here rather than on the
+    predicate leaves a laid-out program unchanged by a run, so each
+    execution starts every predicate afresh.
     """
 
     HISTORY_BITS = 128
@@ -50,6 +56,7 @@ class ProgramState:
         self.rng = rng
         self.outcome_history = 0
         self.hidden = [bool(rng.integers(2)) for _ in range(hidden_bits)]
+        self.predicate_state: dict[int, object] = {}
 
     def record_outcome(self, taken: bool) -> None:
         """Append a conditional-branch outcome to the global stream."""
@@ -103,16 +110,16 @@ class PatternPredicate(Predicate):
     """A fixed repeating direction pattern, private to the branch."""
 
     pattern: tuple[bool, ...]
-    _position: int = field(default=0, repr=False)
 
     def __post_init__(self) -> None:
         if not self.pattern:
             raise ConfigurationError("pattern must not be empty")
 
     def evaluate(self, state: ProgramState) -> bool:
-        value = self.pattern[self._position]
-        self._position = (self._position + 1) % len(self.pattern)
-        return value
+        key = id(self)
+        position = state.predicate_state.get(key, 0)
+        state.predicate_state[key] = (position + 1) % len(self.pattern)
+        return self.pattern[position]
 
     def describe(self) -> str:
         return "pattern(" + "".join("T" if b else "N" for b in self.pattern) + ")"

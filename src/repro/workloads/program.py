@@ -1,11 +1,14 @@
 """Synthetic-program executor: turns a laid-out :class:`Program` into a
-dynamic :class:`Trace`.
+dynamic :class:`ColumnarTrace`.
 
 The executor walks the structured node tree exactly as the hardware would
 see the compiled program run: straight-line runs accumulate into fetch
 blocks, conditional branches resolve their predicates against the live
 program state, loops iterate their sampled trip counts, and calls push and
-pop a real stack (so return addresses and stack memory behave).
+pop a real stack (so return addresses and stack memory behave).  Each
+finished block is appended field by field to typed ``array`` buffers, one
+per trace column, and the trace adopts those buffers as numpy columns
+without a copy; no per-block object is ever built.
 
 Memory addresses are generated per access from three stream kinds:
 
@@ -15,13 +18,19 @@ Memory addresses are generated per access from three stream kinds:
 * ``random`` — uniform over the workload's working set (the cache-hostile
   pointer chase).
 
-All randomness comes from seeded streams; executing the same program with
-the same memory config and budget reproduces the identical trace.
+All randomness comes from seeded streams, and every piece of state that
+changes during a run lives in the executor and its :class:`ProgramState`,
+never in the program: executing the same laid-out program with the same
+seed, memory config and budget reproduces the identical trace, however
+often it has run before.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import derive
@@ -36,7 +45,7 @@ from repro.workloads.cfg import (
     StraightCode,
 )
 from repro.workloads.predicates import ProgramState
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.trace import COLUMN_ORDER, BranchKind, ColumnarTrace
 
 STACK_BASE = 0x7FFF_0000
 FRAME_BYTES = 512
@@ -78,29 +87,55 @@ class _BudgetExhausted(Exception):
     """Internal: raised to unwind execution when the instruction budget hits."""
 
 
-class _BlockBuilder:
-    """Accumulates instructions into the current fetch block."""
+class _Columns:
+    """The trace being written: one typed buffer per column (``taken`` as
+    0/1 bytes), plus the open block's start address and size."""
 
-    def __init__(self) -> None:
-        self.pc = 0
-        self.instructions = 0
-        self.loads: list[int] = []
-        self.stores: list[int] = []
+    __slots__ = (*COLUMN_ORDER, "block_pc", "block_instructions")
 
-    def start(self, pc: int) -> None:
-        """Begin a new block at ``pc``."""
-        self.pc = pc
-        self.instructions = 0
-        self.loads = []
-        self.stores = []
+    def __init__(self, pc: int) -> None:
+        self.pc = array("q")
+        self.instructions = array("i")
+        self.branch_kind = array("b")
+        self.branch_pc = array("q")
+        self.taken = array("B")
+        self.target = array("q")
+        self.loads = array("q")
+        self.stores = array("q")
+        self.load_offsets = array("q", [0])
+        self.store_offsets = array("q", [0])
+        self.block_pc = pc
+        self.block_instructions = 0
 
-    def add(self, instructions: int) -> None:
-        """Append straight-line instructions to the open block."""
-        self.instructions += instructions
+    def close(
+        self, branch_pc: int, kind: BranchKind, taken: bool, target: int, next_pc: int
+    ) -> None:
+        """End the open block with its terminator and open one at ``next_pc``."""
+        self.pc.append(self.block_pc)
+        self.instructions.append(self.block_instructions)
+        self.branch_kind.append(kind)
+        self.branch_pc.append(branch_pc)
+        self.taken.append(taken)
+        self.target.append(target)
+        self.load_offsets.append(len(self.loads))
+        self.store_offsets.append(len(self.stores))
+        self.block_pc = next_pc
+        self.block_instructions = 0
+
+    def trace(self, name: str) -> ColumnarTrace:
+        """The finished trace, its columns adopting the buffers."""
+        buffers = {key: getattr(self, key) for key in COLUMN_ORDER}
+        return ColumnarTrace(
+            name,
+            **{
+                key: np.frombuffer(buffer, dtype=buffer.typecode)
+                for key, buffer in buffers.items()
+            },
+        )
 
 
 class ProgramExecutor:
-    """Executes a program for a given instruction budget, emitting a Trace."""
+    """Executes a program for a given instruction budget, emitting a trace."""
 
     def __init__(
         self,
@@ -121,8 +156,7 @@ class ProgramExecutor:
         self._stack_depth = 0
         self._budget = 0
         self._executed = 0
-        self._blocks: list[Block] = []
-        self._builder = _BlockBuilder()
+        self._columns = _Columns(program.main.entry_address)
 
     # -- address streams -----------------------------------------------------
 
@@ -158,40 +192,22 @@ class ProgramExecutor:
 
     def _charge(self, instructions: int) -> None:
         self._executed += instructions
-        self._builder.add(instructions)
+        self._columns.block_instructions += instructions
         if self._executed >= self._budget:
             raise _BudgetExhausted
-
-    def _emit_branch(
-        self, branch_pc: int, kind: BranchKind, taken: bool, target: int, next_pc: int
-    ) -> None:
-        """Close the current block with a branch and start the next one."""
-        builder = self._builder
-        self._blocks.append(
-            Block(
-                pc=builder.pc,
-                instructions=builder.instructions,
-                loads=tuple(builder.loads),
-                stores=tuple(builder.stores),
-                branch_kind=kind,
-                branch_pc=branch_pc,
-                taken=taken,
-                target=target,
-            )
-        )
-        builder.start(next_pc)
 
     # -- node execution ----------------------------------------------------------
 
     def _run_straight(self, node: StraightCode) -> None:
         self._charge(node.instructions)
         node_key = node.address
+        columns = self._columns
         for slot, op in enumerate(node.mem_ops):
             address = self._address_for(op, node_key, slot)
             if op.is_store:
-                self._builder.stores.append(address)
+                columns.stores.append(address)
             else:
-                self._builder.loads.append(address)
+                columns.loads.append(address)
         for bit, probability in node.hidden_flips:
             self.state.flip_hidden(bit, probability)
 
@@ -201,14 +217,16 @@ class ProgramExecutor:
         self._charge(1)  # the conditional branch itself
         self.state.record_outcome(taken)
         next_pc = node.taken_target if taken else node.branch_address + INSTRUCTION_BYTES
-        self._emit_branch(node.branch_address, BranchKind.CONDITIONAL, taken, node.taken_target, next_pc)
+        self._columns.close(
+            node.branch_address, BranchKind.CONDITIONAL, taken, node.taken_target, next_pc
+        )
         if want_then:
             self._run_body(node.then_body)
             if node.else_body:
                 # Unconditional jump over the else side.
                 self._charge(1)
                 jump_pc = node.taken_target - INSTRUCTION_BYTES
-                self._emit_branch(
+                self._columns.close(
                     jump_pc, BranchKind.UNCONDITIONAL, True, node.join_address, node.join_address
                 )
         elif node.else_body:
@@ -222,7 +240,7 @@ class ProgramExecutor:
             self._charge(1)  # back-edge conditional
             self.state.record_outcome(continuing)
             next_pc = node.head_address if continuing else node.exit_address
-            self._emit_branch(
+            self._columns.close(
                 node.back_edge_address,
                 BranchKind.CONDITIONAL,
                 continuing,
@@ -233,7 +251,7 @@ class ProgramExecutor:
     def _run_call(self, node: Call) -> None:
         callee = self.program.functions[node.callee_index]
         self._charge(1)  # the call
-        self._emit_branch(
+        self._columns.close(
             node.call_address, BranchKind.CALL, True, callee.entry_address, callee.entry_address
         )
         if self._stack_depth >= MAX_CALL_DEPTH:
@@ -245,7 +263,7 @@ class ProgramExecutor:
         self._run_body(callee.body)
         self._stack_depth -= 1
         self._charge(1)  # the return
-        self._emit_branch(
+        self._columns.close(
             callee.return_site_address,
             BranchKind.RETURN,
             True,
@@ -268,7 +286,7 @@ class ProgramExecutor:
 
     # -- entry point ------------------------------------------------------------
 
-    def run(self, instruction_budget: int) -> Trace:
+    def run(self, instruction_budget: int) -> ColumnarTrace:
         """Execute until ``instruction_budget`` instructions have retired.
 
         The program's ``main`` repeats indefinitely (steady state); the last
@@ -278,14 +296,13 @@ class ProgramExecutor:
             raise ConfigurationError("instruction budget must be positive")
         self._budget = instruction_budget
         self._executed = 0
-        self._blocks = []
-        self._builder.start(self.program.main.entry_address)
+        self._columns = columns = _Columns(self.program.main.entry_address)
         try:
             while True:
                 self._run_body(self.program.main.body)
                 # Loop back to main's entry: model as an unconditional jump.
                 self._charge(1)
-                self._emit_branch(
+                self._columns.close(
                     self.program.main.return_site_address,
                     BranchKind.UNCONDITIONAL,
                     True,
@@ -293,13 +310,6 @@ class ProgramExecutor:
                     self.program.main.entry_address,
                 )
         except _BudgetExhausted:
-            if self._builder.instructions > 0:
-                self._blocks.append(
-                    Block(
-                        pc=self._builder.pc,
-                        instructions=self._builder.instructions,
-                        loads=tuple(self._builder.loads),
-                        stores=tuple(self._builder.stores),
-                    )
-                )
-        return Trace(name=self.program.name, blocks=self._blocks)
+            if columns.block_instructions > 0:
+                columns.close(0, BranchKind.NONE, False, 0, 0)
+        return columns.trace(self.program.name)

@@ -25,9 +25,9 @@ from functools import lru_cache
 from repro import obs
 from repro.common.errors import ConfigurationError
 from repro.workloads.program import MemoryConfig, ProgramExecutor
-from repro.workloads.store import ColumnarTrace, active_store
+from repro.workloads.store import active_store
 from repro.workloads.synth import PredicateMix, WorkloadProfile, build_program
-from repro.workloads.trace import Trace
+from repro.workloads.trace import ColumnarTrace
 
 #: Average dynamic instructions per conditional branch in SPECint-like code;
 #: used to convert a requested branch count into an instruction budget.
@@ -251,9 +251,7 @@ def get_profile(name: str):
 #: Default capacity of the per-process trace cache (entries).
 TRACE_CACHE_CAPACITY = 32
 
-_trace_cache: OrderedDict[
-    tuple[str, int, int, str | None], Trace | ColumnarTrace
-] = OrderedDict()
+_trace_cache: OrderedDict[tuple[str, int, int, str | None], ColumnarTrace] = OrderedDict()
 _trace_cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
 _executor_runs = 0
@@ -340,7 +338,7 @@ def _builder_for(profile):
     )
 
 
-def _generate_trace(profile, instructions: int, seed: int) -> Trace:
+def _generate_trace(profile, instructions: int, seed: int) -> ColumnarTrace:
     """Build and execute the workload program — the expensive path every
     cache layer exists to avoid."""
     global _executor_runs
@@ -354,14 +352,11 @@ def _generate_trace(profile, instructions: int, seed: int) -> Trace:
     return executor.run(instructions)
 
 
-def _resolve_trace(
-    name: str, instructions: int, seed: int, store
-) -> Trace | ColumnarTrace:
+def _resolve_trace(name: str, instructions: int, seed: int, store) -> ColumnarTrace:
     """Produce one trace via the on-disk store when enabled, else generate.
 
-    With a store active both the cold (generate+persist) and warm (load)
-    paths return a :class:`ColumnarTrace`, so downstream results are
-    byte-identical regardless of which path ran."""
+    Generated and loaded traces have the same columns, so downstream
+    results are byte-identical whichever path ran."""
     profile = get_profile(name)
     if store is not None:
         return store.get_or_generate(
@@ -373,15 +368,14 @@ def _resolve_trace(
     return _generate_trace(profile, instructions, seed)
 
 
-def _cached_trace(name: str, instructions: int, seed: int) -> Trace | ColumnarTrace:
+def _cached_trace(name: str, instructions: int, seed: int) -> ColumnarTrace:
     """LRU-cached trace lookup; the on-disk trace store (when enabled)
     sits under this layer.
 
-    The key includes the active store root (or ``None``): the store
-    changes the trace *representation* (``ColumnarTrace`` vs ``Trace``
-    blocks), so toggling ``REPRO_TRACE_STORE`` mid-process must never
-    serve an entry cached under the other configuration — generator-backed
-    oracle workloads rely on this to warm-start byte-identically."""
+    The key includes the active store root (or ``None``), so a store
+    enabled or switched mid-process still receives every trace this
+    process asks for, instead of the request being served from memory
+    and the store left cold."""
     store = active_store()
     key = (name, instructions, seed, None if store is None else str(store.root))
     cached = _trace_cache.get(key)
@@ -404,15 +398,15 @@ def spec2000_trace(
     instructions: int | None = None,
     branches: int | None = None,
     seed: int = 1,
-) -> Trace | ColumnarTrace:
+) -> ColumnarTrace:
     """Dynamic trace for benchmark ``name``.
 
     Give either an instruction budget or an (approximate) conditional-branch
     budget; traces are cached in-process, so replaying the same benchmark
     across many predictors costs one execution.  When ``REPRO_TRACE_STORE``
     names a directory, generation additionally persists through the
-    content-addressed store and warm runs load a :class:`ColumnarTrace`
-    from disk instead of executing anything.
+    content-addressed store and warm runs load the trace from disk
+    instead of executing anything.
     """
     if (instructions is None) == (branches is None):
         raise ConfigurationError("specify exactly one of instructions= or branches=")

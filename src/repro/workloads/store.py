@@ -1,17 +1,9 @@
-"""Content-addressed on-disk trace store with a columnar in-memory backing.
+"""Content-addressed on-disk trace store.
 
 Every figure sweep replays the same per-benchmark traces, and generating
-them (synthesizing a program, then executing it block-by-block through
-Python objects) dominates small-grid wall time.  This module makes that
-cost a one-time expense per machine:
+them (synthesizing a program, then executing it) dominates small-grid wall
+time.  This module makes that cost a one-time expense per machine:
 
-* :class:`ColumnarTrace` — a trace held as structure-of-arrays numpy
-  columns (the exact columns :mod:`repro.workloads.io` serializes).  It is
-  duck-type compatible with :class:`repro.workloads.trace.Trace` for every
-  harness consumer: ``conditional_branches()`` / ``branch_arrays()`` feed
-  the scalar and batch accuracy engines, and ``columns()`` the cycle
-  simulator, straight off the arrays; a ``blocks`` view materializes
-  lazily, only for a consumer that iterates ``Block`` objects.
 * :class:`TraceStore` — a directory of ``<benchmark>__<digest>.trace``
   entries (the flat column files of :mod:`repro.workloads.io`, loaded as
   read-only views with one read) keyed by a content digest of (full
@@ -52,21 +44,12 @@ from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
-import numpy as np
-
 from repro import obs
 from repro.common.errors import ConfigurationError, TraceError
 from repro.common.storedir import StoreDirectory
-from repro.workloads.io import (
-    FORMAT_VERSION,
-    SUFFIX,
-    blocks_from_columns,
-    load_columns,
-    save_columns,
-    trace_to_columns,
-)
+from repro.workloads.io import FORMAT_VERSION, SUFFIX, load_columns, save_columns
 from repro.workloads.synth import WorkloadProfile
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.trace import ColumnarTrace
 
 #: Bumped when the store layout or digest recipe changes; part of every
 #: digest, so old entries simply stop matching instead of being misread.
@@ -141,145 +124,6 @@ def _count(key: str, n: int = 1) -> None:
         from repro.obs.events import emit_store  # deferred: layering
 
         emit_store("trace", key, n)
-
-
-# -- columnar trace ------------------------------------------------------------
-
-
-class ColumnarTrace:
-    """A replayable trace held as numpy columns instead of ``Block`` objects.
-
-    Construction is cheap (arrays are adopted, not copied); neither the
-    accuracy paths nor the cycle simulator touch Python block objects, and
-    the ``blocks`` view exists only for consumers that genuinely need it.
-    A trace loaded from the store holds read-only views of the entry's
-    bytes, so no consumer can change a trace the LRU cache shares.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        pc: np.ndarray,
-        instructions: np.ndarray,
-        branch_kind: np.ndarray,
-        branch_pc: np.ndarray,
-        taken: np.ndarray,
-        target: np.ndarray,
-        loads: np.ndarray,
-        stores: np.ndarray,
-        load_offsets: np.ndarray,
-        store_offsets: np.ndarray,
-    ) -> None:
-        self.name = name
-        self.pc = np.asarray(pc, dtype=np.int64)
-        self.instructions = np.asarray(instructions, dtype=np.int32)
-        self.branch_kind = np.asarray(branch_kind, dtype=np.int8)
-        self.branch_pc = np.asarray(branch_pc, dtype=np.int64)
-        self.taken = np.asarray(taken, dtype=bool)
-        self.target = np.asarray(target, dtype=np.int64)
-        self.loads = np.asarray(loads, dtype=np.int64)
-        self.stores = np.asarray(stores, dtype=np.int64)
-        self.load_offsets = np.asarray(load_offsets, dtype=np.int64)
-        self.store_offsets = np.asarray(store_offsets, dtype=np.int64)
-        self._branches: tuple[np.ndarray, np.ndarray] | None = None
-        self._blocks: list[Block] | None = None
-
-    @classmethod
-    def from_trace(cls, trace: Trace) -> "ColumnarTrace":
-        """Columnarize a block-object trace."""
-        return cls(trace.name, **trace_to_columns(trace))
-
-    def columns(self) -> dict[str, np.ndarray]:
-        """The serializable column set (see :data:`repro.workloads.io.COLUMN_ORDER`)."""
-        return {
-            "pc": self.pc,
-            "instructions": self.instructions,
-            "branch_kind": self.branch_kind,
-            "branch_pc": self.branch_pc,
-            "taken": self.taken,
-            "target": self.target,
-            "loads": self.loads,
-            "stores": self.stores,
-            "load_offsets": self.load_offsets,
-            "store_offsets": self.store_offsets,
-        }
-
-    # -- Trace-compatible surface ---------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self.pc)
-
-    def __iter__(self):
-        return iter(self.blocks)
-
-    @property
-    def blocks(self) -> list[Block]:
-        """Lazily-materialized ``Block`` view (for consumers that iterate
-        blocks; the cycle simulator reads :meth:`columns`)."""
-        if self._blocks is None:
-            self._blocks = blocks_from_columns(self.columns())
-        return self._blocks
-
-    @property
-    def instruction_count(self) -> int:
-        """Total dynamic instructions in the trace."""
-        return int(self.instructions.sum())
-
-    def branch_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """The conditional-branch stream as ``(pcs, takens)`` arrays —
-        exactly what the batch engine consumes, one mask away from the
-        stored columns."""
-        if self._branches is None:
-            conditional = self.branch_kind == int(BranchKind.CONDITIONAL)
-            self._branches = (
-                np.ascontiguousarray(self.branch_pc[conditional]),
-                np.ascontiguousarray(self.taken[conditional]),
-            )
-        return self._branches
-
-    @property
-    def conditional_branch_count(self) -> int:
-        """Total dynamic conditional branches in the trace."""
-        return len(self.branch_arrays()[0])
-
-    @property
-    def taken_rate(self) -> float:
-        """Fraction of conditional branches that are taken."""
-        pcs, takens = self.branch_arrays()
-        if len(pcs) == 0:
-            return 0.0
-        return int(np.count_nonzero(takens)) / len(pcs)
-
-    def conditional_branches(self):
-        """Yield (branch_pc, taken) per conditional branch, as Python
-        scalars — bit-compatible with the ``Block`` iteration path."""
-        pcs, takens = self.branch_arrays()
-        yield from zip(pcs.tolist(), takens.tolist())
-
-    def static_branch_count(self) -> int:
-        """Number of distinct conditional-branch sites in the trace."""
-        return int(np.unique(self.branch_arrays()[0]).size)
-
-    def validate(self) -> None:
-        """Control-flow continuity check (vectorized twin of
-        :meth:`repro.workloads.trace.Trace.validate`)."""
-        if len(self.pc) < 2:
-            return
-        branchy = (self.branch_kind[:-1] != int(BranchKind.NONE)) & self.taken[:-1]
-        expected = self.target[:-1][branchy]
-        actual = self.pc[1:][branchy]
-        bad = np.flatnonzero(expected != actual)
-        if bad.size:
-            i = int(np.flatnonzero(branchy)[bad[0]])
-            raise TraceError(
-                f"discontinuity: taken branch at {int(self.branch_pc[i]):#x} "
-                f"targets {int(self.target[i]):#x} but next block is "
-                f"{int(self.pc[i + 1]):#x}"
-            )
-
-    def to_trace(self) -> Trace:
-        """Materialize a full block-object :class:`Trace`."""
-        return Trace(name=self.name, blocks=list(self.blocks))
 
 
 # -- the store -----------------------------------------------------------------
@@ -364,33 +208,26 @@ class TraceStore(StoreDirectory):
 
     def save(
         self,
-        trace: Trace | ColumnarTrace,
+        trace: ColumnarTrace,
         profile: WorkloadProfile,
         instructions: int,
         seed: int,
     ) -> ColumnarTrace:
-        """Persist ``trace`` under its content key; returns the columnar form."""
-        columnar = (
-            trace if isinstance(trace, ColumnarTrace) else ColumnarTrace.from_trace(trace)
-        )
+        """Persist ``trace`` under its content key; returns ``trace``."""
         path = self.entry_path(profile, instructions, seed)
-        save_columns(path, columnar.name, columnar.columns())
+        save_columns(path, trace.name, trace.columns())
         _count("writes")
         self._after_write()
-        return columnar
+        return trace
 
     def get_or_generate(
         self,
         profile: WorkloadProfile,
         instructions: int,
         seed: int,
-        generate: Callable[[], Trace],
+        generate: Callable[[], ColumnarTrace],
     ) -> ColumnarTrace:
-        """Load the entry, or generate + persist it on a miss.
-
-        Both paths return a :class:`ColumnarTrace`, so cold and warm runs
-        replay the very same representation (byte-identical figures).
-        """
+        """Load the entry, or generate + persist it on a miss."""
         loaded = self.load(profile, instructions, seed)
         if loaded is not None:
             return loaded

@@ -125,10 +125,11 @@ def restart_state(pattern: str) -> int:
 class MatcherPredicate(Predicate):
     """The MP/KMP comparison branch, stepped one comparison per evaluation.
 
-    Holds the live matcher state (pattern position ``j``, the pending text
-    character when the last mismatch retained it) and draws fresh
-    characters from the executor's seeded stream — the same trace seed
-    reproduces the same text, hence the same trace bytes.
+    The live matcher state (pattern position ``j``, the pending text
+    character when the last mismatch retained it) lives in the run's
+    :class:`ProgramState`, and fresh characters come from the executor's
+    seeded stream — the same trace seed reproduces the same text, hence
+    the same trace bytes.
     """
 
     def __init__(
@@ -148,8 +149,6 @@ class MatcherPredicate(Predicate):
         self.alphabet = alphabet
         self.bernoulli_p = bernoulli_p
         self.fault_bias = fault_bias
-        self._j = 0
-        self._char: int | None = None
 
     def _draw(self, state: ProgramState) -> int:
         if self.source_kind == "bernoulli":
@@ -158,21 +157,24 @@ class MatcherPredicate(Predicate):
 
     def evaluate(self, state: ProgramState) -> bool:
         """One comparison: True (the then-path) on a character match."""
-        if self._char is None:
-            self._char = self._draw(state)
-        match = self._char == self.symbols[self._j]
+        key = id(self)
+        j, char = state.predicate_state.get(key, (0, None))
+        if char is None:
+            char = self._draw(state)
+        match = char == self.symbols[j]
         if match:
-            self._char = None  # consumed
-            self._j += 1
-            if self._j == len(self.symbols):
-                self._j = self.restart  # full match: continue searching
+            char = None  # consumed
+            j += 1
+            if j == len(self.symbols):
+                j = self.restart  # full match: continue searching
         else:
-            link = self.fail[self._j]
+            link = self.fail[j]
             if link < 0:
-                self._char = None  # abandon the character
-                self._j = 0
+                char = None  # abandon the character
+                j = 0
             else:
-                self._j = link  # re-examine the same character
+                j = link  # re-examine the same character
+        state.predicate_state[key] = (j, char)
         if self.fault_bias and state.rng.random() < self.fault_bias:
             match = not match  # fault injection: observed outcome only
         return match

@@ -16,6 +16,12 @@ Fixtures:
   benchmarks, two budgets, 30k instructions).  Pins the full accuracy
   pipeline: workload generation, warmup policy, every Figure 1 predictor
   family, aggregation and rendering.
+* ``trace_checksums.json`` — the :func:`~repro.workloads.io.columns_checksum`
+  of every catalog workload's generated trace at each
+  :data:`CHECKSUM_INSTRUCTIONS` length.  It pins every column the caches
+  and BTB replay (block boundaries, targets, load/store addresses), not
+  only the branch stream, so any generator change that moves a single
+  byte of any trace fails ``tests/test_golden.py``.
 
 Regenerating is the *intentional* way to accept a behaviour change: rerun
 this script, eyeball the diff, and commit the new fixtures with the change
@@ -29,6 +35,7 @@ with, so the commit message can record them.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -48,6 +55,10 @@ STREAM_BENCHMARK = "gcc"
 STREAM_SEED = 1
 STREAM_INSTRUCTIONS = 40_000
 STREAM_BRANCHES = 2_500
+
+#: Trace lengths and seed pinned by ``trace_checksums.json``.
+CHECKSUM_INSTRUCTIONS = (2_000, 20_000)
+CHECKSUM_SEED = 1
 
 
 def dirty_files() -> list[str]:
@@ -108,6 +119,36 @@ def regen_figure1_small() -> None:
     )
 
 
+def trace_checksums() -> dict[str, dict[str, str]]:
+    """``{workload: {instructions: checksum}}`` for every catalog workload,
+    each trace generated afresh (no trace cache, no trace store)."""
+    from repro.workloads.catalog import workload_names
+    from repro.workloads.io import columns_checksum
+    from repro.workloads.spec2000 import _generate_trace, get_profile
+
+    checksums = {}
+    for name in workload_names():
+        profile = get_profile(name)
+        checksums[name] = {}
+        for instructions in CHECKSUM_INSTRUCTIONS:
+            trace = _generate_trace(profile, instructions, CHECKSUM_SEED)
+            checksums[name][str(instructions)] = columns_checksum(
+                trace.name, trace.columns()
+            )
+    return checksums
+
+
+def regen_trace_checksums() -> None:
+    checksums = trace_checksums()
+    (GOLDEN_DIR / "trace_checksums.json").write_text(
+        json.dumps(checksums, indent=2, sort_keys=True) + "\n"
+    )
+    print(
+        f"trace_checksums.json: {len(checksums)} workloads x "
+        f"{len(CHECKSUM_INSTRUCTIONS)} lengths (seed={CHECKSUM_SEED})"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -129,6 +170,7 @@ def main(argv: list[str] | None = None) -> int:
     regen_branch_stream()
     regen_table2()
     regen_figure1_small()
+    regen_trace_checksums()
     return 0
 
 

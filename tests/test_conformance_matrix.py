@@ -16,9 +16,9 @@ organization:
   final table contents) to an undisturbed one;
 * **sweep equality** — the parallel sweep executor produces exactly the
   cells the serial path produces, for every family at once;
-* **representation equality** — replaying a trace from the store's
-  columnar (SoA) arrays yields byte-identical accuracy counts to the
-  ``Block``-object replay, on both the scalar and batch engines.
+* **store transparency** — replaying a trace loaded back from the trace
+  store yields byte-identical accuracy counts to replaying the trace as
+  generated, on both the scalar and batch engines.
 
 The family list comes from the declarative registry, so a newly registered
 family is enrolled in every check automatically.
@@ -143,43 +143,44 @@ class TestPredictorContract:
         assert table_digests(predictor) == before
 
 
+@pytest.fixture(scope="module")
+def stored_small_trace(small_trace, tmp_path_factory):
+    """``small_trace`` saved into a trace store and loaded back."""
+    from repro.workloads.spec2000 import get_profile
+    from repro.workloads.store import TraceStore
+
+    store = TraceStore(tmp_path_factory.mktemp("traces"))
+    key = (get_profile(small_trace.name), 60_000, 1)  # small_trace's own key
+    store.save(small_trace, *key)
+    return store.load(*key)
+
+
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 class TestColumnarReplayConformance:
-    """Trace-representation equivalence: every family must produce
-    byte-identical accuracy counts whether the trace is replayed from
-    ``Block`` objects or from the store's columnar arrays."""
+    """Store transparency: every family must produce byte-identical
+    accuracy counts whether its trace was just generated or was loaded
+    back from the trace store's columns."""
 
-    def test_scalar_engine_counts_identical(self, family, small_trace):
+    def _counts_identical(self, family, engine, small_trace, stored_small_trace):
         from repro.harness.experiment import measure_accuracy
-        from repro.workloads.store import ColumnarTrace
 
-        columnar = ColumnarTrace.from_trace(small_trace)
-        blocks = measure_accuracy(
-            build_family(family, CONFORMANCE_BUDGET), small_trace, engine="scalar"
+        generated = measure_accuracy(
+            build_family(family, CONFORMANCE_BUDGET), small_trace, engine=engine
         )
-        columns = measure_accuracy(
-            build_family(family, CONFORMANCE_BUDGET), columnar, engine="scalar"
+        loaded = measure_accuracy(
+            build_family(family, CONFORMANCE_BUDGET), stored_small_trace, engine=engine
         )
-        assert blocks.branches == columns.branches
-        assert blocks.mispredictions == columns.mispredictions
-        assert blocks.misprediction_percent == columns.misprediction_percent
+        assert generated.branches == loaded.branches
+        assert generated.mispredictions == loaded.mispredictions
+        assert generated.misprediction_percent == loaded.misprediction_percent
 
-    def test_batch_engine_counts_identical(self, family, small_trace):
-        from repro.harness.experiment import measure_accuracy
-        from repro.workloads.store import ColumnarTrace
+    def test_scalar_engine_counts_identical(self, family, small_trace, stored_small_trace):
+        self._counts_identical(family, "scalar", small_trace, stored_small_trace)
 
+    def test_batch_engine_counts_identical(self, family, small_trace, stored_small_trace):
         if not registry.get_spec(family).batch_kernel:
             pytest.skip(f"{family} has no batch kernel")
-        columnar = ColumnarTrace.from_trace(small_trace)
-        blocks = measure_accuracy(
-            build_family(family, CONFORMANCE_BUDGET), small_trace, engine="batch"
-        )
-        columns = measure_accuracy(
-            build_family(family, CONFORMANCE_BUDGET), columnar, engine="batch"
-        )
-        assert blocks.branches == columns.branches
-        assert blocks.mispredictions == columns.mispredictions
-        assert blocks.misprediction_percent == columns.misprediction_percent
+        self._counts_identical(family, "batch", small_trace, stored_small_trace)
 
 
 @pytest.mark.parametrize("family", ALL_FAMILIES)

@@ -11,6 +11,7 @@ and a diff of the fixture files reviewed alongside the code change.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -24,6 +25,7 @@ from tests.golden.regen import (
     STREAM_BENCHMARK,
     STREAM_INSTRUCTIONS,
     STREAM_SEED,
+    trace_checksums,
 )
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -68,12 +70,30 @@ def test_golden_branch_stream_matches_workload():
     assert live == recorded
 
 
+def test_trace_checksums_match_golden():
+    """Every catalog workload's trace, regenerated at each pinned length,
+    has the pinned checksum over all of its columns — block boundaries,
+    targets and load/store addresses as well as the branch stream."""
+    pinned = json.loads(read_fixture("trace_checksums.json"))
+    live = trace_checksums()
+    drifted = sorted(
+        name for name in pinned.keys() | live.keys() if pinned.get(name) != live.get(name)
+    )
+    assert drifted == []
+
+
 def test_regen_refuses_dirty_tree(monkeypatch, capsys):
     """regen.py must not rewrite fixtures on top of uncommitted changes."""
     from tests.golden import regen
 
     calls = []
-    for name in ("regen_branch_stream", "regen_table2", "regen_figure1_small"):
+    names = (
+        "regen_branch_stream",
+        "regen_table2",
+        "regen_figure1_small",
+        "regen_trace_checksums",
+    )
+    for name in names:
         monkeypatch.setattr(regen, name, lambda name=name: calls.append(name))
     monkeypatch.setattr(regen, "dirty_files", lambda: [" M src/thing.py"])
     assert regen.main([]) == 1
@@ -84,7 +104,7 @@ def test_regen_refuses_dirty_tree(monkeypatch, capsys):
     assert regen.main(["--force"]) == 0
     monkeypatch.setattr(regen, "dirty_files", lambda: [])
     assert regen.main([]) == 0
-    assert len(calls) == 6
+    assert calls == [*names, *names]
 
 
 def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
@@ -103,3 +123,4 @@ def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
     assert (tmp_path / "branch_stream.csv").exists()
     assert (tmp_path / "table2.txt").exists()
     assert (tmp_path / "figure1_small.txt").exists()
+    assert (tmp_path / "trace_checksums.json").exists()

@@ -208,18 +208,26 @@ class TestOracleWarmStart:
         clear_trace_cache()
 
     def test_lru_key_tracks_store_configuration(self, tmp_path, monkeypatch):
-        from repro.workloads.store import ColumnarTrace
-        from repro.workloads.trace import Trace
+        """A store enabled mid-process still receives the trace: the LRU
+        entry cached without a store is not served in its place, and the
+        store's entry holds the very same columns."""
+        from repro.workloads.io import columns_checksum
+        from repro.workloads.store import active_store, reset_store_stats, store_stats
 
         name = "mp_abab_u2"
         instructions = 30_000
         monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
         clear_trace_cache()
+        reset_store_stats()
         bare = spec2000_trace(name, instructions=instructions, seed=TRACE_SEED)
-        assert isinstance(bare, Trace)
-        # Enabling the store mid-process must not serve the Block-backed
-        # entry cached above under the storeless key.
         monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "traces"))
         stored = spec2000_trace(name, instructions=instructions, seed=TRACE_SEED)
-        assert isinstance(stored, ColumnarTrace)
+        assert stored is not bare
+        assert store_stats()["writes"] == 1
+        entry = active_store().load(get_profile(name), instructions, TRACE_SEED)
+        assert entry is not None
+        checksums = {
+            columns_checksum(trace.name, trace.columns()) for trace in (bare, stored, entry)
+        }
+        assert len(checksums) == 1
         clear_trace_cache()

@@ -25,6 +25,7 @@ from repro.predictors.loop import LoopPredictor
 from repro.predictors.multicomponent import MultiComponentPredictor
 from repro.predictors.perceptron import PerceptronPredictor
 from repro.predictors.tournament import TournamentPredictor
+from tests.trace_blocks import trace_from_blocks
 
 
 def build_all():
@@ -151,9 +152,8 @@ def test_simulator_cycle_bounds_on_any_trace(blocks):
     from repro.uarch.config import MachineConfig
     from repro.uarch.policies import SingleCyclePolicy
     from repro.uarch.simulator import CycleSimulator
-    from repro.workloads.trace import Trace
 
-    trace = Trace(name="fuzz", blocks=blocks)
+    trace = trace_from_blocks("fuzz", blocks)
     result = CycleSimulator(
         SingleCyclePolicy(GsharePredictor(1024)), config=MachineConfig(), ilp=4.0
     ).run(trace)
@@ -169,9 +169,8 @@ def test_simulator_cycle_bounds_on_any_trace(blocks):
 def test_simulator_is_deterministic(blocks):
     from repro.uarch.policies import SingleCyclePolicy
     from repro.uarch.simulator import CycleSimulator
-    from repro.workloads.trace import Trace
 
-    trace = Trace(name="fuzz", blocks=blocks)
+    trace = trace_from_blocks("fuzz", blocks)
     first = CycleSimulator(SingleCyclePolicy(GsharePredictor(1024)), ilp=3.0).run(trace)
     second = CycleSimulator(SingleCyclePolicy(GsharePredictor(1024)), ilp=3.0).run(trace)
     assert first.cycles == second.cycles

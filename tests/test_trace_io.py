@@ -21,17 +21,22 @@ from repro.workloads.io import (
     columns_checksum,
     load_columns,
     load_trace,
+    read_branch_trace,
     save_trace,
-    trace_to_columns,
 )
-from repro.workloads.store import ColumnarTrace
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.spec2000 import get_profile
+from repro.workloads.store import ColumnarTrace, TraceStore
+from repro.workloads.trace import Block, BranchKind
+from tests.trace_blocks import trace_from_blocks
 
 
-def traces_equal(a: Trace, b: Trace) -> bool:
-    if a.name != b.name or len(a) != len(b):
-        return False
-    return all(x == y for x, y in zip(a.blocks, b.blocks))
+def traces_equal(a: ColumnarTrace, b: ColumnarTrace) -> bool:
+    """Same name, same block view, same bytes in every column."""
+    return (
+        a.name == b.name
+        and a.blocks == b.blocks
+        and columns_checksum(a.name, a.columns()) == columns_checksum(b.name, b.columns())
+    )
 
 
 class TestRoundTrip:
@@ -52,9 +57,9 @@ class TestRoundTrip:
         assert original.branches == replayed.branches
 
     def test_empty_memory_blocks(self, tmp_path):
-        trace = Trace(
-            name="tiny",
-            blocks=[
+        trace = trace_from_blocks(
+            "tiny",
+            [
                 Block(pc=0x1000, instructions=3),
                 Block(
                     pc=0x100C,
@@ -70,9 +75,9 @@ class TestRoundTrip:
         assert traces_equal(trace, loaded)
 
     def test_memory_addresses_preserved(self, tmp_path):
-        trace = Trace(
-            name="mem",
-            blocks=[
+        trace = trace_from_blocks(
+            "mem",
+            [
                 Block(pc=0x1000, instructions=4, loads=(0xA000, 0xB000), stores=(0xC000,)),
                 Block(pc=0x1010, instructions=2, loads=(0xD000,)),
             ],
@@ -168,7 +173,7 @@ class TestErrors:
     def test_nonzero_column_padding_rejected(self, tmp_path):
         """Padding is outside the checksum, so it is checked on its own."""
         blocks = [Block(pc=0x1000 + 16 * i, instructions=4) for i in range(3)]
-        path = save_trace(Trace(name="odd", blocks=blocks), tmp_path / "p")
+        path = save_trace(trace_from_blocks("odd", blocks), tmp_path / "p")
         _, end, data = split_file(path)
         # Three int32 instruction counts are followed by 4 padding bytes.
         pad = end + 8 * 3 + 4 * 3
@@ -181,7 +186,7 @@ class TestErrors:
     def test_v2_npz_rejected_as_unsupported_format(self, tmp_path, small_trace):
         """An entry of the previous (compressed ``.npz``) format is refused
         with a message that names it, not misread or reported as rot."""
-        columns = trace_to_columns(small_trace)
+        columns = small_trace.columns()
         path = tmp_path / "old.npz"
         with open(path, "wb") as handle:
             np.savez_compressed(
@@ -195,8 +200,10 @@ class TestErrors:
             load_trace(path)
 
     def test_loaded_columns_are_read_only(self, tmp_path, small_trace):
-        """Loaded columns are views of one read-only buffer: no consumer
-        can change a trace the in-process cache hands to everyone."""
+        """Every trace is read-only, however it was made — generated,
+        loaded from a file or the store, or imported from text — so no
+        consumer can change a trace the in-process cache hands to
+        everyone.  Loaded columns are views of one read-only buffer."""
         name, columns = load_columns(save_trace(small_trace, tmp_path / "ro"))
         assert list(columns) == list(COLUMN_ORDER)
         for key, column in columns.items():
@@ -204,9 +211,25 @@ class TestErrors:
             assert column.flags.aligned, key
         with pytest.raises(ValueError):
             columns["taken"][0] = not columns["taken"][0]
-        trace = ColumnarTrace(name, **columns)
-        with pytest.raises(ValueError):
-            trace.branch_pc[0] = 0
+        store = TraceStore(tmp_path / "store")
+        store.save(small_trace, get_profile("gcc"), 60_000, 1)
+        text = tmp_path / "branches.txt"
+        text.write_text("0x401000 T\n0x401010 N\n")
+        traces = {
+            "generated": small_trace,
+            "file": ColumnarTrace(name, **columns),
+            "store": store.load(get_profile("gcc"), 60_000, 1),
+            "imported": read_branch_trace(text),
+        }
+        for how, trace in traces.items():
+            for key, column in trace.columns().items():
+                assert not column.flags.writeable, (how, key)
+            for array in trace.branch_arrays():
+                assert not array.flags.writeable, how
+            with pytest.raises(ValueError):
+                trace.branch_pc[0] = 0
+            with pytest.raises(ValueError):
+                trace.branch_arrays()[1][0] = True
 
 
 ADDRESS = st.integers(min_value=0, max_value=2**48)
@@ -235,59 +258,58 @@ def arbitrary_blocks(draw) -> Block:
     )
 
 
-arbitrary_traces = st.builds(
-    Trace,
-    name=st.text(
-        alphabet=st.characters(whitelist_categories=["L", "N"]), min_size=1, max_size=12
-    ),
-    blocks=st.lists(arbitrary_blocks(), min_size=1, max_size=60),
+TRACE_NAMES = st.text(
+    alphabet=st.characters(whitelist_categories=["L", "N"]), min_size=1, max_size=12
 )
+BLOCK_LISTS = st.lists(arbitrary_blocks(), min_size=1, max_size=60)
+
+
+def assert_matches_blocks(trace: ColumnarTrace, blocks: list[Block]) -> None:
+    """``trace``'s block view and its vectorized statistics agree with the
+    same quantities counted block by block."""
+    assert trace.blocks == blocks  # dataclass eq: every field
+    branches = [(b.branch_pc, b.taken) for b in blocks if b.has_conditional]
+    assert trace.instruction_count == sum(b.instructions for b in blocks)
+    assert list(trace.conditional_branches()) == branches
+    assert trace.conditional_branch_count == len(branches)
+    assert trace.static_branch_count() == len({pc for pc, _ in branches})
+    assert trace.taken_rate == (
+        sum(taken for _, taken in branches) / len(branches) if branches else 0.0
+    )
+    pcs, takens = trace.branch_arrays()
+    assert pcs.tolist() == [pc for pc, _ in branches]
+    assert takens.tolist() == [taken for _, taken in branches]
 
 
 class TestHypothesisRoundTrip:
     """Property-based round-trips: any legal block stream survives
-    serialization and columnarization with field-exact equality."""
+    columnarization and serialization with field-exact equality."""
 
     @settings(max_examples=60, deadline=None)
-    @given(trace=arbitrary_traces)
-    def test_save_load_roundtrip_exact(self, trace, tmp_path_factory):
+    @given(name=TRACE_NAMES, blocks=BLOCK_LISTS)
+    def test_save_load_roundtrip_exact(self, name, blocks, tmp_path_factory):
+        trace = trace_from_blocks(name, blocks)
         path = save_trace(trace, tmp_path_factory.mktemp("rt") / "trace")
         loaded = load_trace(path)
-        assert loaded.name == trace.name
-        assert loaded.blocks == trace.blocks  # dataclass eq: every field
+        assert loaded.name == name
+        assert loaded.blocks == blocks  # dataclass eq: every field
 
     @settings(max_examples=60, deadline=None)
-    @given(trace=arbitrary_traces)
-    def test_columnar_roundtrip_exact(self, trace):
-        columnar = ColumnarTrace.from_trace(trace)
-        assert columnar.to_trace().blocks == trace.blocks
-        assert columnar.instruction_count == trace.instruction_count
-        assert list(columnar.conditional_branches()) == list(
-            trace.conditional_branches()
-        )
-        assert columnar.conditional_branch_count == trace.conditional_branch_count
-        assert columnar.static_branch_count() == trace.static_branch_count()
-        assert columnar.taken_rate == trace.taken_rate
-        pcs_a, takens_a = columnar.branch_arrays()
-        pcs_b, takens_b = trace.branch_arrays()
-        assert np.array_equal(pcs_a, pcs_b)
-        assert np.array_equal(takens_a, takens_b)
+    @given(name=TRACE_NAMES, blocks=BLOCK_LISTS)
+    def test_columnar_roundtrip_exact(self, name, blocks):
+        assert_matches_blocks(trace_from_blocks(name, blocks), blocks)
 
     @settings(max_examples=40, deadline=None)
-    @given(trace=arbitrary_traces)
-    def test_zero_branch_traces_roundtrip(self, trace):
-        stripped = Trace(
-            name=trace.name,
-            blocks=[
-                Block(pc=b.pc, instructions=b.instructions, loads=b.loads, stores=b.stores)
-                for b in trace.blocks
-            ],
-        )
-        columnar = ColumnarTrace.from_trace(stripped)
-        assert columnar.conditional_branch_count == 0
-        assert columnar.taken_rate == 0.0
-        assert list(columnar.conditional_branches()) == []
-        assert columnar.to_trace().blocks == stripped.blocks
+    @given(name=TRACE_NAMES, blocks=BLOCK_LISTS)
+    def test_zero_branch_traces_roundtrip(self, name, blocks):
+        stripped = [
+            Block(pc=b.pc, instructions=b.instructions, loads=b.loads, stores=b.stores)
+            for b in blocks
+        ]
+        trace = trace_from_blocks(name, stripped)
+        assert trace.conditional_branch_count == 0
+        assert trace.taken_rate == 0.0
+        assert_matches_blocks(trace, stripped)
 
 
 class TestTextImport:
@@ -333,5 +355,9 @@ class TestTextImport:
             read_branch_trace(self._write(tmp_path, "justonefield\n"))
         with pytest.raises(TraceError):
             read_branch_trace(self._write(tmp_path, "# only comments\n"))
+        with pytest.raises(TraceError, match="out of range"):
+            read_branch_trace(self._write(tmp_path, "0x1000 T\n-0x10 T\n"))
+        with pytest.raises(TraceError, match="out of range"):
+            read_branch_trace(self._write(tmp_path, f"{1 << 64:#x} T\n"))
         with pytest.raises(TraceError):
             read_branch_trace(tmp_path / "missing.txt")

@@ -36,6 +36,7 @@ from repro.workloads.store import (
     trace_digest,
 )
 from tests.conftest import plant_staging_files, race_live_writer
+from tests.trace_blocks import trace_from_blocks
 
 INSTRUCTIONS = 20_000
 
@@ -192,7 +193,7 @@ class TestFaultInjection:
         eon = spec2000_trace("eon", instructions=INSTRUCTIONS)
         # Overwrite gcc's entry with a valid eon trace file, then drop
         # eon's own entry so only the imposter remains.
-        save_trace(eon.to_trace(), gcc_entry)
+        save_trace(eon, gcc_entry)
         for entry in active_store().entries():
             if entry != gcc_entry:
                 entry.unlink()
@@ -328,54 +329,46 @@ class TestWarmHelper:
 
 
 class TestColumnarSimulation:
-    def test_cycle_simulator_accepts_columnar(self, store_env):
-        """The lazy blocks view feeds the cycle simulator; IPC matches the
-        Block-object trace exactly."""
+    def test_cycle_simulator_accepts_columnar(self, store_env, monkeypatch):
+        """A trace loaded from the store drives the cycle simulator to the
+        IPC of the same trace freshly generated without a store."""
         from repro.predictors.gshare import GsharePredictor
         from repro.uarch.policies import SingleCyclePolicy
         from repro.uarch.simulator import CycleSimulator
 
-        columnar = spec2000_trace("gcc", instructions=INSTRUCTIONS)
-        assert isinstance(columnar, ColumnarTrace)
-        blocks = columnar.to_trace()
+        spec2000_trace("gcc", instructions=INSTRUCTIONS)
+        clear_trace_cache()
+        loaded = spec2000_trace("gcc", instructions=INSTRUCTIONS)
+        assert store_stats()["hits"] == 1
+        monkeypatch.delenv("REPRO_TRACE_STORE")
+        generated = spec2000_trace("gcc", instructions=INSTRUCTIONS)
+        assert generated is not loaded
 
         def ipc(trace):
             policy = SingleCyclePolicy(GsharePredictor(4096))
             return CycleSimulator(policy, ilp=get_profile("gcc").ilp).run(trace).ipc
 
-        assert ipc(columnar) == ipc(blocks)
+        assert ipc(loaded) == ipc(generated)
 
     def test_validate_catches_discontinuity(self):
-        from repro.workloads.trace import Block, BranchKind, Trace
+        from repro.workloads.trace import Block, BranchKind
 
-        good = Trace(
-            name="x",
-            blocks=[
-                Block(
-                    pc=0x1000,
-                    instructions=4,
-                    branch_kind=BranchKind.CONDITIONAL,
-                    branch_pc=0x100C,
-                    taken=True,
-                    target=0x2000,
-                ),
-                Block(pc=0x2000, instructions=4),
-            ],
-        )
-        ColumnarTrace.from_trace(good).validate()
-        bad = Trace(
-            name="x",
-            blocks=[
-                Block(
-                    pc=0x1000,
-                    instructions=4,
-                    branch_kind=BranchKind.CONDITIONAL,
-                    branch_pc=0x100C,
-                    taken=True,
-                    target=0x3000,  # does not match the next block
-                ),
-                Block(pc=0x2000, instructions=4),
-            ],
-        )
+        def trace(target):
+            return trace_from_blocks(
+                "x",
+                [
+                    Block(
+                        pc=0x1000,
+                        instructions=4,
+                        branch_kind=BranchKind.CONDITIONAL,
+                        branch_pc=0x100C,
+                        taken=True,
+                        target=target,
+                    ),
+                    Block(pc=0x2000, instructions=4),
+                ],
+            )
+
+        trace(0x2000).validate()
         with pytest.raises(TraceError):
-            ColumnarTrace.from_trace(bad).validate()
+            trace(0x3000).validate()  # does not match the next block

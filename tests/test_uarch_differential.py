@@ -41,8 +41,8 @@ from repro.uarch.policies import (
 )
 from repro.uarch.simulator import CycleSimulator
 from repro.workloads.spec2000 import get_profile, spec2000_names, spec2000_trace
-from repro.workloads.store import ColumnarTrace
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.trace import Block, BranchKind
+from tests.trace_blocks import trace_from_blocks
 from tests.uarch_reference import ReferenceSimulator
 
 FIGURE7_FAMILIES = ("gshare_fast", "2bcgskew", "perceptron", "multicomponent")
@@ -202,14 +202,11 @@ def _blocks(raw: list[tuple]) -> list[Block]:
 @given(
     raw=st.lists(_raw_block, min_size=1, max_size=120),
     blocks_per_cycle=st.sampled_from([1, 2]),
-    columnar=st.booleans(),
     engine=st.sampled_from(["auto", "scalar"]),
     ilp=st.sampled_from([1.5, 3.0, 8.0]),
 )
-def test_generated_traces_match_reference(raw, policy, blocks_per_cycle, columnar, engine, ilp):
-    trace = Trace(name="generated", blocks=_blocks(raw))
-    if columnar:
-        trace = ColumnarTrace.from_trace(trace)
+def test_generated_traces_match_reference(raw, policy, blocks_per_cycle, engine, ilp):
+    trace = trace_from_blocks("generated", _blocks(raw))
     config = MachineConfig(
         btb_entries=8, btb_ways=2, ras_depth=2, blocks_per_cycle=blocks_per_cycle, rob_size=16
     )

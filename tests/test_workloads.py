@@ -18,6 +18,8 @@ from repro.workloads.cfg import (
     TripSampler,
     layout_program,
 )
+from repro.workloads.catalog import get_workload
+from repro.workloads.io import columns_checksum
 from repro.workloads.predicates import (
     BiasedPredicate,
     GlobalParityPredicate,
@@ -28,7 +30,8 @@ from repro.workloads.predicates import (
 from repro.workloads.program import MemoryConfig, ProgramExecutor
 from repro.workloads.spec2000 import get_profile, spec2000_names, spec2000_trace
 from repro.workloads.synth import WorkloadProfile, build_program
-from repro.workloads.trace import Block, BranchKind, Trace
+from repro.workloads.trace import Block, BranchKind, ColumnarTrace
+from tests.trace_blocks import trace_from_blocks
 
 
 class TestBlock:
@@ -53,8 +56,8 @@ class TestBlock:
 
 
 class TestTrace:
-    def _trace(self):
-        blocks = [
+    def _blocks(self, second_pc=0x2000):
+        return [
             Block(
                 pc=0x1000,
                 instructions=3,
@@ -63,9 +66,11 @@ class TestTrace:
                 taken=True,
                 target=0x2000,
             ),
-            Block(pc=0x2000, instructions=2),
+            Block(pc=second_pc, instructions=2),
         ]
-        return Trace(name="t", blocks=blocks)
+
+    def _trace(self):
+        return trace_from_blocks("t", self._blocks())
 
     def test_counts(self):
         trace = self._trace()
@@ -78,13 +83,27 @@ class TestTrace:
         self._trace().validate()
 
     def test_validate_rejects_discontinuity(self):
-        trace = self._trace()
-        trace.blocks[1] = Block(pc=0x3000, instructions=2)
+        trace = trace_from_blocks("t", self._blocks(second_pc=0x3000))
         with pytest.raises(TraceError):
             trace.validate()
 
     def test_branch_iterator(self):
         assert list(self._trace().conditional_branches()) == [(0x1008, True)]
+
+    def test_rejects_empty_block(self):
+        """A trace checks every block as :class:`Block` checks one."""
+        columns = self._trace().columns()
+        instructions = columns["instructions"].copy()
+        instructions[1] = 0
+        with pytest.raises(TraceError, match="0x2000 has no instructions"):
+            ColumnarTrace("t", **{**columns, "instructions": instructions})
+
+    def test_rejects_branch_without_branch_pc(self):
+        columns = self._trace().columns()
+        branch_pc = columns["branch_pc"].copy()
+        branch_pc[0] = 0
+        with pytest.raises(TraceError, match="0x1000 has a branch without a branch_pc"):
+            ColumnarTrace("t", **{**columns, "branch_pc": branch_pc})
 
 
 class TestPredicates:
@@ -270,6 +289,26 @@ class TestExecutor:
     def test_requires_layout(self):
         with pytest.raises(ConfigurationError):
             ProgramExecutor(self._make_program(), seed=1)
+
+    @pytest.mark.parametrize("name", ["gzip", "vpr", "gcc", "kmp_abab_u2"])
+    def test_one_program_runs_identically_twice(self, name):
+        """A run leaves the laid-out program as it found it: a second
+        executor over the same program, with the same seed, writes the
+        same columns as the first (pattern positions and matcher state
+        belong to the run, not to the program)."""
+        spec = get_workload(name)
+        program = spec.build(spec.profile)
+
+        def checksum() -> str:
+            trace = ProgramExecutor(
+                program,
+                seed=1,
+                memory=spec.profile.memory,
+                hidden_bits=spec.profile.hidden_bits,
+            ).run(20_000)
+            return columns_checksum(trace.name, trace.columns())
+
+        assert checksum() == checksum()
 
     def test_memory_config_validation(self):
         with pytest.raises(ConfigurationError):

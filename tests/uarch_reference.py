@@ -18,13 +18,13 @@ from __future__ import annotations
 import math
 
 from repro.uarch.simulator import CycleSimulator, SimulationResult, StallBreakdown
-from repro.workloads.trace import BranchKind, Trace
+from repro.workloads.trace import BranchKind, ColumnarTrace
 
 
 class ReferenceSimulator(CycleSimulator):
     """:class:`CycleSimulator` with the per-block reference loop."""
 
-    def run(self, trace: Trace) -> SimulationResult:
+    def run(self, trace: ColumnarTrace) -> SimulationResult:
         """Simulate ``trace`` block by block and return cycles/IPC/stats."""
         config = self.config
         stalls = StallBreakdown()
