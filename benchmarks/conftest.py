@@ -2,12 +2,15 @@
 
 Each benchmark regenerates one of the paper's tables/figures (see
 DESIGN.md's experiment index), asserts its headline *shape* property, and
-writes the rendered text to ``results/<id>.txt`` next to this directory.
+writes the rendered text to ``results/<target>.txt`` next to this
+directory: exactly what ``repro-figures <target>`` prints.  Grid figures
+build their one definition, :data:`repro.harness.figures.FIGURES`, at the
+trace lengths of :mod:`repro.harness.scale` (600k accuracy / 400k IPC
+instructions at the default scale) over the full budget ladders.
 
-Scale: benchmarks default to a reduced trace length so the full suite
-finishes in tens of minutes; ``REPRO_SCALE`` multiplies it (values >= 3
-approach the asymptotic numbers recorded in EXPERIMENTS.md), and
-``REPRO_BENCHMARKS`` selects a benchmark subset.
+Scale: ``REPRO_SCALE`` multiplies the trace lengths, and
+``REPRO_BENCHMARKS`` selects a benchmark subset; ``REPRO_RESULT_STORE``
+makes a rerun read every cell back instead of recomputing it.
 """
 
 from __future__ import annotations
@@ -16,25 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.scale import scale_factor
-
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-#: Reduced per-benchmark trace lengths for the benchmark suite.
-ACCURACY_INSTRUCTIONS = 300_000
-IPC_INSTRUCTIONS = 200_000
-
-#: Reduced budget grids (paper ladders thinned to keep runtime sane).
-FIG1_BUDGETS = [4 * 1024, 32 * 1024, 256 * 1024]
-LARGE_BUDGETS = [16 * 1024, 64 * 1024, 512 * 1024]
-
-
-def accuracy_instructions() -> int:
-    return max(int(ACCURACY_INSTRUCTIONS * scale_factor()), 10_000)
-
-
-def ipc_instructions() -> int:
-    return max(int(IPC_INSTRUCTIONS * scale_factor()), 10_000)
 
 
 def write_result(name: str, text: str) -> None:
@@ -42,6 +27,11 @@ def write_result(name: str, text: str) -> None:
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print()
     print(text)
+
+
+def write_figure(name: str, panels) -> None:
+    """Write built panels as ``repro-figures`` renders them."""
+    write_result(name, "\n\n".join(panel.render() for panel in panels))
 
 
 @pytest.fixture

@@ -13,13 +13,14 @@ gshare.fast design and the delay-hiding schemes:
 
 from __future__ import annotations
 
-from benchmarks.conftest import accuracy_instructions, ipc_instructions, write_result
+from benchmarks.conftest import write_figure, write_result
 from repro.core.dualpath import DualPathPolicy
 from repro.core.gshare_fast import GshareFastPredictor
 from repro.core.overriding import OverridingPredictor
 from repro.harness.experiment import measure_accuracy, measure_override
+from repro.harness.figures import build_figure
 from repro.harness.report import render_table
-from repro.harness.scale import warmup_branches
+from repro.harness.scale import accuracy_instructions, ipc_instructions, warmup_branches
 from repro.predictors.factory import build_predictor
 from repro.predictors.gshare import GsharePredictor
 from repro.timing.latency import predictor_latency
@@ -193,37 +194,9 @@ def test_ablation_pipelined_families(once):
     Bi-Mode's bias separation.  This quantifies the paper's closing
     conjecture that other predictors can be reorganized the same way.
     """
-    from benchmarks.conftest import LARGE_BUDGETS
-    from repro.harness.scale import benchmark_names
-    from repro.harness.sweep import accuracy_sweep, mean_by_family_budget
-
-    def sweep():
-        cells = accuracy_sweep(
-            ["gshare_fast", "bimode_fast"],
-            LARGE_BUDGETS,
-            benchmarks=benchmark_names(),
-            instructions=accuracy_instructions(),
-        )
-        return mean_by_family_budget(cells)
-
-    means = once(sweep)
-    rows = [
-        (
-            f"{budget // 1024}K",
-            f"{means[('gshare_fast', budget)]:.2f}",
-            f"{means[('bimode_fast', budget)]:.2f}",
-        )
-        for budget in LARGE_BUDGETS
-    ]
-    write_result(
-        "abl_pipelined_families",
-        render_table(
-            "Ablation: pipelined single-cycle families, mean mispredict %",
-            ["budget", "gshare.fast", "bimode.fast"],
-            rows,
-        ),
-    )
+    (figure,) = once(build_figure, "extension")
+    write_figure("extension", [figure])
     # bimode.fast must beat gshare.fast at every budget while keeping the
     # same single-cycle property — the reorganization pays.
-    for budget in LARGE_BUDGETS:
-        assert means[("bimode_fast", budget)] < means[("gshare_fast", budget)]
+    for budget in figure.rows:
+        assert figure.series["bimode_fast"][budget] < figure.series["gshare_fast"][budget]

@@ -3,19 +3,20 @@ gshare, Bi-Mode, multi-component and perceptron."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import FIG1_BUDGETS, accuracy_instructions, write_result
-from repro.harness.figures import figure1
+from benchmarks.conftest import write_figure
+from repro.harness.figures import build_figure
 
 
 def test_figure1_accuracy_sweep(once):
-    figure = once(figure1, budgets=FIG1_BUDGETS, instructions=accuracy_instructions())
-    write_result("figure1", figure.render())
+    (figure,) = once(build_figure, "figure1")
+    write_figure("figure1", [figure])
 
     # Shape checks (paper's Figure 1): the perceptron is the most accurate
     # family at every budget, and every family beats plain gshare at the
     # largest budget.
-    largest = FIG1_BUDGETS[-1]
-    for budget in FIG1_BUDGETS:
+    budgets = figure.rows
+    largest = budgets[-1]
+    for budget in budgets:
         perceptron = figure.series["perceptron"][budget]
         # The perceptron and the multi-hybrid are the accuracy leaders
         # (they trade places on hard-benchmark subsets); both clearly beat
@@ -27,4 +28,4 @@ def test_figure1_accuracy_sweep(once):
         assert figure.series[family][largest] < figure.series["gshare"][largest]
     # Accuracy improves (or at worst saturates) from the smallest budget.
     for family in figure.series:
-        assert figure.series[family][largest] <= figure.series[family][FIG1_BUDGETS[0]] + 0.5
+        assert figure.series[family][largest] <= figure.series[family][budgets[0]] + 0.5

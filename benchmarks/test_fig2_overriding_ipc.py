@@ -3,21 +3,21 @@ perceptron and multi-component predictors across large budgets."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import LARGE_BUDGETS, ipc_instructions, write_result
-from repro.harness.figures import figure2
+from benchmarks.conftest import write_figure
+from repro.harness.figures import build_figure
 
 
 def test_figure2_ideal_vs_overriding(once):
-    figure = once(figure2, budgets=LARGE_BUDGETS, instructions=ipc_instructions())
-    write_result("figure2", figure.render("Budget", "{:.3f}"))
+    (figure,) = once(build_figure, "figure2")
+    write_figure("figure2", [figure])
 
-    largest = LARGE_BUDGETS[-1]
-    smallest = LARGE_BUDGETS[0]
+    budgets = figure.rows
+    smallest, largest = budgets[0], budgets[-1]
     for family in ("multicomponent", "perceptron"):
         ideal = figure.series[f"{family} (no delay)"]
         real = figure.series[f"{family} (overriding)"]
         # Realistic never beats ideal, and the gap widens with budget —
         # the paper's core observation.
-        for budget in LARGE_BUDGETS:
+        for budget in budgets:
             assert real[budget] <= ideal[budget] + 1e-9
         assert (ideal[largest] - real[largest]) >= (ideal[smallest] - real[smallest]) - 1e-9

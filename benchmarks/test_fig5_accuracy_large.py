@@ -3,18 +3,18 @@ multi-component, perceptron, gshare.fast) at large budgets."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import LARGE_BUDGETS, accuracy_instructions, write_result
-from repro.harness.figures import figure5
+from benchmarks.conftest import write_figure
+from repro.harness.figures import build_figure
 
 
 def test_figure5_large_budget_accuracy(once):
-    figure = once(figure5, budgets=LARGE_BUDGETS, instructions=accuracy_instructions())
-    write_result("figure5", figure.render())
+    (figure,) = once(build_figure, "figure5")
+    write_figure("figure5", [figure])
 
     # Paper shape: the complex predictors are more accurate than
     # gshare.fast at every budget (gshare.fast trades accuracy for a
     # single-cycle pipeline), and the perceptron leads.
-    for budget in LARGE_BUDGETS:
+    for budget in figure.rows:
         fast = figure.series["gshare_fast"][budget]
         assert figure.series["perceptron"][budget] < fast
         assert figure.series["multicomponent"][budget] < fast

@@ -4,19 +4,19 @@ gshare.fast in both panels (it is single-cycle by construction)."""
 
 from __future__ import annotations
 
-from benchmarks.conftest import LARGE_BUDGETS, ipc_instructions, write_result
-from repro.harness.figures import figure7
+from benchmarks.conftest import write_figure
+from repro.harness.figures import build_figure
 
 
 def test_figure7_ipc_panels(once):
-    left, right = once(figure7, budgets=LARGE_BUDGETS, instructions=ipc_instructions())
-    write_result("figure7_ideal", left.render("Budget", "{:.3f}"))
-    write_result("figure7_overriding", right.render("Budget", "{:.3f}"))
+    left, right = once(build_figure, "figure7")
+    write_figure("figure7", [left, right])
 
-    smallest, largest = LARGE_BUDGETS[0], LARGE_BUDGETS[-1]
+    budgets = left.rows
+    smallest, largest = budgets[0], budgets[-1]
 
     # gshare.fast pays no override penalty: identical in both panels.
-    for budget in LARGE_BUDGETS:
+    for budget in budgets:
         assert abs(left.series["gshare_fast"][budget] - right.series["gshare_fast"][budget]) < 1e-9
 
     for family in ("2bcgskew", "multicomponent", "perceptron"):

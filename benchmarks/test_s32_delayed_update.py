@@ -11,8 +11,8 @@ from repro.harness.figures import delayed_update_study
 
 
 def test_delayed_update_cost(once):
-    result = once(delayed_update_study, budget_bytes=256 * 1024, delays=(0, 16, 64, 256))
-    write_result("s32_delayed_update", result.render())
+    result = once(delayed_update_study)
+    write_result("delayed-update", result.render())
 
     base = result.misprediction_percent[0]
     delayed = result.misprediction_percent[64]

@@ -16,10 +16,7 @@ from repro.harness.figures import MID_BUDGET, override_disagreement
 def test_override_disagreement_rates(once):
     perceptron = once(override_disagreement, "perceptron", MID_BUDGET)
     multicomponent = override_disagreement("multicomponent", MID_BUDGET)
-    write_result(
-        "s45_override",
-        perceptron.render() + "\n\n" + multicomponent.render(),
-    )
+    write_result("override", perceptron.render() + "\n\n" + multicomponent.render())
 
     # Mean disagreement is a sizeable single-digit-to-teens percentage.
     assert 0.02 < perceptron.mean_rate < 0.30

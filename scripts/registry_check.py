@@ -2,8 +2,8 @@
 """CI gate: the predictor-family registry must be complete.
 
 Runs :func:`repro.predictors.registry.completeness_problems` and fails
-(exit 1) if any concrete predictor dodges registration or any golden figure
-family list references an unregistered family.  Prints the registered zoo
+(exit 1) if any concrete predictor dodges registration or any grid in
+``repro.harness.figures.FIGURES`` references an unregistered family.  Prints the registered zoo
 on success so CI logs show what the gate covered.
 
 Usage::

@@ -1,6 +1,6 @@
 """Shared low-level utilities: bits, counters, histories, RNG, errors."""
 
-from repro.common.atomic import atomic_path, atomic_write_json, stale_tmp_siblings
+from repro.common.atomic import atomic_path, atomic_write_json
 from repro.common.bits import fold, hash_pc, is_power_of_two, log2_exact, mask
 from repro.common.counters import CounterTable
 from repro.common.errors import (
@@ -31,5 +31,4 @@ __all__ = [
     "is_power_of_two",
     "log2_exact",
     "mask",
-    "stale_tmp_siblings",
 ]

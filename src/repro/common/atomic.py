@@ -113,21 +113,6 @@ def exclusive_create_json(path: str | os.PathLike, data: dict) -> bool:
             pass
 
 
-def stale_tmp_siblings(path: str | os.PathLike) -> list[str]:
-    """Every staging sibling of ``path``, whether or not its writer still
-    runs.  Only a caller that knows no writer can be live (a campaign cell
-    nobody claims) may delete these; the stores use
-    :func:`abandoned_staging_files`."""
-    path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    prefix = f"{os.path.basename(path)}.tmp."
-    try:
-        names = os.listdir(directory)
-    except OSError:
-        return []
-    return [os.path.join(directory, n) for n in names if n.startswith(prefix)]
-
-
 def pid_exited(pid: int) -> bool:
     """True when no process ``pid`` runs on this host."""
     try:
@@ -155,8 +140,11 @@ def _writer_gone(staging: str, writer: str, now: float) -> bool:
         return False  # already gone: its writer renamed or removed it
 
 
-def abandoned_staging_files(directory: str | os.PathLike) -> list[str]:
-    """Staging files in ``directory`` whose writers are gone (see
+def abandoned_staging_files(
+    directory: str | os.PathLike, target: str | None = None
+) -> list[str]:
+    """Staging files in ``directory`` (only those of the final name
+    ``target``, when given) whose writers are gone (see
     :func:`_writer_gone`); a live writer's staging file is never listed."""
     directory = os.fspath(directory)
     try:
@@ -166,9 +154,11 @@ def abandoned_staging_files(directory: str | os.PathLike) -> list[str]:
     now = time.time()
     found = []
     for name in names:
-        _, sep, writer = name.rpartition(".tmp.")
+        final, sep, writer = name.rpartition(".tmp.")
+        if not sep or target not in (None, final):
+            continue
         staging = os.path.join(directory, name)
-        if sep and _writer_gone(staging, writer, now):
+        if _writer_gone(staging, writer, now):
             found.append(staging)
     return found
 

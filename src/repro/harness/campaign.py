@@ -23,8 +23,8 @@ class                     evidence                               action
 ========================  =====================================  ============
 ``completed``             valid checkpoint under the final name  skip
 ``partial``               torn checkpoint (unparseable /wrong    re-execute
-                          schema / shard mismatch), a stale
-                          ``*.tmp.<pid>`` staging file, or a
+                          schema / shard mismatch), a staging
+                          file whose writer is gone, or a
                           claim file with no checkpoint (worker
                           died mid-cell)
 ``failed``                failure marker (retry budget            re-execute
@@ -102,10 +102,10 @@ from multiprocessing.connection import wait
 
 from repro import obs
 from repro.common.atomic import (
+    abandoned_staging_files,
     atomic_write_json,
     exclusive_create_json,
     pid_exited,
-    stale_tmp_siblings,
 )
 from repro.common.errors import ConfigurationError, ReproError
 from repro.obs import events as obs_events
@@ -552,10 +552,12 @@ def _checkpoint_state(layout: CampaignLayout, shard: Shard) -> str:
 
     Torn means *evidence of an interrupted write*: a file under the final
     name that does not parse, carries the wrong schema, or describes a
-    different shard — or a leftover ``*.tmp.<pid>`` staging sibling with no
-    valid final file.  ``CheckpointStore.load`` collapses all of those to
-    "absent" (correct for reading results); classification must keep them
-    distinct because a torn checkpoint proves a worker died *here*.
+    different shard — or, with no valid final file, a staging sibling whose
+    writer is gone (the stores' rule, :func:`abandoned_staging_files`; a
+    live writer's staging file is no evidence of anything).
+    ``CheckpointStore.load`` collapses all of those to "absent" (correct
+    for reading results); classification must keep them distinct because a
+    torn checkpoint proves a worker died *here*.
     """
     path = layout.checkpoint_path(shard)
     data = _read_json(path)
@@ -563,7 +565,7 @@ def _checkpoint_state(layout: CampaignLayout, shard: Shard) -> str:
         return "valid" if _is_checkpoint_of(data, shard) else "torn"
     if os.path.exists(path):
         return "torn"  # present but unreadable/unparseable: killed mid-write
-    if stale_tmp_siblings(path):
+    if abandoned_staging_files(*os.path.split(path)):
         return "torn"
     return "absent"
 
@@ -803,7 +805,7 @@ def plan(
     Every actionable cell (anything but ``completed``) is enqueued —
     restricted to ``statuses`` when given (the ``rerun --status`` path).
     Planning a ``failed`` or ``partial`` cell clears its stale evidence
-    (failure marker, torn checkpoint, staging droppings) so the fresh
+    (failure marker, torn checkpoint, abandoned staging files) so the fresh
     execution starts from a clean slate; live claims are deliberately left
     alone — the reclaim in :meth:`WorkQueue.try_claim` is the only
     codepath allowed to break one.
@@ -826,7 +828,7 @@ def plan(
                 pass
         if cell.status == "partial":
             checkpoint = layout.checkpoint_path(cell.shard)
-            for stale in stale_tmp_siblings(checkpoint):
+            for stale in abandoned_staging_files(*os.path.split(checkpoint)):
                 try:
                     os.unlink(stale)
                 except OSError:

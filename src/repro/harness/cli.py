@@ -59,52 +59,12 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 from repro import obs
 from repro.harness import figures
 from repro.harness.experiment import ENGINES
 from repro.obs.manifest import build_manifest, write_manifest
-
-
-def run_figure1() -> str:
-    """Figure 1 (accuracy vs budget)."""
-    return figures.figure1().render()
-
-
-def run_figure2() -> str:
-    """Figure 2 (ideal vs overriding IPC)."""
-    return figures.figure2().render()
-
-
-def run_table1() -> str:
-    """Table 1 (machine parameters)."""
-    return figures.table1()
-
-
-def run_table2() -> str:
-    """Table 2 (predictor latencies)."""
-    return figures.table2()
-
-
-def run_figure5() -> str:
-    """Figure 5 (large-budget accuracy)."""
-    return figures.figure5().render()
-
-
-def run_figure6() -> str:
-    """Figure 6 (per-benchmark accuracy)."""
-    return figures.figure6().render()
-
-
-def run_figure7() -> str:
-    """Figure 7 (both IPC panels)."""
-    left, right = figures.figure7()
-    return left.render() + "\n\n" + right.render()
-
-
-def run_figure8() -> str:
-    """Figure 8 (per-benchmark IPC)."""
-    return figures.figure8().render()
 
 
 def run_delayed_update() -> str:
@@ -121,23 +81,23 @@ def run_override() -> str:
     )
 
 
-def run_extension() -> str:
-    """The pipelined-families extension study."""
-    return figures.extension_pipelined_families().render()
+def _figure(name: str):
+    """The runner of one :data:`~repro.harness.figures.FIGURES` entry."""
+    return partial(figures.render_figure, name)
 
 
 RUNNERS = {
-    "figure1": run_figure1,
-    "figure2": run_figure2,
-    "table1": run_table1,
-    "table2": run_table2,
-    "figure5": run_figure5,
-    "figure6": run_figure6,
-    "figure7": run_figure7,
-    "figure8": run_figure8,
+    "figure1": _figure("figure1"),
+    "figure2": _figure("figure2"),
+    "table1": figures.table1,
+    "table2": figures.table2,
+    "figure5": _figure("figure5"),
+    "figure6": _figure("figure6"),
+    "figure7": _figure("figure7"),
+    "figure8": _figure("figure8"),
     "delayed-update": run_delayed_update,
     "override": run_override,
-    "extension": run_extension,
+    "extension": _figure("extension"),
 }
 
 

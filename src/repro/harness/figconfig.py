@@ -4,19 +4,21 @@ A config file is a small JSON document that *names* a regeneration target
 instead of hard-coding it in the CLI.  Three modes:
 
 ``runner``
-    Wraps one of the CLI's built-in targets (``figure1`` .. ``extension``)
-    and declares the sweep grid(s) that target iterates.  Output is
-    byte-identical to the legacy positional-target path — the declared grid
-    exists so ``--dry-run`` can classify every cell against the result
-    store without running anything.
+    Wraps one of the CLI's built-in targets (``figure1`` .. ``extension``).
+    It declares no grid: a grid figure's cells come from its one
+    definition, :data:`repro.harness.figures.FIGURES`, so ``--dry-run``,
+    inference checks and service submissions see exactly the grid the
+    renderer reads (a runner config that declares ``grids`` is refused).
+    Tables and studies have no grid.  Output is byte-identical to the
+    positional-target path.
 
 ``sweep``
     A self-contained declarative sweep: families x budgets (accuracy) or
-    families x budgets x modes (IPC), rendered as a
-    :class:`~repro.harness.figures.SeriesFigure`.  Because families resolve
-    through the predictor registry — and ``family_modules`` lists modules
-    to import first — an external family (e.g. the test-suite toy family)
-    gets a figure with zero harness edits.
+    families x budgets x modes (IPC), rendered by
+    :func:`~repro.harness.figures.render_figure` like any built-in figure.
+    Because families resolve through the predictor registry — and
+    ``family_modules`` lists modules to import first — an external family
+    (e.g. the test-suite toy family) gets a figure with zero harness edits.
 
 ``inferred``
     A projection assembled *purely from already-stored results* of other
@@ -192,8 +194,18 @@ def parse_config(data: object, path: str = "<memory>") -> TargetConfig:
     family_modules = _str_tuple(
         data.get("family_modules", []), "family_modules", path
     )
-    if mode == "runner" and not runner:
-        raise ConfigurationError(f"config {path}: runner mode requires 'runner'")
+    if mode == "runner":
+        if not runner or not isinstance(runner, str):
+            raise ConfigurationError(f"config {path}: runner mode requires 'runner'")
+        if "grids" in data:
+            raise ConfigurationError(
+                f"config {path}: a runner config declares no 'grids' (its "
+                f"cells come from the built-in figure definition)"
+            )
+        from repro.harness.figures import FIGURES  # deferred: layering
+
+        figure = FIGURES.get(runner)
+        grids = tuple(grid for _, grid in figure.panels) if figure else ()
     if mode in ("sweep", "inferred"):
         if len(grids) != 1:
             raise ConfigurationError(
@@ -361,42 +373,16 @@ def classify(config: TargetConfig, store, run_dir: str | None = None) -> dict:
 
 
 def _render_grid(config: TargetConfig) -> str:
-    """Render a sweep/inferred config's single grid as a SeriesFigure.
+    """Render a sweep/inferred config's single grid, through the same
+    function as the built-in figures.
 
     Resolution goes through the ordinary sweeps, so the result store (when
     active) supplies every already-computed cell; with the declared grid
     warm, rendering performs zero predictor work.
     """
-    from repro.harness.figures import SeriesFigure
-    from repro.harness.sweep import (
-        accuracy_sweep,
-        hmean_ipc_by_family_budget,
-        ipc_sweep,
-        mean_by_family_budget,
-    )
+    from repro.harness.figures import Figure, render_figure
 
-    grid = config.grids[0]
-    benchmarks = list(grid.benchmarks) if grid.benchmarks is not None else None
-    figure = SeriesFigure(title=config.title, x_values=list(grid.budgets))
-    if grid.kind == "accuracy":
-        cells = accuracy_sweep(
-            list(grid.families), list(grid.budgets), benchmarks=benchmarks
-        )
-        for (family, budget), value in mean_by_family_budget(cells).items():
-            figure.series.setdefault(family, {})[budget] = value
-        return figure.render()
-    multi_mode = len(grid.modes) > 1
-    for mode in grid.modes:
-        cells = ipc_sweep(
-            list(grid.families),
-            list(grid.budgets),
-            mode=mode,
-            benchmarks=benchmarks,
-        )
-        for (family, budget), value in hmean_ipc_by_family_budget(cells).items():
-            name = f"{family} [{mode}]" if multi_mode else family
-            figure.series.setdefault(name, {})[budget] = value
-    return figure.render()
+    return render_figure(config.name, Figure(((config.title, config.grids[0]),)))
 
 
 def run_target(config: TargetConfig, runners: Mapping[str, object]) -> str:

@@ -1,10 +1,14 @@
 """Regeneration entry points for every table and figure in the paper.
 
-Each ``figureN()`` / ``tableN()`` function reruns the underlying experiment
-at the current ``REPRO_SCALE`` and returns structured data; the matching
-``format_*`` helper renders the same rows/series the paper plots.  The
-benchmark suite (``benchmarks/``) wraps these, and ``repro-figures`` (the
-CLI) prints them.
+Every grid figure is defined once, in :data:`FIGURES`: a list of panels,
+each a title and the :class:`~repro.harness.figconfig.GridSpec` it sweeps.
+One function builds any entry (:func:`build_figure`, cells resolved
+through :func:`~repro.harness.sweep.accuracy_sweep` /
+:func:`~repro.harness.sweep.ipc_sweep`) and one renders it
+(:func:`render_figure`).  ``repro-figures``, runner-mode configs (which
+take their grids from this table and declare none), sweep and inferred
+configs, the prediction service and the benchmark suite all go through
+them.  Tables and the §3.2/§4.5 studies have their own functions.
 
 All trace acquisition goes through :func:`repro.workloads.spec2000_trace`,
 so with ``REPRO_TRACE_STORE`` set every figure transparently reuses the
@@ -26,6 +30,8 @@ Index (see DESIGN.md for the full experiment table):
 * Figure 7 — harmonic-mean IPC vs budget, ideal (left) and overriding
   (right) for the complex predictors plus gshare.fast.
 * Figure 8 — per-benchmark IPC at the ~53-64KB budget point.
+* Extension — the pipelined single-cycle families, gshare.fast vs
+  bimode.fast.
 * §3.2     — delayed-PHT-update accuracy/IPC study.
 * §4.5     — override (disagreement) rate statistics.
 """
@@ -38,6 +44,7 @@ from repro import obs
 from repro.core.gshare_fast import build_gshare_fast
 from repro.harness.aggregate import arithmetic_mean, harmonic_mean
 from repro.harness.experiment import measure_accuracy
+from repro.harness.figconfig import GridSpec
 from repro.harness.report import format_budget, render_series_table, render_table
 from repro.harness.scale import (
     accuracy_instructions,
@@ -49,6 +56,7 @@ from repro.harness.sweep import (
     FULL_BUDGETS,
     LARGE_BUDGETS,
     accuracy_sweep,
+    hmean_ipc_by_family_budget,
     ipc_sweep,
     mean_by_family_budget,
     override_statistics,
@@ -62,105 +70,151 @@ from repro.workloads.spec2000 import get_profile, spec2000_trace
 #: power-of-two ladder's nearest point is 64KB.
 MID_BUDGET = 64 * 1024
 
-FIGURE1_FAMILIES = ["gshare", "bimode", "multicomponent", "perceptron"]
-FIGURE5_FAMILIES = ["2bcgskew", "multicomponent", "perceptron", "gshare_fast"]
-FIGURE7_FAMILIES = ["2bcgskew", "multicomponent", "perceptron"]
-FIGURE6_FAMILIES = ["multicomponent", "perceptron", "gshare_fast"]
-FIGURE8_FAMILIES = ["multicomponent", "perceptron", "gshare_fast"]
-EXTENSION_FAMILIES = ["gshare_fast", "bimode_fast"]
+
+@dataclass(frozen=True)
+class Figure:
+    """One grid figure: its panels, each a (title, grid) pair."""
+
+    panels: tuple[tuple[str, GridSpec], ...]
+    #: One row per benchmark plus a mean row, instead of one per budget.
+    per_benchmark: bool = False
+
+
+def _one(title: str, grid: GridSpec, per_benchmark: bool = False) -> Figure:
+    return Figure(((title, grid),), per_benchmark)
+
+
+_COMPLEX = ("2bcgskew", "multicomponent", "perceptron")
+_MID_FAMILIES = ("multicomponent", "perceptron", "gshare_fast")
+_LARGE = tuple(LARGE_BUDGETS)
+_MID = format_budget(MID_BUDGET)
+
+#: Every grid figure, by ``repro-figures`` target name.
+FIGURES: dict[str, Figure] = {
+    "figure1": _one(
+        "Figure 1: arithmetic mean misprediction rate (%) on SPECint2000",
+        GridSpec(
+            "accuracy", ("gshare", "bimode", "multicomponent", "perceptron"),
+            tuple(FULL_BUDGETS),
+        ),
+    ),
+    "figure2": _one(
+        "Figure 2: harmonic mean IPC, ideal vs overriding",
+        GridSpec(
+            "ipc", ("multicomponent", "perceptron"), _LARGE,
+            modes=("ideal", "overriding"),
+        ),
+    ),
+    "figure5": _one(
+        "Figure 5: arithmetic mean misprediction rate (%), large budgets",
+        GridSpec("accuracy", (*_COMPLEX, "gshare_fast"), _LARGE),
+    ),
+    "figure6": _one(
+        f"Figure 6: misprediction rates (%) at a {_MID} budget",
+        GridSpec("accuracy", _MID_FAMILIES, (MID_BUDGET,)),
+        per_benchmark=True,
+    ),
+    "figure7": Figure(tuple(
+        (
+            f"Figure 7 ({label}): harmonic mean IPC",
+            GridSpec("ipc", (*_COMPLEX, "gshare_fast"), _LARGE, modes=(mode,)),
+        )
+        for mode, label in (("ideal", "1-cycle (ideal)"), ("overriding", "overriding"))
+    )),
+    # Overriding for the complex predictors; gshare.fast is single-cycle
+    # in every mode.
+    "figure8": _one(
+        f"Figure 8: IPC at a {_MID} budget",
+        GridSpec("ipc", _MID_FAMILIES, (MID_BUDGET,), modes=("overriding",)),
+        per_benchmark=True,
+    ),
+    # The paper's future work, measured: bimode.fast adds Bi-Mode's bias
+    # separation to gshare.fast's prefetch-and-select pipeline.
+    "extension": _one(
+        "Extension: pipelined single-cycle families, mean misprediction (%)",
+        GridSpec("accuracy", ("gshare_fast", "bimode_fast"), _LARGE),
+    ),
+}
+
+#: Per grid kind: the value format, and the label of the mean row (the
+#: paper's arithmetic-mean misprediction, harmonic-mean IPC) in
+#: per-benchmark figures.
+_KINDS = {"accuracy": ("{:.2f}", "arith.mean"), "ipc": ("{:.3f}", "harm.mean")}
+#: Series suffixes when one IPC panel plots both policy modes (Figure 2).
+_MODE_LABELS = {"ideal": "(no delay)", "overriding": "(overriding)"}
 
 
 @dataclass
-class SeriesFigure:
-    """A budget-on-x, one-line-per-predictor figure."""
+class Panel:
+    """One built panel: ``series[name][row]``, where rows are budgets, or
+    benchmarks in a per-benchmark figure (which also has ``means``)."""
 
     title: str
-    x_values: list[int]
-    series: dict[str, dict[int, float]] = field(default_factory=dict)
-
-    def render(self, x_label: str = "Budget", value_format: str = "{:.2f}") -> str:
-        """Text table: one row per budget, one column per predictor."""
-        return render_series_table(self.title, x_label, self.x_values, self.series, value_format)
-
-
-@dataclass
-class PerBenchmarkFigure:
-    """A benchmark-on-x, one-bar-per-predictor figure."""
-
-    title: str
-    benchmarks: list[str]
-    series: dict[str, dict[str, float]] = field(default_factory=dict)
-    mean_label: str = "mean"
+    kind: str
+    rows: list
+    per_benchmark: bool = False
+    series: dict[str, dict] = field(default_factory=dict)
     means: dict[str, float] = field(default_factory=dict)
 
-    def render(self, value_format: str = "{:.2f}") -> str:
-        """Text table: one row per benchmark plus the mean row."""
-        names = sorted(self.series)
-        rows = []
-        for benchmark in self.benchmarks:
-            rows.append(
-                [benchmark]
-                + [value_format.format(self.series[name][benchmark]) for name in names]
+    def render(self) -> str:
+        """Text table: one row per budget, or per benchmark plus the mean."""
+        value_format, mean_label = _KINDS[self.kind]
+        if not self.per_benchmark:
+            return render_series_table(
+                self.title, "Budget", self.rows, self.series, value_format
             )
-        rows.append(
-            [self.mean_label] + [value_format.format(self.means[name]) for name in names]
-        )
+        names = sorted(self.series)
+        rows = [
+            [row] + [value_format.format(self.series[name][row]) for name in names]
+            for row in self.rows
+        ]
+        rows.append([mean_label] + [value_format.format(self.means[name]) for name in names])
         return render_table(self.title, ["benchmark", *names], rows)
 
 
-# -- Figure 1 -----------------------------------------------------------------
+def _sweep(grid: GridSpec, mode: str | None) -> tuple[list, dict]:
+    """One mode of ``grid``: ``(benchmark, family, value)`` per cell, and the
+    mean across benchmarks per ``(family, budget)``."""
+    benchmarks = list(grid.benchmarks) if grid.benchmarks is not None else None
+    if grid.kind == "accuracy":
+        cells = accuracy_sweep(list(grid.families), list(grid.budgets), benchmarks=benchmarks)
+        values = [(c.benchmark, c.family, c.misprediction_percent) for c in cells]
+        return values, mean_by_family_budget(cells)
+    cells = ipc_sweep(list(grid.families), list(grid.budgets), mode=mode, benchmarks=benchmarks)
+    return [(c.benchmark, c.family, c.ipc) for c in cells], hmean_ipc_by_family_budget(cells)
 
 
-def figure1(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """Arithmetic-mean misprediction rates vs hardware budget (Figure 1)."""
-    budgets = budgets or FULL_BUDGETS
-    with obs.span("figure1.sweep", budgets=len(budgets)):
-        cells = accuracy_sweep(
-            FIGURE1_FAMILIES, budgets, instructions=instructions, engine=engine,
-            jobs=jobs,
-        )
-    means = mean_by_family_budget(cells)
-    figure = SeriesFigure(
-        title="Figure 1: arithmetic mean misprediction rate (%) on SPECint2000",
-        x_values=budgets,
-    )
-    for (family, budget), value in means.items():
-        figure.series.setdefault(family, {})[budget] = value
-    return figure
+def build_figure(name: str, figure: Figure | None = None) -> list[Panel]:
+    """Every panel of ``figure`` (default ``FIGURES[name]``), its cells
+    resolved through the sweeps under ``<name>.sweep`` spans."""
+    figure = figure or FIGURES[name]
+    panels = []
+    for title, grid in figure.panels:
+        if figure.per_benchmark:
+            rows = list(grid.benchmarks if grid.benchmarks is not None else benchmark_names())
+        else:
+            rows = list(grid.budgets)
+        panel = Panel(title, grid.kind, rows, figure.per_benchmark)
+        for mode in grid.modes or (None,):
+            with obs.span(f"{name}.sweep", mode=mode, budgets=len(grid.budgets)):
+                values, means = _sweep(grid, mode)
+            suffix = f" {_MODE_LABELS[mode]}" if len(grid.modes) > 1 else ""
+            if figure.per_benchmark:
+                for benchmark, family, value in values:
+                    panel.series.setdefault(family + suffix, {})[benchmark] = value
+            for (family, budget), mean in means.items():
+                if figure.per_benchmark:
+                    panel.means[family + suffix] = mean
+                else:
+                    panel.series.setdefault(family + suffix, {})[budget] = mean
+        panels.append(panel)
+    return panels
 
 
-# -- Figure 2 -----------------------------------------------------------------
-
-
-def figure2(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """Ideal vs realistic (overriding) IPC for the two most accurate complex
-    predictors (Figure 2)."""
-    budgets = budgets or LARGE_BUDGETS
-    families = ["multicomponent", "perceptron"]
-    figure = SeriesFigure(
-        title="Figure 2: harmonic mean IPC, ideal vs overriding",
-        x_values=budgets,
-    )
-    for mode, suffix in (("ideal", "(no delay)"), ("overriding", "(overriding)")):
-        with obs.span("figure2.sweep", mode=mode, budgets=len(budgets)):
-            cells = ipc_sweep(
-                families, budgets, mode=mode, instructions=instructions, jobs=jobs
-            )
-        groups: dict[tuple[str, int], list[float]] = {}
-        for cell in cells:
-            groups.setdefault((cell.family, cell.budget_bytes), []).append(cell.ipc)
-        for (family, budget), values in groups.items():
-            figure.series.setdefault(f"{family} {suffix}", {})[budget] = harmonic_mean(values)
-    return figure
+def render_figure(name: str, figure: Figure | None = None) -> str:
+    """The text ``repro-figures <name>`` prints: every panel of
+    :func:`build_figure`, separated by a blank line."""
+    return "\n\n".join(panel.render() for panel in build_figure(name, figure))
 
 
 # -- Table 1 ------------------------------------------------------------------
@@ -207,164 +261,6 @@ def table2() -> str:
     )
 
 
-# -- Figure 5 -----------------------------------------------------------------
-
-
-def figure5(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """Mean misprediction rates of the four large predictors (Figure 5)."""
-    budgets = budgets or LARGE_BUDGETS
-    with obs.span("figure5.sweep", budgets=len(budgets)):
-        cells = accuracy_sweep(
-            FIGURE5_FAMILIES, budgets, instructions=instructions, engine=engine,
-            jobs=jobs,
-        )
-    means = mean_by_family_budget(cells)
-    figure = SeriesFigure(
-        title="Figure 5: arithmetic mean misprediction rate (%), large budgets",
-        x_values=budgets,
-    )
-    for (family, budget), value in means.items():
-        figure.series.setdefault(family, {})[budget] = value
-    return figure
-
-
-# -- Figure 6 -----------------------------------------------------------------
-
-
-def figure6(
-    budget_bytes: int = MID_BUDGET,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> PerBenchmarkFigure:
-    """Per-benchmark misprediction rates at the mid (53-64KB) budget
-    (Figure 6)."""
-    benchmarks = benchmark_names()
-    with obs.span("figure6.sweep", budget=budget_bytes):
-        cells = accuracy_sweep(
-            FIGURE6_FAMILIES,
-            [budget_bytes],
-            benchmarks=benchmarks,
-            instructions=instructions,
-            engine=engine,
-            jobs=jobs,
-        )
-    figure = PerBenchmarkFigure(
-        title=f"Figure 6: misprediction rates (%) at a {format_budget(budget_bytes)} budget",
-        benchmarks=benchmarks,
-        mean_label="arith.mean",
-    )
-    for cell in cells:
-        figure.series.setdefault(cell.family, {})[cell.benchmark] = cell.misprediction_percent
-    for family, values in figure.series.items():
-        figure.means[family] = arithmetic_mean(list(values.values()))
-    return figure
-
-
-# -- Figure 7 -----------------------------------------------------------------
-
-
-def figure7(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    jobs: int | None = None,
-) -> tuple[SeriesFigure, SeriesFigure]:
-    """Harmonic-mean IPC vs budget: ideal (left panel) and overriding
-    (right panel), complex predictors plus gshare.fast (Figure 7)."""
-    budgets = budgets or LARGE_BUDGETS
-    panels = []
-    for mode, label in (("ideal", "1-cycle (ideal)"), ("overriding", "overriding")):
-        figure = SeriesFigure(
-            title=f"Figure 7 ({label}): harmonic mean IPC",
-            x_values=budgets,
-        )
-        with obs.span("figure7.sweep", mode=mode, budgets=len(budgets)):
-            cells = ipc_sweep(
-                FIGURE7_FAMILIES + ["gshare_fast"],
-                budgets,
-                mode=mode,
-                instructions=instructions,
-                jobs=jobs,
-            )
-        groups: dict[tuple[str, int], list[float]] = {}
-        for cell in cells:
-            groups.setdefault((cell.family, cell.budget_bytes), []).append(cell.ipc)
-        for (family, budget), values in groups.items():
-            figure.series.setdefault(family, {})[budget] = harmonic_mean(values)
-        panels.append(figure)
-    return panels[0], panels[1]
-
-
-# -- Figure 8 -----------------------------------------------------------------
-
-
-def figure8(
-    budget_bytes: int = MID_BUDGET,
-    instructions: int | None = None,
-    jobs: int | None = None,
-) -> PerBenchmarkFigure:
-    """Per-benchmark IPC at the mid budget, overriding for the complex
-    predictors and single-cycle for gshare.fast (Figure 8)."""
-    benchmarks = benchmark_names()
-    figure = PerBenchmarkFigure(
-        title=f"Figure 8: IPC at a {format_budget(budget_bytes)} budget",
-        benchmarks=benchmarks,
-        mean_label="harm.mean",
-    )
-    with obs.span("figure8.sweep", budget=budget_bytes):
-        cells = ipc_sweep(
-            FIGURE8_FAMILIES,
-            [budget_bytes],
-            mode="overriding",
-            benchmarks=benchmarks,
-            instructions=instructions,
-            jobs=jobs,
-        )
-    for cell in cells:
-        figure.series.setdefault(cell.family, {})[cell.benchmark] = cell.ipc
-    for family, values in figure.series.items():
-        figure.means[family] = harmonic_mean(list(values.values()))
-    return figure
-
-
-# -- Extension: pipelined single-cycle families ---------------------------------
-
-
-def extension_pipelined_families(
-    budgets: list[int] | None = None,
-    instructions: int | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
-) -> SeriesFigure:
-    """The paper's future work, measured: gshare.fast vs bimode.fast.
-
-    Both deliver single-cycle predictions; bimode.fast adds Bi-Mode's bias
-    separation on top of the same prefetch-and-select pipeline.
-    """
-    budgets = budgets or LARGE_BUDGETS
-    with obs.span("extension.sweep", budgets=len(budgets)):
-        cells = accuracy_sweep(
-            EXTENSION_FAMILIES,
-            budgets,
-            instructions=instructions,
-            engine=engine,
-            jobs=jobs,
-        )
-    means = mean_by_family_budget(cells)
-    figure = SeriesFigure(
-        title="Extension: pipelined single-cycle families, mean misprediction (%)",
-        x_values=budgets,
-    )
-    for (family, budget), value in means.items():
-        figure.series.setdefault(family, {})[budget] = value
-    return figure
-
-
 # -- Section 3.2: delayed update ------------------------------------------------
 
 
@@ -391,7 +287,7 @@ class DelayedUpdateResult:
 
 
 def delayed_update_study(
-    budget_bytes: int = 256 * 1024, delays: tuple[int, ...] = (0, 64)
+    budget_bytes: int = 256 * 1024, delays: tuple[int, ...] = (0, 16, 64, 256)
 ) -> DelayedUpdateResult:
     """Reproduce the Section 3.2 experiment: predict-to-update distance of
     64 branches costs ~0.04pp accuracy and <1% IPC at a 256KB budget."""

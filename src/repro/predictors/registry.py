@@ -302,8 +302,9 @@ def completeness_problems() -> list[str]:
       registered nor exempted in :data:`NON_FAMILY_PREDICTORS` — such a
       predictor would silently dodge the registry-parametrized conformance
       matrix, fuzz suites, and serialization tests;
-    * a golden figure family list naming a family the registry does not
-      know — the figure would crash (or worse, drift) at regeneration time.
+    * a :data:`repro.harness.figures.FIGURES` grid naming a family the
+      registry does not know — the figure would crash (or worse, drift) at
+      regeneration time.
 
     Conformance coverage itself is structural: the conformance matrix and
     fuzz suites parametrize directly over :func:`family_names`, so a
@@ -322,18 +323,12 @@ def completeness_problems() -> list[str]:
         )
     figures = importlib.import_module("repro.harness.figures")
     known = set(_SPECS)
-    for list_name in (
-        "FIGURE1_FAMILIES",
-        "FIGURE5_FAMILIES",
-        "FIGURE6_FAMILIES",
-        "FIGURE7_FAMILIES",
-        "FIGURE8_FAMILIES",
-        "EXTENSION_FAMILIES",
-    ):
-        for family in getattr(figures, list_name):
-            if family not in known:
-                problems.append(
-                    f"figures.{list_name} references {family!r}, which is not "
-                    f"a registered predictor family"
-                )
+    for name, figure in figures.FIGURES.items():
+        for _, grid in figure.panels:
+            for family in grid.families:
+                if family not in known:
+                    problems.append(
+                        f"figures.FIGURES[{name!r}] references {family!r}, which "
+                        f"is not a registered predictor family"
+                    )
     return problems

@@ -207,8 +207,9 @@ class JobStore:
             )
         if not config.grids:
             raise ConfigurationError(
-                "submission declares no grids — the service plans campaigns "
-                "from declared grids, so at least one is required"
+                "submission has no grid — the service plans campaigns from "
+                "grids (a sweep's own, or a runner's built-in figure; tables "
+                "and studies have none)"
             )
         return config
 

@@ -44,11 +44,12 @@ from pathlib import Path
 GOLDEN_DIR = Path(__file__).resolve().parent
 REPO_ROOT = GOLDEN_DIR.parent.parent
 
-#: Fixed configuration for the small Figure 1 fixture (kept identical in
-#: tests/test_golden.py — change both together).
+#: Fixed configuration for the small Figure 1 fixture (tests/test_golden.py
+#: renders it through :func:`render_figure1_small` too).
 FIGURE1_BENCHMARKS = "gcc,eon"
 FIGURE1_BUDGETS = [4 * 1024, 32 * 1024]
-FIGURE1_INSTRUCTIONS = 30_000
+#: 30,000 accuracy instructions per benchmark.
+FIGURE1_SCALE = "0.05"
 
 #: The recorded stream: benchmark, seed, trace length and branch count.
 STREAM_BENCHMARK = "gcc"
@@ -106,13 +107,25 @@ def regen_table2() -> None:
     print("table2.txt (pure delay model; no engine or seed)")
 
 
+def render_figure1_small() -> str:
+    """Figure 1's definition over FIGURE1_BUDGETS, rendered at the scale and
+    on the benchmarks the environment names (FIGURE1_SCALE and
+    FIGURE1_BENCHMARKS for the fixture)."""
+    from dataclasses import replace
+
+    from repro.harness.figures import FIGURES, render_figure
+
+    ((title, grid),) = FIGURES["figure1"].panels
+    small = replace(grid, budgets=tuple(FIGURE1_BUDGETS))
+    return render_figure("figure1", replace(FIGURES["figure1"], panels=((title, small),)))
+
+
 def regen_figure1_small() -> None:
     os.environ["REPRO_BENCHMARKS"] = FIGURE1_BENCHMARKS
+    os.environ["REPRO_SCALE"] = FIGURE1_SCALE
     from repro.harness.experiment import default_engine
-    from repro.harness.figures import figure1
 
-    figure = figure1(budgets=FIGURE1_BUDGETS, instructions=FIGURE1_INSTRUCTIONS)
-    (GOLDEN_DIR / "figure1_small.txt").write_text(figure.render() + "\n")
+    (GOLDEN_DIR / "figure1_small.txt").write_text(render_figure1_small() + "\n")
     print(
         f"figure1_small.txt (engine={default_engine()}, "
         f"benchmarks={FIGURE1_BENCHMARKS}, default trace seeds)"

@@ -10,12 +10,15 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from repro.common.atomic import exclusive_create_json
+from repro.common.atomic import HOST, exclusive_create_json
 from repro.common.errors import ConfigurationError
 from repro.harness import campaign
 from repro.harness.campaign import (
@@ -41,6 +44,7 @@ from repro.harness.campaign import (
     scan,
 )
 from repro.harness.sweep import accuracy_sweep
+from tests.conftest import exited_pid, plant_staging_files
 
 FAMILIES = ["gshare", "bimodal"]
 BUDGETS = [2 * 1024]
@@ -289,12 +293,43 @@ class TestPlanner:
         torn, failed = shards[0], shards[1]
         torn_path = tmp_path / "shards" / f"{torn.key}.json"
         torn_path.write_text('{"sch')
-        (tmp_path / "shards" / f"{torn.key}.json.tmp.77").write_text("{")
+        dead = f"{torn.key}.json.tmp.{HOST}.{exited_pid()}.1"
+        (tmp_path / "shards" / dead).write_text("{")
         marker = tmp_path / "shards" / f"{failed.key}.failed.json"
         marker.write_text("{}")
         plan(str(tmp_path))
         assert not torn_path.exists() and not marker.exists()
         assert not list((tmp_path / "shards").glob("*.tmp.*"))
+
+    def test_live_writers_staging_file_is_kept(self, tmp_path):
+        """A staging file whose writer still runs is no torn checkpoint:
+        the cell is not ``partial``, and ``plan`` keeps the file (unlinking
+        it would fail the writer's rename)."""
+        shards = make_campaign(tmp_path)
+        layout = CampaignLayout(str(tmp_path))
+        checkpoint = Path(layout.checkpoint_path(shards[0]))
+        writer = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+        try:
+            live = checkpoint.parent / f"{checkpoint.name}.tmp.{HOST}.{writer.pid}.1"
+            live.write_text("{")
+            assert classify_shard(shards[0], layout=layout) == "missing"
+            plan(str(tmp_path))
+            assert live.exists()
+        finally:
+            writer.kill()
+            writer.wait()
+
+    def test_exited_writers_staging_files_are_torn_and_removed(self, tmp_path):
+        """Staging files whose writers are shown gone mark the cell
+        ``partial`` and ``plan`` removes them; another host's fresh file
+        beside them is kept."""
+        shards = make_campaign(tmp_path)
+        layout = CampaignLayout(str(tmp_path))
+        dead, live = plant_staging_files(Path(layout.checkpoint_path(shards[0])))
+        assert classify_shard(shards[0], layout=layout) == "partial"
+        plan(str(tmp_path))
+        assert not any(path.exists() for path in dead)
+        assert all(path.exists() for path in live)
 
     def test_plan_status_filter_restricts_requeue(self, tmp_path):
         shards = make_campaign(tmp_path)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -25,35 +26,49 @@ def tiny_scale(monkeypatch):
 SMALL_BUDGETS = [8 * 1024, 64 * 1024]
 
 
+def build(name: str, budgets: list[int] | None = None) -> list[figures.Panel]:
+    """``FIGURES[name]``, over ``budgets`` instead of its ladder if given."""
+    figure = figures.FIGURES[name]
+    if budgets is not None:
+        figure = replace(
+            figure,
+            panels=tuple(
+                (title, replace(grid, budgets=tuple(budgets)))
+                for title, grid in figure.panels
+            ),
+        )
+    return figures.build_figure(name, figure)
+
+
 class TestFigures:
     def test_figure1(self):
-        figure = figures.figure1(budgets=SMALL_BUDGETS)
-        assert set(figure.series) == set(figures.FIGURE1_FAMILIES)
+        (figure,) = build("figure1", SMALL_BUDGETS)
+        assert set(figure.series) == {"gshare", "bimode", "multicomponent", "perceptron"}
         for family in figure.series:
             assert set(figure.series[family]) == set(SMALL_BUDGETS)
         text = figure.render()
         assert "Figure 1" in text and "64K" in text
 
     def test_figure5(self):
-        figure = figures.figure5(budgets=SMALL_BUDGETS)
+        (figure,) = build("figure5", SMALL_BUDGETS)
         assert "gshare_fast" in figure.series
         assert all(0 <= v < 100 for values in figure.series.values() for v in values.values())
 
     def test_figure6(self):
-        figure = figures.figure6(budget_bytes=64 * 1024)
-        assert figure.benchmarks == ["gzip", "eon"]
+        (figure,) = build("figure6")
+        assert figure.rows == ["gzip", "eon"]
         assert "perceptron" in figure.series
         assert figure.means["perceptron"] > 0
         assert "arith.mean" in figure.render()
 
     def test_figure2(self):
-        figure = figures.figure2(budgets=[16 * 1024])
+        (figure,) = build("figure2", [16 * 1024])
         labels = set(figure.series)
         assert any("(no delay)" in label for label in labels)
         assert any("(overriding)" in label for label in labels)
 
     def test_figure7_two_panels(self):
-        left, right = figures.figure7(budgets=[16 * 1024])
+        left, right = build("figure7", [16 * 1024])
         assert "ideal" in left.title
         assert "overriding" in right.title
         for panel in (left, right):
@@ -63,9 +78,16 @@ class TestFigures:
                     assert 0 < ipc < 8
 
     def test_figure8(self):
-        figure = figures.figure8(budget_bytes=16 * 1024)
-        assert figure.mean_label == "harm.mean"
+        (figure,) = build("figure8", [16 * 1024])
+        assert "harm.mean" in figure.render()
         assert set(figure.series) == {"multicomponent", "perceptron", "gshare_fast"}
+
+    def test_value_format_follows_grid_kind(self):
+        """Misprediction percentages print to two decimals, IPC to three."""
+        accuracy = figures.Panel("a", "accuracy", [1024], series={"x": {1024: 1.23456}})
+        ipc = figures.Panel("i", "ipc", [1024], series={"x": {1024: 1.23456}})
+        assert "1.23" in accuracy.render() and "1.235" not in accuracy.render()
+        assert "1.235" in ipc.render()
 
     def test_table1_contents(self):
         text = figures.table1()
@@ -88,8 +110,8 @@ class TestFigures:
         assert 0.97 < ipc_ratio < 1.03
         assert "update delay" in result.render()
 
-    def test_extension_pipelined_families(self):
-        figure = figures.extension_pipelined_families(budgets=[16 * 1024])
+    def test_extension(self):
+        (figure,) = build("extension", [16 * 1024])
         assert set(figure.series) == {"gshare_fast", "bimode_fast"}
         assert (
             figure.series["bimode_fast"][16 * 1024]
@@ -392,6 +414,51 @@ class TestConfigTargets:
         rows = parse_dry_run(capsys.readouterr().out)
         assert set(rows) >= {"figure1", "figure7", "table1", "figure1_inferred", "table_mid_accuracy"}
         assert rows["table1"]["cells"] == 0  # static table: nothing to sweep
+
+    def test_runner_config_takes_its_grids_from_figures(self):
+        from repro.harness.figconfig import load_config
+
+        config = load_config(str(CONFIGS / "figure7.json"))
+        assert config.grids == tuple(grid for _, grid in figures.FIGURES["figure7"].panels)
+        assert load_config(str(CONFIGS / "table1.json")).grids == ()
+
+    def test_runner_config_declaring_grids_is_refused(self, tmp_path):
+        """A declared grid would be planned but never rendered (the runner
+        renders its built-in figure), so a runner config may not have one."""
+        from repro.common.errors import ConfigurationError
+        from repro.harness.figconfig import load_config
+
+        config = json.loads((CONFIGS / "figure6.json").read_text(encoding="utf-8"))
+        config["grids"] = [{"kind": "accuracy", "families": ["gshare"], "budgets": [2048]}]
+        path = tmp_path / "figure6.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(ConfigurationError, match="grids"):
+            load_config(str(path))
+        with pytest.raises(SystemExit):
+            main(["--config", str(path), "--dry-run"])
+
+    def test_two_mode_ipc_sweep_labels_series_like_figure2(self, tmp_path, capsys):
+        config = {
+            "schema": 1,
+            "target": "two_modes",
+            "mode": "sweep",
+            "title": "Two modes: harmonic mean IPC",
+            "grids": [
+                {
+                    "kind": "ipc",
+                    "families": ["perceptron"],
+                    "budgets": [16384],
+                    "modes": ["ideal", "overriding"],
+                }
+            ],
+        }
+        path = tmp_path / "two_modes.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        text = (out / "two_modes.txt").read_text(encoding="utf-8")
+        assert "perceptron (no delay)" in text and "perceptron (overriding)" in text
 
     def test_inferred_requires_loaded_base(self):
         with pytest.raises(SystemExit):

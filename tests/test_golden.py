@@ -20,11 +20,11 @@ from repro.harness import figures
 from repro.harness.cli import main
 from tests.golden.regen import (
     FIGURE1_BENCHMARKS,
-    FIGURE1_BUDGETS,
-    FIGURE1_INSTRUCTIONS,
+    FIGURE1_SCALE,
     STREAM_BENCHMARK,
     STREAM_INSTRUCTIONS,
     STREAM_SEED,
+    render_figure1_small,
     trace_checksums,
 )
 
@@ -47,10 +47,8 @@ def test_table2_cli_matches_golden(capsys):
 
 def test_figure1_small_matches_golden(monkeypatch):
     monkeypatch.setenv("REPRO_BENCHMARKS", FIGURE1_BENCHMARKS)
-    figure = figures.figure1(
-        budgets=FIGURE1_BUDGETS, instructions=FIGURE1_INSTRUCTIONS
-    )
-    assert figure.render() + "\n" == read_fixture("figure1_small.txt")
+    monkeypatch.setenv("REPRO_SCALE", FIGURE1_SCALE)
+    assert render_figure1_small() + "\n" == read_fixture("figure1_small.txt")
 
 
 def test_golden_branch_stream_matches_workload():
@@ -113,9 +111,10 @@ def test_regen_prints_engine_and_seed(monkeypatch, capsys, tmp_path):
 
     monkeypatch.setattr(regen, "GOLDEN_DIR", tmp_path)
     monkeypatch.setattr(regen, "dirty_files", lambda: [])
-    # regen_figure1_small writes REPRO_BENCHMARKS into os.environ;
-    # registering it here makes monkeypatch restore the original value.
+    # regen_figure1_small writes REPRO_BENCHMARKS and REPRO_SCALE into
+    # os.environ; registering them here makes monkeypatch restore them.
     monkeypatch.setenv("REPRO_BENCHMARKS", FIGURE1_BENCHMARKS)
+    monkeypatch.setenv("REPRO_SCALE", FIGURE1_SCALE)
     assert regen.main([]) == 0
     out = capsys.readouterr().out
     assert f"seed={STREAM_SEED}" in out

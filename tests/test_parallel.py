@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common.atomic import HOST
 from repro.common.errors import ConfigurationError
 from repro.harness.campaign import (
     CampaignLayout,
@@ -45,6 +46,7 @@ from repro.workloads.spec2000 import (
     trace_cache_capacity,
     trace_cache_info,
 )
+from tests.conftest import exited_pid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -594,16 +596,17 @@ class TestCheckpointAtomicity:
     def test_checkpoint_killed_mid_write_is_ignored_on_resume(
         self, tmp_path, monkeypatch
     ):
-        """A writer killed mid-write leaves only a ``*.tmp.<pid>`` staging
-        file; resume neither crashes on it nor trusts it — the shard is
-        simply re-executed."""
+        """A writer killed mid-write leaves only a staging file named with
+        its (now exited) pid; resume neither crashes on it nor trusts it —
+        the shard is simply re-executed."""
         run_dir = tmp_path / "run"
         shard_dir = run_dir / "shards"
         shard_dir.mkdir(parents=True)
         key = "accuracy__gcc__gshare__2048"
         # Half-written JSON under the staging name (the only artifact an
         # atomic writer can leave behind)...
-        (shard_dir / f"{key}.json.tmp.4242").write_text('{"schema": 1, "payl')
+        dead = f"{key}.json.tmp.{HOST}.{exited_pid()}.1"
+        (shard_dir / dead).write_text('{"schema": 1, "payl')
         # ...and, belt-and-braces, torn JSON under a *final* name too
         # (pre-atomic layouts could produce this).
         (shard_dir / "accuracy__eon__gshare__2048.json").write_text('{"sch')
@@ -628,7 +631,8 @@ class TestCheckpointAtomicity:
         # Torn JSON under the *final* checkpoint name...
         (shard_dir / f"{torn_final.key}.json").write_text('{"schema": 1, "payl')
         # ...and a shard that only ever got as far as its staging file.
-        (shard_dir / f"{torn_staging.key}.json.tmp.4242").write_text("{")
+        dead = f"{torn_staging.key}.json.tmp.{HOST}.{exited_pid()}.1"
+        (shard_dir / dead).write_text("{")
         assert classify_shard(torn_final, layout=layout) == "partial"
         assert classify_shard(torn_staging, layout=layout) == "partial"
 

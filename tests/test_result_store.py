@@ -22,7 +22,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.common.atomic import stale_tmp_siblings
 from repro.common.errors import ConfigurationError
 from repro.harness import resultstore, sweep
 from repro.harness.resultstore import (
@@ -402,7 +401,7 @@ class TestFaultInjection:
         race_live_writer(path, content, lambda: store.save(key, cell, payload))
         assert path.read_bytes() == content
         assert store.load(key, cell) == payload
-        assert stale_tmp_siblings(path) == []
+        assert list(path.parent.glob(f"{path.name}.tmp.*")) == []
 
     def test_probe_is_non_mutating(self, store_env):
         """Dry-run classification must not repair, delete, or count."""

@@ -150,6 +150,30 @@ class TestRoundTrip:
         capsys.readouterr()
         assert (out_dir / "mini.txt").read_bytes() == served + b"\n"
 
+    def test_runner_job_renders_the_grid_it_planned(self, env, tmp_path, monkeypatch):
+        """A runner submission declares no grid; the service plans the
+        built-in figure's grid, so once the campaign drains the render
+        reads every cell from the result store: no miss, no build."""
+        from repro.harness.resultstore import reset_result_store_stats, result_store_stats
+
+        app, executor = make_app(tmp_path)
+        renders = []
+        render = app.jobs.render
+
+        def counted(job_id):
+            reset_result_store_stats()
+            before = build_count()
+            rendered = render(job_id)
+            renders.append((result_store_stats()["misses"], build_count() - before))
+            return rendered
+
+        monkeypatch.setattr(app.jobs, "render", counted)
+        spec = {"schema": 1, "target": "figure6", "mode": "runner", "runner": "figure6"}
+        status = run_job(app, executor, spec)
+        assert status["state"] == "completed"
+        assert status["cells"] == 3 * 2  # Figure 6's families x gcc,eon
+        assert renders == [(0, 0)]
+
     def test_resubmit_completed_is_pure_cache_hit(self, env, tmp_path):
         app, executor = make_app(tmp_path)
         spec = mini_spec()
@@ -256,6 +280,21 @@ class TestErrorPaths:
         assert code == 400
         code, _, _ = app.handle("POST", "/v1/jobs", {}, b'["not an object"]')
         assert code == 400
+
+    def test_runner_config_declaring_grids_rejected(self, env, tmp_path):
+        """The declared grid would be planned while the built-in figure is
+        rendered, so the submission is refused."""
+        app, _ = make_app(tmp_path)
+        spec = {
+            "schema": 1,
+            "target": "figure6",
+            "mode": "runner",
+            "runner": "figure6",
+            "grids": [{"kind": "accuracy", "families": ["gshare"], "budgets": [2048]}],
+        }
+        code, payload, _ = app.handle("POST", "/v1/jobs", {}, json.dumps(spec).encode())
+        assert code == 400
+        assert "grids" in json.loads(payload)["error"]
 
     def test_unknown_job_and_digest(self, env, tmp_path):
         app, _ = make_app(tmp_path)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.common.atomic import stale_tmp_siblings
 from repro.common.errors import ConfigurationError, TraceError
 from repro.workloads.io import SUFFIX, load_columns, save_trace
 from repro.workloads.spec2000 import (
@@ -242,7 +241,7 @@ class TestFaultInjection:
         race_live_writer(path, content, lambda: store.save(trace, profile, INSTRUCTIONS, 1))
         assert path.read_bytes() == content
         assert store.load(profile, INSTRUCTIONS, 1) is not None
-        assert stale_tmp_siblings(path) == []
+        assert list(path.parent.glob(f"{path.name}.tmp.*")) == []
 
     def test_missing_store_file_raises_trace_error(self, tmp_path):
         with pytest.raises(TraceError):

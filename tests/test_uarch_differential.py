@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from repro.core.cascading import CascadingPredictor
 from repro.core.dualpath import DualPathPolicy
 from repro.core.overriding import OverridingPredictor
+from repro.harness.figures import FIGURES
 from repro.harness.sweep import make_policy
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
@@ -45,7 +46,8 @@ from repro.workloads.trace import Block, BranchKind
 from tests.trace_blocks import trace_from_blocks
 from tests.uarch_reference import ReferenceSimulator
 
-FIGURE7_FAMILIES = ("gshare_fast", "2bcgskew", "perceptron", "multicomponent")
+#: The four Figure 7 families, from its one definition.
+IPC_FAMILIES = FIGURES["figure7"].panels[0][1].families
 
 
 def _components(policy) -> tuple[list, object]:
@@ -95,7 +97,7 @@ def test_stand_ins_match_reference(stand_in):
     """Every stand-in, the four Figure 7 families, ideal and overriding."""
     trace = spec2000_trace(stand_in, instructions=5_000)
     ilp = get_profile(stand_in).ilp
-    for family in FIGURE7_FAMILIES:
+    for family in IPC_FAMILIES:
         for mode in ("ideal", "overriding"):
             assert_same_run(
                 lambda cls: cls(make_policy(family, 64 * 1024, mode), ilp=ilp), trace
