@@ -405,6 +405,15 @@ def _campaign_grid(args, parser) -> tuple[list, dict]:
         else benchmark_names()
     )
     modes = [m.strip() for m in (args.mode or "ideal").split(",") if m.strip()]
+    if args.kind == "ipc":
+        from repro.harness.sweep import POLICY_MODES
+
+        unknown = [mode for mode in modes if mode not in POLICY_MODES]
+        if unknown:
+            parser.error(
+                f"unknown --mode {', '.join(unknown)}; "
+                f"valid modes are {', '.join(POLICY_MODES)}"
+            )
     shards = shard_grid(
         args.kind, families, budgets, benchmarks,
         modes=tuple(modes) if args.kind == "ipc" else ("",),

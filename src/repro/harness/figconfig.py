@@ -66,7 +66,7 @@ class GridSpec:
     budgets: tuple[int, ...]
     #: None = resolve ``benchmark_names()`` (REPRO_BENCHMARKS) at use time.
     benchmarks: tuple[str, ...] | None = None
-    #: IPC policy modes ("ideal"/"overriding"); empty for accuracy grids.
+    #: IPC policy modes (``sweep.POLICY_MODES``); empty for accuracy grids.
     modes: tuple[str, ...] = ()
 
     def cells(self) -> Iterator[tuple]:
@@ -142,9 +142,17 @@ def _parse_grid(data, path: str) -> GridSpec:
         benchmarks = _str_tuple(benchmarks, "benchmarks", path)
     modes: tuple[str, ...] = ()
     if kind == "ipc":
+        from repro.harness.sweep import POLICY_MODES
+
         modes = _str_tuple(_require(data, "modes", path), "modes", path)
         if not modes:
             raise ConfigurationError(f"config {path}: an ipc grid needs 'modes'")
+        for mode in modes:
+            if mode not in POLICY_MODES:
+                raise ConfigurationError(
+                    f"config {path}: unknown ipc mode {mode!r}; "
+                    f"valid modes are {', '.join(POLICY_MODES)}"
+                )
     elif "modes" in data:
         raise ConfigurationError(f"config {path}: 'modes' is only valid for ipc grids")
     return GridSpec(

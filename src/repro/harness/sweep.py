@@ -256,6 +256,10 @@ def mean_by_family_budget(cells: list[AccuracyCell]) -> dict[tuple[str, int], fl
 # -- IPC sweeps ---------------------------------------------------------------
 
 
+#: The fetch-policy modes :func:`make_policy` builds (and IPC configs name).
+POLICY_MODES = ("ideal", "overriding")
+
+
 def make_policy(family: str, budget_bytes: int, mode: str) -> FetchPolicy:
     """Build the fetch policy for a family/budget under ``mode``.
 
@@ -266,19 +270,21 @@ def make_policy(family: str, budget_bytes: int, mode: str) -> FetchPolicy:
     mode and never need overriding; ``override_eligible`` families have a
     latency model and can play the slow side of an overriding pair.
     """
+    if mode not in POLICY_MODES:
+        raise ConfigurationError(
+            f"unknown policy mode {mode!r}; valid modes are {', '.join(POLICY_MODES)}"
+        )
     spec = registry.get_spec(family)
     predictor = registry.build(family, budget_bytes)
     if spec.single_cycle or mode == "ideal":
         return SingleCyclePolicy(predictor)
-    if mode == "overriding":
-        if not spec.override_eligible:
-            raise ConfigurationError(
-                f"family {family!r} is not override-eligible "
-                f"(no latency model registers it as a slow predictor)"
-            )
-        latency = predictor_latency(family, budget_bytes)
-        return OverridingPolicy(OverridingPredictor(predictor, slow_latency=latency))
-    raise ValueError(f"unknown policy mode {mode!r}")
+    if not spec.override_eligible:
+        raise ConfigurationError(
+            f"family {family!r} is not override-eligible "
+            f"(no latency model registers it as a slow predictor)"
+        )
+    latency = predictor_latency(family, budget_bytes)
+    return OverridingPolicy(OverridingPredictor(predictor, slow_latency=latency))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,13 @@
 """The asyncio daemon: transport, long-polls, workers, graceful drain.
 
 One process, one event loop, stdlib only.  The loop thread owns every
-socket and never computes: requests that resolve from stores answer
-inline (the hot path keeps a small LRU of prebuilt response *bytes* for
-``GET /v1/results/<digest>`` — content addressing makes those responses
-immutable, so the cache can never serve stale data), while submissions
-that need predictor work enqueue their job onto the :class:`JobExecutor`.
+socket and never computes.  Only one kind of request answers inline on
+the loop thread: a ``GET /v1/results/<digest>`` that hits the small LRU
+of prebuilt response *bytes* (content addressing makes those responses
+immutable, so the cache can never serve stale data).  Every other
+request, store lookups included, runs :meth:`ServiceApp.handle` on an
+executor thread (``_dispatch`` → ``run_in_executor``); a submission that
+needs predictor work then enqueues its job onto the :class:`JobExecutor`.
 
 The executor drains jobs either on in-process worker threads (default;
 obs tracing is thread-local so request spans and campaign spans coexist)

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import ExactStream
 from repro.workloads.predicates import Predicate
 
 INSTRUCTION_BYTES = 4
@@ -67,7 +68,7 @@ class TripSampler:
         if self.kind == "uniform" and not 1 <= self.low <= self.high:
             raise ConfigurationError("uniform trip range must satisfy 1 <= low <= high")
 
-    def sample(self, rng: np.random.Generator) -> int:
+    def sample(self, rng: ExactStream | np.random.Generator) -> int:
         """Draw one trip count (>= 1)."""
         if self.kind == "fixed":
             return int(self.mean)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.rng import ExactStream
 
 
 class ProgramState:
@@ -50,7 +51,7 @@ class ProgramState:
 
     HISTORY_BITS = 128
 
-    def __init__(self, rng: np.random.Generator, hidden_bits: int = 8) -> None:
+    def __init__(self, rng: ExactStream | np.random.Generator, hidden_bits: int = 8) -> None:
         if hidden_bits < 1:
             raise ConfigurationError("need at least one hidden bit")
         self.rng = rng

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import derive
+from repro.common.rng import ExactStream, derive
 from repro.workloads.cfg import (
     INSTRUCTION_BYTES,
     Call,
@@ -150,7 +150,7 @@ class ProgramExecutor:
             )
         self.program = program
         self.memory = memory or MemoryConfig()
-        self.rng = derive(seed, "exec", program.name)
+        self.rng = ExactStream(derive(seed, "exec", program.name))
         self.state = ProgramState(self.rng, hidden_bits=hidden_bits)
         self._stride_cursors: dict[tuple[int, int], int] = {}
         self._stack_depth = 0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.common.rng import derive
+from repro.common.rng import ExactStream, derive
 from repro.workloads.cfg import (
     Call,
     Function,
@@ -126,18 +126,18 @@ class _ProgramSynthesizer:
 
     def __init__(self, profile: WorkloadProfile) -> None:
         self.profile = profile
-        self.rng = derive(profile.seed, "synth", profile.name)
-        self._mix = profile.predicate_mix.weights()
+        self.rng = ExactStream(derive(profile.seed, "synth", profile.name))
+        self._mix = tuple(profile.predicate_mix.weights().tolist())
 
     def make_predicate(self) -> Predicate:
         """Draw one branch predicate from the profile's mix."""
         profile = self.profile
-        kind = self._PREDICATE_KINDS[int(self.rng.choice(len(self._PREDICATE_KINDS), p=self._mix))]
+        kind = self._PREDICATE_KINDS[self.rng.choice(len(self._PREDICATE_KINDS), p=self._mix)]
         if kind == "biased":
             strength = profile.bias_strength
             bias = strength if self.rng.random() < 0.5 else 1.0 - strength
             # Jitter so not every biased branch is identical.
-            bias = float(np.clip(bias + self.rng.normal(0, 0.02), 0.005, 0.995))
+            bias = min(max(bias + self.rng.normal(0, 0.02), 0.005), 0.995)
             return BiasedPredicate(bias=bias)
         if kind == "short_parity":
             low, high = profile.short_lag_range

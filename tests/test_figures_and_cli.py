@@ -460,6 +460,46 @@ class TestConfigTargets:
         text = (out / "two_modes.txt").read_text(encoding="utf-8")
         assert "perceptron (no delay)" in text and "perceptron (overriding)" in text
 
+    def test_unknown_ipc_mode_is_refused_when_parsed(self, tmp_path, capsys):
+        """A misspelt mode fails parsing, naming the valid modes, instead of
+        failing the run after the valid modes' cells were computed."""
+        from repro.common.errors import ConfigurationError
+        from repro.harness.figconfig import parse_config
+
+        config = {
+            "schema": 1,
+            "target": "typo",
+            "mode": "sweep",
+            "title": "x",
+            "grids": [
+                {
+                    "kind": "ipc",
+                    "families": ["gshare_fast"],
+                    "budgets": [2048],
+                    "modes": ["ideal", "overridng"],
+                }
+            ],
+        }
+        with pytest.raises(ConfigurationError, match="'overridng'.*ideal, overriding"):
+            parse_config(config)
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        with pytest.raises(SystemExit):
+            main(["--config", str(path), "--dry-run"])
+        assert "overridng" in capsys.readouterr().err
+
+    def test_campaign_refuses_unknown_ipc_mode(self, tmp_path, capsys):
+        from repro.harness.cli import campaign_main
+
+        run_dir = tmp_path / "run"
+        with pytest.raises(SystemExit):
+            campaign_main([
+                "run", str(run_dir), "--kind", "ipc", "--families", "gshare_fast",
+                "--budgets", "2048", "--mode", "ideal,overridng",
+            ])
+        assert "overridng" in capsys.readouterr().err
+        assert not run_dir.exists()
+
     def test_inferred_requires_loaded_base(self):
         with pytest.raises(SystemExit):
             main(["--config", str(CONFIGS / "figure1_inferred.json"), "--dry-run"])

@@ -238,7 +238,7 @@ class TestSweeps:
     def test_make_policy_modes(self):
         assert make_policy("gshare_fast", 16 * 1024, "ideal").name.startswith("1cyc")
         assert "override" in make_policy("perceptron", 16 * 1024, "overriding").name
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError, match="telepathy"):
             make_policy("perceptron", 16 * 1024, "telepathy")
 
     def test_ipc_sweep_shape(self):

@@ -296,6 +296,24 @@ class TestErrorPaths:
         assert code == 400
         assert "grids" in json.loads(payload)["error"]
 
+    def test_unknown_ipc_mode_rejected_without_a_job(self, env, tmp_path):
+        """A misspelt IPC mode is refused at submission, not after the
+        valid mode's cells ran."""
+        app, _ = make_app(tmp_path)
+        spec = mini_spec(name="typo")
+        spec["grids"] = [
+            {
+                "kind": "ipc",
+                "families": ["gshare_fast"],
+                "budgets": [2048],
+                "modes": ["ideal", "overridng"],
+            }
+        ]
+        code, payload, _ = app.handle("POST", "/v1/jobs", {}, json.dumps(spec).encode())
+        assert code == 400
+        assert "overridng" in json.loads(payload)["error"]
+        assert app.job_states() == {}
+
     def test_unknown_job_and_digest(self, env, tmp_path):
         app, _ = make_app(tmp_path)
         assert app.handle("GET", "/v1/jobs/feedface")[0] == 404
