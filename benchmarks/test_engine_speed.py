@@ -12,7 +12,13 @@ ratios are printed as a table.  gshare — a single-table scan — must run
 >= 10x faster batched; each family batched through a plain-int replay,
 row rounds or a composite of component kernels must run >= 3x faster.
 
-A second table times the cycle simulator on the same benchmark at the
+A second table splits the batch side by grouping primitive: for one
+batch measurement per family (best of 3), the events each of
+``CounterScan``, ``segment_positions`` and the engine's ``_PlainCells``
+handled and its ns per event, so that a kernel change can be compared
+primitive by primitive.
+
+A third table times the cycle simulator on the same benchmark at the
 default IPC trace length: the Figure 7 families in both modes, the
 per-block reference loop (``tests/uarch_reference.py``) against
 ``CycleSimulator``, which must give identical ``SimulationResult``s at
@@ -27,6 +33,7 @@ import time
 
 import pytest
 
+from repro.batch import engine, kernels
 from repro.harness.experiment import measure_accuracy
 from repro.harness.scale import accuracy_instructions, ipc_instructions
 from repro.harness.sweep import make_policy
@@ -138,6 +145,67 @@ def test_family_batch_speedup(family, family_timings):
     scalar_time, batch_time, scalar_result, batch_result = family_timings[family]
     assert scalar_result == batch_result
     assert scalar_time / batch_time >= REQUIRED_SPEEDUP.get(family, 0.0)
+
+
+# -- grouping primitives -----------------------------------------------------------
+
+#: The batch engine's grouping primitives, with the events one call
+#: handles: a scan's writes, a grouping's keys, and the cells ranked over
+#: every table of a plain-int replay.
+PRIMITIVES = {
+    "CounterScan": lambda cells, *rest: len(cells),
+    "segment_positions": len,
+    "_PlainCells": lambda tables, cells: sum(len(c) for c in cells),
+}
+
+
+def capture_primitives(monkeypatch, calls: list) -> None:
+    """Route every grouping-primitive call the batch engine makes through a
+    wrapper that appends ``(primitive, events, seconds)`` to ``calls``."""
+
+    def timed(name, call):
+        def wrapper(*args):
+            start = time.perf_counter()
+            result = call(*args)
+            calls.append((name, PRIMITIVES[name](*args), time.perf_counter() - start))
+            return result
+
+        return wrapper
+
+    segment = timed("segment_positions", kernels.segment_positions)
+    monkeypatch.setattr(engine, "CounterScan", timed("CounterScan", kernels.CounterScan))
+    monkeypatch.setattr(engine, "segment_positions", segment)
+    monkeypatch.setattr(kernels, "segment_positions", segment)  # local_histories
+    monkeypatch.setattr(engine, "_PlainCells", timed("_PlainCells", engine._PlainCells))
+
+
+def test_primitive_costs(trace, family_timings, monkeypatch):
+    """Per family, the events each grouping primitive handled in one batch
+    measurement and its ns per event (fastest of 3 runs); the wrapped run
+    must give the unwrapped result."""
+    calls: list = []
+    capture_primitives(monkeypatch, calls)
+    rows = {}
+    for family in registry.family_names():
+        best = {name: (0, float("inf")) for name in PRIMITIVES}
+        for _ in range(3):
+            calls.clear()
+            result = measure_accuracy(registry.build(family, FAMILY_BUDGET), trace, engine="batch")
+            assert result == family_timings[family][3]
+            for name in PRIMITIVES:
+                events = sum(e for n, e, _ in calls if n == name)
+                seconds = sum(t for n, _, t in calls if n == name)
+                best[name] = (events, min(best[name][1], seconds))
+        rows[family] = best
+    header = "".join(f"{name:>26s}" for name in PRIMITIVES)
+    print(f"\n{'family':16s}{header}")
+    print(f"{'':16s}" + f"{'events':>16s}{'ns/event':>10s}" * len(PRIMITIVES))
+    for family, best in rows.items():
+        cells = "".join(
+            f"{events:16,d}{seconds * 1e9 / events:10.1f}" if events else f"{0:16d}{'-':>10s}"
+            for events, seconds in best.values()
+        )
+        print(f"{family:16s}{cells}")
 
 
 # -- cycle simulator -------------------------------------------------------------

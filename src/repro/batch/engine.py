@@ -21,7 +21,10 @@ dependence of the predictor's own state, handled in one of four ways:
 
 1. **A component trained on every branch is one scan.**  Each counter cell
    evolves independently along its own update subsequence, which
-   :class:`repro.batch.kernels.CounterScan` replays loop-free.  bimodal,
+   :class:`repro.batch.kernels.CounterScan` replays loop-free; its doubling
+   passes drop every event whose state is already known (its update map
+   has settled, or covers its whole prefix), so the passes after the first
+   few touch only the few events still unknown.  bimodal,
    gshare, gshare.fast (its non-speculative update delay is an event-time
    shift handled by the scan's delayed sampling) and the two-level local
    predictor are one scan each.  **tournament** needs no Python loop
@@ -79,6 +82,7 @@ from repro.batch.kernels import (
     packed_history,
     rotate_left_bits,
     segment_positions,
+    stable_order,
     unpack_history,
 )
 from repro.common.bits import mask
@@ -184,10 +188,16 @@ class _PlainCells:
         self.tables = tables
         self.touched = []
         self.positions = []
-        for table_cells in cells:
-            touched, positions = np.unique(table_cells, return_inverse=True)
+        for table, table_cells in zip(tables, cells):
+            # Rank the touched cells through a presence array: the same
+            # sorted list and inverse as np.unique, without its sort.
+            present = np.zeros(len(table), dtype=bool)
+            present[table_cells] = True
+            touched = np.flatnonzero(present)
+            rank = np.empty(len(table), dtype=np.int32)
+            rank[touched] = np.arange(len(touched), dtype=np.int32)
             self.touched.append(touched)
-            self.positions.append(positions.tolist())
+            self.positions.append(rank[table_cells].tolist())
         self.values = [t[c].tolist() for t, c in zip(tables, self.touched)]
 
     def commit(self) -> None:
@@ -871,7 +881,7 @@ class _PerceptronKernel(_Kernel):
         rounds = int(np.count_nonzero(active > self.TAIL_ROWS))
         in_rounds = position < rounds
         # Rounds, permuted so that every round is one contiguous slice.
-        by_round = order[in_rounds][np.argsort(position[in_rounds], kind="stable")]
+        by_round = order[in_rounds][stable_order(position[in_rounds])]
         round_inputs, round_rows = inputs[by_round], weight_rows[by_round]
         round_margins = np.empty(len(by_round), dtype=np.int32)
         head = 0

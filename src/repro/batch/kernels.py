@@ -12,6 +12,8 @@ code:
 * :func:`fold_bits`, :func:`bit_reverse_bits`, :func:`rotate_left_bits` —
   the vectorized index hashes (XOR-fold, and the skewing functions of the
   gskew family);
+* :func:`stable_order` — the stable grouping every kernel uses, by 16-bit
+  radix passes;
 * :class:`CounterScan` — an exact, loop-free replay of saturating-counter
   updates grouped by table cell.
 
@@ -25,9 +27,27 @@ The scan rests on a closure property: a saturating ±1 update is the map
 
 so the running counter state along each cell's update subsequence is a
 segmented prefix-composition of ``(k, lo, hi)`` triples — computed with a
-Hillis-Steele doubling scan in ``O(log chunk)`` vectorized passes, no
-Python-level per-branch loop.  The unused bound of each primitive map is a
-large sentinel, never ±inf, so everything stays in exact int64 arithmetic.
+Hillis-Steele doubling scan, no Python-level per-branch loop.  The unused
+bound of each primitive map is a large sentinel, never ±inf, so everything
+stays in exact int32 arithmetic.
+
+**The scan settles.**  A map has *settled* when it is constant on the
+counter domain ``[0, max_value]``, i.e. ``f(0) == f(max_value)`` (clamps
+are monotone).  Every composed map sends the domain into itself, so a
+settled map composed after any older map takes the same value on the
+domain: an event whose map has settled already holds its exact state for
+any starting value, and an event that composes with a settled predecessor
+settles too.  Such events leave the doubling passes, as do events whose
+map already covers their whole prefix.  A 2-bit counter's map settles
+after three updates in the same direction, so few events outlive the first
+passes (the accuracy grid's scans compose about twice per event instead of
+five times).  Passes run on whole slices while at least half the events
+are active, then on gathers of the active events alone.
+
+**Grouping is radix sorting.**  numpy's stable argsort of ``uint16`` keys
+is a radix sort, so :func:`stable_order` groups keys below 2**16 in one
+linear pass and keys below 2**32 in two (low half, then high half); only
+wider or negative keys take a comparison sort.
 """
 
 from __future__ import annotations
@@ -102,14 +122,34 @@ def unpack_history(value: int, length: int) -> np.ndarray:
     return np.array([(value >> age) & 1 for age in reversed(range(length))], dtype=bool)
 
 
+def stable_order(keys: np.ndarray) -> np.ndarray:
+    """The stable argsort of integer ``keys``, by 16-bit radix passes.
+
+    Keys below 2**16 take one pass of numpy's stable ``uint16`` argsort (a
+    radix sort), keys below 2**32 two (low half, then high half).  Any
+    other keys, negative ones included, take ``np.argsort(kind="stable")``.
+    """
+    keys = np.asarray(keys)
+    if len(keys) and keys.min() >= 0:
+        top = keys.max()
+        if top < 1 << 16:
+            return np.argsort(keys.astype(np.uint16), kind="stable")
+        if top < 1 << 32:
+            order = np.argsort((keys & 0xFFFF).astype(np.uint16), kind="stable")
+            high = (keys[order] >> 16).astype(np.uint16)
+            return order[np.argsort(high, kind="stable")]
+    return np.argsort(keys, kind="stable")
+
+
 def segment_positions(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group a stream by key, keeping stream order within a key.
 
     Returns ``(order, position)``: ``order`` is the stable argsort of
-    ``keys``, and ``position[j]`` counts the earlier events of the same key
-    as the ``j``-th event of the grouped order (0 for a key's first event).
+    ``keys`` (:func:`stable_order`), and ``position[j]`` counts the earlier
+    events of the same key as the ``j``-th event of the grouped order (0
+    for a key's first event).
     """
-    order = np.argsort(keys, kind="stable")
+    order = stable_order(keys)
     n = len(order)
     index = np.arange(n, dtype=np.int64)
     head = np.zeros(n, dtype=np.int64)
@@ -201,6 +241,66 @@ def hash_pcs(pcs: np.ndarray, width: int) -> np.ndarray:
     return fold_bits(np.asarray(pcs, dtype=np.int64) >> 2, 32, width)
 
 
+def _compose(older: tuple, newer: tuple) -> tuple:
+    """``newer ∘ older`` for arrays of clamp maps ``(shift, lo, hi)``, as
+    new arrays (nothing is written)."""
+    shift, lo, hi = newer
+    return (
+        older[0] + shift,
+        np.minimum(np.maximum(older[1] + shift, lo), hi),
+        np.minimum(np.maximum(older[2] + shift, lo), hi),
+    )
+
+
+def _settled(maps: tuple, max_value: int) -> np.ndarray:
+    """Which clamp maps are constant on the counter domain
+    ``[0, max_value]``: ``f(0) == f(max_value)``, as clamps are monotone."""
+    shift, lo, hi = maps
+    low = np.minimum(np.maximum(shift, lo), hi)
+    return low == np.minimum(np.maximum(shift + max_value, lo), hi)
+
+
+def _scan_prefixes(
+    boundary: np.ndarray, shift: np.ndarray, lo: np.ndarray, hi: np.ndarray, max_value: int
+) -> None:
+    """Turn each event's map into its inclusive prefix composition over
+    its cell's run (``boundary`` marks run heads), in place and exact on
+    the counter domain.
+
+    Doubling pass ``d`` composes every *active* event with the map ``d``
+    events earlier in its run.  An event leaves the active set once its
+    map covers its whole prefix (position ``< 2d``) or has settled.  While
+    at least half the events are active, a pass runs on whole slices under
+    the active mask; after that, on gathers of the active events alone.
+    """
+    maps = (shift, lo, hi)
+    n = len(shift)
+    index = np.arange(n, dtype=np.int32)
+    position = index - np.maximum.accumulate(np.where(boundary, index, 0))
+    active = ~boundary & ~_settled(maps, max_value)
+    offset = 1
+    while 2 * np.count_nonzero(active) >= n:
+        composed = _compose(
+            tuple(m[:-offset] for m in maps), tuple(m[offset:] for m in maps)
+        )
+        take = active[offset:]
+        for target, value in zip(maps, composed):
+            np.copyto(target[offset:], value, where=take)
+        active[offset:] &= ~_settled(composed, max_value)
+        offset *= 2
+        active &= position >= offset
+    events = np.flatnonzero(active)
+    while len(events):
+        sources = events - offset
+        composed = _compose(
+            tuple(m[sources] for m in maps), tuple(m[events] for m in maps)
+        )
+        for target, value in zip(maps, composed):
+            target[events] = value
+        offset *= 2
+        events = events[(position[events] >= offset) & ~_settled(composed, max_value)]
+
+
 class CounterScan:
     """Replay saturating-counter writes against a table, loop-free.
 
@@ -231,12 +331,8 @@ class CounterScan:
             times = np.asarray(times, dtype=np.int64)
             if len(times) and int(times.max()) >= _KEY_STRIDE:
                 raise ConfigurationError("event time exceeds the key-packing stride")
-        # Group by cell, preserving issue order within a cell.  A composite
-        # unique key (cell, position) lets the default introsort do a
-        # stable grouping at a fraction of kind="stable"'s cost.
-        cells = cells.astype(np.int64)
-        position = np.arange(len(cells), dtype=np.int64)
-        self._order = np.argsort((cells << 24) | position)
+        # Group by cell, preserving issue order within a cell.
+        self._order = stable_order(cells)
         self._cells = cells[self._order].astype(np.int32)
         self._times = times[self._order] if times is not None else None
         self._table = table
@@ -253,22 +349,7 @@ class CounterScan:
             boundary = np.empty(n, dtype=bool)
             boundary[0] = True
             np.not_equal(self._cells[1:], self._cells[:-1], out=boundary[1:])
-            offset = 1
-            while True:
-                # Sorted order makes "same cell" equivalent to "same segment".
-                idx = np.nonzero(self._cells[offset:] == self._cells[:-offset])[0]
-                if len(idx) == 0:
-                    break
-                idx += offset
-                src = idx - offset
-                # newer (at idx) composed after older (at src)
-                new_lo = np.minimum(np.maximum(lo[src] + shift[idx], lo[idx]), hi[idx])
-                new_hi = np.minimum(np.maximum(hi[src] + shift[idx], lo[idx]), hi[idx])
-                new_shift = shift[src] + shift[idx]
-                shift[idx] = new_shift
-                lo[idx] = new_lo
-                hi[idx] = new_hi
-                offset *= 2
+            _scan_prefixes(boundary, shift, lo, hi, max_value)
             init = table[self._cells]
             # Inclusive prefix map applied to the cell's starting value =
             # counter state *after* each write; *before* is its shift-by-one

@@ -62,6 +62,7 @@ import time
 from functools import partial
 
 from repro import obs
+from repro.common.errors import ConfigurationError
 from repro.harness import figures
 from repro.harness.experiment import ENGINES
 from repro.obs.manifest import build_manifest, write_manifest
@@ -282,6 +283,11 @@ def main(argv: list[str] | None = None) -> int:
         help="mirror span open/close progress lines on stderr",
     )
     args = parser.parse_args(argv)
+    try:
+        for name in ("REPRO_PROFILE", "REPRO_VERBOSE"):
+            obs.env_flag(name)
+    except ConfigurationError as exc:
+        parser.error(str(exc))
     if args.list_families:
         print(_render_families())
         return 0
@@ -302,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
             return 0
     configs = []
     if args.configs:
-        from repro.common.errors import ConfigurationError
         from repro.harness.figconfig import load_configs
 
         try:

@@ -14,10 +14,14 @@ nothing measurable: measurement loops check :func:`enabled` once per call
 
 Environment variables (see DESIGN.md §8/§13 for the event/manifest schema):
 
-* ``REPRO_PROFILE`` — truthy enables metric + attribution collection
+* ``REPRO_PROFILE`` — on enables metric + attribution collection
   (``repro-figures --profile`` pins it for the process);
 * ``REPRO_LOG`` — path receiving structured JSONL run events;
-* ``REPRO_VERBOSE`` — truthy mirrors span open/close lines on stderr.
+* ``REPRO_VERBOSE`` — on mirrors span open/close lines on stderr.
+
+Both flags read ``1``/``true``/``yes``/``on`` as on and
+``0``/``false``/``no``/``off`` or empty as off, case-insensitive; any other
+value raises ConfigurationError (:func:`env_flag`).
 
 Event-log layout (``REPRO_LOG=<dir>/events.jsonl``):
 
@@ -55,6 +59,7 @@ from repro.obs.registry import (
     Timer,
     enabled,
     enabled_override,
+    env_flag,
     render_snapshot,
     set_enabled,
 )
@@ -87,6 +92,7 @@ __all__ = [
     "default_registry",
     "enabled",
     "enabled_override",
+    "env_flag",
     "event_sink",
     "gauge",
     "histogram",

@@ -18,22 +18,38 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.common.errors import ConfigurationError
+
 #: Default fixed bucket upper bounds (seconds) for duration histograms.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
-_TRUTHY_OFF = ("", "0", "false", "no", "off")
+#: Accepted spellings of an on/off environment flag (case-insensitive,
+#: surrounding blanks ignored; unset reads as off).
+_FLAG_OFF = ("", "0", "false", "no", "off")
+_FLAG_ON = ("1", "true", "yes", "on")
 
 _enabled: bool | None = None
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in _TRUTHY_OFF
+def env_flag(name: str) -> bool:
+    """The on/off environment flag ``name``; any spelling outside
+    :data:`_FLAG_ON`/:data:`_FLAG_OFF` raises ConfigurationError."""
+    raw = os.environ.get(name, "")
+    value = raw.strip().lower()
+    if value in _FLAG_OFF:
+        return False
+    if value in _FLAG_ON:
+        return True
+    raise ConfigurationError(
+        f"{name}={raw!r} is not an on/off flag (on: {', '.join(_FLAG_ON)}; "
+        f"off: {', '.join(_FLAG_OFF[1:])} or empty)"
+    )
 
 
 def enabled() -> bool:
     """True when metrics/attribution collection is on (flag or env)."""
     if _enabled is None:
-        return _env_flag("REPRO_PROFILE")
+        return env_flag("REPRO_PROFILE")
     return _enabled
 
 

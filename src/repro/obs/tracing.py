@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from repro.obs.events import EVENT_SCHEMA
-from repro.obs.registry import MetricsRegistry, _env_flag, enabled
+from repro.obs.registry import MetricsRegistry, enabled, env_flag
 
 #: Process-global default registry shared by every instrumentation point.
 DEFAULT_REGISTRY = MetricsRegistry()
@@ -87,7 +87,7 @@ def default_registry() -> MetricsRegistry:
 def verbose() -> bool:
     """True when spans mirror a human-readable line to stderr."""
     if _verbose is None:
-        return _env_flag("REPRO_VERBOSE")
+        return env_flag("REPRO_VERBOSE")
     return _verbose
 
 

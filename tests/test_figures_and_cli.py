@@ -151,6 +151,18 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["figure9"])
 
+    @pytest.mark.parametrize("name", ["REPRO_PROFILE", "REPRO_VERBOSE"])
+    def test_misspelt_obs_flag_is_a_usage_error(self, tmp_path, capsys, monkeypatch, name):
+        """A misspelt flag value stops repro-figures with exit 2 before any
+        work: nothing reaches the result store."""
+        store = tmp_path / "results"
+        monkeypatch.setenv(name, "flase")
+        with pytest.raises(SystemExit) as exc:
+            main(["figure1", "--result-store", str(store)])
+        assert exc.value.code == 2
+        assert f"{name}='flase'" in capsys.readouterr().err
+        assert not store.exists() or not any(store.rglob("*"))
+
     def test_cli_rejects_empty_invocation(self):
         with pytest.raises(SystemExit):
             main([])

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.common.errors import ConfigurationError
 from repro.harness.experiment import measure_accuracy
 from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry, Timer
 
@@ -104,6 +105,29 @@ class TestEnablement:
         assert obs.enabled()
         monkeypatch.setenv("REPRO_PROFILE", "0")
         assert not obs.enabled()
+
+    @pytest.mark.parametrize(
+        "value, on",
+        [("1", True), ("TRUE", True), (" yes ", True), ("On", True),
+         ("", False), ("0", False), ("False", False), ("no", False), (" OFF", False)],
+    )
+    @pytest.mark.parametrize("name", ["REPRO_PROFILE", "REPRO_VERBOSE"])
+    def test_flag_spellings(self, monkeypatch, name, value, on):
+        monkeypatch.setenv(name, value)
+        assert obs.env_flag(name) is on
+
+    @pytest.mark.parametrize("value", ["flase", "of", "2", "ture", "enabled", "o n", "yes!"])
+    @pytest.mark.parametrize(
+        "name, read", [("REPRO_PROFILE", obs.enabled), ("REPRO_VERBOSE", obs.verbose)]
+    )
+    def test_misspelt_flag_is_refused(self, monkeypatch, name, read, value):
+        """A value that is neither on nor off raises, naming the variable
+        and the value, instead of reading as on."""
+        monkeypatch.setenv(name, value)
+        obs.set_enabled(None)
+        obs.set_verbose(None)
+        with pytest.raises(ConfigurationError, match=rf"{name}={value!r}.*on: 1, true"):
+            read()
 
     def test_pin_overrides_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
