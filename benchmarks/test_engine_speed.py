@@ -7,10 +7,13 @@ suite stays unaffected::
 
 The comparison pins the engine's performance claims on the gcc trace at
 the default REPRO_SCALE: every registered family is timed on both engines
-(best of N wall time), must produce identical ``AccuracyResult``s, and the
-ratios are printed as a table.  gshare — a single-table scan — must run
->= 10x faster batched; each family batched through a plain-int replay,
-row rounds or a composite of component kernels must run >= 3x faster.
+in interleaved scalar/batch pairs, must produce identical
+``AccuracyResult``s, and the median times and median per-pair ratio are
+printed as a table.  gshare — a single-table scan — must run >= 10x
+faster batched; each family batched through a plain-int replay, row
+rounds or a composite of component kernels must run >= 3x faster.  Every
+gate reads the median of the per-pair ratios, so one run slowed by the
+host moves it little.
 
 A second table splits the batch side by grouping primitive: for one
 batch measurement per family (best of 3), the events each of
@@ -22,13 +25,14 @@ A third table times the cycle simulator on the same benchmark at the
 default IPC trace length: the Figure 7 families in both modes, the
 per-block reference loop (``tests/uarch_reference.py``) against
 ``CycleSimulator``, which must give identical ``SimulationResult``s at
-least 3x faster.
+least 3x faster, paired the same way.
 
 The differential suites prove bit-exactness; this file measures speed.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
 import pytest
@@ -76,35 +80,61 @@ def trace():
     return trace
 
 
-def best_of(n, build, trace, engine):
-    """Best wall time of ``n`` fresh-predictor runs, and the last result."""
-    best = float("inf")
-    result = None
-    for _ in range(n):
+#: Interleaved (slow, fast) run pairs behind each speed gate.
+PAIRS = 5
+
+
+def paired(slow, fast):
+    """Run ``slow`` and ``fast`` alternately ``PAIRS`` times; each returns
+    ``(seconds, result)``.  Returns the median slow and fast seconds, the
+    median of the per-pair slow/fast ratios, and each side's last result."""
+    slow_runs, fast_runs = [], []
+    for _ in range(PAIRS):
+        slow_runs.append(slow())
+        fast_runs.append(fast())
+    return (
+        statistics.median(seconds for seconds, _ in slow_runs),
+        statistics.median(seconds for seconds, _ in fast_runs),
+        statistics.median(s / f for (s, _), (f, _) in zip(slow_runs, fast_runs)),
+        slow_runs[-1][1],
+        fast_runs[-1][1],
+    )
+
+
+def timed_accuracy(build, trace, engine):
+    """A ``run()`` timing one fresh predictor on ``engine``: ``(seconds,
+    result)``."""
+
+    def run():
         predictor = build()
         start = time.perf_counter()
         result = measure_accuracy(predictor, trace, engine=engine)
-        best = min(best, time.perf_counter() - start)
-    return best, result
+        return time.perf_counter() - start, result
+
+    return run
+
+
+def engine_pairs(build, trace):
+    """:func:`paired` over the scalar and batch engines."""
+    return paired(timed_accuracy(build, trace, "scalar"), timed_accuracy(build, trace, "batch"))
 
 
 @pytest.fixture(scope="module")
 def family_timings(trace):
-    """(scalar seconds, batch seconds, scalar result, batch result) per
-    registered family; prints the ratio table once."""
+    """(scalar seconds, batch seconds, speed-up, scalar result, batch
+    result) per registered family, medians over interleaved pairs;
+    prints the table once."""
     timings = {}
     for family in registry.family_names():
         def build(family=family):
             return registry.build(family, FAMILY_BUDGET)
 
-        scalar_time, scalar_result = best_of(2, build, trace, "scalar")
-        batch_time, batch_result = best_of(5, build, trace, "batch")
-        timings[family] = (scalar_time, batch_time, scalar_result, batch_result)
+        timings[family] = engine_pairs(build, trace)
     print(f"\n{'family':16s} {'scalar ms':>10s} {'batch ms':>9s} {'speedup':>8s}")
-    for family, (scalar_time, batch_time, _, _) in timings.items():
+    for family, (scalar_time, batch_time, speedup, _, _) in timings.items():
         print(
             f"{family:16s} {scalar_time * 1e3:10.1f} {batch_time * 1e3:9.1f} "
-            f"{scalar_time / batch_time:7.1f}x"
+            f"{speedup:7.1f}x"
         )
     return timings
 
@@ -124,14 +154,15 @@ def test_batch_gshare_throughput(benchmark, trace):
 
 
 def test_batch_speedup_at_least_10x(trace):
-    """Head-to-head: best-of-N wall time, identical results required."""
+    """Head-to-head: median ratio of interleaved pairs, identical results
+    required."""
     def build():
         return GsharePredictor(ENTRIES)
 
-    scalar_time, scalar_result = best_of(3, build, trace, "scalar")
-    batch_time, batch_result = best_of(5, build, trace, "batch")
+    scalar_time, batch_time, speedup, scalar_result, batch_result = engine_pairs(
+        build, trace
+    )
     assert scalar_result == batch_result
-    speedup = scalar_time / batch_time
     print(
         f"\nscalar {scalar_time * 1e3:.1f}ms  batch {batch_time * 1e3:.1f}ms  "
         f"speedup {speedup:.1f}x"
@@ -142,9 +173,9 @@ def test_batch_speedup_at_least_10x(trace):
 @pytest.mark.parametrize("family", registry.family_names())
 def test_family_batch_speedup(family, family_timings):
     """Identical results on both engines, and the required speed-up."""
-    scalar_time, batch_time, scalar_result, batch_result = family_timings[family]
+    _, _, speedup, scalar_result, batch_result = family_timings[family]
     assert scalar_result == batch_result
-    assert scalar_time / batch_time >= REQUIRED_SPEEDUP.get(family, 0.0)
+    assert speedup >= REQUIRED_SPEEDUP.get(family, 0.0)
 
 
 # -- grouping primitives -----------------------------------------------------------
@@ -191,7 +222,7 @@ def test_primitive_costs(trace, family_timings, monkeypatch):
         for _ in range(3):
             calls.clear()
             result = measure_accuracy(registry.build(family, FAMILY_BUDGET), trace, engine="batch")
-            assert result == family_timings[family][3]
+            assert result == family_timings[family][4]
             for name in PRIMITIVES:
                 events = sum(e for n, e, _ in calls if n == name)
                 seconds = sum(t for n, _, t in calls if n == name)
@@ -217,34 +248,35 @@ IPC_MODES = ("ideal", "overriding")
 
 @pytest.fixture(scope="module")
 def ipc_timings():
-    """(reference seconds, simulator seconds, reference result, simulator
-    result) per (family, mode) on gcc; prints the ratio table once."""
+    """(reference seconds, simulator seconds, speed-up, reference result,
+    simulator result) per (family, mode) on gcc, medians over interleaved
+    pairs; prints the table once."""
     trace = spec2000_trace("gcc", instructions=ipc_instructions())
     ilp = get_profile("gcc").ilp
 
     def timed(simulator_type, family, mode):
-        simulator = simulator_type(make_policy(family, FAMILY_BUDGET, mode), ilp=ilp)
-        start = time.perf_counter()
-        result = simulator.run(trace)
-        return time.perf_counter() - start, result
+        def run():
+            simulator = simulator_type(make_policy(family, FAMILY_BUDGET, mode), ilp=ilp)
+            start = time.perf_counter()
+            result = simulator.run(trace)
+            return time.perf_counter() - start, result
+
+        return run
 
     timings = {}
     for family in IPC_FAMILIES:
         for mode in IPC_MODES:
-            reference_time, reference_result = timed(ReferenceSimulator, family, mode)
-            runs = [timed(CycleSimulator, family, mode) for _ in range(3)]
-            simulator_time = min(seconds for seconds, _ in runs)
-            timings[family, mode] = (
-                reference_time, simulator_time, reference_result, runs[-1][1]
+            timings[family, mode] = paired(
+                timed(ReferenceSimulator, family, mode), timed(CycleSimulator, family, mode)
             )
     print(
         f"\n{'family':16s} {'mode':11s} {'reference ms':>12s} "
         f"{'simulator ms':>12s} {'speedup':>8s}"
     )
-    for (family, mode), (reference_time, simulator_time, _, _) in timings.items():
+    for (family, mode), (reference_time, simulator_time, speedup, _, _) in timings.items():
         print(
             f"{family:16s} {mode:11s} {reference_time * 1e3:12.1f} "
-            f"{simulator_time * 1e3:12.1f} {reference_time / simulator_time:7.1f}x"
+            f"{simulator_time * 1e3:12.1f} {speedup:7.1f}x"
         )
     return timings
 
@@ -253,6 +285,6 @@ def ipc_timings():
 @pytest.mark.parametrize("family", IPC_FAMILIES)
 def test_simulator_speedup(family, mode, ipc_timings):
     """Identical results to the per-block loop, at least 3x faster."""
-    reference_time, simulator_time, reference_result, result = ipc_timings[family, mode]
+    _, _, speedup, reference_result, result = ipc_timings[family, mode]
     assert result == reference_result
-    assert reference_time / simulator_time >= 3.0
+    assert speedup >= 3.0

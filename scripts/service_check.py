@@ -18,7 +18,8 @@ the full client arc against it:
 5. graceful drain: SIGTERM exits 0 and leaves no ``*.tmp.*`` staging
    droppings anywhere under the service state;
 6. telemetry: the daemon's event log yields a ``repro-stats service``
-   rollup whose request counts cover the traffic just sent.
+   rollup whose request spans and answers from memory cover the traffic
+   just sent (every loadtest fetch is a repeat of a settled reply).
 
 Exit status 0 means every stage behaved; any mismatch aborts with a
 diagnostic.  ``--report-out`` writes a JSON report (CI uploads it).
@@ -278,14 +279,21 @@ def main() -> int:
     request_total = sum(
         entry["count"] for entry in rollup.get("requests", {}).values()
     )
+    cached = rollup.get("response_cache_hits", 0)
     if rollup.get("starts", 0) < 1 or request_total < 3:
         fail(f"rollup missed the traffic: {rollup}")
+    if cached < load_report["requests"]:
+        fail(
+            f"rollup counts {cached} answers from memory, fewer than the "
+            f"{load_report['requests']} repeated fetches of the loadtest"
+        )
     report["stages"]["telemetry"] = {
         "starts": rollup["starts"],
         "stops": rollup["stops"],
         "request_spans": request_total,
+        "response_cache_hits": cached,
     }
-    print(f"   {request_total} request spans rolled up")
+    print(f"   {request_total} request spans, {cached} answers from memory rolled up")
 
     report["ok"] = True
     if args.report_out:

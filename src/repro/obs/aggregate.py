@@ -422,18 +422,22 @@ _SERVICE_SPANS = (
 def service_rollup(events: list[dict]) -> dict:
     """Serving-layer telemetry: request latencies, renders, lifecycle.
 
-    Consumes the ``service.*`` spans the daemon opens per request (plus its
-    ``service_start``/``service_stop`` lifecycle events) and reports count /
-    total / max duration per span name, with ``service.request`` broken out
-    by method + path.  Because campaign worker spans parent into request
-    spans, the *absence* of ``shard`` spans under a trace here is the
-    zero-recompute proof for cached fetches — the benchmark checks exactly
-    that via counters.
+    Consumes the ``service.*`` spans the daemon opens per dispatched
+    request (plus its ``service_start``/``service_stop`` lifecycle events)
+    and reports count / total / max duration per span name, with
+    ``service.request`` broken out by method + path.  Requests answered
+    from the daemon's memory of settled replies open no span; the daemon
+    logs their count as a ``counter`` event when it stops, summed here as
+    ``response_cache_hits``.  Because campaign worker spans parent into
+    request spans, the *absence* of ``shard`` spans under a trace here is
+    the zero-recompute proof for cached fetches — the benchmark checks
+    exactly that via counters.
     """
     by_name: dict[str, dict] = {}
     requests: dict[str, dict] = {}
     starts = 0
     stops = 0
+    cache_hits = 0
     for record in events:
         event = record.get("event")
         if event == "service_start":
@@ -441,6 +445,10 @@ def service_rollup(events: list[dict]) -> dict:
             continue
         if event == "service_stop":
             stops += 1
+            continue
+        if event == "counter":
+            counters = record.get("counters") or {}
+            cache_hits += int(counters.get("service.response_cache_hits", 0))
             continue
         if event != "span":
             continue
@@ -469,6 +477,7 @@ def service_rollup(events: list[dict]) -> dict:
         "stops": stops,
         "spans": dict(sorted(by_name.items())),
         "requests": dict(sorted(requests.items())),
+        "response_cache_hits": cache_hits,
     }
 
 

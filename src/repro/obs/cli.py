@@ -309,7 +309,8 @@ def render_campaign(rollup: dict) -> str:
 
 
 def render_service(rollup: dict) -> str:
-    """Service rollup as aligned tables (per-route latencies + lifecycle)."""
+    """Service rollup as aligned tables (per-route latencies), then the
+    count of answers from memory and the lifecycle line."""
     from repro.harness.report import render_table
 
     sections = []
@@ -348,10 +349,12 @@ def render_service(rollup: dict) -> str:
                 request_rows,
             )
         )
+    cache_hits = rollup.get("response_cache_hits", 0)
     sections.append(
+        f"answered from memory (settled replies, no span): {cache_hits}\n"
         f"daemon starts: {rollup.get('starts', 0)}  stops: {rollup.get('stops', 0)}"
     )
-    if not span_rows and not request_rows:
+    if not span_rows and not request_rows and not cache_hits:
         return "No service events in event log(s)."
     return "\n\n".join(sections)
 
@@ -416,7 +419,8 @@ def main(argv: list[str] | None = None) -> int:
     camp.add_argument("--json", action="store_true", help="emit JSON instead")
     serv = subparsers.add_parser(
         "service",
-        help="serving-layer rollup: per-route latencies, renders, lifecycle",
+        help="serving-layer rollup: per-route latencies, renders, answers "
+        "from memory, lifecycle",
     )
     serv.add_argument(
         "events",

@@ -5,6 +5,17 @@
 The asyncio daemon wraps it with transport concerns (framing, timeouts,
 long-poll waits, the response cache); tests and the Hypothesis suite drive
 it directly, so every route's semantics are checkable without a port.
+:meth:`ServiceApp.handle` itself caches no reply: every call reads the
+stores, verifying blobs and re-rendering damaged ones.
+
+The app also says which replies are *settled* (:meth:`ServiceApp.settled`):
+a 200 that no later request can change for the life of the process —
+content-addressed blobs, a completed job's status and artifacts, a
+memoized attribution table.  The daemon answers repeats of those from
+memory on its loop thread.  The test reads the reply itself, never the
+pending ledger: a worker may complete the job between the handler's read
+and a ledger check, and a ``running`` reply judged by the ledger would be
+frozen for good.
 
 Routes::
 
@@ -50,6 +61,19 @@ PENDING_STATES = ("queued", "running")
 
 def _json_bytes(payload: dict) -> bytes:
     return (json.dumps(payload, sort_keys=True, default=str) + "\n").encode("utf-8")
+
+
+def _path_parts(path: str) -> list[str]:
+    return [p for p in path.split("/") if p]
+
+
+def _reply_state(payload: bytes) -> str:
+    """The ``state`` a job-status reply reports (``""`` for any other body)."""
+    try:
+        doc = json.loads(payload)
+    except ValueError:
+        return ""
+    return doc.get("state", "") if isinstance(doc, dict) else ""
 
 
 class ServiceApp:
@@ -118,6 +142,42 @@ class ServiceApp:
         self.note_state(job_id, status["state"])
         return status
 
+    # -- reply classification (for the transport) ------------------------
+
+    @staticmethod
+    def settled(method: str, path: str, status: int, payload: bytes) -> bool:
+        """True when this reply can never change for the life of the process.
+
+        Settled: a 200 to ``GET /v1/results/<digest>`` (content-addressed),
+        ``GET /v1/jobs/<id>/figure`` or ``/manifest`` (served only for a
+        completed job), ``GET /v1/attribution/...`` (memoized under a
+        content key), ``POST /v1/jobs`` (a 200 there is a completed job's
+        frozen status) and ``GET /v1/jobs/<id>`` when the reply itself says
+        ``completed``.  Never settled: ``HEAD``, the job list, ``/healthz``,
+        ``/metrics``, any non-200.
+        """
+        parts = _path_parts(path)
+        if status != 200 or parts[:1] != ["v1"]:
+            return False
+        if method == "POST":
+            return parts == ["v1", "jobs"]
+        if method != "GET":
+            return False
+        if parts[1:2] == ["jobs"]:
+            if len(parts) == 3:  # a status: settled once it says completed
+                return is_terminal(_reply_state(payload))
+            return len(parts) == 4  # a completed job's figure or manifest
+        return parts[1:2] in (["results"], ["attribution"])
+
+    @staticmethod
+    def pending_job(method: str, path: str, status: int, payload: bytes) -> str:
+        """The job id when this reply is a job status reading ``queued`` or
+        ``running`` (a long-poll holds it until the job moves), else ``""``."""
+        parts = _path_parts(path)
+        if method != "GET" or status != 200 or len(parts) != 3 or parts[:2] != ["v1", "jobs"]:
+            return ""
+        return parts[2] if _reply_state(payload) in PENDING_STATES else ""
+
     # -- dispatch ---------------------------------------------------------
 
     def handle(
@@ -147,7 +207,7 @@ class ServiceApp:
     def _route(
         self, method: str, path: str, query: dict, body: bytes
     ) -> tuple[int, bytes, str]:
-        parts = [p for p in path.split("/") if p]
+        parts = _path_parts(path)
         if path == "/healthz":
             return self._healthz(method)
         if path == "/metrics":

@@ -1,13 +1,21 @@
 """The asyncio daemon: transport, long-polls, workers, graceful drain.
 
 One process, one event loop, stdlib only.  The loop thread owns every
-socket and never computes.  Only one kind of request answers inline on
-the loop thread: a ``GET /v1/results/<digest>`` that hits the small LRU
-of prebuilt response *bytes* (content addressing makes those responses
-immutable, so the cache can never serve stale data).  Every other
-request, store lookups included, runs :meth:`ServiceApp.handle` on an
-executor thread (``_dispatch`` → ``run_in_executor``); a submission that
+socket; it neither computes nor reads the stores.  It answers one kind
+of request inline: a repeat of a *settled* reply — one the app's
+:meth:`ServiceApp.settled` says can never change for the life of the
+process (content-addressed blobs, a completed job's status, figure and
+manifest, memoized attribution, a resubmit of a completed spec).  Those
+replies are kept as ``(status, body, content type)`` in a small LRU keyed
+by ``(method, path, body)``, and each answer gets its own response head,
+so a client's ``Connection`` header is never replayed to another.  Every
+other request — first fetches, 202 submissions, unsettled status,
+long-polls, ``/healthz``, ``/metrics``, errors — runs
+:meth:`ServiceApp.handle` on an executor thread (``_dispatch`` →
+``run_in_executor``) inside a ``service.request`` span; a submission that
 needs predictor work then enqueues its job onto the :class:`JobExecutor`.
+Answers from memory open no span; the daemon counts them and, when it
+stops, logs the count as a ``counter`` event for ``repro-stats service``.
 
 The executor drains jobs either on in-process worker threads (default;
 obs tracing is thread-local so request spans and campaign spans coexist)
@@ -35,6 +43,7 @@ import sys
 import threading
 
 from repro import obs
+from repro.obs.events import emit_counter
 from repro.service.app import ServiceApp
 from repro.service.config import ServiceConfig
 from repro.service.protocol import (
@@ -45,8 +54,13 @@ from repro.service.protocol import (
     parse_head,
 )
 
-#: Prebuilt ``GET /v1/results/<digest>`` responses kept hot (bytes each).
+#: Settled replies kept in memory, least recently used evicted first.  An
+#: entry holds its request body (a resubmitted spec, at most ``body_limit``
+#: bytes) and its reply.
 RESPONSE_CACHE_SIZE = 256
+
+#: ``(status, body, content type)``: one reply as the app produces it.
+Reply = tuple[int, bytes, str]
 
 
 class JobExecutor:
@@ -149,9 +163,12 @@ class ServiceDaemon:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._shutdown = asyncio.Event()
         self._job_events: dict[str, asyncio.Event] = {}
-        self._response_cache: collections.OrderedDict[str, bytes] = (
+        #: Settled replies by ``(method, path, body)``; loop thread only.
+        self._settled: collections.OrderedDict[tuple[str, str, bytes], Reply] = (
             collections.OrderedDict()
         )
+        #: Requests answered from ``_settled`` since start.
+        self.cache_hits = 0
         self.port: int | None = None
 
     # -- lifecycle --------------------------------------------------------
@@ -179,6 +196,7 @@ class ServiceDaemon:
         await asyncio.get_running_loop().run_in_executor(
             None, self.executor.stop, self.config.drain_timeout
         )
+        emit_counter({"service.response_cache_hits": self.cache_hits})
         obs.log_event("service_stop", port=self.port)
 
     def request_shutdown(self) -> None:
@@ -239,12 +257,13 @@ class ServiceDaemon:
                     writer.write(build_response(408, keep_alive=False))
                     await writer.drain()
                     return
-                response = await self._serve_request(reader, head)
-                if response is None:
+                answer = await self._serve_request(reader, head)
+                if answer is None:
                     return
+                response, keep_alive = answer
                 writer.write(response)
                 await writer.drain()
-                if b"Connection: close" in response[:256]:
+                if not keep_alive:
                     return
         finally:
             writer.close()
@@ -255,27 +274,17 @@ class ServiceDaemon:
 
     async def _serve_request(
         self, reader: asyncio.StreamReader, head: bytes
-    ) -> bytes | None:
+    ) -> tuple[bytes, bool] | None:
+        """One request's ``(response bytes, keep the connection open)``;
+        ``None`` when the client hung up mid-body."""
         try:
             request = parse_head(head)
             length = request.content_length
         except ProtocolError as exc:
-            return build_response(
-                exc.status,
-                (json.dumps({"error": exc.message}) + "\n").encode(),
-                keep_alive=False,
-            )
+            return _closing(exc.status, exc.message)
         if length > self.config.body_limit:
-            return build_response(
-                413,
-                (
-                    json.dumps(
-                        {"error": f"body of {length} bytes exceeds limit "
-                                  f"{self.config.body_limit}"}
-                    )
-                    + "\n"
-                ).encode(),
-                keep_alive=False,
+            return _closing(
+                413, f"body of {length} bytes exceeds limit {self.config.body_limit}"
             )
         body = b""
         if length:
@@ -286,51 +295,40 @@ class ServiceDaemon:
             except (asyncio.IncompleteReadError, ConnectionError):
                 return None
             except asyncio.TimeoutError:
-                return build_response(408, keep_alive=False)
+                return build_response(408, keep_alive=False), False
 
-        # Hot path: immutable content-addressed fetches served from the
-        # prebuilt-response cache without touching the app.
-        if request.method == "GET" and request.path.startswith("/v1/results/"):
-            cached = self._response_cache.get(request.path)
-            if cached is not None:
-                self._response_cache.move_to_end(request.path)
-                if obs.enabled():
-                    obs.counter("service.response_cache_hits").inc()
-                return cached
+        key = (request.method, request.path, body)
+        reply = self._settled.get(key)
+        if reply is not None:
+            self._settled.move_to_end(key)
+            self.cache_hits += 1
+            if obs.enabled():
+                obs.counter("service.response_cache_hits").inc()
+        else:
+            reply = await self._dispatch(request, body)
+            # Long-poll: an unsettled job status with ?wait= blocks until
+            # the job changes state (or the wait cap), then re-reads.
+            wait = self._wait_seconds(request)
+            if wait > 0:
+                job_id = self.app.pending_job(request.method, request.path, *reply[:2])
+                if job_id:
+                    await self._wait_for_update(job_id, wait)
+                    reply = await self._dispatch(request, b"")
+            if self.app.settled(request.method, request.path, *reply[:2]):
+                self._settled[key] = reply
+                if len(self._settled) > RESPONSE_CACHE_SIZE:
+                    self._settled.popitem(last=False)
 
-        status_code, payload, content_type = await self._dispatch(request, body)
-
-        # Long-poll: an unsettled job status with ?wait= blocks until the
-        # job changes state (or the wait cap), then re-reads.
-        wait = self._wait_seconds(request)
-        if (
-            wait > 0
-            and status_code == 200
-            and request.method == "GET"
-            and self._is_unsettled_status(request.path, payload)
-        ):
-            job_id = request.path.rsplit("/", 1)[-1]
-            await self._wait_for_update(job_id, wait)
-            status_code, payload, content_type = await self._dispatch(request, b"")
-
+        status_code, payload, content_type = reply
         response = build_response(
             status_code,
             b"" if request.method == "HEAD" else payload,
             content_type,
             keep_alive=request.keep_alive,
         )
-        if (
-            status_code == 200
-            and request.method == "GET"
-            and request.path.startswith("/v1/results/")
-        ):
-            self._response_cache[request.path] = response
-            self._response_cache.move_to_end(request.path)
-            while len(self._response_cache) > RESPONSE_CACHE_SIZE:
-                self._response_cache.popitem(last=False)
-        return response
+        return response, request.keep_alive
 
-    async def _dispatch(self, request, body: bytes) -> tuple[int, bytes, str]:
+    async def _dispatch(self, request, body: bytes) -> Reply:
         """Run the app's synchronous handler off the loop thread."""
         loop = asyncio.get_running_loop()
         with obs.span("service.request", method=request.method, path=request.path):
@@ -339,7 +337,7 @@ class ServiceDaemon:
             # record it as the campaign's trace parent.
             ctx = obs.current_context()
 
-            def call() -> tuple[int, bytes, str]:
+            def call() -> Reply:
                 obs.adopt_context(ctx)
                 try:
                     return self.app.handle(
@@ -349,7 +347,7 @@ class ServiceDaemon:
                     obs.adopt_context(None)
 
             status_code, payload, content_type = await loop.run_in_executor(None, call)
-        if request.method == "POST" and request.path == "/v1/jobs" and status_code == 202:
+        if status_code == 202:  # accepted: the reply names the job it queued
             try:
                 job_id = json.loads(payload).get("job_id", "")
             except json.JSONDecodeError:
@@ -368,16 +366,11 @@ class ServiceDaemon:
             return 0.0
         return max(0.0, min(wait, self.config.max_wait))
 
-    @staticmethod
-    def _is_unsettled_status(path: str, payload: bytes) -> bool:
-        parts = [p for p in path.split("/") if p]
-        if len(parts) != 3 or parts[:2] != ["v1", "jobs"]:
-            return False
-        try:
-            state = json.loads(payload).get("state", "")
-        except json.JSONDecodeError:
-            return False
-        return state in ("queued", "running")
+
+def _closing(status: int, message: str) -> tuple[bytes, bool]:
+    """A JSON error answer after which the connection closes."""
+    body = (json.dumps({"error": message}) + "\n").encode()
+    return build_response(status, body, keep_alive=False), False
 
 
 async def _amain(config: ServiceConfig, announce) -> None:

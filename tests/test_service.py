@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import signal
 import socket
 import subprocess
@@ -20,6 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.obs.aggregate import service_rollup
+from repro.obs.cli import render_service
+from repro.obs.events import read_run_events
 from repro.predictors.registry import build_count
 from repro.service.config import ServiceConfig
 from repro.service.jobs import JOB_STATES
@@ -375,6 +379,166 @@ class TestErrorPaths:
         assert code == 200
         assert metrics["predictor_builds"] >= 1
         assert "counters" in metrics["metrics"]
+
+
+# -- settled replies answered from memory --------------------------------------
+
+
+def raw_request(method: str, path: str, body: bytes = b"", close: bool = False) -> bytes:
+    head = f"{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {len(body)}\r\n"
+    if close:
+        head += "Connection: close\r\n"
+    return (head + "\r\n").encode() + body
+
+
+def read_response(stream) -> bytes:
+    """One whole response, head and body, from a socket's binary file."""
+    head = b""
+    while not head.endswith(b"\r\n\r\n"):
+        line = stream.readline()
+        assert line, f"connection closed after {head!r}"
+        head += line
+    length = int(re.search(rb"Content-Length: (\d+)", head).group(1))
+    return head + stream.read(length)
+
+
+def count_handle_calls(monkeypatch, app) -> list:
+    """Wrap ``app.handle`` so every dispatched request appends to a list."""
+    calls = []
+    handle = app.handle
+
+    def counted(method, path, query=None, body=b""):
+        calls.append((method, path))
+        return handle(method, path, query, body)
+
+    monkeypatch.setattr(app, "handle", counted)
+    return calls
+
+
+def fetch(conn, method: str, path: str, body: bytes | None = None) -> tuple[int, bytes]:
+    conn.request(method, path, body)
+    response = conn.getresponse()
+    return response.status, response.read()
+
+
+class TestSettledAnswers:
+    def test_keep_alive_fetches_after_a_closing_fetch_stay_open(self, env, tmp_path):
+        """A reply from memory carries the asking request's Connection
+        header, not the one of the request that first filled the entry."""
+        config = ServiceConfig(data_dir=str(tmp_path / "svc"), workers=1)
+        with DaemonHarness(config) as harness:
+            _, doc = harness.request_json("POST", "/v1/jobs", mini_spec())
+            digest = harness.wait_settled(doc["job_id"])["figure_digest"]
+            address = ("127.0.0.1", harness.port)
+            with socket.create_connection(address, timeout=10) as raw:
+                raw.sendall(raw_request("GET", f"/v1/results/{digest}", close=True))
+                first = read_response(raw.makefile("rb"))
+            assert b"\r\nConnection: close\r\n" in first
+            with socket.create_connection(address, timeout=10) as raw:
+                raw.sendall(raw_request("GET", f"/v1/results/{digest}") * 2)
+                stream = raw.makefile("rb")
+                replies = [read_response(stream) for _ in range(2)]
+        body = first.partition(b"\r\n\r\n")[2]
+        for reply in replies:
+            head, _, served = reply.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 ")
+            assert b"\r\nConnection: keep-alive" in head
+            assert served == body
+
+    def test_settled_routes_answer_from_memory(self, env, tmp_path, monkeypatch):
+        """After a first fetch, repeats of every warm route come back byte
+        for byte without reaching the app."""
+        spec = mini_spec()
+        config = ServiceConfig(data_dir=str(tmp_path / "svc"), workers=1)
+        with DaemonHarness(config) as harness:
+            _, doc = harness.request_json("POST", "/v1/jobs", spec)
+            job_id = doc["job_id"]
+            status = harness.wait_settled(job_id)
+            assert status["state"] == "completed"
+            routes = {
+                "results": ("GET", f"/v1/results/{status['figure_digest']}"),
+                "status": ("GET", f"/v1/jobs/{job_id}"),
+                "figure": ("GET", f"/v1/jobs/{job_id}/figure"),
+                "manifest": ("GET", f"/v1/jobs/{job_id}/manifest"),
+                "attribution": ("GET", "/v1/attribution/gcc/gshare/1024"),
+                "resubmit": ("POST", "/v1/jobs", json.dumps(spec).encode()),
+            }
+            calls = count_handle_calls(monkeypatch, harness.daemon.app)
+            with socket.create_connection(("127.0.0.1", harness.port), timeout=30) as raw:
+                stream = raw.makefile("rb")
+
+                def exchange(route) -> bytes:
+                    raw.sendall(raw_request(*route))
+                    return read_response(stream)
+
+                first = {name: exchange(route) for name, route in routes.items()}
+                dispatched = len(calls)
+                for _ in range(3):
+                    for name, route in routes.items():
+                        assert exchange(route) == first[name], name
+            assert len(calls) == dispatched
+        for name, reply in first.items():
+            assert reply.startswith(b"HTTP/1.1 200 "), (name, reply[:80])
+
+    def test_answers_that_may_change_are_always_dispatched(
+        self, env, tmp_path, monkeypatch
+    ):
+        """Queued status, 404, 409 and 202 reach the app on every request;
+        once the job completes they read 200, and only then repeat from
+        memory."""
+        spec = mini_spec()
+        body = json.dumps(spec).encode()
+        probe, _ = make_app(tmp_path / "probe")
+        job_id = submit(probe, spec)[1]["job_id"]  # same spec, same job id
+        config = ServiceConfig(data_dir=str(tmp_path / "svc"), workers=0)
+        with DaemonHarness(config) as harness:
+            calls = count_handle_calls(monkeypatch, harness.daemon.app)
+            conn = harness.connect()
+            for _ in range(2):
+                assert fetch(conn, "GET", f"/v1/jobs/{job_id}")[0] == 404
+            for _ in range(2):
+                code, reply = fetch(conn, "POST", "/v1/jobs", body)
+                assert code == 202 and json.loads(reply)["job_id"] == job_id
+            for _ in range(2):
+                code, reply = fetch(conn, "GET", f"/v1/jobs/{job_id}")
+                assert code == 200 and json.loads(reply)["state"] == "queued"
+                assert fetch(conn, "GET", f"/v1/jobs/{job_id}/figure")[0] == 409
+            assert len(calls) == 8
+
+            assert harness.daemon.executor.run_pending() == 1
+            code, reply = fetch(conn, "GET", f"/v1/jobs/{job_id}")
+            assert code == 200 and json.loads(reply)["state"] == "completed"
+            assert fetch(conn, "GET", f"/v1/jobs/{job_id}/figure")[0] == 200
+            assert fetch(conn, "POST", "/v1/jobs", body)[0] == 200
+            assert len(calls) == 11
+            for _ in range(2):
+                assert fetch(conn, "GET", f"/v1/jobs/{job_id}")[0] == 200
+                assert fetch(conn, "GET", f"/v1/jobs/{job_id}/figure")[0] == 200
+                assert fetch(conn, "POST", "/v1/jobs", body)[0] == 200
+            # The query is not part of the key: a settled job's long-poll
+            # is its settled status.
+            assert fetch(conn, "GET", f"/v1/jobs/{job_id}?wait=5")[0] == 200
+            assert len(calls) == 11
+            conn.close()
+
+    def test_answers_from_memory_reach_the_event_log(
+        self, env, tmp_path, monkeypatch, obs_enabled
+    ):
+        """Answers from memory open no span; the daemon logs their count
+        when it stops, and ``repro-stats service`` reports it."""
+        log = tmp_path / "events.jsonl"
+        monkeypatch.setenv("REPRO_LOG", str(log))
+        path = "/v1/attribution/gcc/gshare/1024"
+        config = ServiceConfig(data_dir=str(tmp_path / "svc"), workers=0)
+        with DaemonHarness(config) as harness:
+            for _ in range(2):
+                assert harness.request_json("GET", path)[0] == 200
+        rollup = service_rollup(read_run_events(log))
+        assert rollup["requests"][f"GET {path}"]["count"] == 1
+        assert rollup["response_cache_hits"] >= 1
+        assert "answered from memory (settled replies, no span): 1" in render_service(
+            rollup
+        )
 
 
 # -- graceful drain (real subprocess, real SIGTERM) ----------------------------
