@@ -10,16 +10,17 @@ the default REPRO_SCALE: every registered family is timed on both engines
 in interleaved scalar/batch pairs, must produce identical
 ``AccuracyResult``s, and the median times and median per-pair ratio are
 printed as a table.  gshare — a single-table scan — must run >= 10x
-faster batched; each family batched through a plain-int replay, row
-rounds or a composite of component kernels must run >= 3x faster.  Every
+faster batched; each family batched through a C replay core, a
+perceptron training pass or a composite of component kernels must run
+>= 3x faster.  Every
 gate reads the median of the per-pair ratios, so one run slowed by the
 host moves it little.
 
-A second table splits the batch side by grouping primitive: for one
-batch measurement per family (best of 3), the events each of
-``CounterScan``, ``segment_positions`` and the engine's ``_PlainCells``
-handled and its ns per event, so that a kernel change can be compared
-primitive by primitive.
+A second table splits the batch side by primitive: for one batch
+measurement per family (best of 3), the events each of ``CounterScan``,
+``segment_positions`` and every C core of :mod:`repro.native` handled and
+its ns per event, so that a kernel change can be compared primitive by
+primitive.
 
 A third table times the cycle simulator on the same benchmark at the
 default IPC trace length: the Figure 7 families in both modes, the
@@ -37,6 +38,7 @@ import time
 
 import pytest
 
+from repro import native
 from repro.batch import engine, kernels
 from repro.harness.experiment import measure_accuracy
 from repro.harness.scale import accuracy_instructions, ipc_instructions
@@ -178,21 +180,21 @@ def test_family_batch_speedup(family, family_timings):
     assert speedup >= REQUIRED_SPEEDUP.get(family, 0.0)
 
 
-# -- grouping primitives -----------------------------------------------------------
+# -- primitives --------------------------------------------------------------------
 
-#: The batch engine's grouping primitives, with the events one call
-#: handles: a scan's writes, a grouping's keys, and the cells ranked over
-#: every table of a plain-int replay.
+#: The batch engine's array-code grouping primitives, with the events one
+#: call handles: a scan's writes, a grouping's keys.  Every C core is
+#: timed too, its events being the branches it replays.
 PRIMITIVES = {
     "CounterScan": lambda cells, *rest: len(cells),
     "segment_positions": len,
-    "_PlainCells": lambda tables, cells: sum(len(c) for c in cells),
 }
 
 
 def capture_primitives(monkeypatch, calls: list) -> None:
-    """Route every grouping-primitive call the batch engine makes through a
-    wrapper that appends ``(primitive, events, seconds)`` to ``calls``."""
+    """Route every grouping-primitive and C core call the batch engine
+    makes through a wrapper that appends ``(primitive, events, seconds)``
+    to ``calls``."""
 
     def timed(name, call):
         def wrapper(*args):
@@ -203,40 +205,40 @@ def capture_primitives(monkeypatch, calls: list) -> None:
 
         return wrapper
 
-    segment = timed("segment_positions", kernels.segment_positions)
     monkeypatch.setattr(engine, "CounterScan", timed("CounterScan", kernels.CounterScan))
-    monkeypatch.setattr(engine, "segment_positions", segment)
+    segment = timed("segment_positions", kernels.segment_positions)
     monkeypatch.setattr(kernels, "segment_positions", segment)  # local_histories
-    monkeypatch.setattr(engine, "_PlainCells", timed("_PlainCells", engine._PlainCells))
+    call_core = native._call
+
+    def core(name, events, *args):
+        start = time.perf_counter()
+        result = call_core(name, events, *args)
+        calls.append((name, events, time.perf_counter() - start))
+        return result
+
+    monkeypatch.setattr(native, "_call", core)
 
 
 def test_primitive_costs(trace, family_timings, monkeypatch):
-    """Per family, the events each grouping primitive handled in one batch
-    measurement and its ns per event (fastest of 3 runs); the wrapped run
-    must give the unwrapped result."""
+    """Per family, the events each grouping primitive and C core handled in
+    one batch measurement and its ns per event (fastest of 3 runs); the
+    wrapped run must give the unwrapped result."""
     calls: list = []
     capture_primitives(monkeypatch, calls)
-    rows = {}
+    print(f"\n{'family':16s}{'primitive':>22s}{'events':>14s}{'ns/event':>10s}")
     for family in registry.family_names():
-        best = {name: (0, float("inf")) for name in PRIMITIVES}
+        best: dict[str, tuple[int, float]] = {}
         for _ in range(3):
             calls.clear()
             result = measure_accuracy(registry.build(family, FAMILY_BUDGET), trace, engine="batch")
             assert result == family_timings[family][4]
-            for name in PRIMITIVES:
+            for name in dict.fromkeys(n for n, _, _ in calls):
                 events = sum(e for n, e, _ in calls if n == name)
                 seconds = sum(t for n, _, t in calls if n == name)
-                best[name] = (events, min(best[name][1], seconds))
-        rows[family] = best
-    header = "".join(f"{name:>26s}" for name in PRIMITIVES)
-    print(f"\n{'family':16s}{header}")
-    print(f"{'':16s}" + f"{'events':>16s}{'ns/event':>10s}" * len(PRIMITIVES))
-    for family, best in rows.items():
-        cells = "".join(
-            f"{events:16,d}{seconds * 1e9 / events:10.1f}" if events else f"{0:16d}{'-':>10s}"
-            for events, seconds in best.values()
-        )
-        print(f"{family:16s}{cells}")
+                best[name] = (events, min(best.get(name, (0, float("inf")))[1], seconds))
+        for name, (events, seconds) in best.items():
+            per_event = f"{seconds * 1e9 / events:10.1f}" if events else f"{'-':>10s}"
+            print(f"{family:16s}{name:>22s}{events:14,d}{per_event}")
 
 
 # -- cycle simulator -------------------------------------------------------------

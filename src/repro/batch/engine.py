@@ -31,23 +31,26 @@ dependence of the predictor's own state, handled in one of four ways:
    either: its global and local PHT votes are two scans, and its chooser,
    trained only where the votes disagree and read by every branch, is a
    third scan sampled at each branch.
-2. **An update rule that couples several tables is a plain-int replay.**
+2. **An update rule that couples several tables is a C replay.**
    Bi-Mode and bimode.fast (the choice table steers which direction table
    trains, and its partial update depends on that table's prediction),
    e-gskew and 2Bc-gskew (majority vote with partial update, plus the
-   2Bc-gskew meta) run their counter core in a tight loop over precomputed
-   indices, on plain-int copies of only the cells the chunk touches.  The
-   **loop** predictor's entries are independent state machines, replayed
-   entry by entry.
+   2Bc-gskew meta) run their counter core over precomputed indices in a
+   sequential C loop (:mod:`repro.native`) on the working tables.  No
+   exact array form exists: whether one table trains depends on another's
+   value at that branch, which earlier branches wrote.  The **loop**
+   predictor's entries are state machines stepped the same way.
 3. **A composite reuses its components' kernels.**  **multicomponent**
    runs each component's own kernel for its vote stream and final state,
-   then replays only the Evers selection counters, as one lookup per
+   then replays only the Evers selection counters in C, as one lookup per
    branch in a precomputed transition table over a row's packed counters.
-4. **Weights train in row rounds.**  **perceptron** rows are independent,
-   so round ``k`` takes the ``k``-th occurrence of every weight row in the
-   chunk — order within a row is kept — as one vectorized dot-product/train
-   step over a narrow ±1 input matrix.  The few hot rows left once rounds
-   get small finish one at a time, a window of occurrences per step.
+4. **Weights train in one sequential C pass.**  **perceptron** inputs —
+   the global and local history bits as ±1, signed by each outcome — are
+   one array; the pass then computes each branch's margin as an int32 dot
+   product with its weight row and trains the row when the margin is at
+   most θ.  No exact array form exists: a branch's margin depends on
+   every earlier update of its row, and the hot rows of a real trace
+   leave too few independent branches per step to batch.
 
 A predictor whose exact type is not a registered family, or a
 multicomponent whose components or selection table no kernel models
@@ -63,7 +66,6 @@ direction_stream`, which resolves the engine) before its timing loop.
 from __future__ import annotations
 
 import time
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -71,6 +73,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from repro import obs
+from repro import native
 from repro.batch.kernels import (
     CounterScan,
     bit_lengths,
@@ -81,8 +84,6 @@ from repro.batch.kernels import (
     pack_outcomes,
     packed_history,
     rotate_left_bits,
-    segment_positions,
-    stable_order,
     unpack_history,
 )
 from repro.common.bits import mask
@@ -176,39 +177,6 @@ def _train_votes(
     votes = scan.states_before_writes() >= counters.threshold
     scan.commit()
     return votes
-
-
-class _PlainCells:
-    """Plain-int working copies of the cells one chunk touches in some
-    counter tables, for the replay kernels: ``values[k]`` lists table
-    ``k``'s touched cells, and ``positions[k]`` gives each event's position
-    in that list."""
-
-    def __init__(self, tables: list[np.ndarray], cells: list[np.ndarray]) -> None:
-        self.tables = tables
-        self.touched = []
-        self.positions = []
-        for table, table_cells in zip(tables, cells):
-            # Rank the touched cells through a presence array: the same
-            # sorted list and inverse as np.unique, without its sort.
-            present = np.zeros(len(table), dtype=bool)
-            present[table_cells] = True
-            touched = np.flatnonzero(present)
-            rank = np.empty(len(table), dtype=np.int32)
-            rank[touched] = np.arange(len(touched), dtype=np.int32)
-            self.touched.append(touched)
-            self.positions.append(rank[table_cells].tolist())
-        self.values = [t[c].tolist() for t, c in zip(tables, self.touched)]
-
-    def commit(self) -> None:
-        for table, touched, values in zip(self.tables, self.touched, self.values):
-            table[touched] = values
-
-
-def _steps(counters: CounterTable) -> tuple[list[int], list[int]]:
-    """Saturating increment and decrement as lookup lists over counter values."""
-    top = counters.max_value
-    return [min(v + 1, top) for v in range(top + 1)], [max(v - 1, 0) for v in range(top + 1)]
 
 
 class _Kernel:
@@ -406,61 +374,17 @@ class _BiModeKernel(_Kernel):
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
             cpcs = pcs[start:stop]
-            direction = self.indices(cpcs, history.before(start, stop))
-            choice = (cpcs >> 2) & (p.choice_table.size - 1)
-            cells = _PlainCells(tables, [direction, direction, choice])
-            predictions[start:stop] = self._replay(
-                cells.positions[0],
-                cells.positions[2],
-                takens[start:stop].tolist(),
-                *cells.values,
+            predictions[start:stop] = native.bimode_replay(
+                self.indices(cpcs, history.before(start, stop)),
+                (cpcs >> 2) & (p.choice_table.size - 1),
+                takens[start:stop],
+                *tables,
                 p.taken_table.threshold,
                 p.taken_table.max_value,
                 p.choice_table.threshold,
                 p.choice_table.max_value,
             )
-            cells.commit()
         self.final_history = history.final()
-        return predictions
-
-    @staticmethod
-    def _replay(
-        d_idx: list[int],
-        c_idx: list[int],
-        takens: list[bool],
-        taken_tbl: list[int],
-        not_taken_tbl: list[int],
-        choice_tbl: list[int],
-        direction_threshold: int,
-        direction_max: int,
-        choice_threshold: int,
-        choice_max: int,
-    ) -> list[bool]:
-        # The choice table steers which direction table speaks *and* trains,
-        # while its own partial update depends on that table's prediction —
-        # a cyclic dependence that rules out the per-cell scan, so the
-        # counter core stays a (plain-int, precomputed-index) loop.
-        predictions = []
-        for d, c, taken in zip(d_idx, c_idx, takens):
-            choice_value = choice_tbl[c]
-            choose_taken = choice_value >= choice_threshold
-            table = taken_tbl if choose_taken else not_taken_tbl
-            prediction = table[d] >= direction_threshold
-            predictions.append(prediction)
-            # Partial update: skip the choice counter when the selected
-            # direction table was right but disagreed with the choice.
-            if not (prediction == taken and choose_taken != taken):
-                if taken:
-                    if choice_value < choice_max:
-                        choice_tbl[c] = choice_value + 1
-                elif choice_value > 0:
-                    choice_tbl[c] = choice_value - 1
-            value = table[d]
-            if taken:
-                if value < direction_max:
-                    table[d] = value + 1
-            elif value > 0:
-                table[d] = value - 1
         return predictions
 
     def writeback(self) -> None:
@@ -510,8 +434,8 @@ def _skew_indices(
 
 class _GskewKernel(_Kernel):
     """Shared chunk loop of the gskew family: vectorized bank indices, then
-    the partial-update majority vote replayed over plain ints.  Every bank
-    of these families is a 2-bit counter table."""
+    the partial-update majority vote replayed by a C core (``replay``).
+    Every bank of these families is a 2-bit counter table."""
 
     def indices(self, pcs: np.ndarray, history: np.ndarray) -> list[np.ndarray]:
         raise NotImplementedError
@@ -519,15 +443,16 @@ class _GskewKernel(_Kernel):
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
         tables = self.snapshot_tables(*p.tables().values())
-        up, down = _steps(p.bim)
         history = _GlobalHistory(takens, p.history.length, p.history.value)
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
-            cells = _PlainCells(tables, self.indices(pcs[start:stop], history.before(start, stop)))
-            predictions[start:stop] = self._replay(
-                *cells.positions, takens[start:stop].tolist(), *cells.values, p.bim.threshold, up, down
+            predictions[start:stop] = self.replay(
+                self.indices(pcs[start:stop], history.before(start, stop)),
+                takens[start:stop],
+                tables,
+                p.bim.threshold,
+                p.bim.max_value,
             )
-            cells.commit()
         self.final_history = history.final()
         return predictions
 
@@ -546,25 +471,7 @@ class _EGskewKernel(_GskewKernel):
             _skew_indices(pcs, history, length, bits, 2),
         ]
 
-    @staticmethod
-    def _replay(b_idx, g0_idx, g1_idx, takens, bim, g0, g1, threshold, up, down) -> list[bool]:
-        predictions = []
-        for b, x, y, taken in zip(b_idx, g0_idx, g1_idx, takens):
-            vb, v0, v1 = bim[b], g0[x], g1[y]
-            pb, p0, p1 = vb >= threshold, v0 >= threshold, v1 >= threshold
-            prediction = pb + p0 + p1 >= 2
-            predictions.append(prediction)
-            step = up if taken else down
-            # Partial update: on a correct prediction, an outvoted bank
-            # is left alone.
-            correct = prediction == taken
-            if not correct or pb == taken:
-                bim[b] = step[vb]
-            if not correct or p0 == taken:
-                g0[x] = step[v0]
-            if not correct or p1 == taken:
-                g1[y] = step[v1]
-        return predictions
+    replay = staticmethod(native.egskew_replay)
 
 
 class _TwoBcGskewKernel(_GskewKernel):
@@ -579,32 +486,7 @@ class _TwoBcGskewKernel(_GskewKernel):
             _skew_indices(pcs, short, p.short_history, bits, 0),
         ]
 
-    @staticmethod
-    def _replay(
-        b_idx, g0_idx, g1_idx, m_idx, takens, bim, g0, g1, meta, threshold, up, down
-    ) -> list[bool]:
-        predictions = []
-        for b, x, y, m, taken in zip(b_idx, g0_idx, g1_idx, m_idx, takens):
-            vb, v0, v1, vm = bim[b], g0[x], g1[y], meta[m]
-            pb = vb >= threshold
-            majority = pb + (v0 >= threshold) + (v1 >= threshold) >= 2
-            use_gskew = vm >= threshold
-            prediction = majority if use_gskew else pb
-            predictions.append(prediction)
-            if pb != majority:
-                # The meta trains toward whichever side was right.
-                meta[m] = (up if majority == taken else down)[vm]
-            step = up if taken else down
-            if prediction != taken or not use_gskew or pb == taken:
-                bim[b] = step[vb]
-            if use_gskew:
-                # EV8 partial update: a correct gskew prediction strengthens
-                # only the agreeing banks; a wrong one trains them all.
-                if prediction != taken or (v0 >= threshold) == taken:
-                    g0[x] = step[v0]
-                if prediction != taken or (v1 >= threshold) == taken:
-                    g1[y] = step[v1]
-        return predictions
+    replay = staticmethod(native.twobc_gskew_replay)
 
 
 # -- tournament ------------------------------------------------------------------
@@ -666,62 +548,30 @@ class _TournamentKernel(_Kernel):
 
 
 class _LoopKernel(_Kernel):
-    """Loop entries are independent state machines: the stream is grouped
-    by entry and each entry's branches replay in plain ints."""
+    """Loop entries step branch by branch in a C core, on a copy of every
+    entry's fields."""
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p: LoopPredictor = self.predictor
-        #: Final fields of every entry the stream touches, by entry index.
-        self.entries: dict[int, tuple] = {}
+        self.entries = p.snapshot_entries()
+        self.touched = np.zeros(p.entries, dtype=bool)
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
             shifted = pcs[start:stop] >> 2
             index = shifted & (p.entries - 1)
+            self.touched[index] = True
             # The tag shifts by the bit length of the index *value*, as
             # LoopPredictor._entry does.
             tags = (shifted >> bit_lengths(index)) & 0xFF
-            order, position = segment_positions(index)
-            heads = np.flatnonzero(position == 0)
-            ends = [*heads[1:].tolist(), len(order)]
-            tag_list = tags[order].tolist()
-            taken_list = takens[start:stop][order].tolist()
-            out: list[bool] = []
-            for entry, lo, hi in zip(index[order[heads]].tolist(), heads.tolist(), ends):
-                fields = self.entries.get(entry) or p.entry_fields(entry)
-                self.entries[entry] = self._replay(
-                    fields, tag_list[lo:hi], taken_list[lo:hi], out, p.confidence_threshold
-                )
-            predictions[start + order] = out
+            predictions[start:stop] = native.loop_replay(
+                index, tags, takens[start:stop], self.entries,
+                p.confidence_threshold, LoopPredictor.MAX_TRIP,
+            )
         return predictions
 
-    @staticmethod
-    def _replay(fields, tags, takens, out, threshold) -> tuple:
-        """One entry's branches, in order: the exact LoopPredictor rules."""
-        tag, trip, current, confidence, direction = fields
-        max_trip = LoopPredictor.MAX_TRIP
-        for branch_tag, taken in zip(tags, takens):
-            if tag != branch_tag:
-                out.append(True)  # cold: allocate with taken as the body direction
-                tag, direction, trip, current, confidence = branch_tag, taken, 0, 1, 0
-                continue
-            if confidence >= threshold and trip and current + 1 >= trip:
-                out.append(not direction)  # exit iteration
-            else:
-                out.append(direction)
-            if taken == direction:
-                current = current + 1 if current < max_trip else max_trip
-                continue
-            completed = current + 1
-            if completed == trip:
-                confidence = confidence + 1 if confidence < 3 else 3
-            else:
-                trip, confidence = completed, 0
-            current = 0
-        return tag, trip, current, confidence, direction
-
     def writeback(self) -> None:
-        for entry, fields in self.entries.items():
-            self.predictor.assign_entry(entry, fields)
+        for entry in np.flatnonzero(self.touched).tolist():
+            self.predictor.assign_entry(entry, tuple(self.entries[entry].tolist()))
 
 
 # -- multicomponent ----------------------------------------------------------------
@@ -741,7 +591,7 @@ _MAX_TRANSITION_BITS = 20
 
 
 @lru_cache(maxsize=8)
-def _selection_transitions(components: int, bits: int) -> array:
+def _selection_transitions(components: int, bits: int) -> np.ndarray:
     """Evers selection training as a lookup table.
 
     A selector row's counters pack into one state ``s`` (component ``i``
@@ -763,7 +613,9 @@ def _selection_transitions(components: int, bits: int) -> array:
         raise_ = ~picked & correct & (counter < top)
         lower = picked & ~correct & (counter > 0)
         following |= (counter + raise_ - lower) << (bits * i)
-    return array("I", ((following << 1) | selected).astype(np.uint32).tobytes())
+    table = ((following << 1) | selected).astype(np.uint32).ravel()
+    table.flags.writeable = False  # shared by every caller of the cache
+    return table
 
 
 class _MultiComponentKernel(_Kernel):
@@ -788,7 +640,7 @@ class _MultiComponentKernel(_Kernel):
         self.takens = takens
         bits = p.selector_bits
         shifts = bits * np.arange(components)
-        self.state = (p._counters.astype(np.int64) << shifts).sum(axis=1).tolist()
+        self.state = (p._counters.astype(np.int64) << shifts).sum(axis=1)
         transitions = _selection_transitions(components, bits)
         selected_correct = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
@@ -797,25 +649,16 @@ class _MultiComponentKernel(_Kernel):
             for i, votes in enumerate(self.votes):
                 correct |= (votes[start:stop] == ctakens).astype(np.int64) << i
             rows = (pcs[start:stop] >> 2) & (p.selector_entries - 1)
-            selected_correct[start:stop] = self._replay(
-                rows.tolist(), correct.tolist(), self.state, transitions, components
+            selected_correct[start:stop] = native.selection_replay(
+                rows, correct, self.state, transitions, components
             )
         return selected_correct == takens
-
-    @staticmethod
-    def _replay(rows, correct, state, transitions, components) -> list[int]:
-        out = []
-        for row, ok in zip(rows, correct):
-            code = transitions[(state[row] << components) | ok]
-            state[row] = code >> 1
-            out.append(code & 1)
-        return out
 
     def writeback(self) -> None:
         p = self.predictor
         for slot, kernel, votes in zip(p.slots, self.kernels, self.votes):
             _commit(slot.predictor, kernel, votes, self.takens)
-        packed = np.array(self.state, dtype=np.int64)[:, None]
+        packed = self.state[:, None]
         shifts = p.selector_bits * np.arange(len(p.slots))
         p._counters[:] = (packed >> shifts) & p._selector_max
 
@@ -824,19 +667,8 @@ class _MultiComponentKernel(_Kernel):
 
 
 class _PerceptronKernel(_Kernel):
-    """Weight training in row rounds over a ±1 input matrix.
-
-    Only branches that share a weight row depend on each other, so round
-    ``k`` evaluates and trains the ``k``-th occurrence of every row in the
-    chunk at once; order within a row is kept.
-    """
-
-    #: Once a round would hold this few rows, the rows left finish one at
-    #: a time: 1.6x faster than rounds to the end over the gap, bzip2 and
-    #: mcf stand-ins (100k instructions, 8KB and 64KB) on a 2-vCPU Xeon.
-    TAIL_ROWS = 4
-    #: Occurrences of a tail row evaluated per step.
-    WINDOW = 64
+    """The ±1 input rows of a chunk in array code, then one sequential C
+    training pass over them."""
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
@@ -860,66 +692,23 @@ class _PerceptronKernel(_Kernel):
                 local = local_histories(rows, ctakens, self.rows, llen)
                 for i in range(llen):
                     inputs[:, 1 + glen + i] = ((local >> i) & 1) * 2 - 1
+            # Signed by the outcome t, w·inputs is the margin t·(w·x), and
+            # training adds inputs to the row.  A branch trains exactly when
+            # its margin is at most θ: a wrong prediction has a negative
+            # margin (or zero, predicting taken on a not-taken branch).
             inputs *= np.where(ctakens, 1, -1).astype(np.int8)[:, None]
-            weight_rows = hash_pcs(cpcs, 32) % p.num_perceptrons
-            predictions[start:stop] = self._train(weight_rows, inputs, ctakens)
+            margins = native.perceptron_train(
+                hash_pcs(cpcs, 32) % p.num_perceptrons,
+                inputs,
+                self.weights,
+                p.threshold,
+                WEIGHT_MIN,
+                WEIGHT_MAX,
+            )
+            # output = t·margin, predicting taken when output >= 0
+            predictions[start:stop] = np.where(ctakens, margins >= 0, margins <= 0)
         self.final_history = history.final()
         return predictions
-
-    def _train(self, weight_rows: np.ndarray, inputs: np.ndarray, takens: np.ndarray) -> np.ndarray:
-        """Train on one chunk; ``inputs`` arrive multiplied by each branch's
-        outcome sign ``t``, so that ``w·inputs`` is the margin ``t·(w·x)``
-        and training adds ``inputs`` to the row's weights.  A branch trains
-        exactly when its margin is at most θ: a wrong prediction has a
-        negative margin (or zero, when predicting taken on a not-taken
-        branch), and θ >= 0."""
-        threshold = self.predictor.threshold
-        weights = self.weights
-        margins = np.empty(len(weight_rows), dtype=np.int32)
-        order, position = segment_positions(weight_rows)
-        active = np.bincount(position)  # rows still active in each round
-        rounds = int(np.count_nonzero(active > self.TAIL_ROWS))
-        in_rounds = position < rounds
-        # Rounds, permuted so that every round is one contiguous slice.
-        by_round = order[in_rounds][stable_order(position[in_rounds])]
-        round_inputs, round_rows = inputs[by_round], weight_rows[by_round]
-        round_margins = np.empty(len(by_round), dtype=np.int32)
-        head = 0
-        for count in active[:rounds].tolist():
-            part = slice(head, head + count)
-            head += count
-            rows, x = round_rows[part], round_inputs[part]
-            w = weights[rows]
-            margin = np.einsum("ij,ij->i", w, x, dtype=np.int32)
-            round_margins[part] = margin
-            train = margin <= threshold
-            if np.count_nonzero(train):
-                w += train[:, None] * x
-                weights[rows] = np.minimum(np.maximum(w, WEIGHT_MIN), WEIGHT_MAX)
-        margins[by_round] = round_margins
-        # Tail: the few hot rows left run one at a time, a window of their
-        # occurrences per step — every occurrence up to the first that
-        # trains sees the same weights.
-        tail = order[~in_rounds]
-        bounds = np.flatnonzero(weight_rows[tail][1:] != weight_rows[tail][:-1]) + 1
-        for branches in np.split(tail, bounds) if len(tail) else ():
-            w = weights[weight_rows[branches[0]]]
-            x_row = inputs[branches]
-            row_margins = np.empty(len(branches), dtype=np.int32)
-            at = 0
-            while at < len(branches):
-                x = x_row[at : at + self.WINDOW]
-                margin = x @ w
-                used = len(x)
-                first = int((margin <= threshold).argmax())
-                if margin[first] <= threshold:
-                    np.minimum(np.maximum(w + x[first], WEIGHT_MIN), WEIGHT_MAX, out=w)
-                    used = first + 1
-                row_margins[at : at + used] = margin[:used]
-                at += used
-            margins[branches] = row_margins
-        # output = t·margin, predicting taken when output >= 0
-        return np.where(takens, margins >= 0, margins <= 0)
 
     def writeback(self) -> None:
         p = self.predictor

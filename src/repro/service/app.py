@@ -37,6 +37,7 @@ hot admission check never walks the jobs directory.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -342,20 +343,30 @@ class ServiceApp:
         return 200, data, "application/octet-stream"
 
     def _reheal_blob(self, digest: str) -> bytes | None:
-        """Re-render a figure/manifest blob a completed job once produced.
+        """Re-render a figure/manifest blob a completed job once produced,
+        when the re-render reproduces ``digest``.
 
-        Content addressing makes this exact: a re-render of the same job
-        reproduces the same bytes, hence the same digest.  Corruption of a
-        blob therefore never serves garbage — the fetch recomputes.
+        A figure re-renders to the same bytes, hence the same digest, so a
+        corrupt figure blob is recomputed.  A manifest records its creation
+        time and render duration, so a re-rendered one has other bytes:
+        ``/v1/jobs/<id>/manifest`` serves it, but a fetch of the lost
+        digest answers 404 rather than bytes that are not that digest.
         """
         for job_id, state in self.job_states().items():
             if state != "completed":
                 continue
             status = self.jobs.status(job_id)
             if status.get("figure_digest") == digest:
-                return self.jobs.figure_bytes(job_id)[0]
-            if status.get("manifest_digest") == digest:
-                return self.jobs.manifest_bytes(job_id)[0]
+                data = self.jobs.figure_bytes(job_id)[0]
+            elif status.get("manifest_digest") == digest:
+                data = self.jobs.manifest_bytes(job_id)[0]
+            else:
+                continue
+            if hashlib.sha256(data).hexdigest() != digest:
+                raise ProtocolHalt(
+                    404, f"blob {digest!r} was lost and its re-render has other bytes"
+                )
+            return data
         return None
 
     def _attribution(

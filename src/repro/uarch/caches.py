@@ -4,22 +4,24 @@ Table 1 of the paper fixes the hierarchy: 64KB direct-mapped L1 I- and
 D-caches with 64-byte lines, and a 2MB 4-way L2 with 128-byte lines
 (:data:`repro.uarch.config.PAPER_MACHINE`; :func:`machine_hierarchy`
 builds any other geometry a :class:`MachineConfig` names).  The model
-tracks tags only (no data), with true-LRU replacement kept as one recency
-list per set; latencies are charged by the simulator, not here.
+tracks tags only (no data), with true-LRU replacement kept as one row of
+tags per set, least recently used first; latencies are charged by the
+simulator, not here.
 
 Cache state depends only on the order of accesses, never on timing, so the
 simulator replays a whole trace's accesses at once
-(:meth:`MemoryHierarchy.replay`) on plain ints; ``access`` and the
-``access_*`` methods are the same model one access at a time.
+(:meth:`MemoryHierarchy.replay`) through the C LRU core
+(:func:`repro.native.lru_replay`); ``access`` and the ``access_*`` methods
+are the same model one access at a time, in Python, on the same state.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro import native
 from repro.common.bits import is_power_of_two, log2_exact
 from repro.common.errors import ConfigurationError
 from repro.uarch.config import MachineConfig
@@ -63,95 +65,51 @@ class Cache:
         self.line_shift = log2_exact(line_bytes)
         self.set_bits = log2_exact(self.sets)
         self.stats = CacheStats()
-        #: Per set, the resident tags, least recently used first (a set
-        #: never accessed has no entry).
-        self._sets: defaultdict[int, list[int]] = defaultdict(list)
+        #: Per set, the resident tags, least recently used first: the first
+        #: ``fill[set]`` entries of ``tags[set]``.  The C core and the
+        #: methods below update them in place.
+        self.tags = np.zeros((self.sets, ways), dtype=np.int64)
+        self.fill = np.zeros(self.sets, dtype=np.int64)
+
+    def _locate(self, address: int) -> tuple[int, int, list[int]]:
+        """(set, tag, resident tags least recent first) of ``address``."""
+        line = address >> self.line_shift
+        index = line & (self.sets - 1)
+        return index, line >> self.set_bits, self.tags[index, : self.fill[index]].tolist()
 
     def access(self, address: int) -> bool:
         """Access (and fill on miss); returns True on hit."""
-        line = address >> self.line_shift
-        recency = self._sets[line & (self.sets - 1)]
-        tag = line >> self.set_bits
+        index, tag, recency = self._locate(address)
         self.stats.accesses += 1
-        if tag in recency:
+        hit = tag in recency
+        if hit:
             recency.remove(tag)
-            recency.append(tag)
-            return True
-        self.stats.misses += 1
+        else:
+            self.stats.misses += 1
+            if len(recency) == self.ways:
+                del recency[0]
         recency.append(tag)
-        if len(recency) > self.ways:
-            del recency[0]
-        return False
+        self.tags[index, : len(recency)] = recency
+        self.fill[index] = len(recency)
+        return hit
 
     def replay(self, addresses: np.ndarray) -> np.ndarray:
         """Access every address in order, as :meth:`access` one by one
         would; returns the hit flags."""
-        lines = np.asarray(addresses, dtype=np.int64) >> self.line_shift
-        # The direct-mapped L1s take most accesses; on them the array path
-        # is ~5x the recency-list loop (1.25x on ipc_grid end to end).
-        hits = self._replay_direct(lines) if self.ways == 1 else self._replay_lru(lines)
+        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        hits = native.lru_replay(addresses, self.line_shift, self.set_bits, self.tags, self.fill)
         self.stats.accesses += len(hits)
         self.stats.misses += len(hits) - int(np.count_nonzero(hits))
         return hits
 
-    def _replay_direct(self, lines: np.ndarray) -> np.ndarray:
-        """Direct mapped: an access hits exactly when the previous access
-        to its set — or, for a set's first access here, the line resident
-        there — has its tag.  Grouping the accesses by set makes that one
-        comparison per access, in array code."""
-        if not len(lines):
-            return np.zeros(0, dtype=bool)
-        keys = lines & (self.sets - 1)
-        # A stable sort of 16-bit keys is a radix sort.
-        order = np.argsort(keys.astype(np.uint16) if self.sets <= 1 << 16 else keys, kind="stable")
-        sets = keys[order]
-        tags = lines[order] >> self.set_bits
-        firsts = np.flatnonzero(np.diff(sets, prepend=-1))
-        lasts = np.append(firsts[1:], len(tags)) - 1
-        resident = [self._sets.get(s) for s in sets[firsts].tolist()]
-        before = np.empty_like(tags)
-        before[1:] = tags[:-1]
-        before[firsts] = [r[-1] if r else 0 for r in resident]
-        known = np.ones(len(tags), dtype=bool)
-        known[firsts] = [bool(r) for r in resident]
-        hits = np.empty(len(tags), dtype=bool)
-        hits[order] = known & (before == tags)
-        for s, tag in zip(sets[firsts].tolist(), tags[lasts].tolist()):
-            self._sets[s] = [tag]
-        return hits
-
-    def _replay_lru(self, lines: np.ndarray) -> np.ndarray:
-        """Set associative: the recency lists, one access at a time."""
-        sets = self._sets
-        set_mask = self.sets - 1
-        set_bits = self.set_bits
-        ways = self.ways
-        hits = []
-        hit = hits.append
-        for line in lines.tolist():
-            recency = sets[line & set_mask]
-            tag = line >> set_bits
-            if recency and recency[-1] == tag:
-                hit(True)
-            elif tag in recency:
-                recency.remove(tag)
-                recency.append(tag)
-                hit(True)
-            else:
-                recency.append(tag)
-                if len(recency) > ways:
-                    del recency[0]
-                hit(False)
-        return np.array(hits, dtype=bool)
-
     def probe(self, address: int) -> bool:
         """Check residency without updating state (used by tests)."""
-        line = address >> self.line_shift
-        return line >> self.set_bits in self._sets.get(line & (self.sets - 1), ())
+        _, tag, recency = self._locate(address)
+        return tag in recency
 
     def flush(self) -> None:
         """Invalidate every line."""
-        self._sets.clear()
+        self.fill[:] = 0
 
 
 @dataclass

@@ -33,29 +33,30 @@ therefore makes two passes over the trace's columns (``trace.columns()``):
 
 1. a pre-pass takes every branch's direction from the policy's whole
    stream (:meth:`FetchPolicy.stream` — on the batch engine wherever engine
-   resolution picks it, exactly as ``measure_accuracy`` does) and replays
-   L1I/L1D/L2, the BTB and the RAS as plain ints, leaving per block its
-   I-cache and data stalls and what its terminator costs the front end
-   (override bubble, half-width window, BTB-miss penalty, redirect);
-2. one timing loop runs the float fetch/back-end recurrence above over
-   those per-block values.
+   resolution picks it, exactly as ``measure_accuracy`` does), lays out
+   every block's cache accesses in array code and replays L1I/L1D/L2, the
+   BTB and the RAS through their C cores, leaving per block its I-cache
+   and data stalls and what its terminator costs the front end (override
+   bubble, half-width window, BTB-miss penalty, redirect);
+2. one timing loop, in C (:func:`repro.native.time_blocks`), runs the
+   float fetch/back-end recurrence above over those per-block arrays,
+   every operation in the order the reference loop performs it.
 
 Cascading is the one policy whose directions depend on timing: the fetch
 gap before a branch picks the component that answers it, and with it
 whether the BTB is probed.  Its component streams still come from the
-pre-pass; the choice, and its BTB probes, stay in the loop.
-``tests/uarch_reference.py`` keeps the former per-block loop, which the
-differential suite checks this one against.
+pre-pass; the choice, and its BTB probes, run inside the C timing loop on
+the BTB's own state.  ``tests/uarch_reference.py`` keeps the former
+per-block loop, which the differential suite checks this one against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
+from repro import native, obs
 from repro.common.errors import ConfigurationError
 from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.uarch.caches import MemoryHierarchy, machine_hierarchy
@@ -135,20 +136,21 @@ class CycleSimulator:
         actual = columns["taken"][conditional]
         stream = self.policy.stream(columns["branch_pc"][conditional], actual)
         stalls = StallBreakdown()
-        work = self._block_work(columns, stalls)
-        events, mispredictions, overrides = self._terminators(
-            columns, conditional, stream, stalls
+        blocks = self._block_work(columns, stalls)
+        mispredictions, overrides = self._terminators(
+            columns, conditional, stream, blocks, stalls
         )
-        cycles, cascade = self._time(*work, events, stream, actual, stalls)
-        if cascade is not None:
-            slow_used, wrong = cascade
-            mispredictions += wrong
-            self.policy.record_choices(len(conditional), slow_used, wrong)
+        timing = self._time(blocks, stream, actual, stalls)
+        if stream.quick is not None:
+            mispredictions += timing["gap_wrong"]
+            self.policy.record_choices(
+                len(conditional), timing["slow_used"], timing["gap_wrong"]
+            )
         result = SimulationResult(
             trace=trace.name,
             policy=self.policy.name,
             instructions=int(columns["instructions"].sum()),
-            cycles=max(cycles, 1),
+            cycles=max(timing["cycles"], 1),
             conditional_branches=len(conditional),
             mispredictions=mispredictions,
             overrides=overrides,
@@ -158,10 +160,10 @@ class CycleSimulator:
             self._publish(result)
         return result
 
-    def _block_work(self, columns: dict, stalls: StallBreakdown) -> tuple[list, ...]:
-        """Per block, as plain lists: instructions, I-cache stall cycles,
-        full-width fetch cycles, retire cycles (instructions / ILP) and
-        data stall cycles (load stalls / MLP).  Replays the caches."""
+    def _block_work(self, columns: dict, stalls: StallBreakdown) -> dict[str, np.ndarray]:
+        """Per block: instructions, I-cache stall cycles, full-width fetch
+        cycles, retire cycles (instructions / ILP) and data stall cycles
+        (load stalls / MLP).  Replays the caches."""
         config = self.config
         pcs = columns["pc"]
         instructions = columns["instructions"].astype(np.int64)
@@ -190,42 +192,46 @@ class CycleSimulator:
         data_stalls = load_stalls / config.memory_level_parallelism
         stalls.icache += int(icache.sum())
         stalls.dcache += int(data_stalls.astype(np.int64).sum())
-        return (
-            instructions.tolist(),
-            icache.tolist(),
-            (-(-instructions // config.issue_width)).tolist(),
-            (instructions / self.ilp).tolist(),
-            data_stalls.tolist(),
-        )
+        return {
+            "instructions": instructions,
+            "icache": icache,
+            "fetch_cycles": -(-instructions // config.issue_width),
+            "retire": instructions / self.ilp,
+            "data": data_stalls,
+        }
 
     def _terminators(
         self,
         columns: dict,
         conditional: np.ndarray,
         stream: PolicyStream,
+        blocks: dict[str, np.ndarray],
         stalls: StallBreakdown,
-    ) -> tuple[list, int, int]:
-        """Per block, what its terminator costs the front end: None, or
-        ``(bubble, window, penalty, flush, probe)``.  Replays the RAS and,
-        unless directions wait on timing (``probe`` set), the BTB.
+    ) -> tuple[int, int]:
+        """Adds to ``blocks`` what each block's terminator costs the front
+        end: override ``bubble``, dual-path ``window``, BTB-miss
+        ``penalty``, ``flush`` kind, and the BTB ``probe`` the timing loop
+        makes when directions wait on timing (with the branch's ``pc`` and
+        ``target``).  Replays the RAS and, unless directions wait on
+        timing, the BTB.
 
-        Returns the events, the mispredictions and the overrides known
-        before timing.
+        Returns the mispredictions and the overrides known before timing.
         """
         kinds = columns["branch_kind"]
         branch_pcs = columns["branch_pc"]
         targets = columns["target"]
-        blocks = len(kinds)
+        count = len(kinds)
         calls = kinds == int(BranchKind.CALL)
         ras_ops = np.flatnonzero(calls | (kinds == int(BranchKind.RETURN)))
         pushes = calls[ras_ops]
         addresses = np.where(pushes, branch_pcs[ras_ops] + 4, targets[ras_ops])
-        predicted = np.array(self.ras.replay(pushes.tolist(), addresses.tolist()), dtype=bool)
-        flushes = np.zeros(blocks, dtype=np.int64)
+        predicted = self.ras.replay(pushes, addresses)
+        flushes = np.zeros(count, dtype=np.int64)
         flushes[ras_ops[~predicted]] = _RAS_MISS
-        bubbles = np.zeros(blocks, dtype=np.int64)
-        windows = np.zeros(blocks, dtype=np.int64)
-        penalties = np.zeros(blocks, dtype=np.int64)
+        bubbles = np.zeros(count, dtype=np.int64)
+        windows = np.zeros(count, dtype=np.int64)
+        penalties = np.zeros(count, dtype=np.int64)
+        probe = np.full(count, native.NO_PROBE, dtype=np.int64)
         # The BTB is probed by calls, jumps and branches predicted taken.
         probed = calls | (kinds == int(BranchKind.UNCONDITIONAL))
         if stream.quick is None:
@@ -236,175 +242,67 @@ class CycleSimulator:
             if stream.half_width_cycles is not None:
                 windows[conditional] = stream.half_width_cycles
             probes = np.flatnonzero(probed)
-            correct = self.btb.replay(branch_pcs[probes].tolist(), targets[probes].tolist())
-            penalties[probes[~np.array(correct, dtype=bool)]] = self.config.btb_miss_penalty
+            correct = self.btb.replay(branch_pcs[probes], targets[probes])
+            penalties[probes[~correct]] = self.config.btb_miss_penalty
+        else:
+            # A conditional branch probes through its index in the branch
+            # stream, once the timing loop picks its direction.
+            probe[probed] = native.ALWAYS_PROBE
+            probe[conditional] = np.arange(len(conditional))
         stalls.override_bubble += int(bubbles.sum())
         stalls.btb_miss += int(penalties.sum())
-        events: list = [None] * blocks
-        active = np.flatnonzero(bubbles | windows | penalties | flushes)
-        for block, bubble, window, penalty, flush in zip(
-            active.tolist(),
-            bubbles[active].tolist(),
-            windows[active].tolist(),
-            penalties[active].tolist(),
-            flushes[active].tolist(),
-        ):
-            events[block] = (bubble, window, penalty, flush, None)
-        if stream.quick is not None:
-            # Each conditional branch gets its index in the branch stream;
-            # a call or jump gets -1 (always probes the BTB).
-            index = np.full(blocks, -1, dtype=np.int64)
-            index[conditional] = np.arange(len(conditional))
-            dynamic = np.flatnonzero(probed | (index >= 0))
-            for block, pc, target, branch in zip(
-                dynamic.tolist(),
-                branch_pcs[dynamic].tolist(),
-                targets[dynamic].tolist(),
-                index[dynamic].tolist(),
-            ):
-                events[block] = (0, 0, 0, 0, (pc, target, branch))
-        return (
-            events,
-            int(np.count_nonzero(flushes == _MISPREDICT)),
-            int(np.count_nonzero(bubbles)),
+        blocks.update(
+            bubble=bubbles,
+            window=windows,
+            penalty=penalties,
+            flush=flushes,
+            probe=probe,
+            pc=np.ascontiguousarray(branch_pcs, dtype=np.int64),
+            target=np.ascontiguousarray(targets, dtype=np.int64),
         )
+        return int(np.count_nonzero(flushes == _MISPREDICT)), int(np.count_nonzero(bubbles))
 
     def _time(
         self,
-        instructions: list[int],
-        icache: list[int],
-        fetch_cycles: list[int],
-        retire: list[float],
-        data: list[float],
-        events: list,
+        blocks: dict[str, np.ndarray],
         stream: PolicyStream,
         actual: np.ndarray,
         stalls: StallBreakdown,
-    ) -> tuple[int, tuple[int, int] | None]:
-        """The timing loop: fetch and back-end cursors, block by block.
+    ) -> dict[str, int]:
+        """The timing loop: fetch and back-end cursors, block by block, in C.
 
         Returns the cycle count and, for a gap-arbitrated policy, how many
-        branches the slow component answered and how many were wrong.
+        branches the slow component answered (``slow_used``) and how many
+        were wrong (``gap_wrong``), with the rest of
+        :data:`repro.native.TIMING_FIELDS`.
         """
         config = self.config
-        issue_width = config.issue_width
-        half_width = max(issue_width // 2, 1)
-        blocks_per_cycle = config.blocks_per_cycle
-        grouped = blocks_per_cycle > 1
-        front_depth = config.front_depth
-        btb_miss_penalty = config.btb_miss_penalty
-        rob_lead = config.rob_size / self.ilp  # max cycles fetch may lead
-        next_fetch = 0.0  # next free fetch cycle
-        backend_end = float(front_depth)  # in-order retirement cursor
-        half_width_until = 0.0  # dual-path window
-        # Multi-block fetch group (Section 3.3.1): consecutive blocks share
-        # a fetch cycle while the group has slots and width to spare.
-        group_end = -1.0
-        group_count = 0
-        mispredict_stall = 0
-        ras_stall = 0
-        window_stall = 0
-        # Gap-arbitrated pair (cascading) only.
+        none = np.zeros(0, dtype=bool)
         gapped = stream.quick is not None
-        gap_cycles = stream.gap_cycles
-        quick = stream.quick.tolist() if gapped else []
-        slow = stream.taken.tolist() if gapped else []
-        outcomes = actual.tolist() if gapped else []
-        btb_lookup = self.btb.lookup
-        btb_install = self.btb.install
-        last_branch_fetch_end = 0.0
-        slow_used = 0
-        gap_wrong = 0
-        gap_btb_stall = 0
-
-        for n, icache_stall, cycles, retire_cycles, data_stall, event in zip(
-            instructions, icache, fetch_cycles, retire, data, events
-        ):
-            # ROB throttle: fetch cannot run arbitrarily ahead of retire.
-            if next_fetch < backend_end - rob_lead:
-                next_fetch = backend_end - rob_lead
-            fetch_start = next_fetch
-            width = issue_width
-            if fetch_start < half_width_until:
-                width = half_width
-                cycles = -(-n // half_width)
-            # EV8-style multi-block fetch: a block joins the open group when
-            # slots remain, it follows immediately, it hit the I-cache and
-            # it fits one fetch block by itself.
-            if (
-                grouped
-                and group_count < blocks_per_cycle
-                and fetch_start == group_end
-                and icache_stall == 0
-                and n <= width
-            ):
-                fetch_end = group_end
-                group_count += 1
-            else:
-                fetch_end = fetch_start + icache_stall + cycles
-                group_end = fetch_end
-                group_count = 1
-            next_fetch = fetch_end
-            exec_ready = fetch_end + front_depth
-            prev_backend_end = backend_end
-            backend_end = (
-                exec_ready if exec_ready > backend_end else backend_end
-            ) + retire_cycles + data_stall
-            if event is None:
-                continue
-
-            # -- the block's terminator ------------------------------------
-            bubble, window, penalty, flush, probe = event
-            if probe is not None:
-                pc, target, branch = probe
-                predicted = True
-                if branch >= 0:
-                    use_slow = int(fetch_end - last_branch_fetch_end) >= gap_cycles
-                    last_branch_fetch_end = fetch_end
-                    if use_slow:
-                        slow_used += 1
-                        predicted = slow[branch]
-                    else:
-                        predicted = quick[branch]
-                    if predicted != outcomes[branch]:
-                        gap_wrong += 1
-                        flush = _MISPREDICT
-                if predicted:
-                    if btb_lookup(pc) != target:
-                        penalty = btb_miss_penalty
-                        gap_btb_stall += penalty
-                    btb_install(pc, target)
-            if bubble:
-                next_fetch += bubble
-            if window:
-                # A second branch inside an open window cannot fork again:
-                # fetch waits for the window to close first.
-                if fetch_end < half_width_until:
-                    stall = half_width_until - fetch_end
-                    next_fetch += stall
-                    window_stall += int(stall)
-                half_width_until = next_fetch + window
-            if penalty:
-                # Redirect waits for decode to compute the target.
-                next_fetch += penalty
-            if flush:
-                # The branch must reach execute before redirecting fetch.
-                resolve = (
-                    prev_backend_end if prev_backend_end > exec_ready else exec_ready
-                ) + 1
-                if resolve > next_fetch:
-                    if flush == _MISPREDICT:
-                        mispredict_stall += int(resolve - next_fetch)
-                    else:
-                        ras_stall += int(resolve - next_fetch)
-                    next_fetch = resolve
-
-        stalls.mispredict += mispredict_stall
-        stalls.ras_miss += ras_stall
-        stalls.override_bubble += window_stall
-        stalls.btb_miss += gap_btb_stall
-        cycles = int(math.ceil(max(next_fetch, backend_end)))
-        return cycles, ((slow_used, gap_wrong) if gapped else None)
+        timing = native.time_blocks(
+            blocks,
+            {
+                "quick": np.ascontiguousarray(stream.quick, dtype=bool) if gapped else none,
+                "slow": np.ascontiguousarray(stream.taken, dtype=bool) if gapped else none,
+                "outcome": np.ascontiguousarray(actual, dtype=bool) if gapped else none,
+            },
+            {
+                "issue_width": config.issue_width,
+                "blocks_per_cycle": config.blocks_per_cycle,
+                "front_depth": config.front_depth,
+                "rob_lead": config.rob_size / self.ilp,  # max cycles fetch may lead
+                "btb_miss_penalty": config.btb_miss_penalty,
+                "gap_cycles": stream.gap_cycles,
+            },
+            self.btb,
+        )
+        stalls.mispredict += timing["mispredict_stall"]
+        stalls.ras_miss += timing["ras_stall"]
+        stalls.override_bubble += timing["window_stall"]
+        stalls.btb_miss += timing["gap_btb_stall"]
+        self.btb.stats.lookups += timing["btb_lookups"]
+        self.btb.stats.misses += timing["btb_misses"]
+        return timing
 
     def _publish(self, result: SimulationResult) -> None:
         """Account this run's cycles — bubbles broken down by cause — into

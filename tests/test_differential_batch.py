@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from repro.batch import diff_engines, evaluate_stream, evaluate_trace, supports_batch
 from repro.batch.diff import run_scalar, state_mismatches
-from repro.batch.engine import KERNELS, _PerceptronKernel
+from repro.batch.engine import KERNELS
 from repro.common.errors import ProtocolError
 from repro.core.bimode_fast import BiModeFastPredictor
 from repro.core.gshare_fast import GshareFastPredictor
@@ -118,6 +118,24 @@ def _assert_exact(factory, stream, chunk_branches=1 << 12):
     assert report.matches, report.describe()
 
 
+def warmed(factory, stream):
+    """``factory``, each predictor it builds first run scalar over ``stream``:
+    both engines then start from a state a scalar run leaves."""
+
+    def build():
+        predictor = factory()
+        run_scalar(predictor, [pc for pc, _ in stream], [taken for _, taken in stream])
+        return predictor
+
+    return build
+
+
+#: A scalar prefix that saturates counters (a long biased run), trains
+#: selection counters and leaves loop entries mid-trip (it stops four
+#: iterations into a nine-trip loop).
+WARM_PREFIX = biased_stream(600, 0.97) + loop_stream(reps=5, trips=9)[:-4]
+
+
 @pytest.mark.parametrize("name", sorted(FACTORIES))
 def test_synthetic_streams_bit_exact(name):
     factory = FACTORIES[name]
@@ -158,7 +176,8 @@ def test_golden_stream_bit_exact(name):
 def test_chunk_size_invariance(chunk):
     """The chunk size is an implementation detail: any value, including ones
     that straddle the stream unevenly, must give identical results — for
-    every family, and for the delayed-update gshare.fast."""
+    every family, from cold and from a warm start, and for the
+    delayed-update gshare.fast."""
     stream = loop_stream(reps=40, trips=7) + biased_stream(1500, 0.8)
     _assert_exact(FACTORIES["gshare"], stream, chunk_branches=chunk)
     _assert_exact(FACTORIES["gshare_fast_delayed"], stream, chunk_branches=chunk)
@@ -169,21 +188,25 @@ def test_chunk_size_invariance(chunk):
     ]
     for name in FAMILY_FACTORIES:
         _assert_exact(FACTORIES[name], mixed, chunk_branches=chunk)
+        _assert_exact(warmed(FACTORIES[name], WARM_PREFIX), mixed, chunk_branches=chunk)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
-    data=st.lists(
-        st.tuples(st.integers(0, 31), st.booleans()), min_size=1, max_size=400
-    ),
-    chunk=st.sampled_from([3, 50, 4096]),
+    data=st.lists(st.tuples(st.integers(0, 31), st.booleans()), max_size=400),
+    prefix=st.lists(st.tuples(st.integers(0, 31), st.booleans()), max_size=300),
+    chunk=st.sampled_from([1, 3, 7, 50, 4096]),
     name=st.sampled_from(sorted(FACTORIES)),
 )
-def test_random_traces_bit_exact(data, chunk, name):
+def test_random_traces_bit_exact(data, prefix, chunk, name):
     """Hypothesis-generated streams over a small PC pool (small pools
-    maximize table aliasing, the hardest case for the scan)."""
+    maximize table aliasing, the hardest case for the scan), empty ones
+    included, chunked down to one branch, from the state a scalar run of
+    a generated prefix leaves (saturated counters, selection counters
+    mid-training, loop entries mid-trip)."""
     stream = [(0x40_0000 + 4 * slot, taken) for slot, taken in data]
-    _assert_exact(FACTORIES[name], stream, chunk_branches=chunk)
+    warm = [(0x40_0000 + 4 * slot, taken) for slot, taken in prefix]
+    _assert_exact(warmed(FACTORIES[name], warm), stream, chunk_branches=chunk)
 
 
 def test_empty_and_single_branch_streams():
@@ -257,17 +280,16 @@ def clip_stream(n=24_000, period=122, seed=5):
     return stream
 
 
-@pytest.mark.parametrize("tail_rows", [0, 1 << 30])
-def test_perceptron_weight_clip_bit_exact(tail_rows, monkeypatch):
+@pytest.mark.parametrize("pc_offset", [0, 1 << 30])
+def test_perceptron_weight_clip_bit_exact(pc_offset):
     """The scalar reference reaches both weight bounds on this stream, and
-    the batch engine's clipping matches it exactly — in the row rounds and
-    in the hot-row tail (the kernel's switch point forced either way)."""
-    monkeypatch.setattr(_PerceptronKernel, "TAIL_ROWS", tail_rows)
+    the batch engine's clipping matches it exactly — with low PCs and with
+    PCs that set bit 30, which the weight-row hash folds in."""
 
     def factory():
         return PerceptronPredictor(3, global_history=60, local_history=0)
 
-    stream = clip_stream()
+    stream = [(pc + pc_offset, taken) for pc, taken in clip_stream()]
     reference = factory()
     run_scalar(reference, [pc for pc, _ in stream], [taken for _, taken in stream])
     assert reference.weights.max() == WEIGHT_MAX

@@ -16,9 +16,8 @@ the scalar implementations:
   and ``HistoryRegister``/``LocalHistoryTable`` on every input;
 * the batch engine's grouping primitives match their plain references:
   :class:`repro.batch.kernels.CounterScan` (the settling scan) a per-event
-  saturating-counter loop, :func:`repro.batch.kernels.stable_order` and
-  ``segment_positions`` ``np.argsort(kind="stable")``, and the engine's
-  ``_PlainCells`` ``np.unique(..., return_inverse=True)``.
+  saturating-counter loop, and :func:`repro.batch.kernels.stable_order` and
+  ``segment_positions`` ``np.argsort(kind="stable")``.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.engine import _PlainCells
 from repro.batch.kernels import (
     CounterScan,
     bit_lengths,
@@ -358,31 +356,3 @@ def test_stable_order_edge_keys(keys):
     keys = np.array(keys, dtype=np.int64)
     assert stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
 
-
-@settings(max_examples=100, deadline=None)
-@given(
-    sizes=st.lists(st.integers(1, 1 << 12), min_size=1, max_size=4),
-    events=st.integers(0, 150),
-    spread=st.integers(1, 1 << 12),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_plain_cells_match_unique(sizes, events, spread, seed):
-    """Touched cells, each event's rank and the working values equal
-    ``np.unique(..., return_inverse=True)``'s, and commit writes the
-    working values back to exactly the touched cells."""
-    rng = np.random.default_rng(seed)
-    tables = [rng.integers(0, 4, size, dtype=np.int16) for size in sizes]
-    cells = [rng.integers(0, min(size, spread), events) for size in sizes]
-    originals = [table.copy() for table in tables]
-    plain = _PlainCells(tables, cells)
-    for k, (table, table_cells) in enumerate(zip(originals, cells)):
-        touched, inverse = np.unique(table_cells, return_inverse=True)
-        assert plain.touched[k].tolist() == touched.tolist()
-        assert plain.positions[k] == inverse.tolist()
-        assert plain.values[k] == table[touched].tolist()
-        plain.values[k] = [(v + 1) % 4 for v in plain.values[k]]
-    plain.commit()
-    for table, original, touched, values in zip(tables, originals, plain.touched, plain.values):
-        expected = original.copy()
-        expected[touched] = values
-        assert table.tolist() == expected.tolist()

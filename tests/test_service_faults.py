@@ -10,6 +10,7 @@ damage written over the stored files.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -132,9 +133,20 @@ class TestCorruption:
         assert payload == reference_bytes(spec)
 
     def test_corrupt_manifest_blob_self_heals(self, env, tmp_path):
+        """The job's manifest route answers a fresh manifest; a fetch of the
+        lost digest never answers bytes that are not that digest (a
+        re-rendered manifest records a new creation time)."""
         app, executor = make_app(tmp_path)
         status = run_job(app, executor, mini_spec())
-        Path(app.blobs.path(status["manifest_digest"])).write_bytes(b"{}")
+        digest = status["manifest_digest"]
+        Path(app.blobs.path(digest)).write_bytes(b"{}")
+        fetches = [app.handle("GET", f"/v1/results/{digest}")[:2] for _ in range(2)]
+        for code, payload in fetches:
+            if code == 200:
+                assert hashlib.sha256(payload).hexdigest() == digest
+            else:
+                assert code == 404 and digest in json.loads(payload)["error"]
+        assert fetches[0] == fetches[1]
         code, payload, _ = app.handle(
             "GET", f"/v1/jobs/{status['job_id']}/manifest"
         )
