@@ -1,67 +1,33 @@
 """Ablation studies for the design choices DESIGN.md calls out.
 
 These go beyond the paper's headline figures and probe the knobs of the
-gshare.fast design and the delay-hiding schemes:
+gshare.fast design and the delay-hiding schemes.  Each is a
+:data:`repro.harness.figures.FIGURES` entry measured on gcc:
 
 * PHT-buffer size vs accuracy (Section 3.3.1's buffer sizing discussion);
 * pipeline depth vs the override penalty (the paper's motivating trend),
   including dual-path fetch as the alternative scheme of Section 2.6.2;
-* gshare.fast history/staleness behaviour at fixed budget;
+* gshare history length at fixed budget;
 * quick-predictor size vs disagreement rate (Section 4.1.2 grants 2K
   entries; what do 1K or 4K buy?).
 """
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_figure, write_result
-from repro.core.dualpath import DualPathPolicy
-from repro.core.gshare_fast import GshareFastPredictor
-from repro.core.overriding import OverridingPredictor
-from repro.harness.experiment import measure_accuracy, measure_override
+from benchmarks.conftest import write_figure
 from repro.harness.figures import build_figure
-from repro.harness.report import render_table
-from repro.harness.scale import accuracy_instructions, ipc_instructions, warmup_branches
-from repro.predictors.factory import build_predictor
-from repro.predictors.gshare import GsharePredictor
-from repro.timing.latency import predictor_latency
-from repro.uarch.config import MachineConfig
-from repro.uarch.policies import DualPathFetchPolicy, OverridingPolicy, SingleCyclePolicy
-from repro.uarch.simulator import CycleSimulator
-from repro.workloads.spec2000 import get_profile, spec2000_trace
-
-BENCH = "gcc"
-ENTRIES_64KB = 64 * 1024 * 4
 
 
-def _trace(instructions):
-    return spec2000_trace(BENCH, instructions=instructions)
+def _build(once, name):
+    (panel,) = once(build_figure, name)
+    write_figure(name, [panel])
+    return panel
 
 
 def test_ablation_buffer_size(once):
     """Sweep the PHT-buffer width at fixed PHT size and latency."""
-    trace = _trace(accuracy_instructions())
-    warmup = warmup_branches(trace.conditional_branch_count)
-
-    def sweep():
-        rows = []
-        for buffer_bits in (3, 5, 7, 10):
-            predictor = GshareFastPredictor(
-                entries=ENTRIES_64KB, pht_latency=7, buffer_bits=buffer_bits
-            )
-            result = measure_accuracy(predictor, trace, warmup_branches=warmup)
-            rows.append((1 << buffer_bits, f"{result.misprediction_percent:.2f}"))
-        return rows
-
-    rows = once(sweep)
-    write_result(
-        "abl_buffer_size",
-        render_table(
-            "Ablation: gshare.fast PHT-buffer size (64KB PHT, latency 7)",
-            ["buffer entries", "mispredict %"],
-            rows,
-        ),
-    )
-    rates = [float(rate) for _, rate in rows]
+    panel = _build(once, "abl_buffer_size")
+    rates = [panel.series["mispredict %"][row] for row in panel.rows]
     # All buffer sizes must function.  A wider buffer folds more PC bits
     # into the single-cycle select, so the 128-entry buffer should not be
     # worse than the paper's 8-entry one at this latency.
@@ -72,118 +38,31 @@ def test_ablation_buffer_size(once):
 def test_ablation_pipeline_depth(once):
     """Depth sweep: how pipeline depth amplifies predictor-induced bubbles
     for overriding, dual-path and gshare.fast."""
-    trace = _trace(ipc_instructions())
-    ilp = get_profile(BENCH).ilp
-    budget = 256 * 1024
-    latency = predictor_latency("perceptron", budget)
-
-    def run(depth):
-        config = MachineConfig(pipeline_depth=depth)
-        fast = CycleSimulator(
-            SingleCyclePolicy(GshareFastPredictor(entries=budget * 4)), config=config, ilp=ilp
-        ).run(trace)
-        overriding = CycleSimulator(
-            OverridingPolicy(
-                OverridingPredictor(build_predictor("perceptron", budget), slow_latency=latency)
-            ),
-            config=config,
-            ilp=ilp,
-        ).run(trace)
-        dualpath = CycleSimulator(
-            DualPathFetchPolicy(
-                DualPathPolicy(build_predictor("perceptron", budget), latency=latency)
-            ),
-            config=config,
-            ilp=ilp,
-        ).run(trace)
-        return fast.ipc, overriding.ipc, dualpath.ipc
-
-    def sweep():
-        return {depth: run(depth) for depth in (10, 20, 40)}
-
-    results = once(sweep)
-    rows = [
-        (depth, f"{fast:.3f}", f"{over:.3f}", f"{dual:.3f}")
-        for depth, (fast, over, dual) in sorted(results.items())
-    ]
-    write_result(
-        "abl_pipeline_depth",
-        render_table(
-            "Ablation: pipeline depth vs IPC (256KB predictors, gcc)",
-            ["depth", "gshare.fast", "perceptron overriding", "perceptron dual-path"],
-            rows,
-        ),
-    )
+    panel = _build(once, "abl_pipeline_depth")
     # Deeper pipelines hurt everyone; dual-path never beats overriding by
     # much (it halves fetch bandwidth for the whole latency window).
-    for ipcs in zip(*[results[d] for d in (10, 20, 40)]):
-        assert ipcs[0] > ipcs[2]
+    for ipcs in panel.series.values():
+        assert ipcs["10"] > ipcs["40"]
 
 
 def test_ablation_history_length(once):
     """Classic gshare history-length sweep at a fixed 64KB PHT — shows the
     training-dilution tradeoff that motivates GSHARE_MAX_HISTORY."""
-    trace = _trace(accuracy_instructions())
-    warmup = warmup_branches(trace.conditional_branch_count)
-
-    def sweep():
-        rows = []
-        for history in (4, 8, 12, 14, 18):
-            predictor = GsharePredictor(entries=ENTRIES_64KB, history_length=history)
-            result = measure_accuracy(predictor, trace, warmup_branches=warmup)
-            rows.append((history, f"{result.misprediction_percent:.2f}"))
-        return rows
-
-    rows = once(sweep)
-    write_result(
-        "abl_history_length",
-        render_table(
-            "Ablation: gshare history length at 64KB (gcc)",
-            ["history bits", "mispredict %"],
-            rows,
-        ),
-    )
-    rates = {h: float(r) for h, r in rows}
+    rates = _build(once, "abl_history_length").series["mispredict %"]
     # The dilution side of the tradeoff is robust at any scale: the longest
     # history is never the best configuration on short traces.
-    assert min(rates[h] for h in (8, 12, 14)) < rates[18]
+    assert min(rates[h] for h in ("8", "12", "14")) < rates["18"]
 
 
 def test_ablation_quick_predictor_size(once):
     """Quick-predictor size vs override (disagreement) rate."""
-    trace = _trace(accuracy_instructions())
-    budget = 64 * 1024
-    latency = predictor_latency("perceptron", budget)
-
-    def sweep():
-        rows = []
-        for entries in (1024, 2048, 4096, 8192):
-            overriding = OverridingPredictor(
-                build_predictor("perceptron", budget),
-                slow_latency=latency,
-                quick=GsharePredictor(entries=entries),
-            )
-            result = measure_override(overriding, trace)
-            rows.append(
-                (entries, f"{100 * result.override_rate:.2f}", f"{result.misprediction_rate:.4f}")
-            )
-        return rows
-
-    rows = once(sweep)
-    write_result(
-        "abl_quick_size",
-        render_table(
-            "Ablation: quick-predictor size vs override rate (perceptron slow, gcc)",
-            ["quick entries", "override %", "final mispredict rate"],
-            rows,
-        ),
-    )
-    override_rates = [float(row[1]) for row in rows]
-    final_rates = {row[2] for row in rows}
+    panel = _build(once, "abl_quick_size")
+    override_rates = panel.series["override %"].values()
+    final_rates = set(panel.series["final mispredict rate"].values())
     # Disagreement stays in a plausible band at every quick size, and the
     # *final* accuracy is entirely the slow predictor's — the quick
     # predictor only affects how often the override bubble is paid.
-    assert all(2.0 < rate < 40.0 for rate in override_rates)
+    assert all(0.02 < rate < 0.40 for rate in override_rates)
     assert len(final_rates) == 1
 
 
@@ -194,8 +73,7 @@ def test_ablation_pipelined_families(once):
     Bi-Mode's bias separation.  This quantifies the paper's closing
     conjecture that other predictors can be reorganized the same way.
     """
-    (figure,) = once(build_figure, "extension")
-    write_figure("extension", [figure])
+    figure = _build(once, "extension")
     # bimode.fast must beat gshare.fast at every budget while keeping the
     # same single-cycle property — the reorganization pays.
     for budget in figure.rows:

@@ -26,7 +26,8 @@ A third table times the cycle simulator on the same benchmark at the
 default IPC trace length: the Figure 7 families in both modes, the
 per-block reference loop (``tests/uarch_reference.py``) against
 ``CycleSimulator``, which must give identical ``SimulationResult``s at
-least 3x faster, paired the same way.
+least 15x faster, paired the same way (the simulator reads 39-96x, so a
+3x gate would pass a simulator ten times slower than today's).
 
 The differential suites prove bit-exactness; this file measures speed.
 """
@@ -286,7 +287,7 @@ def ipc_timings():
 @pytest.mark.parametrize("mode", IPC_MODES)
 @pytest.mark.parametrize("family", IPC_FAMILIES)
 def test_simulator_speedup(family, mode, ipc_timings):
-    """Identical results to the per-block loop, at least 3x faster."""
+    """Identical results to the per-block loop, at least 15x faster."""
     _, _, speedup, reference_result, result = ipc_timings[family, mode]
     assert result == reference_result
-    assert speedup >= 3.0
+    assert speedup >= 15.0

@@ -6,19 +6,19 @@ Paper measurement: allowing 64 branches between predict and update moves a
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
-from repro.harness.figures import delayed_update_study
+from benchmarks.conftest import write_figure
+from repro.harness.figures import build_figure
 
 
 def test_delayed_update_cost(once):
-    result = once(delayed_update_study)
-    write_result("delayed-update", result.render())
+    (panel,) = once(build_figure, "delayed-update")
+    write_figure("delayed-update", [panel])
 
-    base = result.misprediction_percent[0]
-    delayed = result.misprediction_percent[64]
+    mispredict = panel.series["mispredict %"]
+    ipc = panel.series["IPC (hmean)"]
     # The 64-branch delay costs only a sliver of accuracy...
-    assert abs(delayed - base) < 0.5
+    assert abs(mispredict["64"] - mispredict["0"]) < 0.5
     # ...and within 1% of IPC (the paper's claim).
-    assert result.ipc[64] >= result.ipc[0] * 0.99
+    assert ipc["64"] >= ipc["0"] * 0.99
     # Extreme delays cost more than moderate ones.
-    assert result.misprediction_percent[256] >= result.misprediction_percent[16] - 0.1
+    assert mispredict["256"] >= mispredict["16"] - 0.1

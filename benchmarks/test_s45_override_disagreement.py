@@ -9,20 +9,18 @@ advantage.
 
 from __future__ import annotations
 
-from benchmarks.conftest import write_result
-from repro.harness.figures import MID_BUDGET, override_disagreement
+from benchmarks.conftest import write_figure
+from repro.harness.figures import build_figure
 
 
 def test_override_disagreement_rates(once):
-    perceptron = once(override_disagreement, "perceptron", MID_BUDGET)
-    multicomponent = override_disagreement("multicomponent", MID_BUDGET)
-    write_result("override", perceptron.render() + "\n\n" + multicomponent.render())
+    perceptron, multicomponent = once(build_figure, "override")
+    write_figure("override", [perceptron, multicomponent])
 
     # Mean disagreement is a sizeable single-digit-to-teens percentage.
-    assert 0.02 < perceptron.mean_rate < 0.30
-    assert 0.02 < multicomponent.mean_rate < 0.30
+    assert 0.02 < perceptron.means["override %"] < 0.30
+    assert 0.02 < multicomponent.means["override %"] < 0.30
     # Hard benchmarks disagree far more than easy ones (twolf vs vortex).
-    if "twolf" in perceptron.per_benchmark and "vortex" in perceptron.per_benchmark:
-        assert (
-            multicomponent.per_benchmark["twolf"] > multicomponent.per_benchmark["vortex"]
-        )
+    if "twolf" in perceptron.rows and "vortex" in perceptron.rows:
+        rates = multicomponent.series["override %"]
+        assert rates["twolf"] > rates["vortex"]

@@ -67,6 +67,11 @@ MIN_BUFFER_BITS = 1
 MAX_BUFFER_BITS = 10
 
 
+def pht_latency_cycles(entries: int, clock: ClockModel = PAPER_CLOCK) -> int:
+    """Read latency of a banked PHT of ``entries`` counters (SRAM model)."""
+    return pht_array(max(entries // PHT_BANKS, 8)).access_cycles(clock)
+
+
 def default_buffer_bits(pht_latency: int, index_bits: int) -> int:
     """Default log2 of the PHT-buffer size.
 
@@ -116,7 +121,7 @@ class GshareFastPredictor(BranchPredictor):
         if self.index_bits < 2:
             raise ConfigurationError("gshare.fast needs a PHT of at least 4 entries")
         if pht_latency is None:
-            pht_latency = pht_array(max(entries // PHT_BANKS, 8)).access_cycles(clock)
+            pht_latency = pht_latency_cycles(entries, clock)
         if pht_latency < 1:
             raise ConfigurationError(f"PHT latency must be >= 1 cycle, got {pht_latency}")
         if buffer_bits is None:
@@ -187,10 +192,12 @@ class GshareFastPredictor(BranchPredictor):
 
 
 def gshare_fast_from_config(config) -> GshareFastPredictor:
-    """gshare.fast from a sized configuration (latency/buffer widths come
-    from the SRAM delay model at the paper's clock)."""
+    """gshare.fast from a sized configuration."""
     return GshareFastPredictor(
-        entries=config.entries, update_delay=config.update_delay
+        entries=config.entries,
+        pht_latency=config.pht_latency,
+        buffer_bits=config.buffer_bits,
+        update_delay=config.update_delay,
     )
 
 

@@ -1,9 +1,9 @@
 """The sweep executor: classify -> plan -> execute over a campaign run dir.
 
 Every grid the paper reports is a set of independent (kind, benchmark,
-family, budget[, mode]) cells, and this module is the one place that runs
-them.  :func:`execute_sweep` is the entry point every sweep calls; the path
-it takes is chosen from ``run_dir`` and ``jobs`` alone:
+family, budget[, mode][, variant]) cells, and this module is the one place
+that runs them.  :func:`execute_sweep` is the entry point every sweep
+calls; the path it takes is chosen from ``run_dir`` and ``jobs`` alone:
 
 * no run directory and ``jobs == 1`` — the cells are computed in order,
   in this process, through the result store
@@ -236,20 +236,24 @@ def normalize_statuses(raw: str | list[str]) -> list[str]:
 
 @dataclass(frozen=True)
 class Shard:
-    """One independent (kind, benchmark, family, budget[, mode]) work unit."""
+    """One independent (kind, benchmark, family, budget[, mode][, variant])
+    work unit."""
 
-    kind: str  # "accuracy" | "ipc"
+    kind: str  # "accuracy" | "ipc" | "override"
     benchmark: str
     family: str
     budget_bytes: int
     mode: str = ""  # ipc shards only
+    #: Overrides of what the cell builds, ``target.field=value`` joined by
+    #: commas (:attr:`repro.harness.figconfig.Variant.key`); "" builds the
+    #: sized family on the paper's machine.
+    variant: str = ""
 
     @property
     def key(self) -> str:
         """Stable identifier; doubles as the checkpoint file stem."""
         parts = [self.kind, self.benchmark, self.family, str(self.budget_bytes)]
-        if self.mode:
-            parts.append(self.mode)
+        parts.extend(part for part in (self.mode, self.variant) if part)
         return "__".join(parts)
 
 
@@ -259,23 +263,19 @@ def shard_grid(
     budgets: list[int],
     benchmarks: list[str],
     modes: tuple[str, ...] = ("",),
+    variants: tuple[str, ...] = ("",),
 ) -> list[Shard]:
-    """Every cell in canonical order — benchmark, family, budget, mode —
-    which is the serial sweeps' iteration order and every merge's order."""
+    """Every cell in canonical order — benchmark, family, budget, mode,
+    variant — which is the serial sweeps' iteration order and every
+    merge's order."""
     return [
-        Shard(kind, benchmark, family, budget, mode)
+        Shard(kind, benchmark, family, budget, mode, variant)
         for benchmark in benchmarks
         for family in families
         for budget in budgets
         for mode in modes
+        for variant in variants
     ]
-
-
-def accuracy_shard_grid(
-    families: list[str], budgets: list[int], benchmarks: list[str]
-) -> list[Shard]:
-    """Accuracy shards in the serial sweep's iteration order."""
-    return shard_grid("accuracy", families, budgets, benchmarks)
 
 
 def shard_from_dict(data: dict) -> Shard:
@@ -286,41 +286,16 @@ def shard_from_dict(data: dict) -> Shard:
         family=data["family"],
         budget_bytes=int(data["budget_bytes"]),
         mode=data.get("mode", ""),
+        variant=data.get("variant", ""),
     )
 
 
 def _shard_result_key(shard: Shard, cfg: dict) -> tuple[str, "object"]:
     """The shard's result-store (key, cell) pair — one recipe for every
     executor path, so in-memory and campaign runs share one cache."""
-    from repro.harness.resultstore import (
-        ResultCell,
-        accuracy_result_key,
-        ipc_result_key,
-    )
+    from repro.harness.sweep import resolve_shard
 
-    if shard.kind == "accuracy":
-        key = accuracy_result_key(
-            shard.benchmark,
-            shard.family,
-            shard.budget_bytes,
-            cfg["instructions"],
-            cfg["engine"],
-            cfg["warmup_fraction"],
-        )
-        return key, ResultCell("accuracy", shard.benchmark, shard.family, shard.budget_bytes)
-    if shard.kind == "ipc":
-        key = ipc_result_key(
-            shard.benchmark,
-            shard.family,
-            shard.budget_bytes,
-            shard.mode,
-            cfg["instructions"],
-            cfg["machine"],
-        )
-        return key, ResultCell(
-            "ipc", shard.benchmark, shard.family, shard.budget_bytes, shard.mode
-        )
-    raise ConfigurationError(f"unknown shard kind {shard.kind!r}")
+    return resolve_shard(shard, cfg).result_key(cfg)
 
 
 # -- on-disk layout ------------------------------------------------------------

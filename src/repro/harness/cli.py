@@ -68,37 +68,13 @@ from repro.harness.experiment import ENGINES
 from repro.obs.manifest import build_manifest, write_manifest
 
 
-def run_delayed_update() -> str:
-    """The Section 3.2 delayed-update study."""
-    return figures.delayed_update_study().render()
-
-
-def run_override() -> str:
-    """The Section 4.5 override-rate study."""
-    return (
-        figures.override_disagreement("perceptron").render()
-        + "\n\n"
-        + figures.override_disagreement("multicomponent").render()
-    )
-
-
-def _figure(name: str):
-    """The runner of one :data:`~repro.harness.figures.FIGURES` entry."""
-    return partial(figures.render_figure, name)
-
-
+#: Every ``repro-figures`` target: the two tables, then every
+#: :data:`~repro.harness.figures.FIGURES` entry (figures, studies,
+#: ablations) — one per committed ``results/*.txt``.
 RUNNERS = {
-    "figure1": _figure("figure1"),
-    "figure2": _figure("figure2"),
     "table1": figures.table1,
     "table2": figures.table2,
-    "figure5": _figure("figure5"),
-    "figure6": _figure("figure6"),
-    "figure7": _figure("figure7"),
-    "figure8": _figure("figure8"),
-    "delayed-update": run_delayed_update,
-    "override": run_override,
-    "extension": _figure("extension"),
+    **{name: partial(figures.render_figure, name) for name in figures.FIGURES},
 }
 
 
@@ -391,8 +367,8 @@ def main(argv: list[str] | None = None) -> int:
 def _campaign_grid(args, parser) -> tuple[list, dict]:
     """(shards, cfg_by_kind) from the ``run`` subcommand's grid flags."""
     from repro.harness.campaign import shard_grid
-    from repro.harness.figconfig import grid_cfg
     from repro.harness.scale import benchmark_names
+    from repro.harness.sweep import grid_cfg
 
     if not args.families or not args.budgets:
         parser.error(

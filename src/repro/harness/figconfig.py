@@ -4,13 +4,13 @@ A config file is a small JSON document that *names* a regeneration target
 instead of hard-coding it in the CLI.  Three modes:
 
 ``runner``
-    Wraps one of the CLI's built-in targets (``figure1`` .. ``extension``).
-    It declares no grid: a grid figure's cells come from its one
+    Wraps one of the CLI's built-in targets (``figure1`` .. the ablations).
+    It declares no grid: a figure's or study's cells come from its one
     definition, :data:`repro.harness.figures.FIGURES`, so ``--dry-run``,
-    inference checks and service submissions see exactly the grid the
+    inference checks and service submissions see exactly the grids the
     renderer reads (a runner config that declares ``grids`` is refused).
-    Tables and studies have no grid.  Output is byte-identical to the
-    positional-target path.
+    Tables have no grid.  Output is byte-identical to the positional-target
+    path.
 
 ``sweep``
     A self-contained declarative sweep: families x budgets (accuracy) or
@@ -35,9 +35,11 @@ reports hit/miss/inferred per target without mutating anything (corrupt
 entries are left in place for the real run to count and repair).
 
 Cell keys are derived with the exact recipe the sweeps use
-(:mod:`repro.harness.resultstore`), resolving instructions, engine and
-benchmarks from the current environment — a classification is a statement
-about *this* scale/engine/benchmark configuration, like every figure.
+(:func:`repro.harness.sweep.grid_cfg` and
+:func:`repro.harness.sweep.resolve_shard`), resolving instructions, engine
+and benchmarks from the current environment — a classification is a
+statement about *this* scale/engine/benchmark configuration, like every
+figure.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ from __future__ import annotations
 import importlib
 import json
 import os
-from collections.abc import Iterator, Mapping
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
 
@@ -58,32 +60,35 @@ _GRID_KINDS = ("accuracy", "ipc")
 
 
 @dataclass(frozen=True)
+class Variant:
+    """One row of a study grid: its label and what its cells build
+    differently, as ``(target, field, value)`` overrides (targets are
+    :data:`repro.harness.sweep.VARIANT_TARGETS`)."""
+
+    label: str
+    overrides: tuple[tuple[str, str, int], ...] = ()
+
+    @property
+    def key(self) -> str:
+        """The overrides as a shard's ``variant`` (``target.field=value``
+        joined by commas)."""
+        return ",".join(f"{target}.{name}={value}" for target, name, value in self.overrides)
+
+
+@dataclass(frozen=True)
 class GridSpec:
     """One declared sweep grid: the cells a target iterates."""
 
-    kind: str  # "accuracy" | "ipc"
+    kind: str  # "accuracy" | "ipc" | "override"
     families: tuple[str, ...]
     budgets: tuple[int, ...]
     #: None = resolve ``benchmark_names()`` (REPRO_BENCHMARKS) at use time.
     benchmarks: tuple[str, ...] | None = None
-    #: IPC policy modes (``sweep.POLICY_MODES``); empty for accuracy grids.
+    #: IPC policy modes (``sweep.POLICY_MODES``); empty for other kinds.
     modes: tuple[str, ...] = ()
-
-    def cells(self) -> Iterator[tuple]:
-        """Every (benchmark, family, budget[, mode]) cell in the grid."""
-        from repro.harness.scale import benchmark_names
-
-        benchmarks = self.benchmarks if self.benchmarks is not None else tuple(
-            benchmark_names()
-        )
-        for benchmark in benchmarks:
-            for family in self.families:
-                for budget in self.budgets:
-                    if self.kind == "ipc":
-                        for mode in self.modes:
-                            yield (benchmark, family, budget, mode)
-                    else:
-                        yield (benchmark, family, budget)
+    #: Study rows; empty = one plain cell per (benchmark, family, budget,
+    #: mode).  Built-in figures only: config files declare none.
+    variants: tuple[Variant, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -99,12 +104,9 @@ class TargetConfig:
     family_modules: tuple[str, ...] = ()  # imported before family resolution
     grids: tuple[GridSpec, ...] = field(default_factory=tuple)
 
-    def cell_set(self) -> set[tuple]:
-        """The union of every grid's cells (inference-graph currency)."""
-        cells: set[tuple] = set()
-        for grid in self.grids:
-            cells.update(grid.cells())
-        return cells
+    def cell_set(self) -> set[str]:
+        """The union of every grid's cell keys (inference-graph currency)."""
+        return {shard.key for grid in self.grids for shard in grid_shards(grid)}
 
 
 def _require(data: Mapping, key: str, path: str):
@@ -213,7 +215,7 @@ def parse_config(data: object, path: str = "<memory>") -> TargetConfig:
         from repro.harness.figures import FIGURES  # deferred: layering
 
         figure = FIGURES.get(runner)
-        grids = tuple(grid for _, grid in figure.panels) if figure else ()
+        grids = figure.grids if figure else ()
     if mode in ("sweep", "inferred"):
         if len(grids) != 1:
             raise ConfigurationError(
@@ -276,7 +278,7 @@ def validate_inference(configs: list[TargetConfig]) -> None:
     for config in configs:
         if config.mode != "inferred":
             continue
-        covered: set[tuple] = set()
+        covered: set[str] = set()
         for base_name in config.based_on:
             base = by_name.get(base_name)
             if base is None:
@@ -308,40 +310,21 @@ def _import_family_modules(config: TargetConfig) -> None:
         importlib.import_module(module)
 
 
-def grid_cfg(kind: str) -> dict:
-    """The per-kind sweep configuration the current environment resolves
-    to — the very dict the sweeps pin in ``campaign.json``, so a config
-    target's cell keys match the sweeps' exactly."""
-    from repro.harness.experiment import default_engine
-    from repro.harness.resultstore import CODE_VERSION, IPC_MODEL_VERSION
-    from repro.harness.scale import (
-        WARMUP_FRACTION,
-        accuracy_instructions,
-        ipc_instructions,
-    )
-    from repro.uarch.config import PAPER_MACHINE
-
-    if kind == "accuracy":
-        return {
-            "instructions": accuracy_instructions(),
-            "engine": default_engine(),
-            "warmup_fraction": WARMUP_FRACTION,
-            "code_version": CODE_VERSION,
-        }
-    return {
-        "instructions": ipc_instructions(),
-        "machine": asdict(PAPER_MACHINE),
-        "model_version": IPC_MODEL_VERSION,
-        "code_version": CODE_VERSION,
-    }
-
-
-def grid_shards(grid: GridSpec) -> list:
+def grid_shards(grid: GridSpec, modes: tuple[str, ...] | None = None) -> list:
     """Every grid cell as a campaign :class:`~repro.harness.campaign.Shard`,
-    in the order :meth:`GridSpec.cells` yields them."""
-    from repro.harness.campaign import Shard
+    in canonical order (benchmark, family, budget, mode, variant), over
+    ``modes`` instead of the grid's own if given."""
+    from repro.harness.campaign import shard_grid
+    from repro.harness.scale import benchmark_names
 
-    return [Shard(grid.kind, *cell) for cell in grid.cells()]
+    return shard_grid(
+        grid.kind,
+        list(grid.families),
+        list(grid.budgets),
+        list(grid.benchmarks) if grid.benchmarks is not None else benchmark_names(),
+        modes=modes or grid.modes or ("",),
+        variants=tuple(variant.key for variant in grid.variants) or ("",),
+    )
 
 
 def classify(config: TargetConfig, store, run_dir: str | None = None) -> dict:
@@ -355,6 +338,7 @@ def classify(config: TargetConfig, store, run_dir: str | None = None) -> dict:
     (completed + results_missing), miss = everything that must execute.
     """
     from repro.harness.campaign import CLASSES, CampaignLayout, classify_shard
+    from repro.harness.sweep import grid_cfg
 
     _import_family_modules(config)
     layout = CampaignLayout(run_dir) if run_dir else None
@@ -380,19 +364,6 @@ def classify(config: TargetConfig, store, run_dir: str | None = None) -> dict:
 # -- execution -----------------------------------------------------------------
 
 
-def _render_grid(config: TargetConfig) -> str:
-    """Render a sweep/inferred config's single grid, through the same
-    function as the built-in figures.
-
-    Resolution goes through the ordinary sweeps, so the result store (when
-    active) supplies every already-computed cell; with the declared grid
-    warm, rendering performs zero predictor work.
-    """
-    from repro.harness.figures import Figure, render_figure
-
-    return render_figure(config.name, Figure(((config.title, config.grids[0]),)))
-
-
 def run_target(config: TargetConfig, runners: Mapping[str, object]) -> str:
     """Regenerate one config target; returns the rendered text.
 
@@ -408,4 +379,9 @@ def run_target(config: TargetConfig, runners: Mapping[str, object]) -> str:
                 f"(choose from {', '.join(runners)})"
             )
         return runner()
-    return _render_grid(config)
+    # A sweep/inferred config's one grid renders like a built-in figure,
+    # through the ordinary sweeps: with the grid warm in the result store,
+    # rendering performs zero predictor work.
+    from repro.harness.figures import Figure, PanelSpec, render_figure
+
+    return render_figure(config.name, Figure((PanelSpec(config.title, config.grids[:1]),)))

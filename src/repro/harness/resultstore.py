@@ -3,20 +3,22 @@
 The trace store (:mod:`repro.workloads.store`) made *traces* cheap,
 addressable artifacts; this module applies the identical architecture one
 level up, to the sweep **results** themselves.  Every (benchmark, family,
-budget[, mode]) cell a figure sweep computes is memoized on disk under a
+budget[, mode][, variant]) cell a figure sweep computes is memoized on disk under a
 content key, so regenerating any figure after an unrelated change — or
 assembling a derived table from an already-computed grid — performs zero
 predictor work: no trace generation, no predictor construction, no
 predictions.
 
-* :func:`accuracy_key_payload` / :func:`ipc_key_payload` — the canonical
-  key recipe.  A key digests everything that determines a cell's floats:
-  the workload digest from the trace store (full profile + trace length +
-  seed + format versions), the family's *serialized sizing config* (not
-  just its name — a sizing change is a different predictor), the hardware
-  budget, the evaluation engine (accuracy) or machine config and policy
-  mode (IPC), the warm-up fraction, the result-format version and the
-  measurement :data:`CODE_VERSION` (IPC keys also carry
+* :func:`cell_key_payload` (with :func:`accuracy_key_payload` /
+  :func:`ipc_key_payload`) — the canonical key recipe.  A key digests
+  everything that determines a cell's floats: the workload digest from
+  the trace store (full profile + trace length + seed + format versions),
+  the family's *serialized sizing config* (not just its name — a sizing
+  change, or a study variant's, is a different predictor), the hardware
+  budget, the evaluation engine (accuracy), the machine config and the
+  policy mode the family resolves to (IPC), the quick predictor's size
+  (override statistics), the warm-up fraction, the result-format version
+  and the measurement :data:`CODE_VERSION` (IPC keys also carry
   :data:`IPC_MODEL_VERSION`).  Changing any component changes the key;
   stale entries simply stop matching.
 * :class:`ResultStore` — a directory of checksummed JSON entries written
@@ -113,13 +115,34 @@ def _workload_digest(benchmark: str, instructions: int, seed: int) -> str:
     return trace_digest(get_profile(benchmark), int(instructions), int(seed))
 
 
-def _family_spec_payload(family: str, budget_bytes: int) -> dict:
-    """The serialized FamilySpec sizing config, so a sizing-rule change
-    (different config for the same budget) is a different key, not a
-    false hit."""
+def cell_key_payload(
+    kind: str,
+    benchmark: str,
+    family: str,
+    budget_bytes: int,
+    instructions: int,
+    seed: int = 1,
+    config=None,
+    **fields,
+) -> dict:
+    """Everything that determines one cell of ``kind``, as a JSON-able
+    dict: the fields every kind shares plus the kind's own ``fields``.
+
+    ``spec`` is the family's serialized sizing config (``config``, when a
+    variant resolved one), so a sizing-rule change (different config for
+    the same budget) is a different key, not a false hit.
+    """
     from repro.predictors import registry
 
-    return registry.serialize_spec(family, budget_bytes)
+    return {
+        "result_schema": RESULT_SCHEMA,
+        "code_version": CODE_VERSION,
+        "kind": kind,
+        "workload": _workload_digest(benchmark, instructions, seed),
+        "spec": registry.serialize_spec(family, budget_bytes, config),
+        "budget_bytes": int(budget_bytes),
+        **fields,
+    }
 
 
 def accuracy_key_payload(
@@ -130,18 +153,13 @@ def accuracy_key_payload(
     engine: str,
     warmup_fraction: float,
     seed: int = 1,
+    config=None,
 ) -> dict:
     """Everything that determines one accuracy cell, as a JSON-able dict."""
-    return {
-        "result_schema": RESULT_SCHEMA,
-        "code_version": CODE_VERSION,
-        "kind": "accuracy",
-        "workload": _workload_digest(benchmark, instructions, seed),
-        "spec": _family_spec_payload(family, budget_bytes),
-        "budget_bytes": int(budget_bytes),
-        "engine": str(engine),
-        "warmup_fraction": float(warmup_fraction),
-    }
+    return cell_key_payload(
+        "accuracy", benchmark, family, budget_bytes, instructions, seed, config,
+        engine=str(engine), warmup_fraction=float(warmup_fraction),
+    )
 
 
 def ipc_key_payload(
@@ -152,19 +170,16 @@ def ipc_key_payload(
     instructions: int,
     machine: Mapping,
     seed: int = 1,
+    config=None,
+    quick_entries: int | None = None,
 ) -> dict:
-    """Everything that determines one IPC (cycle-simulation) cell."""
-    return {
-        "result_schema": RESULT_SCHEMA,
-        "code_version": CODE_VERSION,
-        "ipc_model_version": IPC_MODEL_VERSION,
-        "kind": "ipc",
-        "workload": _workload_digest(benchmark, instructions, seed),
-        "spec": _family_spec_payload(family, budget_bytes),
-        "budget_bytes": int(budget_bytes),
-        "mode": str(mode),
-        "machine": dict(machine),
-    }
+    """Everything that determines one IPC (cycle-simulation) cell;
+    ``quick_entries`` names a quick gshare other than the paper's."""
+    quick = {} if quick_entries is None else {"quick_entries": int(quick_entries)}
+    return cell_key_payload(
+        "ipc", benchmark, family, budget_bytes, instructions, seed, config,
+        ipc_model_version=IPC_MODEL_VERSION, mode=str(mode), machine=dict(machine), **quick,
+    )
 
 
 def accuracy_result_key(
@@ -233,11 +248,11 @@ def _count(key: str, n: int = 1) -> None:
 class ResultCell:
     """Human-readable identity of one stored result (filename + audit)."""
 
-    kind: str  # "accuracy" | "ipc"
+    kind: str  # "accuracy" | "ipc" | "override"
     benchmark: str
     family: str
     budget_bytes: int
-    mode: str = ""  # ipc cells only
+    mode: str = ""  # ipc cells only: the policy mode the family resolves to
 
     @property
     def stem(self) -> str:

@@ -236,8 +236,11 @@ def spec_for_predictor(predictor: BranchPredictor) -> FamilySpec | None:
 # -- serialized specs (result-store keys, fresh-process rebuilds) --------------
 
 
-def serialize_spec(family: str, budget_bytes: int) -> dict:
-    """JSON-able resolved spec: sizing runs once, here, in the parent.
+def serialize_spec(
+    family: str, budget_bytes: int, config: SizingConfig | None = None
+) -> dict:
+    """JSON-able resolved spec: sizing runs once, here, in the parent
+    (``config`` is an already-resolved config of the family, if given).
 
     Workers rebuild the predictor from the embedded config via
     :func:`build_serialized` — bit-identical to the parent's sizing without
@@ -245,11 +248,9 @@ def serialize_spec(family: str, budget_bytes: int) -> dict:
     a spawn-fresh worker can import the registration.
     """
     spec = get_spec(family)
-    return {
-        "family": family,
-        "module": spec.module,
-        "config": size_config(family, budget_bytes).to_dict(),
-    }
+    if config is None:
+        config = size_config(family, budget_bytes)
+    return {"family": family, "module": spec.module, "config": config.to_dict()}
 
 
 def build_serialized(payload: Mapping[str, object]) -> BranchPredictor:
@@ -324,7 +325,7 @@ def completeness_problems() -> list[str]:
     figures = importlib.import_module("repro.harness.figures")
     known = set(_SPECS)
     for name, figure in figures.FIGURES.items():
-        for _, grid in figure.panels:
+        for grid in figure.grids:
             for family in grid.families:
                 if family not in known:
                     problems.append(

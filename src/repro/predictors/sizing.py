@@ -24,7 +24,6 @@ from collections.abc import Mapping
 from dataclasses import asdict, dataclass, fields
 from typing import TypeVar
 
-from repro.common.bits import is_power_of_two
 from repro.common.errors import BudgetError, ConfigurationError
 
 KIB = 1024
@@ -158,11 +157,13 @@ class LoopConfig(SizingConfig):
 
 @dataclass(frozen=True)
 class GshareFastConfig(SizingConfig):
-    """Sized gshare.fast: PHT entries and the non-speculative update delay
-    (latency and buffer width derive from the SRAM model at build time)."""
+    """Sized gshare.fast: PHT entries, the non-speculative update delay,
+    the PHT read latency and the PHT-buffer index width."""
 
     entries: int
     update_delay: int
+    pht_latency: int
+    buffer_bits: int
 
 
 @dataclass(frozen=True)
@@ -347,11 +348,18 @@ def size_loop(budget_bytes: int) -> LoopConfig:
 
 
 def size_gshare_fast(budget_bytes: int, update_delay: int = 0) -> GshareFastConfig:
-    """gshare.fast shares gshare's PHT sizing; latency/buffer come from the
-    SRAM model at build time, so only entries and the update delay are
-    configuration."""
+    """gshare.fast shares gshare's PHT sizing; the PHT latency comes from
+    the SRAM model at the paper's clock and sets the PHT-buffer width."""
+    # Deferred: repro.core imports the predictors package.
+    from repro.core.gshare_fast import default_buffer_bits, pht_latency_cycles
+
+    entries = size_gshare(budget_bytes).entries
+    latency = pht_latency_cycles(entries)
     return GshareFastConfig(
-        entries=size_gshare(budget_bytes).entries, update_delay=update_delay
+        entries=entries,
+        update_delay=update_delay,
+        pht_latency=latency,
+        buffer_bits=default_buffer_bits(latency, entries.bit_length() - 1),
     )
 
 
@@ -372,8 +380,3 @@ def validate_budget(budget_bytes: int) -> None:
     not required (the paper's multi-hybrid budgets are 18KB, 36KB, ...)."""
     if budget_bytes <= 0:
         raise BudgetError(f"hardware budget must be positive, got {budget_bytes}")
-
-
-def is_canonical_budget(budget_bytes: int) -> bool:
-    """True for the power-of-two byte budgets used on the paper's x-axes."""
-    return is_power_of_two(budget_bytes)

@@ -277,8 +277,8 @@ class ServiceApp:
             # Admission control before any disk work: a full queue answers
             # 429 unless the spec is already a completed job (pure cache
             # hit — always admissible).
-            from repro.harness.figconfig import grid_cfg
             from repro.harness.scale import benchmark_names
+            from repro.harness.sweep import grid_cfg
             from repro.service.jobs import job_id_for
 
             cfg_by_kind = {g.kind: grid_cfg(g.kind) for g in config.grids}

@@ -42,12 +42,7 @@ from pathlib import Path
 from repro import obs
 from repro.common.atomic import atomic_path, atomic_write_json
 from repro.common.errors import ConfigurationError, ReproError
-from repro.harness.figconfig import (
-    TargetConfig,
-    grid_cfg,
-    grid_shards,
-    parse_config,
-)
+from repro.harness.figconfig import TargetConfig, grid_shards, parse_config
 from repro.harness.resultstore import ResultCell, ResultStore, result_digest
 
 #: Bumped when the job/spec/status layout changes.
@@ -208,8 +203,8 @@ class JobStore:
         if not config.grids:
             raise ConfigurationError(
                 "submission has no grid — the service plans campaigns from "
-                "grids (a sweep's own, or a runner's built-in figure; tables "
-                "and studies have none)"
+                "grids (a sweep's own, or a runner's built-in figure or "
+                "study; tables have none)"
             )
         return config
 
@@ -224,6 +219,7 @@ class JobStore:
         """
         from repro.harness import campaign
         from repro.harness.scale import benchmark_names
+        from repro.harness.sweep import grid_cfg
 
         config = self.parse_submission(doc)
         cfg_by_kind = {grid.kind: grid_cfg(grid.kind) for grid in config.grids}
@@ -498,6 +494,7 @@ class AttributionCache:
 
     def key_for(self, benchmark: str, family: str, budget_bytes: int) -> str:
         from repro.harness.resultstore import accuracy_key_payload
+        from repro.harness.sweep import grid_cfg
 
         cfg = grid_cfg("accuracy")
         payload = accuracy_key_payload(
@@ -514,6 +511,7 @@ class AttributionCache:
         """The attribution table for one cell (computed once, then cached)."""
         from repro.harness.experiment import measure_accuracy
         from repro.harness.scale import warmup_branches
+        from repro.harness.sweep import grid_cfg
         from repro.workloads.spec2000 import spec2000_trace
 
         cfg = grid_cfg("accuracy")

@@ -115,9 +115,11 @@ def render_figure1_small() -> str:
 
     from repro.harness.figures import FIGURES, render_figure
 
-    ((title, grid),) = FIGURES["figure1"].panels
-    small = replace(grid, budgets=tuple(FIGURE1_BUDGETS))
-    return render_figure("figure1", replace(FIGURES["figure1"], panels=((title, small),)))
+    (panel,) = FIGURES["figure1"].panels
+    small = replace(panel.grids[0], budgets=tuple(FIGURE1_BUDGETS))
+    return render_figure(
+        "figure1", replace(FIGURES["figure1"], panels=(replace(panel, grids=(small,)),))
+    )
 
 
 def regen_figure1_small() -> None:

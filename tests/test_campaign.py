@@ -32,7 +32,6 @@ from repro.harness.campaign import (
     ShardOutcome,
     WorkQueue,
     _shard_result_key,
-    accuracy_shard_grid,
     class_counts,
     classify_shard,
     create_campaign,
@@ -42,6 +41,7 @@ from repro.harness.campaign import (
     plan,
     run_worker,
     scan,
+    shard_grid,
 )
 from repro.harness.sweep import accuracy_sweep
 from tests.conftest import exited_pid, plant_staging_files
@@ -60,7 +60,7 @@ CFG = {
 
 
 def grid() -> list[Shard]:
-    return accuracy_shard_grid(FAMILIES, BUDGETS, BENCHMARKS)
+    return shard_grid("accuracy", FAMILIES, BUDGETS, BENCHMARKS)
 
 
 def make_campaign(run_dir) -> list[Shard]:
@@ -130,7 +130,7 @@ class TestCampaignSpec:
 
     def test_create_refuses_different_grid(self, tmp_path):
         make_campaign(tmp_path)
-        other = accuracy_shard_grid(["gshare"], BUDGETS, BENCHMARKS)
+        other = shard_grid("accuracy", ["gshare"], BUDGETS, BENCHMARKS)
         with pytest.raises(ConfigurationError, match="different campaign"):
             create_campaign(str(tmp_path), other, CFG)
 
@@ -158,8 +158,8 @@ class TestClassification:
         monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
         from repro.harness.resultstore import active_result_store
 
-        shards = accuracy_shard_grid(
-            ["gshare", "bimodal"], [1024, 2048], ["gcc", "eon"]
+        shards = shard_grid(
+            "accuracy", ["gshare", "bimodal"], [1024, 2048], ["gcc", "eon"]
         )[:5]
         create_campaign(str(tmp_path), shards, CFG, label="damaged")
         done, torn, failed, claimed, stored = shards

@@ -29,7 +29,7 @@ from __future__ import annotations
 import pytest
 
 from repro.common.errors import ProtocolError
-from repro.harness.sweep import accuracy_sweep, build_family
+from repro.harness.sweep import accuracy_sweep
 from repro.predictors import registry
 
 #: Every registered family — the registry is the authoritative list.
@@ -60,24 +60,24 @@ def branch_stream(trace, limit=1200):
 @pytest.mark.parametrize("family", ALL_FAMILIES)
 class TestPredictorContract:
     def test_predict_twice_raises(self, family):
-        predictor = build_family(family, CONFORMANCE_BUDGET)
+        predictor = registry.build(family, CONFORMANCE_BUDGET)
         predictor.predict(0x4000)
         with pytest.raises(ProtocolError):
             predictor.predict(0x4004)
 
     def test_update_without_predict_raises(self, family):
-        predictor = build_family(family, CONFORMANCE_BUDGET)
+        predictor = registry.build(family, CONFORMANCE_BUDGET)
         with pytest.raises(ProtocolError):
             predictor.update(0x4000, True)
 
     def test_update_wrong_pc_raises(self, family):
-        predictor = build_family(family, CONFORMANCE_BUDGET)
+        predictor = registry.build(family, CONFORMANCE_BUDGET)
         predictor.predict(0x4000)
         with pytest.raises(ProtocolError):
             predictor.update(0x4008, True)
 
     def test_predict_then_update_roundtrip(self, family):
-        predictor = build_family(family, CONFORMANCE_BUDGET)
+        predictor = registry.build(family, CONFORMANCE_BUDGET)
         prediction = predictor.predict(0x4000)
         assert isinstance(prediction, bool)
         correct = predictor.update(0x4000, prediction)
@@ -89,8 +89,8 @@ class TestPredictorContract:
         """Seeded determinism: identical instances on an identical trace
         produce the identical per-branch prediction stream."""
         stream = branch_stream(small_trace)
-        first = build_family(family, CONFORMANCE_BUDGET)
-        second = build_family(family, CONFORMANCE_BUDGET)
+        first = registry.build(family, CONFORMANCE_BUDGET)
+        second = registry.build(family, CONFORMANCE_BUDGET)
         for pc, taken in stream:
             assert first.predict(pc) == second.predict(pc)
             assert first.update(pc, taken) == second.update(pc, taken)
@@ -99,15 +99,15 @@ class TestPredictorContract:
 
     @pytest.mark.parametrize("budget", BUDGET_LADDER)
     def test_sizing_within_budget(self, family, budget):
-        predictor = build_family(family, budget)
+        predictor = registry.build(family, budget)
         assert 0 < predictor.storage_bits
         # Same allowance as the sizing layer: tables fill the budget,
         # history registers / pipeline latches may add a few percent.
         assert predictor.storage_bytes <= budget * 1.05
 
     def test_sizing_monotonic(self, family):
-        small = build_family(family, 4 * 1024).storage_bits
-        large = build_family(family, 64 * 1024).storage_bits
+        small = registry.build(family, 4 * 1024).storage_bits
+        large = registry.build(family, 64 * 1024).storage_bits
         assert large > small
 
     def test_peek_is_state_neutral(self, family, small_trace):
@@ -122,8 +122,8 @@ class TestPredictorContract:
         if not spec.state_neutral_peek:
             pytest.skip(f"{family} opts out of state-neutral peek")
         stream = branch_stream(small_trace, limit=600)
-        plain = build_family(family, CONFORMANCE_BUDGET)
-        peeked = build_family(family, CONFORMANCE_BUDGET)
+        plain = registry.build(family, CONFORMANCE_BUDGET)
+        peeked = registry.build(family, CONFORMANCE_BUDGET)
         for i, (pc, taken) in enumerate(stream):
             peeked.peek(pc)
             assert plain.predict(pc) == peeked.predict(pc)
@@ -136,7 +136,7 @@ class TestPredictorContract:
     def test_peek_preserves_table_digests(self, family):
         """Direct digest check: a burst of peeks on a fresh predictor leaves
         its full state byte-identical."""
-        predictor = build_family(family, CONFORMANCE_BUDGET)
+        predictor = registry.build(family, CONFORMANCE_BUDGET)
         before = table_digests(predictor)
         for i in range(64):
             predictor.peek(0x4000 + i * 4)
@@ -165,10 +165,10 @@ class TestColumnarReplayConformance:
         from repro.harness.experiment import measure_accuracy
 
         generated = measure_accuracy(
-            build_family(family, CONFORMANCE_BUDGET), small_trace, engine=engine
+            registry.build(family, CONFORMANCE_BUDGET), small_trace, engine=engine
         )
         loaded = measure_accuracy(
-            build_family(family, CONFORMANCE_BUDGET), stored_small_trace, engine=engine
+            registry.build(family, CONFORMANCE_BUDGET), stored_small_trace, engine=engine
         )
         assert generated.branches == loaded.branches
         assert generated.mispredictions == loaded.mispredictions
@@ -313,13 +313,13 @@ class TestScenarioProfileConformance:
         trace = spec2000_trace(workload, instructions=20_000, seed=3)
         for family in ALL_FAMILIES:
             scalar = measure_accuracy(
-                build_family(family, CONFORMANCE_BUDGET), trace, engine="scalar"
+                registry.build(family, CONFORMANCE_BUDGET), trace, engine="scalar"
             )
             assert scalar.branches > 0, family
             if not registry.get_spec(family).batch_kernel:
                 continue
             batch = measure_accuracy(
-                build_family(family, CONFORMANCE_BUDGET), trace, engine="batch"
+                registry.build(family, CONFORMANCE_BUDGET), trace, engine="batch"
             )
             assert (scalar.branches, scalar.mispredictions) == (
                 batch.branches,

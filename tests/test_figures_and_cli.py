@@ -14,6 +14,8 @@ from repro.harness.cli import RUNNERS, main
 
 #: The shipped declarative target configs (consumed by --config).
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: The committed results, one file per ``repro-figures`` target.
+RESULTS = Path(__file__).resolve().parent.parent / "results"
 
 
 @pytest.fixture(autouse=True)
@@ -33,8 +35,11 @@ def build(name: str, budgets: list[int] | None = None) -> list[figures.Panel]:
         figure = replace(
             figure,
             panels=tuple(
-                (title, replace(grid, budgets=tuple(budgets)))
-                for title, grid in figure.panels
+                replace(
+                    panel,
+                    grids=tuple(replace(grid, budgets=tuple(budgets)) for grid in panel.grids),
+                )
+                for panel in figure.panels
             ),
         )
     return figures.build_figure(name, figure)
@@ -101,14 +106,16 @@ class TestFigures:
         assert "18K" in text and "512K" in text
 
     def test_delayed_update_study(self):
-        result = figures.delayed_update_study(budget_bytes=64 * 1024, delays=(0, 64))
-        assert set(result.delays) == {0, 64}
+        (panel,) = build("delayed-update")
+        assert panel.rows == ["0", "16", "64", "256"]
+        mispredict = panel.series["mispredict %"]
+        ipc = panel.series["IPC (hmean)"]
         # Section 3.2: slow update costs almost nothing.
-        delta = abs(result.misprediction_percent[64] - result.misprediction_percent[0])
+        delta = abs(mispredict["64"] - mispredict["0"])
         assert delta < 1.0
-        ipc_ratio = result.ipc[64] / result.ipc[0]
+        ipc_ratio = ipc["64"] / ipc["0"]
         assert 0.97 < ipc_ratio < 1.03
-        assert "update delay" in result.render()
+        assert "update delay" in panel.render()
 
     def test_extension(self):
         (figure,) = build("extension", [16 * 1024])
@@ -119,10 +126,39 @@ class TestFigures:
         )
 
     def test_override_disagreement(self):
-        result = figures.override_disagreement("perceptron", budget_bytes=16 * 1024)
-        assert set(result.per_benchmark) == {"gzip", "eon"}
-        assert 0 < result.mean_rate < 0.5
-        assert "override" in result.render()
+        perceptron, multicomponent = build("override", [16 * 1024])
+        rates = perceptron.series["override %"]
+        assert set(rates) == {"gzip", "eon"}
+        assert 0 < perceptron.means["override %"] < 0.5
+        assert "override" in perceptron.render()
+        assert "multicomponent" in multicomponent.title
+
+    @pytest.mark.parametrize(
+        "name, rows, columns",
+        [
+            ("abl_buffer_size", ["8", "32", "128", "1024"], ["mispredict %"]),
+            ("abl_history_length", ["4", "8", "12", "14", "18"], ["mispredict %"]),
+            (
+                "abl_pipeline_depth",
+                ["10", "20", "40"],
+                ["gshare.fast", "perceptron overriding", "perceptron dual-path"],
+            ),
+            (
+                "abl_quick_size",
+                ["1024", "2048", "4096", "8192"],
+                ["override %", "final mispredict rate"],
+            ),
+        ],
+    )
+    def test_ablation_rows_and_columns(self, name, rows, columns):
+        """Each ablation renders its declared rows, and its columns in the
+        declared order, every cell filled."""
+        (panel,) = build(name)
+        assert panel.rows == rows
+        for column in columns:
+            assert list(panel.series[column]) == rows
+        header = panel.render().splitlines()[2]
+        assert [cell for cell in header.split("  ") if cell.strip()][1:] == columns
 
 
 class TestCli:
@@ -139,8 +175,17 @@ class TestCli:
             "delayed-update",
             "override",
             "extension",
+            "abl_buffer_size",
+            "abl_history_length",
+            "abl_pipeline_depth",
+            "abl_quick_size",
         }
         assert set(RUNNERS) == expected
+
+    def test_one_runner_per_committed_result(self):
+        """``repro-figures all`` prints every committed result: one target
+        per ``results/*.txt`` stem, and no other."""
+        assert set(RUNNERS) == {path.stem for path in RESULTS.glob("*.txt")}
 
     def test_cli_runs_tables(self, capsys):
         assert main(["table1", "table2"]) == 0
@@ -196,6 +241,45 @@ class TestCli:
         capsys.readouterr()
         assert kernel_calls["scalar"] == 0 < kernel_calls["auto"]
         assert rendered["scalar"] == rendered["auto"]
+
+    def test_studies_rerun_warm_with_zero_work(self, tmp_path, capsys, monkeypatch):
+        """The studies and ablations go through the result store: a second
+        run on warm stores prints the same bytes with no predictor build,
+        no trace generation and no result-store miss."""
+        from repro.harness.resultstore import reset_result_store_stats, result_store_stats
+        from repro.predictors import registry
+        from repro.workloads import spec2000
+
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_TRACE_STORE", str(tmp_path / "traces"))
+        targets = ["delayed-update", "override", "abl_pipeline_depth", "abl_quick_size"]
+        assert main(targets) == 0
+        cold = capsys.readouterr().out
+        spec2000.clear_trace_cache()
+        reset_result_store_stats()
+        registry.reset_build_count()
+        generations = spec2000.executor_run_count()
+        assert main(targets) == 0
+        assert capsys.readouterr().out == cold
+        assert registry.build_count() == 0
+        assert spec2000.executor_run_count() == generations
+        assert result_store_stats()["misses"] == 0
+
+    def test_study_on_two_workers_matches_one(self, tmp_path, capsys, monkeypatch):
+        """``--jobs 2`` drains a study through campaign workers with the
+        same bytes as the in-process path, every cell through the result
+        store (2 benchmarks x 4 delays x accuracy and IPC)."""
+        monkeypatch.setenv("REPRO_JOBS", "1")  # restored after main() sets it
+        rendered = []
+        for jobs in ("1", "2"):
+            store = tmp_path / f"results-{jobs}"
+            monkeypatch.setenv("REPRO_RESULT_STORE", str(store))
+            out = tmp_path / f"out-{jobs}"
+            assert main(["delayed-update", "--jobs", jobs, "--output-dir", str(out)]) == 0
+            rendered.append((out / "delayed-update.txt").read_bytes())
+            assert len(list(store.glob("*.json"))) == 2 * 4 * 2
+        capsys.readouterr()
+        assert rendered[0] == rendered[1]
 
     def test_cli_list_families(self, capsys):
         from repro.predictors import registry
@@ -426,12 +510,16 @@ class TestConfigTargets:
         rows = parse_dry_run(capsys.readouterr().out)
         assert set(rows) >= {"figure1", "figure7", "table1", "figure1_inferred", "table_mid_accuracy"}
         assert rows["table1"]["cells"] == 0  # static table: nothing to sweep
+        # Every repro-figures target has a runner config; only the two
+        # tables have no cells.
+        assert set(RUNNERS) <= set(rows)
+        assert {name for name, row in rows.items() if row["cells"] == 0} == {"table1", "table2"}
 
     def test_runner_config_takes_its_grids_from_figures(self):
         from repro.harness.figconfig import load_config
 
         config = load_config(str(CONFIGS / "figure7.json"))
-        assert config.grids == tuple(grid for _, grid in figures.FIGURES["figure7"].panels)
+        assert config.grids == figures.FIGURES["figure7"].grids
         assert load_config(str(CONFIGS / "table1.json")).grids == ()
 
     def test_runner_config_declaring_grids_is_refused(self, tmp_path):

@@ -15,12 +15,12 @@ from repro.harness.sweep import (
     FULL_BUDGETS,
     LARGE_BUDGETS,
     accuracy_sweep,
-    build_family,
     hmean_ipc_by_family_budget,
     ipc_sweep,
     make_policy,
     mean_by_family_budget,
 )
+from repro.predictors import registry
 from repro.predictors.bimodal import BimodalPredictor
 from repro.predictors.gshare import GsharePredictor
 
@@ -85,7 +85,7 @@ class TestMeasurement:
         warmup = 500
 
         def pair():
-            return OverridingPredictor(build_family("perceptron", 16384), slow_latency=3)
+            return OverridingPredictor(registry.build("perceptron", 16384), slow_latency=3)
 
         stream = pair()
         result = measure_override(stream, small_trace, warmup_branches=warmup, attribution=True)
@@ -224,7 +224,7 @@ class TestSweeps:
         assert LARGE_BUDGETS[0] == 16 * 1024
 
     def test_build_family_includes_gshare_fast(self):
-        predictor = build_family("gshare_fast", 16 * 1024)
+        predictor = registry.build("gshare_fast", 16 * 1024)
         assert predictor.name == "gshare_fast"
 
     def test_accuracy_sweep_shape(self):

@@ -29,13 +29,13 @@ from repro.harness.campaign import (
     ShardOutcome,
     SweepExecutionError,
     WorkQueue,
-    accuracy_shard_grid,
     class_counts,
     classify_shard,
     load_campaign,
     resolve_max_retries,
     scan,
     shard_from_dict,
+    shard_grid,
 )
 from repro.harness.experiment import default_jobs
 from repro.harness.sweep import _resolve_parallel, accuracy_sweep, ipc_sweep
@@ -155,7 +155,7 @@ def test_shard_key_is_stable_and_filename_safe():
 
 
 def test_shard_grid_matches_serial_iteration_order():
-    grid = accuracy_shard_grid(FAMILIES, [1024, 2048], BENCHMARKS)
+    grid = shard_grid("accuracy", FAMILIES, [1024, 2048], BENCHMARKS)
     assert [(s.benchmark, s.family, s.budget_bytes) for s in grid] == [
         (benchmark, family, budget)
         for benchmark in BENCHMARKS
@@ -179,8 +179,8 @@ def test_parallel_sweep_writes_campaign_record(tmp_path):
     cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
     assert len(cells) == len(FAMILIES) * len(BUDGETS) * len(BENCHMARKS)
     spec = load_campaign(str(run_dir))
-    assert [shard_from_dict(s) for s in spec["shards"]] == accuracy_shard_grid(
-        FAMILIES, BUDGETS, BENCHMARKS
+    assert [shard_from_dict(s) for s in spec["shards"]] == shard_grid(
+        "accuracy", FAMILIES, BUDGETS, BENCHMARKS
     )
     assert spec["cfg"]["accuracy"]["instructions"] == INSTRUCTIONS
     assert class_counts(scan(str(run_dir)))["completed"] == 4
@@ -626,7 +626,7 @@ class TestCheckpointAtomicity:
         shard_dir = run_dir / "shards"
         shard_dir.mkdir(parents=True)
         layout = CampaignLayout(str(run_dir))
-        grid = accuracy_shard_grid(FAMILIES, BUDGETS, BENCHMARKS)
+        grid = shard_grid("accuracy", FAMILIES, BUDGETS, BENCHMARKS)
         torn_final, torn_staging = grid[0], grid[1]
         # Torn JSON under the *final* checkpoint name...
         (shard_dir / f"{torn_final.key}.json").write_text('{"schema": 1, "payl')

@@ -17,7 +17,7 @@ import pytest
 from repro.batch import supports_batch
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.harness.experiment import resolve_engine
-from repro.harness.sweep import accuracy_sweep, build_family
+from repro.harness.sweep import accuracy_sweep
 from repro.predictors import registry
 
 from tests.toy_family import FAMILY, SPEC, ToyConfig, ToyDirectPredictor
@@ -32,7 +32,7 @@ def test_toy_family_is_registered():
 
 
 def test_toy_builds_through_generic_entry_points():
-    predictor = build_family(FAMILY, BUDGET)
+    predictor = registry.build(FAMILY, BUDGET)
     assert isinstance(predictor, ToyDirectPredictor)
     assert predictor.storage_bytes <= BUDGET * 1.05
     config = registry.size_config(FAMILY, BUDGET)
@@ -43,7 +43,7 @@ def test_toy_builds_through_generic_entry_points():
 
 
 def test_toy_honours_predictor_protocol():
-    predictor = build_family(FAMILY, BUDGET)
+    predictor = registry.build(FAMILY, BUDGET)
     assert isinstance(predictor.predict(0x4000), bool)
     with pytest.raises(ProtocolError):
         predictor.predict(0x4004)
@@ -57,7 +57,7 @@ def test_toy_honours_predictor_protocol():
 def test_toy_falls_back_to_scalar_engine():
     """No ``batch_kernel`` on the spec -> the engine layer must degrade to
     the scalar path without any type-specific knowledge of the toy."""
-    predictor = build_family(FAMILY, BUDGET)
+    predictor = registry.build(FAMILY, BUDGET)
     assert supports_batch(predictor) is False
     assert resolve_engine(predictor, "auto") == "scalar"
     with pytest.raises(ConfigurationError):
@@ -70,7 +70,7 @@ def test_toy_spec_serializes_for_workers():
     assert payload["module"] == "tests.toy_family"
     rebuilt = registry.build_serialized(payload)
     assert type(rebuilt) is ToyDirectPredictor
-    assert rebuilt.storage_bits == build_family(FAMILY, BUDGET).storage_bits
+    assert rebuilt.storage_bits == registry.build(FAMILY, BUDGET).storage_bits
 
 
 def test_toy_sweeps_serial_and_parallel_identically():

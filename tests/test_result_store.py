@@ -15,7 +15,7 @@ import os
 import shutil
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -40,7 +40,7 @@ from repro.harness.resultstore import (
     result_store_stats,
 )
 from repro.harness.campaign import Shard, _shard_result_key, extend_campaign
-from repro.harness.sweep import accuracy_sweep, ipc_sweep
+from repro.harness.sweep import accuracy_sweep, grid_cfg, ipc_sweep
 from repro.predictors import registry
 from repro.uarch.config import MachineConfig
 from repro.workloads.spec2000 import clear_trace_cache, reset_executor_runs
@@ -195,6 +195,55 @@ class TestKeys:
         assert there == here
 
 
+class TestShardKeys:
+    """Cell keys hash what a shard builds, not its labels: a variant that
+    sets a field to its sized value is the sized cell, and a single-cycle
+    family's IPC cells key by the policy they resolve to."""
+
+    ACCURACY = Shard("accuracy", "gcc", "gshare", 64 * 1024)
+    IPC = Shard("ipc", "gcc", "perceptron", 256 * 1024, "overriding")
+    OVERRIDE = Shard("override", "gcc", "perceptron", 64 * 1024)
+
+    def key(self, shard: Shard, variant: str = ""):
+        return _shard_result_key(replace(shard, variant=variant), grid_cfg(shard.kind))
+
+    def test_variant_equal_to_the_sized_cell_shares_its_key(self):
+        for shard, sized, other in (
+            (self.ACCURACY, "config.history_length=14", "config.history_length=8"),
+            (self.IPC, "machine.pipeline_depth=20", "machine.pipeline_depth=40"),
+            (self.IPC, "quick.entries=2048", "quick.entries=4096"),
+            (self.OVERRIDE, "quick.entries=2048", "quick.entries=1024"),
+        ):
+            assert self.key(shard, sized) == self.key(shard)
+            assert self.key(shard, other) != self.key(shard)
+
+    def test_gshare_fast_delay_zero_is_the_sized_cell(self):
+        shard = Shard("accuracy", "gcc", "gshare_fast", 256 * 1024)
+        assert self.key(shard, "config.update_delay=0") == self.key(shard)
+        assert self.key(shard, "config.update_delay=64") != self.key(shard)
+
+    @pytest.mark.parametrize(
+        "variant, named",
+        [
+            ("config.bogus=1", "bogus"),
+            ("machine.warp_drive=2", "warp_drive"),
+            ("quick.history_length=4", "history_length"),
+            ("cache.l1_size=1024", "'cache'"),
+        ],
+    )
+    def test_unknown_variant_target_or_field_is_refused(self, variant, named):
+        with pytest.raises(ConfigurationError, match=named):
+            self.key(self.IPC, variant)
+
+    def test_single_cycle_ipc_cells_key_by_resolved_policy(self):
+        def key(family: str, mode: str):
+            return self.key(Shard("ipc", "gcc", family, 64 * 1024, mode))
+
+        for family in ("gshare_fast", "bimode_fast"):
+            assert key(family, "overriding") == key(family, "ideal") == key(family, "dualpath")
+        assert key("perceptron", "overriding") != key("perceptron", "ideal")
+
+
 class TestIpcModelVersion:
     """IPC model version 1 simulated Table 1's caches whatever the
     machine said, and its keys and sweep configurations carried no
@@ -281,7 +330,7 @@ class TestCodeVersionPin:
             )
 
     def test_pin_leaves_result_keys_alone(self):
-        from repro.harness.figconfig import grid_cfg
+        from repro.harness.sweep import grid_cfg
 
         for shard, kind in ((self.ACCURACY_SHARD, "accuracy"), (self.IPC_SHARD, "ipc")):
             cfg = grid_cfg(kind)

@@ -154,10 +154,12 @@ class TestRoundTrip:
         capsys.readouterr()
         assert (out_dir / "mini.txt").read_bytes() == served + b"\n"
 
-    def test_runner_job_renders_the_grid_it_planned(self, env, tmp_path, monkeypatch):
-        """A runner submission declares no grid; the service plans the
-        built-in figure's grid, so once the campaign drains the render
-        reads every cell from the result store: no miss, no build."""
+    def run_runner_job(self, tmp_path, monkeypatch, runner: str) -> dict:
+        """Submit and drain a runner config; the render must read every cell
+        from the result store (no miss, no build), and the served bytes must
+        be what the runner prints."""
+        from repro.harness.cli import RUNNERS
+        from repro.harness.figconfig import parse_config, run_target
         from repro.harness.resultstore import reset_result_store_stats, result_store_stats
 
         app, executor = make_app(tmp_path)
@@ -172,11 +174,27 @@ class TestRoundTrip:
             return rendered
 
         monkeypatch.setattr(app.jobs, "render", counted)
-        spec = {"schema": 1, "target": "figure6", "mode": "runner", "runner": "figure6"}
+        spec = {"schema": 1, "target": runner, "mode": "runner", "runner": runner}
         status = run_job(app, executor, spec)
         assert status["state"] == "completed"
-        assert status["cells"] == 3 * 2  # Figure 6's families x gcc,eon
         assert renders == [(0, 0)]
+        code, served, _ = app.handle("GET", f"/v1/jobs/{status['job_id']}/figure")
+        assert code == 200
+        assert served == run_target(parse_config(spec), RUNNERS).encode("utf-8")
+        return status
+
+    def test_runner_job_renders_the_grid_it_planned(self, env, tmp_path, monkeypatch):
+        """A runner submission declares no grid; the service plans the
+        built-in figure's grid, so once the campaign drains the render
+        reads every cell from the result store: no miss, no build."""
+        status = self.run_runner_job(tmp_path, monkeypatch, "figure6")
+        assert status["cells"] == 3 * 2  # Figure 6's families x gcc,eon
+
+    def test_runner_job_of_a_study(self, env, tmp_path, monkeypatch):
+        """A study is a runner target like any figure: the service plans the
+        §4.5 study's override cells and serves the bytes it prints."""
+        status = self.run_runner_job(tmp_path, monkeypatch, "override")
+        assert status["cells"] == 2 * 2  # the two slow families x gcc,eon
 
     def test_resubmit_completed_is_pure_cache_hit(self, env, tmp_path):
         app, executor = make_app(tmp_path)

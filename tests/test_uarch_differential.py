@@ -49,7 +49,7 @@ from tests.trace_blocks import trace_from_blocks
 from tests.uarch_reference import ReferenceSimulator
 
 #: The four Figure 7 families, from its one definition.
-IPC_FAMILIES = FIGURES["figure7"].panels[0][1].families
+IPC_FAMILIES = FIGURES["figure7"].grids[0].families
 
 
 def _components(policy) -> tuple[list, object]:
