@@ -18,7 +18,7 @@ Drives the real ``repro-figures --config`` path over a small accuracy grid
    counts (summed over the workers' run summaries), retries and store
    totals must match exactly;
 4. synthetic-slowdown drill — re-run the same grid with
-   ``REPRO_PARALLEL_SLOW_SHARD`` injecting a straggler scaled to the
+   ``REPRO_CAMPAIGN_SLOW_CELL`` injecting a straggler scaled to the
    measured baseline wall, and ``repro-stats regress`` against an in-job
    timing baseline **must** exit nonzero (the perf-regression gate
    actually gates) and name the straggler in the report;
@@ -253,8 +253,8 @@ def main(argv: list[str] | None = None) -> int:
             slow_log,
             tmp_path / "slow_out",
             {
-                "REPRO_PARALLEL_SLOW_SHARD": "eon__bimodal__8192",
-                "REPRO_PARALLEL_SLOW_SHARD_SECONDS": f"{slow_seconds:.1f}",
+                "REPRO_CAMPAIGN_SLOW_CELL": "eon__bimodal__8192",
+                "REPRO_CAMPAIGN_SLOW_SECONDS": f"{slow_seconds:.1f}",
             },
         )
         proc = run_cli(

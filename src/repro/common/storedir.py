@@ -12,6 +12,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+from repro.common import settings
 from repro.common.atomic import remove_abandoned_staging_files
 
 
@@ -31,8 +32,10 @@ class StoreDirectory:
     a killed writer's dropping lasts until the next process writes.
     """
 
-    #: Glob patterns of entry files; subclasses set them.
+    #: Glob patterns of entry files and the setting of the default
+    #: capacity; subclasses set them.
     patterns: tuple[str, ...] = ()
+    capacity_setting: str = ""
 
     def __init__(self, root: str | os.PathLike, capacity: int | None = None) -> None:
         self.root = Path(root)
@@ -42,11 +45,10 @@ class StoreDirectory:
 
     @property
     def capacity(self) -> int:
-        """Entry cap: constructor override or the environment default."""
-        return self._capacity if self._capacity is not None else self._default_capacity()
-
-    def _default_capacity(self) -> int:
-        raise NotImplementedError
+        """Entry cap: constructor override or :attr:`capacity_setting`."""
+        if self._capacity is not None:
+            return self._capacity
+        return settings.get(self.capacity_setting)
 
     def _evicted(self) -> None:
         """Record one eviction in the store's statistics."""

@@ -9,7 +9,6 @@ from repro.harness.analysis import (
 from repro.harness.experiment import (
     AccuracyResult,
     OverrideResult,
-    default_jobs,
     measure_accuracy,
     measure_override,
 )
@@ -19,7 +18,6 @@ from repro.harness.scale import (
     benchmark_names,
     ipc_instructions,
     resolved_config,
-    scale_factor,
     warmup_branches,
 )
 
@@ -32,7 +30,6 @@ __all__ = [
     "arithmetic_mean",
     "benchmark_names",
     "compare_predictors",
-    "default_jobs",
     "execute_sweep",
     "geometric_mean",
     "harmonic_mean",
@@ -42,6 +39,5 @@ __all__ = [
     "measure_override",
     "per_site_accuracy",
     "resolved_config",
-    "scale_factor",
     "warmup_branches",
 ]

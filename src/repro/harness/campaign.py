@@ -67,23 +67,12 @@ ends with a ``campaign.worker`` run summary whose ``campaign.cells_executed``
 counter is the zero-duplication proof: summed across all workers of a
 campaign it must equal the number of planned executions exactly.
 
-Environment:
-
-* ``REPRO_CAMPAIGN_STALE_SECONDS`` — age beyond which another host's claim
-  may be reclaimed (default 600; must exceed the slowest single cell's
-  execution time);
-* ``REPRO_CAMPAIGN_POLL_SECONDS`` — idle worker poll interval (default 0.2);
-* ``REPRO_MAX_RETRIES`` — per-cell retry budget (default 2);
-* ``REPRO_CAMPAIGN_ABORT_AFTER=K`` — test hook: a worker dies (RuntimeError)
-  after K executed cells *while holding its next claim*, manufacturing the
-  crash evidence the drills classify and reclaim;
-* ``REPRO_PARALLEL_FAIL_SHARD=<substring>`` +
-  ``REPRO_PARALLEL_FAIL_ATTEMPTS=N`` — test hook: cells whose key contains
-  the substring fail their first N attempts (the retry path);
-* ``REPRO_PARALLEL_SLOW_SHARD=<substring>`` +
-  ``REPRO_PARALLEL_SLOW_SHARD_SECONDS=S`` — test hook: cells whose key
-  contains the substring sleep S seconds inside their shard span (a
-  deterministic straggler for the telemetry gates).
+The executor's settings (:mod:`repro.common.settings`) are the claim
+staleness, the idle poll interval, the retry budget and the
+``REPRO_CAMPAIGN_*`` test hooks: a worker that dies after K cells while
+holding its next claim, cells that fail their first N attempts, and
+cells that sleep inside their span (a deterministic straggler for the
+telemetry gates).
 """
 
 from __future__ import annotations
@@ -101,6 +90,7 @@ from dataclasses import asdict, dataclass
 from multiprocessing.connection import wait
 
 from repro import obs
+from repro.common import settings
 from repro.common.atomic import (
     abandoned_staging_files,
     atomic_write_json,
@@ -128,15 +118,6 @@ ACTIONS = {
     "missing": "execute",
 }
 
-#: Default seconds before an untouched claim is presumed abandoned.
-DEFAULT_STALE_SECONDS = 600.0
-
-#: Default idle-worker poll interval.
-DEFAULT_POLL_SECONDS = 0.2
-
-#: Default retry budget per cell (``REPRO_MAX_RETRIES`` override).
-DEFAULT_MAX_RETRIES = 2
-
 #: Store-statistic keys a worker reports in its run summary.
 STORE_STAT_KEYS = ("hits", "misses", "corrupt", "writes", "evictions")
 
@@ -160,50 +141,10 @@ class SweepExecutionError(ReproError):
     """Sweep cells kept failing after exhausting their retry budget."""
 
 
-def stale_seconds_default() -> float:
-    """The stale-claim threshold (``REPRO_CAMPAIGN_STALE_SECONDS``)."""
-    raw = os.environ.get("REPRO_CAMPAIGN_STALE_SECONDS", "").strip()
-    if not raw:
-        return DEFAULT_STALE_SECONDS
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_CAMPAIGN_STALE_SECONDS must be a number, got {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ConfigurationError(f"stale seconds must be > 0, got {value}")
-    return value
-
-
-def poll_seconds_default() -> float:
-    """The idle-worker poll interval (``REPRO_CAMPAIGN_POLL_SECONDS``)."""
-    raw = os.environ.get("REPRO_CAMPAIGN_POLL_SECONDS", "").strip()
-    if not raw:
-        return DEFAULT_POLL_SECONDS
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_CAMPAIGN_POLL_SECONDS must be a number, got {raw!r}"
-        ) from None
-    if value < 0:
-        raise ConfigurationError(f"poll seconds must be >= 0, got {value}")
-    return value
-
-
 def resolve_max_retries(max_retries: int | None = None) -> int:
     """Per-cell retry budget: explicit argument, else ``REPRO_MAX_RETRIES``."""
     if max_retries is None:
-        raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-        if not raw:
-            return DEFAULT_MAX_RETRIES
-        try:
-            max_retries = int(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_MAX_RETRIES must be an integer >= 0, got {raw!r}"
-            ) from None
+        return settings.get("REPRO_MAX_RETRIES")
     if max_retries < 0:
         raise ConfigurationError(f"max retries must be >= 0, got {max_retries}")
     return max_retries
@@ -832,21 +773,18 @@ def _execute_shard(shard: Shard, cfg: dict, attempt: int) -> dict:
     from repro.harness import sweep
     from repro.harness.resultstore import active_result_store
 
-    fail_key = os.environ.get("REPRO_PARALLEL_FAIL_SHARD", "")
-    if fail_key and fail_key in shard.key:
-        fail_attempts = int(os.environ.get("REPRO_PARALLEL_FAIL_ATTEMPTS", "1"))
-        if attempt < fail_attempts:
+    fail_cell = settings.get("REPRO_CAMPAIGN_FAIL_CELL")
+    if fail_cell and fail_cell in shard.key:
+        if attempt < settings.get("REPRO_CAMPAIGN_FAIL_ATTEMPTS"):
             raise RuntimeError(
                 f"injected failure for shard {shard.key} (attempt {attempt})"
             )
     with obs.span("campaign.shard", shard=shard.key, attempt=attempt):
         # Inside the span so the injected straggler is visible to the
         # telemetry it exists to exercise (straggler stats, regress gate).
-        slow_key = os.environ.get("REPRO_PARALLEL_SLOW_SHARD", "")
-        if slow_key and slow_key in shard.key:
-            time.sleep(
-                float(os.environ.get("REPRO_PARALLEL_SLOW_SHARD_SECONDS", "0") or 0)
-            )
+        slow_cell = settings.get("REPRO_CAMPAIGN_SLOW_CELL")
+        if slow_cell and slow_cell in shard.key:
+            time.sleep(settings.get("REPRO_CAMPAIGN_SLOW_SECONDS"))
         return sweep.shard_payload(shard, cfg, active_result_store())
 
 
@@ -915,10 +853,12 @@ def run_worker(
     queue = WorkQueue(layout)
     store = CheckpointStore(run_dir)
     owner = owner or f"{socket.gethostname()}:{os.getpid()}"
-    stale_seconds = stale_seconds if stale_seconds is not None else stale_seconds_default()
-    poll_seconds = poll_seconds if poll_seconds is not None else poll_seconds_default()
+    if stale_seconds is None:
+        stale_seconds = settings.get("REPRO_CAMPAIGN_STALE_SECONDS")
+    if poll_seconds is None:
+        poll_seconds = settings.get("REPRO_CAMPAIGN_POLL_SECONDS")
     max_retries = resolve_max_retries(max_retries)
-    abort_after = int(os.environ.get("REPRO_CAMPAIGN_ABORT_AFTER", "0") or "0")
+    abort_after = settings.get("REPRO_CAMPAIGN_ABORT_AFTER")
     obs.claim_log_ownership()
     stores_before = _store_counts()
     counters = {

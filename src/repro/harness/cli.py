@@ -33,7 +33,9 @@ or before targets) prewarms the store for the current
 
 Result store: ``--result-store DIR`` (or ``REPRO_RESULT_STORE``) memoizes
 every sweep *cell* under a content key one layer above the trace store, so
-a warm figure regeneration executes zero predictor work.  ``--config
+a warm figure regeneration executes zero predictor work.  Without one, a
+run uses a private temporary store, deleted when it ends, so each cell is
+computed once per run however many targets share it.  ``--config
 PATH`` (repeatable; file or directory) runs declarative targets from
 ``configs/*.json`` — including inferred tables assembled purely from other
 configs' stored results — and ``--dry-run`` reports hit/miss/inferred per
@@ -50,6 +52,11 @@ retries, checkpoints — that the ``repro-stats timeline | flame |
 critical-path | stores | regress`` subcommands aggregate (see DESIGN.md
 §13).  Without any of these flags the output is byte-identical to the
 uninstrumented tool.
+
+Settings (:mod:`repro.common.settings`): an undeclared ``REPRO_*`` name,
+or a malformed value in the environment or in a flag that sets one,
+stops the run with exit status 2 before any work.  Such flags apply for
+the run only: :func:`main` restores the environment when it returns.
 """
 
 from __future__ import annotations
@@ -57,14 +64,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
+import tempfile
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from functools import partial
 
 from repro import obs
+from repro.common import settings
 from repro.common.errors import ConfigurationError
+from repro.common.settings import ENGINES
 from repro.harness import figures
-from repro.harness.experiment import ENGINES
+from repro.harness.scale import resolved_config
 from repro.obs.manifest import build_manifest, write_manifest
 
 
@@ -78,12 +91,20 @@ RUNNERS = {
 }
 
 
-def _run_target(target: str, output_dir: str | None, profile: bool, render=None) -> None:
+def _run_target(
+    target: str,
+    output_dir: str | None,
+    profile: bool,
+    render=None,
+    private: bool = False,
+) -> None:
     """Regenerate one target; write sidecars / print stats as requested.
 
     ``render`` overrides the built-in RUNNERS lookup — the ``--config``
     path passes a closure over the parsed config here, so config targets
     get the same output files, manifests and profiling as legacy ones.
+    ``private`` marks the result store as the run's private one, which a
+    manifest records as no store.
     """
     if render is None:
         render = RUNNERS[target]
@@ -101,7 +122,10 @@ def _run_target(target: str, output_dir: str | None, profile: bool, render=None)
         with open(os.path.join(output_dir, f"{target}.txt"), "w", encoding="utf-8") as f:
             f.write(text + "\n")
     if output_dir is not None or profile:
-        manifest = build_manifest(target, text, duration)
+        config = resolved_config()
+        if private:
+            config["result_store"] = None
+        manifest = build_manifest(target, text, duration, config=config)
         write_manifest(
             manifest, os.path.join(output_dir or ".", f"{target}.manifest.json")
         )
@@ -259,18 +283,39 @@ def main(argv: list[str] | None = None) -> int:
         help="mirror span open/close progress lines on stderr",
     )
     args = parser.parse_args(argv)
-    try:
-        for name in ("REPRO_PROFILE", "REPRO_VERBOSE"):
-            obs.env_flag(name)
-    except ConfigurationError as exc:
-        parser.error(str(exc))
+    for target in args.targets:
+        if target not in RUNNERS and target != "all":
+            parser.error(
+                f"unknown target {target!r} (choose from "
+                f"{', '.join([*RUNNERS, 'all'])})"
+            )
+    if args.resume is not None:
+        if not os.path.isdir(args.resume):
+            parser.error(f"--resume directory does not exist: {args.resume}")
+        if args.run_dir is not None and args.run_dir != args.resume:
+            parser.error("--resume and --run-dir name different directories")
+        args.run_dir = args.resume
+    # Runners take no arguments: the flags that are settings apply through
+    # the table for this run, and are restored when main() returns.
+    flags = {
+        "REPRO_ENGINE": args.engine,
+        "REPRO_JOBS": args.jobs,
+        "REPRO_RUN_DIR": args.run_dir,
+        "REPRO_MAX_RETRIES": args.max_retries,
+        "REPRO_TRACE_STORE": args.trace_store,
+        "REPRO_RESULT_STORE": args.result_store,
+    }
+    flags = {name: value for name, value in flags.items() if value is not None}
+    settings.check_at_start(parser.prog, flags)
+    with settings.applied(flags):
+        return _run(parser, args)
+
+
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """:func:`main` once its flags are applied."""
     if args.list_families:
         print(_render_families())
         return 0
-    if args.trace_store is not None:
-        os.environ["REPRO_TRACE_STORE"] = args.trace_store
-    if args.result_store is not None:
-        os.environ["REPRO_RESULT_STORE"] = args.result_store
     if args.warm_traces:
         from repro.workloads.spec2000 import warm_trace_store
 
@@ -298,7 +343,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.harness.resultstore import active_result_store
 
         store = active_result_store()
-        run_dir = args.run_dir or os.environ.get("REPRO_RUN_DIR", "").strip() or None
+        run_dir = settings.get("REPRO_RUN_DIR")
         print(
             render_classification(
                 "Config targets: result-store classification (dry run)",
@@ -310,28 +355,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(
             "no targets given (or use --config / --list-families / --warm-traces)"
         )
-    for target in args.targets:
-        if target not in RUNNERS and target != "all":
-            parser.error(
-                f"unknown target {target!r} (choose from "
-                f"{', '.join([*RUNNERS, 'all'])})"
-            )
-    if args.engine is not None:
-        # Runners take no arguments; the environment variable is the
-        # process-wide channel every sweep already consults.
-        os.environ["REPRO_ENGINE"] = args.engine
-    if args.resume is not None:
-        if not os.path.isdir(args.resume):
-            parser.error(f"--resume directory does not exist: {args.resume}")
-        if args.run_dir is not None and args.run_dir != args.resume:
-            parser.error("--resume and --run-dir name different directories")
-        args.run_dir = args.resume
-    if args.jobs is not None:
-        os.environ["REPRO_JOBS"] = args.jobs
-    if args.run_dir is not None:
-        os.environ["REPRO_RUN_DIR"] = args.run_dir
-    if args.max_retries is not None:
-        os.environ["REPRO_MAX_RETRIES"] = str(args.max_retries)
     targets = list(RUNNERS) if "all" in args.targets else args.targets
     # Own the REPRO_LOG file before any sweep forks workers, so worker
     # processes route their events to per-PID sidecars (no interleaving).
@@ -342,23 +365,42 @@ def main(argv: list[str] | None = None) -> int:
             obs.set_enabled(True)
         if args.verbose:
             obs.set_verbose(True)
-        for target in targets:
-            _run_target(target, args.output_dir, args.profile)
-        for config in configs:
-            from repro.harness.figconfig import run_target as run_config_target
+        with _private_result_store() as private:
+            for target in targets:
+                _run_target(target, args.output_dir, args.profile, private=private)
+            for config in configs:
+                from repro.harness.figconfig import run_target as run_config_target
 
-            _run_target(
-                config.name,
-                args.output_dir,
-                args.profile,
-                render=lambda config=config: run_config_target(config, RUNNERS),
-            )
+                _run_target(
+                    config.name,
+                    args.output_dir,
+                    args.profile,
+                    render=lambda config=config: run_config_target(config, RUNNERS),
+                    private=private,
+                )
     finally:
         if args.profile:
             obs.set_enabled(prior_enabled)
         if args.verbose:
             obs.set_verbose(None)
     return 0
+
+
+@contextmanager
+def _private_result_store() -> Iterator[bool]:
+    """Without a result store, run the block against a private temporary
+    one, deleted afterwards, so a run computes each result key once: cells
+    two targets (or two panels) share are not simulated twice.  Forked
+    ``--jobs`` workers inherit it.  Yields whether the store is private."""
+    if settings.get("REPRO_RESULT_STORE") is not None:
+        yield False
+        return
+    path = tempfile.mkdtemp(prefix="repro-results-")
+    try:
+        with settings.applied({"REPRO_RESULT_STORE": path}):
+            yield True
+    finally:
+        shutil.rmtree(path, ignore_errors=True)
 
 
 # -- repro-campaign ------------------------------------------------------------
@@ -458,11 +500,6 @@ def campaign_main(argv: list[str] | None = None) -> int:
         "scan", help="classify every campaign cell (non-mutating)"
     )
     scan_p.add_argument("run_dir", metavar="RUN_DIR")
-    scan_p.add_argument(
-        "--dry-run",
-        action="store_true",
-        help="no-op (scan never mutates); accepted for symmetry with run",
-    )
     scan_p.add_argument("--json", action="store_true", help="emit JSON instead")
 
     run_p = subparsers.add_parser(
@@ -548,6 +585,7 @@ def campaign_main(argv: list[str] | None = None) -> int:
     )
 
     args = parser.parse_args(argv)
+    settings.check_at_start(parser.prog)
     from repro.common.errors import ReproError
     from repro.harness import campaign
 

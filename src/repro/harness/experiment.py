@@ -26,14 +26,12 @@ runs the overriding pair's whole-stream method on the resolved engine.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
-from repro.common.errors import ConfigurationError
 from repro.core.overriding import OverridingPredictor
 from repro.obs.attribution import (
     Attribution,
@@ -42,32 +40,9 @@ from repro.obs.attribution import (
 )
 from repro.predictors.base import BranchPredictor
 # Engine resolution lives with the predictors, where the cycle simulator
-# resolves it too; these names stay importable from here.
-from repro.predictors.engines import ENGINES, default_engine, resolve_engine  # noqa: F401
+# resolves it too; it stays importable from here.
+from repro.predictors.engines import resolve_engine
 from repro.workloads.trace import ColumnarTrace
-
-
-def default_jobs() -> int:
-    """The sweep worker count selected by ``REPRO_JOBS`` (default 1).
-
-    ``1`` keeps sweeps on the serial in-process path (unless a run
-    directory is given); anything larger plans them into a campaign
-    drained by that many local worker processes
-    (:func:`repro.harness.campaign.execute_sweep`).  ``auto`` (or ``0``)
-    means one worker per CPU.  This is the only worker-count resolver.
-    """
-    raw = os.environ.get("REPRO_JOBS", "1").strip().lower() or "1"
-    if raw in ("auto", "0"):
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_JOBS must be a positive integer or 'auto', got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(f"REPRO_JOBS must be >= 1, got {value}")
-    return value
 
 
 @dataclass(frozen=True)

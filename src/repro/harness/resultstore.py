@@ -29,7 +29,7 @@ predictions.
   (``result_store.corrupt``), deleted and recomputed.  Corruption can cost
   time, never correctness.
 * capacity — mtime-LRU eviction above ``REPRO_RESULT_STORE_CAPACITY``
-  (default :data:`DEFAULT_RESULT_CAPACITY`), shared with the trace store
+  (default 65,536: results are small JSON files), shared with the trace store
   (:class:`repro.common.storedir.StoreDirectory`): entries are counted
   once per store instance and rescanned only when the count passes the
   cap, so a save does not scan the directory.
@@ -51,14 +51,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections.abc import Callable, Mapping
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from repro import obs
+from repro.common import settings
 from repro.common.atomic import atomic_path
-from repro.common.errors import ConfigurationError, ReproError
+from repro.common.errors import ReproError
 from repro.common.storedir import StoreDirectory
 
 #: Bumped when the entry layout or key recipe changes; part of every key,
@@ -77,10 +77,6 @@ CODE_VERSION = 1
 #: campaign run directory pins) only.  Version 2: ``MachineConfig``'s
 #: cache geometry is simulated (version 1 always simulated Table 1's).
 IPC_MODEL_VERSION = 2
-
-#: Default maximum entries per store directory (mtime LRU).  Results are
-#: small JSON files, so the default is far above the trace store's.
-DEFAULT_RESULT_CAPACITY = 65536
 
 #: Hex digits of the key kept in entry filenames (the full key is stored —
 #: and verified — inside the entry itself).
@@ -235,7 +231,7 @@ def _count(key: str, n: int = 1) -> None:
     _stats[key] += n
     if obs.enabled():
         obs.counter(f"result_store.{key}").inc(n)
-    if obs.log_path() is not None:
+    if settings.get("REPRO_LOG") is not None:
         from repro.obs.events import emit_store  # deferred: layering
 
         emit_store("result", key, n)
@@ -266,30 +262,6 @@ class ResultCell:
 # -- the store -----------------------------------------------------------------
 
 
-def result_store_path() -> str | None:
-    """The configured store directory (``REPRO_RESULT_STORE``), or None."""
-    raw = os.environ.get("REPRO_RESULT_STORE", "").strip()
-    return raw or None
-
-
-def result_store_capacity() -> int:
-    """Maximum entries: ``REPRO_RESULT_STORE_CAPACITY`` or the default."""
-    raw = os.environ.get("REPRO_RESULT_STORE_CAPACITY")
-    if raw is None or not raw.strip():
-        return DEFAULT_RESULT_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_RESULT_STORE_CAPACITY must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_RESULT_STORE_CAPACITY must be >= 1, got {value}"
-        )
-    return value
-
-
 class ResultStore(StoreDirectory):
     """A directory of content-addressed, checksummed sweep-result entries.
 
@@ -299,9 +271,7 @@ class ResultStore(StoreDirectory):
     """
 
     patterns = ("*.json",)
-
-    def _default_capacity(self) -> int:
-        return result_store_capacity()
+    capacity_setting = "REPRO_RESULT_STORE_CAPACITY"
 
     def _evicted(self) -> None:
         _count("evictions")
@@ -425,7 +395,7 @@ def active_result_store() -> ResultStore | None:
     process mid-flight; the instance is reused while the path is stable.
     """
     global _active
-    path = result_store_path()
+    path = settings.get("REPRO_RESULT_STORE")
     if path is None:
         _active = None
         return None

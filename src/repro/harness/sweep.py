@@ -18,8 +18,8 @@ result keys hash what a cell builds, never a label.
 
 Every grid becomes a list of :class:`~repro.harness.campaign.Shard` cells
 handed to :func:`repro.harness.campaign.execute_sweep`, the one executor
-(:func:`sweep_grid`).  ``jobs`` (default: the ``REPRO_JOBS`` environment
-variable) and ``run_dir`` (default ``REPRO_RUN_DIR``) choose its path:
+(:func:`sweep_grid`).  ``jobs`` (default: the ``REPRO_JOBS`` setting)
+and ``run_dir`` (default ``REPRO_RUN_DIR``) choose its path:
 ``jobs == 1`` with no run directory computes the cells in order,
 in-process, through :func:`compute_shards`; anything else plans them into a
 campaign drained by ``jobs`` local worker processes, checkpointed under
@@ -29,23 +29,18 @@ campaign drained by ``jobs`` local worker processes, checkpointed under
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 from itertools import groupby
 
 from repro import obs
+from repro.common import settings
 from repro.common.errors import ConfigurationError
 from repro.core.dualpath import DualPathPolicy
 from repro.core.overriding import OverridingPredictor
 from repro.harness.aggregate import arithmetic_mean, harmonic_mean
 from repro.harness.campaign import Shard, execute_sweep
-from repro.harness.experiment import (
-    default_engine,
-    default_jobs,
-    measure_accuracy,
-    measure_override,
-)
+from repro.harness.experiment import measure_accuracy, measure_override
 from repro.harness.figconfig import GridSpec, grid_shards
 from repro.harness.resultstore import (
     CODE_VERSION,
@@ -95,7 +90,7 @@ def grid_cfg(
 ) -> dict:
     """The sweep configuration of one cell kind — the dict a campaign pins
     in ``campaign.json`` and every cell key reads.  ``None`` arguments
-    resolve from the environment (``REPRO_SCALE``, ``REPRO_ENGINE``), so
+    resolve from the settings (``REPRO_SCALE``, ``REPRO_ENGINE``), so
     the sweeps, ``--dry-run``, the service and ``repro-campaign`` derive
     identical keys for identical cells."""
     if kind == "ipc":
@@ -110,26 +105,11 @@ def grid_cfg(
         "code_version": CODE_VERSION,
     }
     if kind == "accuracy":
-        cfg["engine"] = default_engine() if engine is None else engine
+        cfg["engine"] = settings.get("REPRO_ENGINE") if engine is None else engine
         cfg["warmup_fraction"] = WARMUP_FRACTION
     elif kind != "override":
         raise ConfigurationError(f"unknown cell kind {kind!r}")
     return cfg
-
-
-def _resolve_parallel(
-    jobs: int | None, run_dir: str | None
-) -> tuple[int, str | None]:
-    """Resolve the (jobs, run_dir) pair a sweep call should use.
-
-    ``jobs=None`` defers to ``REPRO_JOBS`` (default 1: serial in-process);
-    ``run_dir=None`` defers to ``REPRO_RUN_DIR`` (default: no checkpoints).
-    """
-    if jobs is None:
-        jobs = default_jobs()
-    if run_dir is None:
-        run_dir = os.environ.get("REPRO_RUN_DIR", "").strip() or None
-    return jobs, run_dir
 
 
 def sweep_grid(
@@ -152,7 +132,10 @@ def sweep_grid(
     shards = grid_shards(grid, (mode,) if mode else None)
     if cfg is None:
         cfg = grid_cfg(grid.kind)
-    jobs, run_dir = _resolve_parallel(jobs, run_dir)
+    if jobs is None:
+        jobs = settings.get("REPRO_JOBS")
+    if run_dir is None:
+        run_dir = settings.get("REPRO_RUN_DIR")
     # The sweep-level span is the trace's local root for this sweep: the
     # in-memory per-benchmark spans (or the campaign run span with every
     # worker's shard spans) all parent beneath it.

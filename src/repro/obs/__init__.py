@@ -12,7 +12,8 @@ Collection is off by default and the disabled path is engineered to cost
 nothing measurable: measurement loops check :func:`enabled` once per call
 (never per branch), and figure outputs are byte-identical either way.
 
-Environment variables (see DESIGN.md §8/§13 for the event/manifest schema):
+Settings (:mod:`repro.common.settings`; DESIGN.md §8/§13 for the
+event/manifest schema):
 
 * ``REPRO_PROFILE`` — on enables metric + attribution collection
   (``repro-figures --profile`` pins it for the process);
@@ -21,12 +22,12 @@ Environment variables (see DESIGN.md §8/§13 for the event/manifest schema):
 
 Both flags read ``1``/``true``/``yes``/``on`` as on and
 ``0``/``false``/``no``/``off`` or empty as off, case-insensitive; any other
-value raises ConfigurationError (:func:`env_flag`).
+value raises ConfigurationError.
 
 Event-log layout (``REPRO_LOG=<dir>/events.jsonl``):
 
 * The **owning process** appends to ``events.jsonl`` itself.  Ownership is
-  recorded in the ``REPRO_LOG_OWNER_PID`` environment variable by
+  recorded in the internal ``REPRO_LOG_OWNER_PID`` setting by
   :func:`claim_log_ownership` (the sweep executor and the figures CLI
   both claim before any fan-out).
 * Every **other process** that inherits ``REPRO_LOG`` — a local campaign
@@ -59,7 +60,6 @@ from repro.obs.registry import (
     Timer,
     enabled,
     enabled_override,
-    env_flag,
     render_snapshot,
     set_enabled,
 )
@@ -71,7 +71,6 @@ from repro.obs.tracing import (
     event_sink,
     last_trace_id,
     log_event,
-    log_path,
     set_verbose,
     span,
     tracing_active,
@@ -92,13 +91,11 @@ __all__ = [
     "default_registry",
     "enabled",
     "enabled_override",
-    "env_flag",
     "event_sink",
     "gauge",
     "histogram",
     "last_trace_id",
     "log_event",
-    "log_path",
     "registry",
     "render_snapshot",
     "reset",

@@ -34,6 +34,7 @@ import argparse
 import json
 import sys
 
+from repro.common import settings
 from repro.obs.aggregate import (
     SpanNode,
     aggregate_run,
@@ -451,6 +452,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     reg.add_argument("--json", action="store_true", help="emit JSON instead")
     args = parser.parse_args(argv)
+    settings.check_at_start(parser.prog)
 
     if args.command == "show":
         for path in args.manifests:

@@ -15,41 +15,20 @@ sweeps can be profiled without touching any call site.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
-from repro.common.errors import ConfigurationError
+from repro.common import settings
 
 #: Default fixed bucket upper bounds (seconds) for duration histograms.
 DEFAULT_BUCKETS = (0.001, 0.005, 0.02, 0.1, 0.5, 2.0, 10.0)
 
-#: Accepted spellings of an on/off environment flag (case-insensitive,
-#: surrounding blanks ignored; unset reads as off).
-_FLAG_OFF = ("", "0", "false", "no", "off")
-_FLAG_ON = ("1", "true", "yes", "on")
-
 _enabled: bool | None = None
-
-
-def env_flag(name: str) -> bool:
-    """The on/off environment flag ``name``; any spelling outside
-    :data:`_FLAG_ON`/:data:`_FLAG_OFF` raises ConfigurationError."""
-    raw = os.environ.get(name, "")
-    value = raw.strip().lower()
-    if value in _FLAG_OFF:
-        return False
-    if value in _FLAG_ON:
-        return True
-    raise ConfigurationError(
-        f"{name}={raw!r} is not an on/off flag (on: {', '.join(_FLAG_ON)}; "
-        f"off: {', '.join(_FLAG_OFF[1:])} or empty)"
-    )
 
 
 def enabled() -> bool:
     """True when metrics/attribution collection is on (flag or env)."""
     if _enabled is None:
-        return env_flag("REPRO_PROFILE")
+        return settings.get("REPRO_PROFILE")
     return _enabled
 
 

@@ -13,7 +13,7 @@ Closing a span:
   (when collection is enabled) — these timers are the per-phase timings a
   run manifest reports;
 * appends ``span_open`` / ``span`` JSON events to the event sink derived
-  from the ``REPRO_LOG`` environment variable (see :mod:`repro.obs` for
+  from the ``REPRO_LOG`` setting (see :mod:`repro.obs` for
   the per-PID sidecar layout), so long sweeps leave a machine-readable
   trail;
 * mirrors a human-readable line to stderr when verbose (``--verbose`` or
@@ -22,7 +22,7 @@ Closing a span:
 Cross-process propagation: the parent serializes :func:`current_context`
 into the payload it ships to each worker; the worker calls
 :func:`adopt_context` so its spans parent to the remote run span.  The
-``REPRO_LOG_OWNER_PID`` environment variable (set by
+internal ``REPRO_LOG_OWNER_PID`` setting (set by
 :func:`claim_log_ownership` before workers are spawned) routes any
 non-owning process to a per-PID sidecar file, so concurrent writers never
 interleave inside one file.
@@ -42,16 +42,12 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
+from repro.common import settings
 from repro.obs.events import EVENT_SCHEMA
-from repro.obs.registry import MetricsRegistry, enabled, env_flag
+from repro.obs.registry import MetricsRegistry, enabled
 
 #: Process-global default registry shared by every instrumentation point.
 DEFAULT_REGISTRY = MetricsRegistry()
-
-#: Environment variable naming the PID that owns the main ``REPRO_LOG``
-#: file.  Set by :func:`claim_log_ownership`; a process inheriting it with
-#: a *different* PID (a pool worker) writes to ``<path>.<pid>`` instead.
-LOG_OWNER_ENV = "REPRO_LOG_OWNER_PID"
 
 _verbose: bool | None = None
 
@@ -87,7 +83,7 @@ def default_registry() -> MetricsRegistry:
 def verbose() -> bool:
     """True when spans mirror a human-readable line to stderr."""
     if _verbose is None:
-        return env_flag("REPRO_VERBOSE")
+        return settings.get("REPRO_VERBOSE")
     return _verbose
 
 
@@ -97,14 +93,9 @@ def set_verbose(value: bool | None) -> None:
     _verbose = value
 
 
-def log_path() -> str | None:
-    """The structured-event sink from ``REPRO_LOG`` (None when unset)."""
-    return os.environ.get("REPRO_LOG") or None
-
-
 def tracing_active() -> bool:
     """True when spans have any live sink (registry, JSONL file, stderr)."""
-    return enabled() or verbose() or log_path() is not None
+    return enabled() or verbose() or settings.get("REPRO_LOG") is not None
 
 
 # -- span context --------------------------------------------------------------
@@ -162,8 +153,8 @@ def claim_log_ownership() -> None:
     the parent's file.  Idempotent; a no-op when no log is configured or
     another process already owns it.
     """
-    if log_path() is not None and not os.environ.get(LOG_OWNER_ENV):
-        os.environ[LOG_OWNER_ENV] = str(os.getpid())
+    if settings.get("REPRO_LOG") is not None and settings.get("REPRO_LOG_OWNER_PID") is None:
+        settings.set("REPRO_LOG_OWNER_PID", os.getpid())
 
 
 def event_sink() -> str | None:
@@ -174,11 +165,11 @@ def event_sink() -> str | None:
     ``<path>.<pid>`` sidecar, merged back by the sweep executor via
     :func:`repro.obs.events.collect_worker_events`.
     """
-    path = log_path()
+    path = settings.get("REPRO_LOG")
     if path is None:
         return None
-    owner = os.environ.get(LOG_OWNER_ENV)
-    if owner and owner != str(os.getpid()):
+    owner = settings.get("REPRO_LOG_OWNER_PID")
+    if owner is not None and owner != os.getpid():
         return f"{path}.{os.getpid()}"
     return path
 

@@ -18,25 +18,12 @@ actually evaluated on it.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
+from repro.common import settings
 from repro.common.errors import ConfigurationError
+from repro.common.settings import ENGINES
 from repro.predictors.base import BranchPredictor
-
-#: Valid values for the ``engine`` argument / ``REPRO_ENGINE`` variable.
-ENGINES = ("auto", "scalar", "batch")
-
-
-def default_engine() -> str:
-    """The engine selected by ``REPRO_ENGINE`` (default ``auto``)."""
-    engine = os.environ.get("REPRO_ENGINE", "auto").strip().lower() or "auto"
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"REPRO_ENGINE must be one of {ENGINES}, got {engine!r}"
-        )
-    return engine
 
 
 def resolve_engine(predictor: BranchPredictor, engine: str | None = None) -> str:
@@ -47,7 +34,7 @@ def resolve_engine(predictor: BranchPredictor, engine: str | None = None) -> str
     rather than a silent slowdown.
     """
     if engine is None:
-        engine = default_engine()
+        engine = settings.get("REPRO_ENGINE")
     if engine not in ENGINES:
         raise ConfigurationError(f"engine must be one of {ENGINES}, got {engine!r}")
     if engine == "scalar":

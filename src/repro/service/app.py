@@ -43,6 +43,7 @@ import os
 import threading
 
 from repro import obs
+from repro.common import settings
 from repro.common.errors import ConfigurationError, ReproError
 from repro.service.config import ServiceConfig
 from repro.service.jobs import (
@@ -85,9 +86,13 @@ class ServiceApp:
         os.makedirs(config.data_dir, exist_ok=True)
         # The campaign workers and the render path resolve cells through
         # the *active* stores; default them into the service's data dir so
-        # a bare daemon is self-contained (explicit env still wins).
-        os.environ.setdefault("REPRO_RESULT_STORE", config.default_result_store)
-        os.environ.setdefault("REPRO_TRACE_STORE", config.default_trace_store)
+        # a bare daemon is self-contained (a set store still wins).
+        for name, path in (
+            ("REPRO_RESULT_STORE", config.default_result_store),
+            ("REPRO_TRACE_STORE", config.default_trace_store),
+        ):
+            if settings.get(name) is None:
+                settings.set(name, path)
         self.blobs = BlobStore(config.blobs_dir)
         self.jobs = JobStore(config.jobs_dir, self.blobs)
         self.attribution = AttributionCache(config.attribution_dir)

@@ -1,9 +1,11 @@
-"""Service configuration: flags, environment knobs, and their defaults.
+"""Service configuration: flags, settings, and their defaults.
 
-Everything the daemon resolves from the environment lives here so
-:func:`repro.harness.scale.resolved_config` can record it in run manifests
-(the same pattern the campaign/store knobs follow), and so tests construct
-:class:`ServiceConfig` directly without touching ``os.environ``.
+:class:`ServiceConfig` fields without a flag default through the settings
+table (:mod:`repro.common.settings`, the ``REPRO_SERVICE_*`` names), and
+:func:`service_env_summary` reads the same table, so
+:func:`repro.harness.scale.resolved_config` records the daemon's knobs in
+run manifests.  Tests construct :class:`ServiceConfig` directly with
+explicit values.
 """
 
 from __future__ import annotations
@@ -11,63 +13,13 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
+from repro.common import settings
 from repro.common.errors import ConfigurationError
 
-#: Default bound on jobs queued but not yet finished (429 beyond it).
-DEFAULT_MAX_PENDING = 64
 
-#: Default cap on request body size in bytes (413 beyond it).
-DEFAULT_BODY_LIMIT = 1 << 20
-
-#: Default seconds a connection may sit idle mid-request before the read
-#: is abandoned and the connection closed.
-DEFAULT_REQUEST_TIMEOUT = 10.0
-
-#: Default cap on one long-poll's ``?wait=`` seconds.
-DEFAULT_MAX_WAIT = 30.0
-
-#: Default in-process campaign worker threads.
-DEFAULT_WORKERS = 2
-
-#: Default seconds the SIGTERM drain waits for in-flight work.
-DEFAULT_DRAIN_TIMEOUT = 30.0
-
-_ENV_FLOATS = {
-    "REPRO_SERVICE_REQUEST_TIMEOUT": DEFAULT_REQUEST_TIMEOUT,
-    "REPRO_SERVICE_MAX_WAIT": DEFAULT_MAX_WAIT,
-    "REPRO_SERVICE_DRAIN_TIMEOUT": DEFAULT_DRAIN_TIMEOUT,
-}
-_ENV_INTS = {
-    "REPRO_SERVICE_MAX_PENDING": DEFAULT_MAX_PENDING,
-    "REPRO_SERVICE_BODY_LIMIT": DEFAULT_BODY_LIMIT,
-    "REPRO_SERVICE_WORKERS": DEFAULT_WORKERS,
-}
-
-
-def _env_float(name: str) -> float:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return _ENV_FLOATS[name]
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be a number, got {raw!r}") from None
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be > 0, got {value}")
-    return value
-
-
-def _env_int(name: str) -> int:
-    raw = os.environ.get(name, "").strip()
-    if not raw:
-        return _ENV_INTS[name]
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise ConfigurationError(f"{name} must be >= 1, got {value}")
-    return value
+def _setting(name: str):
+    """A dataclass field defaulting to setting ``name`` at construction."""
+    return field(default_factory=lambda: settings.get(name))
 
 
 @dataclass
@@ -77,19 +29,13 @@ class ServiceConfig:
     data_dir: str
     host: str = "127.0.0.1"
     port: int = 0  # 0 = ephemeral; the bound port is logged and queryable
-    workers: int = field(default_factory=lambda: _env_int("REPRO_SERVICE_WORKERS"))
+    workers: int = _setting("REPRO_SERVICE_WORKERS")
     worker_mode: str = "thread"  # "thread" | "spawn"
-    max_pending: int = field(
-        default_factory=lambda: _env_int("REPRO_SERVICE_MAX_PENDING")
-    )
-    body_limit: int = field(default_factory=lambda: _env_int("REPRO_SERVICE_BODY_LIMIT"))
-    request_timeout: float = field(
-        default_factory=lambda: _env_float("REPRO_SERVICE_REQUEST_TIMEOUT")
-    )
-    max_wait: float = field(default_factory=lambda: _env_float("REPRO_SERVICE_MAX_WAIT"))
-    drain_timeout: float = field(
-        default_factory=lambda: _env_float("REPRO_SERVICE_DRAIN_TIMEOUT")
-    )
+    max_pending: int = _setting("REPRO_SERVICE_MAX_PENDING")
+    body_limit: int = _setting("REPRO_SERVICE_BODY_LIMIT")
+    request_timeout: float = _setting("REPRO_SERVICE_REQUEST_TIMEOUT")
+    max_wait: float = _setting("REPRO_SERVICE_MAX_WAIT")
+    drain_timeout: float = _setting("REPRO_SERVICE_DRAIN_TIMEOUT")
 
     def __post_init__(self) -> None:
         if self.worker_mode not in ("thread", "spawn"):
@@ -123,13 +69,14 @@ class ServiceConfig:
 
 
 def service_env_summary() -> dict:
-    """The service knobs the current environment resolves to (manifests)."""
+    """The service knobs the settings resolve to now (manifests)."""
+    get = settings.get
     return {
-        "data_dir": os.environ.get("REPRO_SERVICE_DIR", "").strip() or None,
-        "workers": _env_int("REPRO_SERVICE_WORKERS"),
-        "max_pending": _env_int("REPRO_SERVICE_MAX_PENDING"),
-        "body_limit": _env_int("REPRO_SERVICE_BODY_LIMIT"),
-        "request_timeout": _env_float("REPRO_SERVICE_REQUEST_TIMEOUT"),
-        "max_wait": _env_float("REPRO_SERVICE_MAX_WAIT"),
-        "drain_timeout": _env_float("REPRO_SERVICE_DRAIN_TIMEOUT"),
+        "data_dir": get("REPRO_SERVICE_DIR"),
+        "workers": get("REPRO_SERVICE_WORKERS"),
+        "max_pending": get("REPRO_SERVICE_MAX_PENDING"),
+        "body_limit": get("REPRO_SERVICE_BODY_LIMIT"),
+        "request_timeout": get("REPRO_SERVICE_REQUEST_TIMEOUT"),
+        "max_wait": get("REPRO_SERVICE_MAX_WAIT"),
+        "drain_timeout": get("REPRO_SERVICE_DRAIN_TIMEOUT"),
     }

@@ -36,13 +36,13 @@ import argparse
 import asyncio
 import collections
 import json
-import os
 import signal
 import subprocess
 import sys
 import threading
 
 from repro import obs
+from repro.common import settings
 from repro.obs.events import emit_counter
 from repro.service.app import ServiceApp
 from repro.service.config import ServiceConfig
@@ -390,7 +390,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--data-dir",
-        default=os.environ.get("REPRO_SERVICE_DIR", "").strip() or "service-data",
+        default=settings.get("REPRO_SERVICE_DIR") or "service-data",
         help="service state root (jobs, blobs, stores); default %(default)s",
     )
     parser.add_argument("--host", default="127.0.0.1")
@@ -406,6 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
+    settings.check_at_start(parser.prog)
 
     kwargs = {}
     if args.workers is not None:

@@ -19,6 +19,7 @@ import json
 import sys
 
 from repro import obs
+from repro.common import settings
 from repro.harness import campaign
 
 
@@ -31,6 +32,7 @@ def main(argv: list[str] | None = None) -> int:
         help="JSON span context from the submitting request",
     )
     args = parser.parse_args(argv)
+    settings.check_at_start(parser.prog)
     if args.trace_context:
         try:
             obs.adopt_context(json.loads(args.trace_context))

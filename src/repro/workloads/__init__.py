@@ -44,7 +44,6 @@ from repro.workloads.store import (
     TraceStore,
     active_store,
     reset_store_stats,
-    store_path,
     store_stats,
     trace_digest,
 )
@@ -107,7 +106,6 @@ __all__ = [
     "spec2000_profiles",
     "save_trace",
     "spec2000_trace",
-    "store_path",
     "store_stats",
     "stringmatch_profiles",
     "trace_digest",

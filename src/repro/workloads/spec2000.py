@@ -18,11 +18,11 @@ Figure 6 and the branch-prediction literature):
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 from functools import lru_cache
 
 from repro import obs
+from repro.common import settings
 from repro.common.errors import ConfigurationError
 from repro.workloads.program import MemoryConfig, ProgramExecutor
 from repro.workloads.store import active_store
@@ -248,9 +248,6 @@ def get_profile(name: str):
     return get_workload(name).profile
 
 
-#: Default capacity of the per-process trace cache (entries).
-TRACE_CACHE_CAPACITY = 32
-
 _trace_cache: OrderedDict[tuple[str, int, int, str | None], ColumnarTrace] = OrderedDict()
 _trace_cache_stats = {"hits": 0, "misses": 0, "evictions": 0}
 
@@ -272,26 +269,6 @@ def reset_executor_runs() -> None:
     _executor_runs = 0
 
 
-def trace_cache_capacity() -> int:
-    """Trace-cache capacity: ``REPRO_TRACE_CACHE`` override or the default.
-
-    Parallel sweep workers each own one of these caches, so the capacity
-    bounds *per-worker* memory, not a shared pool.
-    """
-    raw = os.environ.get("REPRO_TRACE_CACHE")
-    if raw is None or not raw.strip():
-        return TRACE_CACHE_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TRACE_CACHE must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(f"REPRO_TRACE_CACHE must be >= 1, got {value}")
-    return value
-
-
 def trace_cache_info() -> dict:
     """Hit/miss/eviction counts and current occupancy of the trace cache.
 
@@ -303,7 +280,7 @@ def trace_cache_info() -> dict:
         "misses": _trace_cache_stats["misses"],
         "evictions": _trace_cache_stats["evictions"],
         "entries": len(_trace_cache),
-        "capacity": trace_cache_capacity(),
+        "capacity": settings.get("REPRO_TRACE_CACHE"),
     }
 
 
@@ -386,7 +363,9 @@ def _cached_trace(name: str, instructions: int, seed: int) -> ColumnarTrace:
     _trace_cache_stats["misses"] += 1
     trace = _resolve_trace(name, instructions, seed, store)
     _trace_cache[key] = trace
-    capacity = trace_cache_capacity()
+    # Each process (each campaign worker) owns one cache, so the setting
+    # bounds per-worker memory, not a shared pool.
+    capacity = settings.get("REPRO_TRACE_CACHE")
     while len(_trace_cache) > capacity:
         _trace_cache.popitem(last=False)
         _trace_cache_stats["evictions"] += 1

@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 from collections.abc import Callable
 from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
 from repro import obs
-from repro.common.errors import ConfigurationError, TraceError
+from repro.common import settings
+from repro.common.errors import TraceError
 from repro.common.storedir import StoreDirectory
 from repro.workloads.io import FORMAT_VERSION, SUFFIX, load_columns, save_columns
 from repro.workloads.synth import WorkloadProfile
@@ -54,9 +54,6 @@ from repro.workloads.trace import ColumnarTrace
 #: Bumped when the store layout or digest recipe changes; part of every
 #: digest, so old entries simply stop matching instead of being misread.
 STORE_VERSION = 1
-
-#: Default maximum entries per store directory (LRU by file mtime).
-DEFAULT_STORE_CAPACITY = 512
 
 #: Hex digits of the digest kept in entry filenames (collision probability
 #: at 24 hex chars ~ 2^-96 per pair; the full digest is not needed on disk).
@@ -120,37 +117,13 @@ def _count(key: str, n: int = 1) -> None:
     _stats[key] += n
     if obs.enabled():
         obs.counter(f"trace_store.{key}").inc(n)
-    if obs.log_path() is not None:
+    if settings.get("REPRO_LOG") is not None:
         from repro.obs.events import emit_store  # deferred: layering
 
         emit_store("trace", key, n)
 
 
 # -- the store -----------------------------------------------------------------
-
-
-def store_path() -> str | None:
-    """The configured store directory (``REPRO_TRACE_STORE``), or None."""
-    raw = os.environ.get("REPRO_TRACE_STORE", "").strip()
-    return raw or None
-
-
-def store_capacity() -> int:
-    """Maximum entries per store: ``REPRO_TRACE_STORE_CAPACITY`` or default."""
-    raw = os.environ.get("REPRO_TRACE_STORE_CAPACITY")
-    if raw is None or not raw.strip():
-        return DEFAULT_STORE_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_TRACE_STORE_CAPACITY must be an integer >= 1, got {raw!r}"
-        ) from None
-    if value < 1:
-        raise ConfigurationError(
-            f"REPRO_TRACE_STORE_CAPACITY must be >= 1, got {value}"
-        )
-    return value
 
 
 class TraceStore(StoreDirectory):
@@ -163,9 +136,7 @@ class TraceStore(StoreDirectory):
 
     #: Current entries, then entries of the ``.npz`` format (version 2).
     patterns = (f"*{SUFFIX}", "*.npz")
-
-    def _default_capacity(self) -> int:
-        return store_capacity()
+    capacity_setting = "REPRO_TRACE_STORE_CAPACITY"
 
     def _evicted(self) -> None:
         _count("evictions")
@@ -248,7 +219,7 @@ def active_store() -> TraceStore | None:
     path is stable.
     """
     global _active
-    path = store_path()
+    path = settings.get("REPRO_TRACE_STORE")
     if path is None:
         _active = None
         return None

@@ -125,11 +125,11 @@ def render_figure1_small() -> str:
 def regen_figure1_small() -> None:
     os.environ["REPRO_BENCHMARKS"] = FIGURE1_BENCHMARKS
     os.environ["REPRO_SCALE"] = FIGURE1_SCALE
-    from repro.harness.experiment import default_engine
+    from repro.common import settings
 
     (GOLDEN_DIR / "figure1_small.txt").write_text(render_figure1_small() + "\n")
     print(
-        f"figure1_small.txt (engine={default_engine()}, "
+        f"figure1_small.txt (engine={settings.get('REPRO_ENGINE')}, "
         f"benchmarks={FIGURE1_BENCHMARKS}, default trace seeds)"
     )
 

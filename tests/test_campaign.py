@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common import settings
 from repro.common.atomic import HOST, exclusive_create_json
 from repro.common.errors import ConfigurationError
 from repro.harness import campaign
@@ -87,20 +88,20 @@ class TestKnobs:
     def test_stale_and_poll_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_CAMPAIGN_STALE_SECONDS", raising=False)
         monkeypatch.delenv("REPRO_CAMPAIGN_POLL_SECONDS", raising=False)
-        assert campaign.stale_seconds_default() == campaign.DEFAULT_STALE_SECONDS
-        assert campaign.poll_seconds_default() == campaign.DEFAULT_POLL_SECONDS
+        assert settings.get("REPRO_CAMPAIGN_STALE_SECONDS") == 600.0
+        assert settings.get("REPRO_CAMPAIGN_POLL_SECONDS") == 0.2
 
     def test_env_overrides(self, monkeypatch):
         monkeypatch.setenv("REPRO_CAMPAIGN_STALE_SECONDS", "5")
         monkeypatch.setenv("REPRO_CAMPAIGN_POLL_SECONDS", "0")
-        assert campaign.stale_seconds_default() == 5.0
-        assert campaign.poll_seconds_default() == 0.0
+        assert settings.get("REPRO_CAMPAIGN_STALE_SECONDS") == 5.0
+        assert settings.get("REPRO_CAMPAIGN_POLL_SECONDS") == 0.0
 
     @pytest.mark.parametrize("raw", ["soon", "0", "-1"])
     def test_stale_rejects_garbage(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_CAMPAIGN_STALE_SECONDS", raw)
         with pytest.raises(ConfigurationError):
-            campaign.stale_seconds_default()
+            settings.get("REPRO_CAMPAIGN_STALE_SECONDS")
 
     def test_statuses_normalize_aliases_and_dedupe(self):
         assert normalize_statuses("failed,partial") == ["failed", "partial"]
@@ -407,8 +408,8 @@ class TestWorkerAndMerge:
     def test_failure_exhausts_retries_into_failed_class(self, tmp_path, monkeypatch):
         """A cell that keeps failing is requeued with budget, then marked
         failed; `rerun --status failed` clears the marker and reconverges."""
-        monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
-        monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "99")
+        monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_CELL", "gcc__gshare")
+        monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_ATTEMPTS", "99")
         make_campaign(tmp_path)
         plan(str(tmp_path))
         counters = run_worker(str(tmp_path), owner="w1", max_retries=1)
@@ -421,8 +422,8 @@ class TestWorkerAndMerge:
         with pytest.raises(CampaignError):
             merge(str(tmp_path))
 
-        monkeypatch.delenv("REPRO_PARALLEL_FAIL_SHARD")
-        monkeypatch.delenv("REPRO_PARALLEL_FAIL_ATTEMPTS")
+        monkeypatch.delenv("REPRO_CAMPAIGN_FAIL_CELL")
+        monkeypatch.delenv("REPRO_CAMPAIGN_FAIL_ATTEMPTS")
         planned = plan(str(tmp_path), statuses=normalize_statuses("failed,partial"))
         assert planned["execute"] == 1
         assert run_worker(str(tmp_path), owner="w2")["cells_executed"] == 1

@@ -228,7 +228,6 @@ class TestCli:
 
         monkeypatch.setattr(batch_engine, "evaluate_stream", counted)
         monkeypatch.setenv("REPRO_SCALE", "0.05")
-        monkeypatch.setenv("REPRO_ENGINE", "auto")  # restored after main() sets it
         rendered = {}
         kernel_calls = {}
         for engine in ("scalar", "auto"):
@@ -269,7 +268,6 @@ class TestCli:
         """``--jobs 2`` drains a study through campaign workers with the
         same bytes as the in-process path, every cell through the result
         store (2 benchmarks x 4 delays x accuracy and IPC)."""
-        monkeypatch.setenv("REPRO_JOBS", "1")  # restored after main() sets it
         rendered = []
         for jobs in ("1", "2"):
             store = tmp_path / f"results-{jobs}"
@@ -280,6 +278,47 @@ class TestCli:
             assert len(list(store.glob("*.json"))) == 2 * 4 * 2
         capsys.readouterr()
         assert rendered[0] == rendered[1]
+
+    def test_storeless_run_computes_each_key_once(self, tmp_path, capsys, monkeypatch):
+        """Without a result store, main() runs against a private one it
+        deletes on return: Figure 7's gshare.fast overriding cells are its
+        ideal cells, so they are simulated once, as with a store, and the
+        bytes are the same.  The manifest records no store."""
+        import tempfile
+
+        from repro.harness import cli
+        from repro.uarch.simulator import CycleSimulator
+
+        monkeypatch.setenv("REPRO_SCALE", "0.02")
+        monkeypatch.setenv("REPRO_BENCHMARKS", "gcc,eon")
+        monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+        private = tmp_path / "tmp"
+        private.mkdir()
+        mkdtemp = tempfile.mkdtemp
+        monkeypatch.setattr(
+            cli.tempfile, "mkdtemp", lambda prefix: mkdtemp(prefix=prefix, dir=private)
+        )
+        runs = []
+        run = CycleSimulator.run
+        monkeypatch.setattr(
+            CycleSimulator, "run", lambda self, *a, **k: runs.append(1) or run(self, *a, **k)
+        )
+        out = tmp_path / "out"
+        assert main(["figure7", "--output-dir", str(out)]) == 0
+        storeless = capsys.readouterr().out
+        assert len(runs) == 84
+        assert list(private.iterdir()) == []
+        manifest = json.loads((out / "figure7.manifest.json").read_text())
+        assert manifest["config"]["result_store"] is None
+        runs.clear()
+        monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "store"))
+        assert main(["figure7"]) == 0
+        assert capsys.readouterr().out == storeless
+        assert len(runs) == 84
+        monkeypatch.delenv("REPRO_RESULT_STORE")
+        assert main(["--config", str(CONFIGS / "figure7.json"), "--dry-run"]) == 0
+        capsys.readouterr()
+        assert list(private.iterdir()) == []
 
     def test_cli_list_families(self, capsys):
         from repro.predictors import registry

@@ -5,12 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.common import settings
 from repro.common.errors import ConfigurationError
 from repro.core.overriding import OverridingPredictor
 from repro.harness.aggregate import arithmetic_mean, geometric_mean, harmonic_mean
 from repro.harness.experiment import measure_accuracy, measure_override
 from repro.harness.report import format_budget, render_series_table, render_table
-from repro.harness.scale import benchmark_names, scale_factor, warmup_branches
+from repro.harness.scale import benchmark_names, warmup_branches
 from repro.harness.sweep import (
     FULL_BUDGETS,
     LARGE_BUDGETS,
@@ -145,16 +146,16 @@ class TestReport:
 class TestScale:
     def test_default_scale(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCALE", raising=False)
-        assert scale_factor() == 1.0
+        assert settings.get("REPRO_SCALE") == 1.0
 
     def test_scale_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "2.5")
-        assert scale_factor() == 2.5
+        assert settings.get("REPRO_SCALE") == 2.5
 
     def test_bad_scale(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "lots")
         with pytest.raises(ConfigurationError):
-            scale_factor()
+            settings.get("REPRO_SCALE")
 
     def test_benchmark_subset(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCHMARKS", "gcc,eon")

@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.common import settings
 from repro.common.errors import ConfigurationError
 from repro.harness.experiment import measure_accuracy
 from repro.obs.registry import DEFAULT_BUCKETS, Histogram, MetricsRegistry, Timer
@@ -114,7 +115,7 @@ class TestEnablement:
     @pytest.mark.parametrize("name", ["REPRO_PROFILE", "REPRO_VERBOSE"])
     def test_flag_spellings(self, monkeypatch, name, value, on):
         monkeypatch.setenv(name, value)
-        assert obs.env_flag(name) is on
+        assert settings.get(name) is on
 
     @pytest.mark.parametrize("value", ["flase", "of", "2", "ture", "enabled", "o n", "yes!"])
     @pytest.mark.parametrize(

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.common import settings
 from repro.common.atomic import HOST
 from repro.common.errors import ConfigurationError
 from repro.harness.campaign import (
@@ -37,15 +38,11 @@ from repro.harness.campaign import (
     shard_from_dict,
     shard_grid,
 )
-from repro.harness.experiment import default_jobs
-from repro.harness.sweep import _resolve_parallel, accuracy_sweep, ipc_sweep
+from repro.harness import sweep
+from repro.harness.sweep import accuracy_sweep, ipc_sweep
 from repro.obs.aggregate import aggregate_run
 from repro.obs.events import read_run_events
-from repro.workloads.spec2000 import (
-    clear_trace_cache,
-    trace_cache_capacity,
-    trace_cache_info,
-)
+from repro.workloads.spec2000 import clear_trace_cache, trace_cache_info
 from tests.conftest import exited_pid
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -102,10 +99,24 @@ def checkpoint_mtimes(run_dir: Path) -> dict[str, int]:
 # -- configuration resolution --------------------------------------------------
 
 
+def sweep_jobs(monkeypatch, jobs: int | None) -> int:
+    """The worker count ``accuracy_sweep(jobs=jobs)`` hands the executor."""
+    seen = []
+
+    def execute_sweep(shards, cfg, jobs, **kwargs):
+        seen.append(jobs)
+        raise InterruptedError
+
+    monkeypatch.setattr(sweep, "execute_sweep", execute_sweep)
+    with pytest.raises(InterruptedError):
+        accuracy_sweep(**SWEEP_KWARGS, jobs=jobs)
+    return seen[0]
+
+
 class TestJobResolution:
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "7")
-        assert _resolve_parallel(3, None)[0] == 3
+        assert sweep_jobs(monkeypatch, 3) == 3
 
     def test_explicit_argument_must_be_positive(self):
         with pytest.raises(ConfigurationError):
@@ -113,22 +124,22 @@ class TestJobResolution:
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert _resolve_parallel(None, None)[0] == 5
+        assert sweep_jobs(monkeypatch, None) == 5
 
     @pytest.mark.parametrize("raw", ["auto", "0", "AUTO"])
     def test_default_jobs_auto(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_JOBS", raw)
-        assert default_jobs() == (os.cpu_count() or 1)
+        assert settings.get("REPRO_JOBS") == (os.cpu_count() or 1)
 
     def test_default_jobs_defaults_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert default_jobs() == 1
+        assert settings.get("REPRO_JOBS") == 1
 
     @pytest.mark.parametrize("raw", ["three", "1.5", "-2"])
     def test_default_jobs_rejects_garbage(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_JOBS", raw)
         with pytest.raises(ConfigurationError):
-            default_jobs()
+            settings.get("REPRO_JOBS")
 
     def test_max_retries_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
@@ -143,7 +154,7 @@ class TestJobResolution:
     def test_max_retries_rejects_garbage(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_MAX_RETRIES", raw)
         with pytest.raises(ConfigurationError):
-            resolve_max_retries()
+            settings.get("REPRO_MAX_RETRIES")
 
 
 def test_shard_key_is_stable_and_filename_safe():
@@ -371,23 +382,23 @@ def test_campaign_json_schema_mismatch_is_refused(tmp_path):
 
 def test_injected_failure_is_retried_and_recorded(tmp_path, monkeypatch):
     log = event_log(tmp_path, monkeypatch)
-    monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
-    monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "2")
+    monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_CELL", "gcc__gshare")
+    monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_ATTEMPTS", "2")
     cells = accuracy_sweep(**SWEEP_KWARGS, jobs=2, max_retries=2)
     retries = [e for e in read_run_events(log) if e["event"] == "retry"]
     assert [e["shard"] for e in retries] == ["accuracy__gcc__gshare__2048"] * 2
     assert [e["attempt"] for e in retries] == [0, 1]
     assert counters_of(log)["retries"] == 2
     # Retried results are still byte-identical to the clean serial run.
-    monkeypatch.delenv("REPRO_PARALLEL_FAIL_SHARD")
-    monkeypatch.delenv("REPRO_PARALLEL_FAIL_ATTEMPTS")
+    monkeypatch.delenv("REPRO_CAMPAIGN_FAIL_CELL")
+    monkeypatch.delenv("REPRO_CAMPAIGN_FAIL_ATTEMPTS")
     assert cells == accuracy_sweep(**SWEEP_KWARGS, jobs=1)
 
 
 def test_exhausted_retry_budget_fails_the_run(monkeypatch, tmp_path):
     run_dir = tmp_path / "run"
-    monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
-    monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "99")
+    monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_CELL", "gcc__gshare")
+    monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_ATTEMPTS", "99")
     with pytest.raises(SweepExecutionError, match="max_retries=1"):
         accuracy_sweep(**SWEEP_KWARGS, jobs=1, max_retries=1, run_dir=str(run_dir))
     marker = json.loads(
@@ -409,13 +420,13 @@ def test_exhausted_cell_keeps_the_rest_of_the_run(tmp_path, monkeypatch):
         instructions=INSTRUCTIONS,
     )
     run_dir = tmp_path / "run"
-    monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "accuracy__gcc__gshare__2048")
+    monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_CELL", "accuracy__gcc__gshare__2048")
     with pytest.raises(SweepExecutionError, match="accuracy__gcc__gshare__2048"):
         accuracy_sweep(**kwargs, jobs=2, run_dir=str(run_dir), max_retries=0)
     counts = class_counts(scan(str(run_dir)))
     assert counts["completed"] == 15 and counts["failed"] == 1
 
-    monkeypatch.delenv("REPRO_PARALLEL_FAIL_SHARD")
+    monkeypatch.delenv("REPRO_CAMPAIGN_FAIL_CELL")
     log = event_log(tmp_path, monkeypatch)
     resumed = accuracy_sweep(**kwargs, jobs=2, run_dir=str(run_dir))
     assert counters_of(log)["shards.executed"] == 1
@@ -468,8 +479,8 @@ class TestDeadOwners:
             os.environ,
             PYTHONPATH=str(REPO_ROOT / "src"),
             REPRO_LOG=str(log),
-            REPRO_PARALLEL_SLOW_SHARD=key,
-            REPRO_PARALLEL_SLOW_SHARD_SECONDS="3",
+            REPRO_CAMPAIGN_SLOW_CELL=key,
+            REPRO_CAMPAIGN_SLOW_SECONDS="3",
         )
         for name in ("REPRO_LOG_OWNER_PID", "REPRO_CAMPAIGN_STALE_SECONDS"):
             env.pop(name, None)
@@ -652,15 +663,15 @@ class TestCheckpointAtomicity:
 class TestTraceCache:
     def test_capacity_env_override(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
-        assert trace_cache_capacity() == 32
+        assert settings.get("REPRO_TRACE_CACHE") == 32
         monkeypatch.setenv("REPRO_TRACE_CACHE", "4")
-        assert trace_cache_capacity() == 4
+        assert settings.get("REPRO_TRACE_CACHE") == 4
 
     @pytest.mark.parametrize("raw", ["tiny", "0", "-3"])
     def test_capacity_rejects_garbage(self, monkeypatch, raw):
         monkeypatch.setenv("REPRO_TRACE_CACHE", raw)
         with pytest.raises(ConfigurationError):
-            trace_cache_capacity()
+            settings.get("REPRO_TRACE_CACHE")
 
     def test_hits_misses_and_eviction(self, monkeypatch):
         from repro.workloads.spec2000 import spec2000_trace
@@ -726,8 +737,8 @@ class TestParallelTelemetry:
 
     def test_retry_and_checkpoint_events_recorded(self, tmp_path, monkeypatch):
         log = event_log(tmp_path, monkeypatch)
-        monkeypatch.setenv("REPRO_PARALLEL_FAIL_SHARD", "gcc__gshare")
-        monkeypatch.setenv("REPRO_PARALLEL_FAIL_ATTEMPTS", "1")
+        monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_CELL", "gcc__gshare")
+        monkeypatch.setenv("REPRO_CAMPAIGN_FAIL_ATTEMPTS", "1")
         run_dir = tmp_path / "run"
         accuracy_sweep(**SWEEP_KWARGS, jobs=2, run_dir=str(run_dir))
         events = read_run_events(log)
@@ -740,8 +751,8 @@ class TestParallelTelemetry:
 
     def test_slow_shard_hook_injects_straggler(self, tmp_path, monkeypatch):
         log = event_log(tmp_path, monkeypatch)
-        monkeypatch.setenv("REPRO_PARALLEL_SLOW_SHARD", "eon__bimodal")
-        monkeypatch.setenv("REPRO_PARALLEL_SLOW_SHARD_SECONDS", "0.5")
+        monkeypatch.setenv("REPRO_CAMPAIGN_SLOW_CELL", "eon__bimodal")
+        monkeypatch.setenv("REPRO_CAMPAIGN_SLOW_SECONDS", "0.5")
         accuracy_sweep(**SWEEP_KWARGS, jobs=2)
         agg = aggregate_run(read_run_events(log))
         stragglers = agg["stragglers"]

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
+from repro.common import settings as repro_settings
 from repro.common.errors import ConfigurationError
 from repro.harness import resultstore, sweep
 from repro.harness.resultstore import (
@@ -36,7 +37,6 @@ from repro.harness.resultstore import (
     ipc_result_key,
     reset_result_store_stats,
     result_digest,
-    result_store_capacity,
     result_store_stats,
 )
 from repro.harness.campaign import Shard, _shard_result_key, extend_campaign
@@ -470,10 +470,10 @@ class TestFaultInjection:
 
     @staticmethod
     def _sweep_key_tail():
-        from repro.harness.experiment import default_engine
         from repro.harness.scale import WARMUP_FRACTION, accuracy_instructions
 
-        return (accuracy_instructions(), default_engine(), WARMUP_FRACTION)
+        engine = repro_settings.get("REPRO_ENGINE")
+        return (accuracy_instructions(), engine, WARMUP_FRACTION)
 
 
 class TestEviction:
@@ -510,12 +510,12 @@ class TestEviction:
     def test_capacity_env_validation(self, monkeypatch):
         monkeypatch.setenv("REPRO_RESULT_STORE_CAPACITY", "nope")
         with pytest.raises(ConfigurationError):
-            result_store_capacity()
+            repro_settings.get("REPRO_RESULT_STORE_CAPACITY")
         monkeypatch.setenv("REPRO_RESULT_STORE_CAPACITY", "0")
         with pytest.raises(ConfigurationError):
-            result_store_capacity()
+            repro_settings.get("REPRO_RESULT_STORE_CAPACITY")
         monkeypatch.setenv("REPRO_RESULT_STORE_CAPACITY", "7")
-        assert result_store_capacity() == 7
+        assert repro_settings.get("REPRO_RESULT_STORE_CAPACITY") == 7
 
 
 # -- property tests ------------------------------------------------------------

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.common import settings
 from repro.common.errors import ConfigurationError, TraceError
 from repro.workloads.io import SUFFIX, load_columns, save_trace
 from repro.workloads.spec2000 import (
@@ -276,16 +277,14 @@ class TestEviction:
         assert store.entries() == [store.entry_path(profile, INSTRUCTIONS, 1)]
 
     def test_capacity_env_validation(self, monkeypatch, tmp_path):
-        from repro.workloads.store import store_capacity
-
         monkeypatch.setenv("REPRO_TRACE_STORE_CAPACITY", "nope")
         with pytest.raises(ConfigurationError):
-            store_capacity()
+            settings.get("REPRO_TRACE_STORE_CAPACITY")
         monkeypatch.setenv("REPRO_TRACE_STORE_CAPACITY", "0")
         with pytest.raises(ConfigurationError):
-            store_capacity()
+            settings.get("REPRO_TRACE_STORE_CAPACITY")
         monkeypatch.setenv("REPRO_TRACE_STORE_CAPACITY", "7")
-        assert store_capacity() == 7
+        assert settings.get("REPRO_TRACE_STORE_CAPACITY") == 7
 
 
 class TestWarmHelper:
