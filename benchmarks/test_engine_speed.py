@@ -9,18 +9,17 @@ The comparison pins the engine's performance claims on the gcc trace at
 the default REPRO_SCALE: every registered family is timed on both engines
 in interleaved scalar/batch pairs, must produce identical
 ``AccuracyResult``s, and the median times and median per-pair ratio are
-printed as a table.  gshare — a single-table scan — must run >= 10x
-faster batched; each family batched through a C replay core, a
-perceptron training pass or a composite of component kernels must run
->= 3x faster.  Every
-gate reads the median of the per-pair ratios, so one run slowed by the
-host moves it little.
+printed as a table.  The counter-table families (bimodal, gshare,
+gshare.fast, tournament) must run >= 25x faster batched, multicomponent
+>= 40x, and each family batched through a coupled-table core, a
+perceptron training pass or the loop core >= 3x.  Every gate reads the
+median of the per-pair ratios, so one run slowed by the host moves it
+little.
 
-A second table splits the batch side by primitive: for one batch
-measurement per family (best of 3), the events each of ``CounterScan``,
-``segment_positions`` and every C core of :mod:`repro.native` handled and
-its ns per event, so that a kernel change can be compared primitive by
-primitive.
+A second table splits the batch side by C core: for one batch
+measurement per family (best of 3), the events every core of
+:mod:`repro.native` handled and its ns per event, so that a kernel change
+can be compared core by core.
 
 A third table times the cycle simulator on the same benchmark at the
 default IPC trace length: the Figure 7 families in both modes, the
@@ -40,7 +39,6 @@ import time
 import pytest
 
 from repro import native
-from repro.batch import engine, kernels
 from repro.harness.experiment import measure_accuracy
 from repro.harness.scale import accuracy_instructions, ipc_instructions
 from repro.harness.sweep import make_policy
@@ -56,17 +54,19 @@ ENTRIES = 262_144
 #: Budget every family is built at for the per-family table.
 FAMILY_BUDGET = 64 * 1024
 
-#: Required batch/scalar speed-up per family; families not listed (the
-#: table predictors batched before the rest) are reported only.
+#: Required batch/scalar speed-up per family; families not listed are
+#: reported only.
 REQUIRED_SPEEDUP = {
-    "gshare": 10.0,
+    "bimodal": 25.0,
+    "gshare": 25.0,
+    "gshare_fast": 25.0,
+    "tournament": 25.0,
+    "multicomponent": 40.0,
     "2bcgskew": 3.0,
     "bimode_fast": 3.0,
     "egskew": 3.0,
     "loop": 3.0,
-    "multicomponent": 3.0,
     "perceptron": 3.0,
-    "tournament": 3.0,
 }
 
 
@@ -183,32 +183,11 @@ def test_family_batch_speedup(family, family_timings):
 
 # -- primitives --------------------------------------------------------------------
 
-#: The batch engine's array-code grouping primitives, with the events one
-#: call handles: a scan's writes, a grouping's keys.  Every C core is
-#: timed too, its events being the branches it replays.
-PRIMITIVES = {
-    "CounterScan": lambda cells, *rest: len(cells),
-    "segment_positions": len,
-}
 
-
-def capture_primitives(monkeypatch, calls: list) -> None:
-    """Route every grouping-primitive and C core call the batch engine
-    makes through a wrapper that appends ``(primitive, events, seconds)``
-    to ``calls``."""
-
-    def timed(name, call):
-        def wrapper(*args):
-            start = time.perf_counter()
-            result = call(*args)
-            calls.append((name, PRIMITIVES[name](*args), time.perf_counter() - start))
-            return result
-
-        return wrapper
-
-    monkeypatch.setattr(engine, "CounterScan", timed("CounterScan", kernels.CounterScan))
-    segment = timed("segment_positions", kernels.segment_positions)
-    monkeypatch.setattr(kernels, "segment_positions", segment)  # local_histories
+def capture_cores(monkeypatch, calls: list) -> None:
+    """Route every C core call the batch engine makes through a wrapper
+    that appends ``(core, events, seconds)`` to ``calls``; a core's events
+    are the branches it replays."""
     call_core = native._call
 
     def core(name, events, *args):
@@ -221,12 +200,12 @@ def capture_primitives(monkeypatch, calls: list) -> None:
 
 
 def test_primitive_costs(trace, family_timings, monkeypatch):
-    """Per family, the events each grouping primitive and C core handled in
-    one batch measurement and its ns per event (fastest of 3 runs); the
-    wrapped run must give the unwrapped result."""
+    """Per family, the events each C core handled in one batch measurement
+    and its ns per event (fastest of 3 runs); the wrapped run must give the
+    unwrapped result."""
     calls: list = []
-    capture_primitives(monkeypatch, calls)
-    print(f"\n{'family':16s}{'primitive':>22s}{'events':>14s}{'ns/event':>10s}")
+    capture_cores(monkeypatch, calls)
+    print(f"\n{'family':16s}{'core':>22s}{'events':>14s}{'ns/event':>10s}")
     for family in registry.family_names():
         best: dict[str, tuple[int, float]] = {}
         for _ in range(3):

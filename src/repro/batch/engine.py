@@ -14,32 +14,26 @@ How each family is batched
 
 Every registered family has a kernel.  They share one crucial property of
 trace-driven evaluation: everything that depends only on PCs and true
-outcomes — the global history before each branch, each branch's local
-history row, and every fold/skew index hash — is known for the whole trace
-up front and is computed vectorized.  What remains is the sequential
-dependence of the predictor's own state, handled in one of four ways:
+outcomes — the global history before each branch and every fold/skew
+index hash — is known for the whole trace up front and is computed
+vectorized.  What remains is the predictor's own state, which every
+branch reads after earlier branches wrote it; each table, row or weight
+array steps branch by branch in a sequential C core (:mod:`repro.native`)
+on the kernel's working copy, one call per chunk per table:
 
-1. **A component trained on every branch is one scan.**  Each counter cell
-   evolves independently along its own update subsequence, which
-   :class:`repro.batch.kernels.CounterScan` replays loop-free; its doubling
-   passes drop every event whose state is already known (its update map
-   has settled, or covers its whole prefix), so the passes after the first
-   few touch only the few events still unknown.  bimodal,
-   gshare, gshare.fast (its non-speculative update delay is an event-time
-   shift handled by the scan's delayed sampling) and the two-level local
-   predictor are one scan each.  **tournament** needs no Python loop
-   either: its global and local PHT votes are two scans, and its chooser,
-   trained only where the votes disagree and read by every branch, is a
-   third scan sampled at each branch.
-2. **An update rule that couples several tables is a C replay.**
+1. **A counter table that every branch reads and then trains** is
+   ``counter_replay``: bimodal, gshare, gshare.fast (whose non-speculative
+   update delay the core applies as ``DelayedUpdateQueue`` does, starting
+   from the writes still pending) and the local predictor's PHT.
+   **tournament** is its two PHTs on that core, local-history rows on
+   ``local_history_replay``, and ``chooser_replay`` for the chooser that
+   every branch reads and that trains only where the votes disagree.
+2. **An update rule that couples several tables** is a C replay too.
    Bi-Mode and bimode.fast (the choice table steers which direction table
    trains, and its partial update depends on that table's prediction),
    e-gskew and 2Bc-gskew (majority vote with partial update, plus the
-   2Bc-gskew meta) run their counter core over precomputed indices in a
-   sequential C loop (:mod:`repro.native`) on the working tables.  No
-   exact array form exists: whether one table trains depends on another's
-   value at that branch, which earlier branches wrote.  The **loop**
-   predictor's entries are state machines stepped the same way.
+   2Bc-gskew meta) run their counter core over precomputed indices.  The
+   **loop** predictor's entry array is stepped the same way.
 3. **A composite reuses its components' kernels.**  **multicomponent**
    runs each component's own kernel for its vote stream and final state,
    then replays only the Evers selection counters in C, as one lookup per
@@ -48,9 +42,7 @@ dependence of the predictor's own state, handled in one of four ways:
    the global and local history bits as ±1, signed by each outcome — are
    one array; the pass then computes each branch's margin as an int32 dot
    product with its weight row and trains the row when the margin is at
-   most θ.  No exact array form exists: a branch's margin depends on
-   every earlier update of its row, and the hot rows of a real trace
-   leave too few independent branches per step to batch.
+   most θ.
 
 A predictor whose exact type is not a registered family, or a
 multicomponent whose components or selection table no kernel models
@@ -75,12 +67,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from repro import obs
 from repro import native
 from repro.batch.kernels import (
-    CounterScan,
     bit_lengths,
     bit_reverse_bits,
     fold_bits,
     hash_pcs,
-    local_histories,
     pack_outcomes,
     packed_history,
     rotate_left_bits,
@@ -171,11 +161,7 @@ def _train_votes(
 ) -> np.ndarray:
     """Votes of a counter table that every branch reads and then trains at
     ``cells`` with no delay; advances ``table`` past the chunk."""
-    scan = CounterScan(cells, None, takens, table, counters.max_value)
-    # Each branch reads the cell it writes, with the write immediately
-    # visible: the scan's before-states *are* the reads.
-    votes = scan.states_before_writes() >= counters.threshold
-    scan.commit()
+    votes, _ = native.counter_replay(cells, takens, table, counters.threshold, counters.max_value)
     return votes
 
 
@@ -244,11 +230,10 @@ class _SingleTableKernel(_Kernel):
 
     def __init__(self, predictor: BranchPredictor) -> None:
         super().__init__(predictor)
-        self.table = predictor.table.snapshot()  # int16, the scan upcasts
+        self.table = predictor.table.snapshot()
         register = getattr(predictor, "history", None)
         self.history_length = register.length if register is not None else 0
         self.initial_history = register.value if register is not None else 0
-        self._deferred: list[tuple[int, bool]] = []
 
     def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -257,32 +242,19 @@ class _SingleTableKernel(_Kernel):
         counters = self.predictor.table
         predictions = np.empty(len(pcs), dtype=bool)
         history = _GlobalHistory(takens, self.history_length, self.initial_history)
-        # Delayed updates still pending from before the stream were issued
-        # at the positions just before it; event times are shifted by their
-        # count so that every time stays non-negative.
+        # The delayed writes still pending from before the stream come first.
         queued = self.predictor._deferred_updates.snapshot() if self.delay else []
-        shift = len(queued)
-        pend_cells = np.array([cell for cell, _ in queued], dtype=np.int64)
-        pend_times = np.arange(shift, dtype=np.int64)
-        pend_takens = np.array([taken for _, taken in queued], dtype=bool)
+        pending = len(queued)
+        queue = (np.zeros(self.delay, dtype=np.int64), np.zeros(self.delay, dtype=bool))
+        for slot, (cell, taken) in enumerate(queued):
+            queue[0][slot], queue[1][slot] = cell, taken
         for start, stop in self.chunks(len(pcs), chunk):
-            ctakens = takens[start:stop]
             cells = self.indices(pcs[start:stop], history.before(start, stop))
-            if self.delay == 0:
-                predictions[start:stop] = _train_votes(cells, ctakens, self.table, counters)
-                continue
-            times = np.arange(start + shift, stop + shift, dtype=np.int64)
-            w_cells = np.concatenate([pend_cells, cells])
-            w_times = np.concatenate([pend_times, times])
-            w_takens = np.concatenate([pend_takens, ctakens])
-            scan = CounterScan(w_cells, w_times, w_takens, self.table, counters.max_value)
-            predictions[start:stop] = scan.sample(cells, times, self.delay) >= counters.threshold
-            visible_through = (stop + shift - 1) - self.delay
-            scan.commit(visible_through)
-            keep = w_times > visible_through
-            pend_cells, pend_times, pend_takens = w_cells[keep], w_times[keep], w_takens[keep]
-        if self.delay:
-            self._deferred = list(zip(pend_cells.tolist(), pend_takens.tolist()))
+            predictions[start:stop], pending = native.counter_replay(
+                cells, takens[start:stop], self.table, counters.threshold,
+                counters.max_value, queue, pending,
+            )
+        self._deferred = list(zip(queue[0][:pending].tolist(), queue[1][:pending].tolist()))
         self.final_history = history.final()
         return predictions
 
@@ -330,8 +302,8 @@ class _GshareFastKernel(_SingleTableKernel):
 
 
 class _LocalKernel(_Kernel):
-    """The two-level local predictor (a multicomponent component): one PHT
-    scan over indices folded from per-row local histories."""
+    """The two-level local predictor (a multicomponent component): the
+    local-history rows, then one PHT over indices folded from them."""
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p: LocalPredictor = self.predictor
@@ -342,7 +314,7 @@ class _LocalKernel(_Kernel):
         for start, stop in self.chunks(len(pcs), chunk):
             ctakens = takens[start:stop]
             rows = (pcs[start:stop] >> 2) & (p.histories.entries - 1)
-            local = local_histories(rows, ctakens, self.rows, length)
+            local = native.local_history_replay(rows, ctakens, self.rows, length)
             cells = fold_bits(local, length, p.pht_index_bits)
             predictions[start:stop] = _train_votes(cells, ctakens, table, p.pht)
         return predictions
@@ -493,8 +465,8 @@ class _TwoBcGskewKernel(_GskewKernel):
 
 
 class _TournamentKernel(_Kernel):
-    """Three scans, no Python loop: the global and local PHT votes, then a
-    chooser trained where they disagree and sampled at every branch."""
+    """Four cores per chunk: the local-history rows, the global and local
+    PHT votes, then the chooser that picks between them."""
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
@@ -510,7 +482,7 @@ class _TournamentKernel(_Kernel):
             ctakens = takens[start:stop]
             ghist = history.before(start, stop)
             rows = (pcs[start:stop] >> 2) & (p.local_histories.entries - 1)
-            local = local_histories(rows, ctakens, self.rows, local_length)
+            local = native.local_history_replay(rows, ctakens, self.rows, local_length)
             global_vote = _train_votes(
                 fold_bits(ghist, length, p.global_index_bits), ctakens, global_table, p.global_pht
             )
@@ -520,21 +492,15 @@ class _TournamentKernel(_Kernel):
                 local_table,
                 p.local_pht,
             )
-            # The chooser trains toward the global component ("taken") only
-            # where the votes disagree; every branch reads it first.
-            chooser_cells = fold_bits(ghist, length, p.chooser_index_bits)
-            times = np.arange(start, stop, dtype=np.int64)
-            disagree = global_vote != local_vote
-            scan = CounterScan(
-                chooser_cells[disagree],
-                times[disagree],
-                (global_vote == ctakens)[disagree],
+            predictions[start:stop] = native.chooser_replay(
+                fold_bits(ghist, length, p.chooser_index_bits),
+                global_vote,
+                local_vote,
+                ctakens,
                 chooser_table,
+                p.chooser.threshold,
                 p.chooser.max_value,
             )
-            use_global = scan.sample(chooser_cells, times) >= p.chooser.threshold
-            scan.commit()
-            predictions[start:stop] = np.where(use_global, global_vote, local_vote)
         self.final_history = history.final()
         return predictions
 
@@ -548,18 +514,16 @@ class _TournamentKernel(_Kernel):
 
 
 class _LoopKernel(_Kernel):
-    """Loop entries step branch by branch in a C core, on a copy of every
-    entry's fields."""
+    """Loop entries step branch by branch in a C core, on a copy of the
+    entry array."""
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p: LoopPredictor = self.predictor
         self.entries = p.snapshot_entries()
-        self.touched = np.zeros(p.entries, dtype=bool)
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
             shifted = pcs[start:stop] >> 2
             index = shifted & (p.entries - 1)
-            self.touched[index] = True
             # The tag shifts by the bit length of the index *value*, as
             # LoopPredictor._entry does.
             tags = (shifted >> bit_lengths(index)) & 0xFF
@@ -570,8 +534,7 @@ class _LoopKernel(_Kernel):
         return predictions
 
     def writeback(self) -> None:
-        for entry in np.flatnonzero(self.touched).tolist():
-            self.predictor.assign_entry(entry, tuple(self.entries[entry].tolist()))
+        self.predictor.restore_entries(self.entries)
 
 
 # -- multicomponent ----------------------------------------------------------------
@@ -689,7 +652,7 @@ class _PerceptronKernel(_Kernel):
             inputs[:, 1 : 1 + glen] = windows[start:stop, ::-1]
             if llen:
                 rows = (cpcs >> 2) & (p.local_histories.entries - 1)
-                local = local_histories(rows, ctakens, self.rows, llen)
+                local = native.local_history_replay(rows, ctakens, self.rows, llen)
                 for i in range(llen):
                     inputs[:, 1 + glen + i] = ((local >> i) & 1) * 2 - 1
             # Signed by the outcome t, w·inputs is the margin t·(w·x), and

@@ -859,79 +859,79 @@ def run_worker(
         poll_seconds = settings.get("REPRO_CAMPAIGN_POLL_SECONDS")
     max_retries = resolve_max_retries(max_retries)
     abort_after = settings.get("REPRO_CAMPAIGN_ABORT_AFTER")
-    obs.claim_log_ownership()
-    stores_before = _store_counts()
-    counters = {
-        "cells_executed": 0,
-        "cells_regenerated": 0,
-        "claims": 0,
-        "steals": 0,
-        "requeues": 0,
-        "failures": 0,
-    }
-    status = "completed"
-    started = time.perf_counter()
-    try:
-        with obs.span("campaign.worker", owner=owner, run_dir=run_dir):
-            stopped = False
-            while not stopped:
-                keys = queue.keys()
-                if not keys:
-                    break
-                progressed = False
-                for key in keys:
-                    if should_stop is not None and should_stop():
-                        stopped = True
-                        break
-                    claim = queue.try_claim(key, owner, stale_seconds)
-                    if claim is None:
-                        continue
-                    progressed = True
-                    counters["claims"] += 1
-                    if claim == "stolen":
-                        counters["steals"] += 1
-                    obs_events.emit_claim(key, owner, stolen=claim == "stolen")
-                    # A raise out of _work_one (the abort drill, or anything
-                    # unexpected) deliberately leaves the claim held — that
-                    # is exactly the evidence a crashed worker leaves, and
-                    # the reclaim is how it gets cleaned up.
-                    _work_one(
-                        key,
-                        queue,
-                        store,
-                        cfg_by_kind,
-                        counters,
-                        max_retries,
-                        abort_after,
-                        reclaimed=claim == "stolen",
-                    )
-                    queue.release(key)
-                if not stopped and not progressed and queue.keys():
-                    # Everything outstanding is claimed by live workers;
-                    # wait for them to finish, fail, or die.
-                    time.sleep(poll_seconds)
-            if stopped:
-                status = "stopped"
-    except BaseException:
-        status = "aborted"
-        raise
-    finally:
-        queue.retire()
-        summary = {
-            "schema": CAMPAIGN_SCHEMA,
-            "owner": owner,
-            "status": status,
-            "wall_seconds": time.perf_counter() - started,
-            "cells": dict(counters),
-            **_store_deltas(stores_before),
+    with obs.claim_log_ownership():
+        stores_before = _store_counts()
+        counters = {
+            "cells_executed": 0,
+            "cells_regenerated": 0,
+            "claims": 0,
+            "steals": 0,
+            "requeues": 0,
+            "failures": 0,
         }
-        obs_events.emit_counter(
-            {f"campaign.{name}": value for name, value in counters.items()}
-        )
-        obs_events.emit_run_summary("campaign.worker", summary)
-        if obs.enabled():
-            for name, value in counters.items():
-                obs.counter(f"campaign.{name}").inc(value)
+        status = "completed"
+        started = time.perf_counter()
+        try:
+            with obs.span("campaign.worker", owner=owner, run_dir=run_dir):
+                stopped = False
+                while not stopped:
+                    keys = queue.keys()
+                    if not keys:
+                        break
+                    progressed = False
+                    for key in keys:
+                        if should_stop is not None and should_stop():
+                            stopped = True
+                            break
+                        claim = queue.try_claim(key, owner, stale_seconds)
+                        if claim is None:
+                            continue
+                        progressed = True
+                        counters["claims"] += 1
+                        if claim == "stolen":
+                            counters["steals"] += 1
+                        obs_events.emit_claim(key, owner, stolen=claim == "stolen")
+                        # A raise out of _work_one (the abort drill, or anything
+                        # unexpected) deliberately leaves the claim held — that
+                        # is exactly the evidence a crashed worker leaves, and
+                        # the reclaim is how it gets cleaned up.
+                        _work_one(
+                            key,
+                            queue,
+                            store,
+                            cfg_by_kind,
+                            counters,
+                            max_retries,
+                            abort_after,
+                            reclaimed=claim == "stolen",
+                        )
+                        queue.release(key)
+                    if not stopped and not progressed and queue.keys():
+                        # Everything outstanding is claimed by live workers;
+                        # wait for them to finish, fail, or die.
+                        time.sleep(poll_seconds)
+                if stopped:
+                    status = "stopped"
+        except BaseException:
+            status = "aborted"
+            raise
+        finally:
+            queue.retire()
+            summary = {
+                "schema": CAMPAIGN_SCHEMA,
+                "owner": owner,
+                "status": status,
+                "wall_seconds": time.perf_counter() - started,
+                "cells": dict(counters),
+                **_store_deltas(stores_before),
+            }
+            obs_events.emit_counter(
+                {f"campaign.{name}": value for name, value in counters.items()}
+            )
+            obs_events.emit_run_summary("campaign.worker", summary)
+            if obs.enabled():
+                for name, value in counters.items():
+                    obs.counter(f"campaign.{name}").inc(value)
     return counters
 
 
@@ -1106,24 +1106,24 @@ def execute_sweep(
     try:
         max_retries = resolve_max_retries(max_retries)
         cfg_by_kind = {kind: cfg for kind in sorted({shard.kind for shard in shards})}
-        # Own the REPRO_LOG file before any worker exists: workers inherit
+        # Own the REPRO_LOG file while any worker exists: workers inherit
         # the owner PID and route their events to per-PID sidecars.
-        obs.claim_log_ownership()
-        extend_campaign(run_dir, shards, cfg_by_kind, label=label)
-        planned = plan(run_dir, cells=scan(run_dir, shards, cfg_by_kind, label=label))
-        with obs.span(
-            "campaign.run", label=label, jobs=jobs, shards=len(shards),
-            resumed=planned["skip"],
-        ):
-            try:
-                if jobs == 1:
-                    run_worker(run_dir, max_retries=max_retries)
-                else:
-                    _drain_locally(run_dir, jobs, max_retries, len(shards))
-            finally:
-                # Pull every worker's per-PID sidecar into the main event
-                # log (a no-op without REPRO_LOG).
-                obs_events.collect_worker_events()
+        with obs.claim_log_ownership():
+            extend_campaign(run_dir, shards, cfg_by_kind, label=label)
+            planned = plan(run_dir, cells=scan(run_dir, shards, cfg_by_kind, label=label))
+            with obs.span(
+                "campaign.run", label=label, jobs=jobs, shards=len(shards),
+                resumed=planned["skip"],
+            ):
+                try:
+                    if jobs == 1:
+                        run_worker(run_dir, max_retries=max_retries)
+                    else:
+                        _drain_locally(run_dir, jobs, max_retries, len(shards))
+                finally:
+                    # Pull every worker's per-PID sidecar into the main event
+                    # log (a no-op without REPRO_LOG).
+                    obs_events.collect_worker_events()
         store = CheckpointStore(run_dir)
         outcomes = [store.load(shard) for shard in shards]
         failed = [shard for shard, outcome in zip(shards, outcomes) if outcome is None]

@@ -307,7 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     flags = {name: value for name, value in flags.items() if value is not None}
     settings.check_at_start(parser.prog, flags)
-    with settings.applied(flags):
+    # Own the REPRO_LOG file for the run, so that the workers a sweep forks
+    # route their events to per-PID sidecars (no interleaving).
+    with settings.applied(flags), obs.claim_log_ownership():
         return _run(parser, args)
 
 
@@ -356,9 +358,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             "no targets given (or use --config / --list-families / --warm-traces)"
         )
     targets = list(RUNNERS) if "all" in args.targets else args.targets
-    # Own the REPRO_LOG file before any sweep forks workers, so worker
-    # processes route their events to per-PID sidecars (no interleaving).
-    obs.claim_log_ownership()
     prior_enabled = obs.enabled_override()
     try:
         if args.profile:
@@ -589,75 +588,75 @@ def campaign_main(argv: list[str] | None = None) -> int:
     from repro.common.errors import ReproError
     from repro.harness import campaign
 
-    obs.claim_log_ownership()
-    try:
-        if args.command == "scan":
-            cells = campaign.scan(args.run_dir)
-            _print_campaign_scan(args.run_dir, cells, "", args.json)
-            return 0
-
-        if args.command == "run":
-            if args.families or args.budgets:
-                shards, cfg_by_kind = _campaign_grid(args, parser)
-                campaign.create_campaign(
-                    args.run_dir, shards, cfg_by_kind, label=args.label
-                )
-            else:
-                campaign.load_campaign(args.run_dir)
-            cells = campaign.scan(args.run_dir)
-            if args.dry_run:
-                # Report what plan() *would* do without touching the queue
-                # or clearing any failure/partial evidence.
-                planned = {"execute": 0, "regenerate": 0, "skip": 0}
-                for cell in cells:
-                    planned[cell.action] += 1
+    with obs.claim_log_ownership():
+        try:
+            if args.command == "scan":
+                cells = campaign.scan(args.run_dir)
                 _print_campaign_scan(args.run_dir, cells, "", args.json)
-                if not args.json:
-                    print(
-                        f"planned: {planned['execute']} execute, "
-                        f"{planned['regenerate']} regenerate, "
-                        f"{planned['skip']} skip (dry run: nothing queued or ran)"
-                    )
                 return 0
-            planned = campaign.plan(args.run_dir, cells=cells)
-            statuses = None
-        else:  # rerun
-            statuses = campaign.normalize_statuses(args.status)
-            cells = campaign.scan(args.run_dir)
-            planned = campaign.plan(args.run_dir, statuses=statuses, cells=cells)
 
-        counters = campaign.run_worker(
-            args.run_dir,
-            owner=args.owner,
-            stale_seconds=args.stale_seconds,
-            poll_seconds=args.poll_seconds,
-            max_retries=args.max_retries,
-        )
-        result = {
-            "run_dir": args.run_dir,
-            "planned": planned,
-            "worker": counters,
-        }
-        if not args.no_merge:
-            merged = campaign.merge(args.run_dir)
-            result["merged"] = campaign.CampaignLayout(args.run_dir).merged_path
-            result["rows"] = len(merged["rows"])
-        if args.json:
-            print(json.dumps(result, indent=2, sort_keys=True))
-        else:
-            print(
-                f"planned: {planned['execute']} execute, "
-                f"{planned['regenerate']} regenerate; "
-                f"worker: {counters['cells_executed']} executed, "
-                f"{counters['cells_regenerated']} regenerated, "
-                f"{counters['steals']} stolen, {counters['requeues']} requeued"
+            if args.command == "run":
+                if args.families or args.budgets:
+                    shards, cfg_by_kind = _campaign_grid(args, parser)
+                    campaign.create_campaign(
+                        args.run_dir, shards, cfg_by_kind, label=args.label
+                    )
+                else:
+                    campaign.load_campaign(args.run_dir)
+                cells = campaign.scan(args.run_dir)
+                if args.dry_run:
+                    # Report what plan() *would* do without touching the queue
+                    # or clearing any failure/partial evidence.
+                    planned = {"execute": 0, "regenerate": 0, "skip": 0}
+                    for cell in cells:
+                        planned[cell.action] += 1
+                    _print_campaign_scan(args.run_dir, cells, "", args.json)
+                    if not args.json:
+                        print(
+                            f"planned: {planned['execute']} execute, "
+                            f"{planned['regenerate']} regenerate, "
+                            f"{planned['skip']} skip (dry run: nothing queued or ran)"
+                        )
+                    return 0
+                planned = campaign.plan(args.run_dir, cells=cells)
+                statuses = None
+            else:  # rerun
+                statuses = campaign.normalize_statuses(args.status)
+                cells = campaign.scan(args.run_dir)
+                planned = campaign.plan(args.run_dir, statuses=statuses, cells=cells)
+
+            counters = campaign.run_worker(
+                args.run_dir,
+                owner=args.owner,
+                stale_seconds=args.stale_seconds,
+                poll_seconds=args.poll_seconds,
+                max_retries=args.max_retries,
             )
-            if "merged" in result:
-                print(f"merged {result['rows']} rows -> {result['merged']}")
-        return 0
-    except ReproError as exc:
-        print(f"repro-campaign: {exc}", file=sys.stderr)
-        return 1
+            result = {
+                "run_dir": args.run_dir,
+                "planned": planned,
+                "worker": counters,
+            }
+            if not args.no_merge:
+                merged = campaign.merge(args.run_dir)
+                result["merged"] = campaign.CampaignLayout(args.run_dir).merged_path
+                result["rows"] = len(merged["rows"])
+            if args.json:
+                print(json.dumps(result, indent=2, sort_keys=True))
+            else:
+                print(
+                    f"planned: {planned['execute']} execute, "
+                    f"{planned['regenerate']} regenerate; "
+                    f"worker: {counters['cells_executed']} executed, "
+                    f"{counters['cells_regenerated']} regenerated, "
+                    f"{counters['steals']} stolen, {counters['requeues']} requeued"
+                )
+                if "merged" in result:
+                    print(f"merged {result['rows']} rows -> {result['merged']}")
+            return 0
+        except ReproError as exc:
+            print(f"repro-campaign: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

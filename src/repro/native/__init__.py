@@ -1,10 +1,12 @@
-"""Sequential cores in C: the per-branch and per-block loops that have no
-exact array form.
+"""Sequential cores in C: the per-branch and per-block loops of the batch
+engine and the cycle simulator.
 
-The batch engine's coupled-table replays (Bi-Mode, e-gskew, 2Bc-gskew),
-loop entries, multicomponent selection counters and perceptron training,
-and the cycle simulator's cache, BTB and RAS replays and timing loop, each
-step through their events in order on state the previous event wrote.
+The batch engine's counter tables (every single-table family, the local
+PHTs and tournament's chooser), local-history rows, coupled-table replays
+(Bi-Mode, e-gskew, 2Bc-gskew), loop entries, multicomponent selection
+counters and perceptron training, and the cycle simulator's cache, BTB and
+RAS replays and timing loop, each step through their events in order on
+state the previous event wrote.
 ``cores.c`` holds them; :mod:`repro.native.loader` builds it with the
 system C compiler on the first call to any core and caches the object
 beside this package.
@@ -43,6 +45,11 @@ def signatures() -> dict[str, tuple]:
     counters, state = array(np.int16, writeable=True), array(np.int64, writeable=True)
     rows, floats = array(np.int64, ndim=2, writeable=True), array(np.float64)
     return {
+        "counter_replay": (
+            i, index, flags, counters, i, i, i, i, state, out_flags, i, out_flags,
+        ),
+        "chooser_replay": (i, index, flags, flags, flags, counters, i, i, i, out_flags),
+        "local_history_replay": (i, index, flags, state, i, i, state),
         "bimode_replay": (
             i, index, index, flags, counters, counters, i, counters, i, i, i, i, i, out_flags,
         ),
@@ -116,6 +123,58 @@ def _length(*arrays: np.ndarray) -> int:
 
 
 # -- batch engine ----------------------------------------------------------------
+
+#: The update queue of a table whose writes are visible at once.
+_NO_QUEUE = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool))
+
+
+def counter_replay(
+    cells, takens, table, threshold, top, queue=_NO_QUEUE, pending: int = 0
+) -> tuple[np.ndarray, int]:
+    """A counter table that every branch reads at ``cells`` and then trains
+    toward ``takens``, updated in place; returns the votes and the writes
+    still pending.
+
+    ``queue`` is a ``(cells, takens)`` pair of ``delay`` slots, of which the
+    first ``pending`` hold the delayed writes from before the stream, oldest
+    first; a write becomes visible ``delay`` branches after its own read.
+    The queue is updated in place to the writes pending after the stream.
+    """
+    n = _length(cells, takens)
+    delay = _length(*queue)
+    votes = np.empty(n, dtype=bool)
+    pending = _call(
+        "counter_replay", n, cells, takens, table, len(table), threshold, top, delay,
+        *queue, pending, votes,
+    )
+    return votes, pending
+
+
+def chooser_replay(
+    cells, global_votes, local_votes, takens, table, threshold, top
+) -> np.ndarray:
+    """Tournament's chooser at ``cells``, read by every branch and trained
+    toward the global vote's correctness where the votes disagree; updates
+    ``table`` in place, returns the predictions."""
+    n = _length(cells, global_votes, local_votes, takens)
+    predictions = np.empty(n, dtype=bool)
+    _call(
+        "chooser_replay", n, cells, global_votes, local_votes, takens, table, len(table),
+        threshold, top, predictions,
+    )
+    return predictions
+
+
+def local_history_replay(rows, takens, table, length) -> np.ndarray:
+    """Each branch's ``length``-bit local history before it, read from row
+    ``rows[i]`` of ``table`` and then shifted by its outcome (``table`` is
+    updated in place)."""
+    n = _length(rows, takens)
+    if not 0 < length < 64:
+        raise ValueError(f"local history length must be 1 to 63 bits, got {length}")
+    histories = np.empty(n, dtype=np.int64)
+    _call("local_history_replay", n, rows, takens, table, len(table), length, histories)
+    return histories
 
 
 def bimode_replay(

@@ -1,11 +1,15 @@
-/* Sequential cores: the per-branch and per-block loops with no exact array form.
+/* Sequential cores: the per-branch and per-block loops of the batch engine
+ * and the cycle simulator.
  *
  * The batch engine (repro/batch/engine.py) and the cycle simulator
- * (repro/uarch/) compute everything that has an exact array form in NumPy:
- * index hashes, history registers, input rows, block and address layouts.
- * What is left is a state machine that must step through its events in
- * order, because each step reads what the previous one wrote:
+ * (repro/uarch/) compute the index hashes, the global history, input rows,
+ * block and address layouts in NumPy.  What is left is a state machine
+ * that must step through its events in order, because each step reads
+ * what the previous one wrote:
  *
+ *   - counter tables that every branch reads and then trains (bimodal,
+ *     gshare, gshare.fast with its update delay, local PHTs), tournament's
+ *     chooser and local-history rows;
  *   - coupled counter tables (Bi-Mode, e-gskew, 2Bc-gskew), where one
  *     table decides whether another trains;
  *   - loop entries and the multicomponent selection counters;
@@ -40,6 +44,83 @@ static int16_t step(int16_t value, int taken, int64_t top)
 static int out_of_range(int64_t index, int64_t size)
 {
     return (uint64_t)index >= (uint64_t)size;
+}
+
+/* -- counter tables and local histories ---------------------------------- */
+
+/* A counter table that every branch reads and then trains, each write
+ * becoming visible `delay` branches after its own read (DelayedUpdateQueue):
+ * once branch i has pushed its write, the oldest write beyond `delay`
+ * applies.  The queue holds the writes still pending, oldest first: the
+ * first `pending` of its `delay` slots on entry, the last
+ * min(delay, pending + n) writes on return.  Returns that count. */
+int64_t counter_replay(
+    int64_t n, const int64_t *cells, const uint8_t *takens, int16_t *table, int64_t size,
+    int64_t threshold, int64_t top, int64_t delay, int64_t *queue_cells,
+    uint8_t *queue_takens, int64_t pending, uint8_t *votes)
+{
+    if (out_of_range(pending, delay + 1))
+        return -1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = cells[i];
+        if (out_of_range(c, size))
+            return -1;
+        votes[i] = (uint8_t)(table[c] >= threshold);
+        /* The write that applies now, counted over pending then stream. */
+        int64_t w = pending + i - delay;
+        if (w < 0)
+            continue;
+        int64_t at = w < pending ? queue_cells[w] : cells[w - pending];
+        int taken = (w < pending ? queue_takens[w] : takens[w - pending]) != 0;
+        if (out_of_range(at, size))
+            return -1;
+        table[at] = step(table[at], taken, top);
+    }
+    int64_t total = pending + n;
+    int64_t kept = total < delay ? total : delay;
+    for (int64_t q = 0, w = total - kept; q < kept; q++, w++) {
+        queue_cells[q] = w < pending ? queue_cells[w] : cells[w - pending];
+        queue_takens[q] = w < pending ? queue_takens[w] : takens[w - pending];
+    }
+    return kept;
+}
+
+/* Tournament's chooser: every branch reads its cell to pick the global or
+ * the local vote, and the cell trains toward the global component only
+ * where the two votes disagree. */
+int64_t chooser_replay(
+    int64_t n, const int64_t *cells, const uint8_t *global_votes, const uint8_t *local_votes,
+    const uint8_t *takens, int16_t *table, int64_t size, int64_t threshold, int64_t top,
+    uint8_t *predictions)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t c = cells[i];
+        if (out_of_range(c, size))
+            return -1;
+        int global = global_votes[i] != 0, local = local_votes[i] != 0;
+        predictions[i] = (uint8_t)(table[c] >= threshold ? global : local);
+        if (global != local)
+            table[c] = step(table[c], global == (takens[i] != 0), top);
+    }
+    return 0;
+}
+
+/* Local-history rows of `length` bits (1 to 63): each branch reads its
+ * row, the history before it, then shifts its outcome in. */
+int64_t local_history_replay(
+    int64_t n, const int64_t *rows, const uint8_t *takens, int64_t *table, int64_t row_count,
+    int64_t length, int64_t *histories)
+{
+    uint64_t width = ((uint64_t)1 << length) - 1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = rows[i];
+        if (out_of_range(r, row_count))
+            return -1;
+        uint64_t value = (uint64_t)table[r];
+        histories[i] = (int64_t)value;
+        table[r] = (int64_t)(((value << 1) | (takens[i] != 0)) & width);
+    }
+    return 0;
 }
 
 /* -- coupled counter tables --------------------------------------------- */

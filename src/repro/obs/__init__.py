@@ -27,9 +27,10 @@ value raises ConfigurationError.
 Event-log layout (``REPRO_LOG=<dir>/events.jsonl``):
 
 * The **owning process** appends to ``events.jsonl`` itself.  Ownership is
-  recorded in the internal ``REPRO_LOG_OWNER_PID`` setting by
-  :func:`claim_log_ownership` (the sweep executor and the figures CLI
-  both claim before any fan-out).
+  recorded in the internal ``REPRO_LOG_OWNER_PID`` setting for the length
+  of a :func:`claim_log_ownership` block (the sweep executor, the
+  campaign worker, the figures and campaign CLIs and the service daemon
+  each hold one around any fan-out), and restored when it ends.
 * Every **other process** that inherits ``REPRO_LOG`` — a local campaign
   worker, chiefly — sees a foreign owner PID and appends to its own
   per-PID sidecar ``events.jsonl.<pid>`` instead, so concurrent writers

@@ -22,8 +22,8 @@ Closing a span:
 Cross-process propagation: the parent serializes :func:`current_context`
 into the payload it ships to each worker; the worker calls
 :func:`adopt_context` so its spans parent to the remote run span.  The
-internal ``REPRO_LOG_OWNER_PID`` setting (set by
-:func:`claim_log_ownership` before workers are spawned) routes any
+internal ``REPRO_LOG_OWNER_PID`` setting (held by a
+:func:`claim_log_ownership` block around any fan-out) routes any
 non-owning process to a per-PID sidecar file, so concurrent writers never
 interleave inside one file.
 
@@ -39,6 +39,7 @@ import secrets
 import sys
 import threading
 import time
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -144,17 +145,23 @@ def last_trace_id() -> str | None:
     return _last_trace_id
 
 
-def claim_log_ownership() -> None:
-    """Mark this process as the owner of the main ``REPRO_LOG`` file.
+@contextmanager
+def claim_log_ownership() -> Iterator[None]:
+    """Own the main ``REPRO_LOG`` file for the block, then restore the
+    previous ``REPRO_LOG_OWNER_PID``.
 
-    Call before spawning worker processes: workers inherit the
+    Enter before spawning worker processes: workers inherit the
     ``REPRO_LOG_OWNER_PID`` variable, see a foreign PID, and route their
     events to per-PID sidecar files instead of interleaving appends into
-    the parent's file.  Idempotent; a no-op when no log is configured or
-    another process already owns it.
+    the parent's file.  A no-op when no log is configured or another
+    process (or an enclosing block) already owns it, so only the
+    outermost block restores.
     """
-    if settings.get("REPRO_LOG") is not None and settings.get("REPRO_LOG_OWNER_PID") is None:
-        settings.set("REPRO_LOG_OWNER_PID", os.getpid())
+    if settings.get("REPRO_LOG") is None or settings.get("REPRO_LOG_OWNER_PID") is not None:
+        yield
+        return
+    with settings.applied({"REPRO_LOG_OWNER_PID": os.getpid()}):
+        yield
 
 
 def event_sink() -> str | None:

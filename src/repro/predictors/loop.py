@@ -13,39 +13,20 @@ includes a loop predictor among its components).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.common.bits import is_power_of_two
 from repro.common.errors import ConfigurationError
 from repro.predictors.base import BranchPredictor
 
+#: Columns of an entry row: the tag, the completed-loop iteration count
+#: (0 = unknown), the iterations seen in the loop in progress, the
+#: consecutive confirmations of the trip count, and the "body" direction
+#: (the exit is the opposite).
+TAG, TRIP, CURRENT, CONFIDENCE, DIRECTION = range(5)
 
-@dataclass
-class _LoopEntry:
-    tag: int = -1
-    trip_count: int = 0  # completed-loop iteration count (0 = unknown)
-    current_count: int = 0  # iterations seen in the loop in progress
-    confidence: int = 0  # consecutive confirmations of trip_count
-    direction: bool = True  # the "body" direction (exit is the opposite)
-
-    def fields(self) -> tuple[int, int, int, int, bool]:
-        """(tag, trip_count, current_count, confidence, direction)."""
-        return self.tag, self.trip_count, self.current_count, self.confidence, self.direction
-
-    def assign(self, tag: int, trip: int, current: int, confidence: int, direction: bool) -> None:
-        """Overwrite every field, in :meth:`fields` order."""
-        self.tag = tag
-        self.trip_count = trip
-        self.current_count = current
-        self.confidence = confidence
-        self.direction = bool(direction)
-
-
-#: An untouched entry; never mutated (entries are created on first update).
-_COLD = _LoopEntry()
-_COLD_FIELDS = _COLD.fields()
+#: An untouched entry's row.
+_UNSEEN = (-1, 0, 0, 0, 1)
 
 
 class LoopPredictor(BranchPredictor):
@@ -69,10 +50,8 @@ class LoopPredictor(BranchPredictor):
             raise ConfigurationError("confidence threshold must be >= 1")
         self.entries = entries
         self.confidence_threshold = confidence_threshold
-        #: Entries by index, created on first update: building all of them
-        #: up front cost more than evaluating a whole 100k-instruction trace
-        #: at 64KB.  An absent entry is a cold one.
-        self._table: dict[int, _LoopEntry] = {}
+        #: One row per entry, in the column order above.
+        self._entries = np.tile(np.array(_UNSEEN, dtype=np.int64), (entries, 1))
 
     @property
     def storage_bits(self) -> int:
@@ -82,26 +61,13 @@ class LoopPredictor(BranchPredictor):
     def snapshot_entries(self) -> np.ndarray:
         """Every entry as a row of (tag, trip_count, current_count,
         confidence, direction) — checkpoint/diff tooling."""
-        rows = np.empty((self.entries, len(_COLD_FIELDS)), dtype=np.int64)
-        rows[:] = _COLD_FIELDS
-        for index, entry in self._table.items():
-            rows[index] = entry.fields()
-        return rows
+        return self._entries.copy()
 
-    def entry_fields(self, index: int) -> tuple[int, int, int, int, bool]:
-        """Entry ``index`` as :meth:`_LoopEntry.fields` (cold if untouched)."""
-        return self._table.get(index, _COLD).fields()
-
-    def assign_entry(self, index: int, fields: tuple[int, int, int, int, bool]) -> None:
-        """Overwrite entry ``index``, in :meth:`_LoopEntry.fields` order."""
-        self._touch(index).assign(*fields)
-
-    def _touch(self, index: int) -> _LoopEntry:
-        """Entry ``index``, created cold on first touch."""
-        entry = self._table.get(index)
-        if entry is None:
-            entry = self._table[index] = _LoopEntry()
-        return entry
+    def restore_entries(self, rows: np.ndarray) -> None:
+        """Restore a snapshot taken by :meth:`snapshot_entries`."""
+        if rows.shape != self._entries.shape:
+            raise ConfigurationError("loop entry snapshot shape mismatch")
+        self._entries[:] = rows
 
     def state(self) -> dict[str, np.ndarray]:
         """Loop entries and stats (diff tooling)."""
@@ -115,40 +81,37 @@ class LoopPredictor(BranchPredictor):
     def is_confident(self, pc: int) -> bool:
         """True when the entry for ``pc`` has a confirmed trip count."""
         index, tag = self._entry(pc)
-        entry = self._table.get(index, _COLD)
-        return entry.tag == tag and entry.confidence >= self.confidence_threshold
+        entry_tag, _, _, confidence, _ = self._entries[index].tolist()
+        return entry_tag == tag and confidence >= self.confidence_threshold
 
     def _predict(self, pc: int) -> tuple[bool, object]:
         index, tag = self._entry(pc)
-        entry = self._table.get(index, _COLD)
-        if entry.tag != tag:
-            return True, (index, tag)  # cold: loop-back branches are mostly taken
-        confident = entry.confidence >= self.confidence_threshold
-        if confident and entry.trip_count and entry.current_count + 1 >= entry.trip_count:
-            prediction = not entry.direction  # exit iteration
+        fields = self._entries[index].tolist()
+        entry_tag, trip, current, confidence, direction = fields
+        if entry_tag != tag:
+            prediction = True  # cold: loop-back branches are mostly taken
+        elif confidence >= self.confidence_threshold and trip and current + 1 >= trip:
+            prediction = not direction  # exit iteration
         else:
-            prediction = entry.direction
-        return prediction, (index, tag)
+            prediction = bool(direction)
+        return prediction, (index, tag, fields)
 
     def _update(self, pc: int, taken: bool, predicted: bool, context: object) -> None:
-        index, tag = context
-        entry = self._touch(index)
-        if entry.tag != tag:
+        # The entry is as _predict read it: nothing writes it in between.
+        index, tag, (entry_tag, trip, current, confidence, direction) = context
+        entries = self._entries
+        if entry_tag != tag:
             # Allocate: assume taken is the body direction of a new loop.
-            entry.tag = tag
-            entry.direction = taken
-            entry.trip_count = 0
-            entry.current_count = 1
-            entry.confidence = 0
+            entries[index] = (tag, 0, 1, 0, taken)
             return
-        if taken == entry.direction:
-            entry.current_count = min(entry.current_count + 1, self.MAX_TRIP)
+        if taken == direction:
+            entries[index, CURRENT] = min(current + 1, self.MAX_TRIP)
             return
         # Exit iteration: the loop just completed current_count body trips.
-        completed = entry.current_count + 1
-        if completed == entry.trip_count:
-            entry.confidence = min(entry.confidence + 1, 3)
+        completed = current + 1
+        if completed == trip:
+            entries[index, CONFIDENCE] = min(confidence + 1, 3)
         else:
-            entry.trip_count = completed
-            entry.confidence = 0
-        entry.current_count = 0
+            entries[index, TRIP] = completed
+            entries[index, CONFIDENCE] = 0
+        entries[index, CURRENT] = 0

@@ -141,11 +141,11 @@ class JobExecutor:
 
     def _spawn_drain(self, run_dir: str, trace_ctx: dict | None) -> None:
         """Drain one campaign in a child process (spawn worker mode)."""
-        obs.claim_log_ownership()
         cmd = [sys.executable, "-m", "repro.service.worker", run_dir]
         if trace_ctx:
             cmd += ["--trace-context", json.dumps(trace_ctx)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        with obs.claim_log_ownership():
+            proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
             raise RuntimeError(
                 f"spawned worker exited {proc.returncode}: {proc.stderr.strip()[-500:]}"
@@ -421,7 +421,6 @@ def main(argv: list[str] | None = None) -> int:
     obs.set_enabled(True)
     if args.verbose:
         obs.set_verbose(True)
-    obs.claim_log_ownership()
 
     def announce(daemon: ServiceDaemon) -> None:
         print(
@@ -430,8 +429,10 @@ def main(argv: list[str] | None = None) -> int:
             flush=True,
         )
 
+    # The daemon owns the REPRO_LOG file until shutdown.
     try:
-        asyncio.run(_amain(config, announce))
+        with obs.claim_log_ownership():
+            asyncio.run(_amain(config, announce))
     except KeyboardInterrupt:
         pass
     return 0

@@ -77,6 +77,9 @@ FACTORIES = {
     "gshare_fast_delayed": lambda: GshareFastPredictor(
         entries=1024, pht_latency=2, update_delay=16
     ),
+    "gshare_fast_delay_1": lambda: GshareFastPredictor(
+        entries=256, pht_latency=1, update_delay=1
+    ),
     "bimode": lambda: BiModePredictor(512),
     "bimode_fast_tiny": lambda: BiModeFastPredictor(16, choice_entries=8, pht_latency=2),
     "egskew_tiny": lambda: EGskewPredictor(16),

@@ -53,6 +53,21 @@ class TestLoopPredictor:
     def test_storage(self):
         assert LoopPredictor(64).storage_bits == 64 * LoopPredictor.ENTRY_BITS
 
+    def test_entries_are_one_array_that_restores_exactly(self):
+        """Untouched entries are cold rows; a snapshot restored into a fresh
+        predictor continues exactly as the original, and a snapshot of the
+        wrong shape is refused."""
+        predictor = LoopPredictor(8)
+        assert predictor.snapshot_entries().tolist() == [[-1, 0, 0, 0, 1]] * 8
+        stream = loop_stream(reps=6, trips=5)
+        run_stream(predictor, stream)
+        copy = LoopPredictor(8)
+        copy.restore_entries(predictor.snapshot_entries())
+        assert run_stream(copy, stream) == run_stream(predictor, stream)
+        assert (copy.snapshot_entries() == predictor.snapshot_entries()).all()
+        with pytest.raises(ConfigurationError):
+            copy.restore_entries(predictor.snapshot_entries()[:4])
+
 
 class TestMultiComponent:
     def _build(self):

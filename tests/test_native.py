@@ -231,3 +231,56 @@ def test_build_span_reaches_the_event_log(tmp_path, monkeypatch):
         capture_output=True, text=True, timeout=60, env={"PYTHONPATH": str(SRC)}, check=True,
     )
     assert "native.build" in flame.stdout
+
+
+def test_counter_cores_check_their_arrays():
+    """counter_replay, chooser_replay and local_history_replay: a wrong
+    dtype never reaches C, differing stream lengths raise ValueError, and
+    an out-of-range cell or row, or more pending writes than the delay,
+    raise IndexError."""
+    cells = np.array([0, 3], dtype=np.int64)
+    flags = np.array([True, False])
+    table = np.ones(4, dtype=np.int16)
+    rows = np.zeros(4, dtype=np.int64)
+    queue = (np.zeros(2, dtype=np.int64), np.zeros(2, dtype=bool))
+    for wrong in (cells.astype(np.int32), cells.astype(np.uint64)):
+        with pytest.raises(ctypes.ArgumentError):
+            native.counter_replay(wrong, flags, table, 2, 3)
+        with pytest.raises(ctypes.ArgumentError):
+            native.chooser_replay(wrong, flags, flags, flags, table, 2, 3)
+        with pytest.raises(ctypes.ArgumentError):
+            native.local_history_replay(wrong, flags, rows, 4)
+    with pytest.raises(ctypes.ArgumentError):
+        native.counter_replay(cells, flags, table.astype(np.int64), 2, 3)
+    with pytest.raises(ctypes.ArgumentError):
+        native.counter_replay(cells, flags, table, 2, 3, (queue[0].astype(np.int32), queue[1]))
+    with pytest.raises(ctypes.ArgumentError):
+        native.local_history_replay(cells, flags, rows.astype(np.int32), 4)
+
+    with pytest.raises(ValueError):
+        native.counter_replay(cells[:1], flags, table, 2, 3)
+    with pytest.raises(ValueError):
+        native.counter_replay(cells, flags, table, 2, 3, (queue[0], queue[1][:1]))
+    with pytest.raises(ValueError):
+        native.chooser_replay(cells, flags, flags[:1], flags, table, 2, 3)
+    with pytest.raises(ValueError):
+        native.local_history_replay(cells, flags[:1], rows, 4)
+    with pytest.raises(ValueError):
+        native.local_history_replay(cells, flags, rows, 64)
+    assert table.tolist() == [1] * 4 and not rows.any()
+
+    out_of_range = np.array([4, 0], dtype=np.int64)
+    with pytest.raises(IndexError, match="counter_replay"):
+        native.counter_replay(out_of_range, flags, table, 2, 3)
+    with pytest.raises(IndexError, match="counter_replay"):  # a read, its write delayed
+        native.counter_replay(out_of_range, flags, table, 2, 3, queue)
+    with pytest.raises(IndexError, match="counter_replay"):
+        native.counter_replay(cells, flags, table, 2, 3, queue, pending=3)
+    stale = (np.array([4, 0], dtype=np.int64), np.zeros(2, dtype=bool))
+    with pytest.raises(IndexError, match="counter_replay"):
+        native.counter_replay(cells, flags, table, 2, 3, stale, pending=1)
+    with pytest.raises(IndexError, match="chooser_replay"):
+        native.chooser_replay(out_of_range, flags, ~flags, flags, table, 2, 3)
+    with pytest.raises(IndexError, match="local_history_replay"):
+        native.local_history_replay(out_of_range, flags, rows, 4)
+    assert table.tolist() == [1] * 4 and not rows.any()

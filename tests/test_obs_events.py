@@ -151,10 +151,10 @@ class TestSidecarMerge:
         assert [r["ts"] for r in read_events(log_file)] == [2.0, 1.0, 3.0]
 
     def test_collect_defaults_to_own_sink(self, log_file):
-        obs.claim_log_ownership()
         sidecar = log_file.parent / f"{log_file.name}.424242"
         sidecar.write_text(json.dumps({"event": "span", "ts": 1.0, "pid": 424242}) + "\n")
-        assert events.collect_worker_events() == 1
+        with obs.claim_log_ownership():
+            assert events.collect_worker_events() == 1
         assert read_events(log_file)[0]["pid"] == 424242
 
     def test_collect_without_log_is_noop(self, monkeypatch):

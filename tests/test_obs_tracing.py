@@ -5,6 +5,9 @@ from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -164,9 +167,13 @@ class TestSpanContext:
 
 class TestSidecarRouting:
     def test_owner_writes_main_file(self, log_file):
-        obs.claim_log_ownership()
-        assert os.environ["REPRO_LOG_OWNER_PID"] == str(os.getpid())
-        assert obs.event_sink() == str(log_file)
+        with obs.claim_log_ownership():
+            assert os.environ["REPRO_LOG_OWNER_PID"] == str(os.getpid())
+            assert obs.event_sink() == str(log_file)
+            with obs.claim_log_ownership():  # nested: already owned
+                pass
+            assert os.environ["REPRO_LOG_OWNER_PID"] == str(os.getpid())
+        assert "REPRO_LOG_OWNER_PID" not in os.environ  # restored on exit
 
     def test_foreign_owner_routes_to_sidecar(self, log_file, monkeypatch):
         monkeypatch.setenv("REPRO_LOG_OWNER_PID", "1")  # some other process
@@ -179,14 +186,41 @@ class TestSidecarRouting:
 
     def test_claim_is_idempotent_and_respects_prior_owner(self, log_file, monkeypatch):
         monkeypatch.setenv("REPRO_LOG_OWNER_PID", "1")
-        obs.claim_log_ownership()  # must not steal
+        with obs.claim_log_ownership():  # must not steal
+            assert os.environ["REPRO_LOG_OWNER_PID"] == "1"
         assert os.environ["REPRO_LOG_OWNER_PID"] == "1"
 
     def test_claim_without_log_is_noop(self, monkeypatch):
         monkeypatch.delenv("REPRO_LOG", raising=False)
         monkeypatch.delenv("REPRO_LOG_OWNER_PID", raising=False)
-        obs.claim_log_ownership()
-        assert "REPRO_LOG_OWNER_PID" not in os.environ
+        with obs.claim_log_ownership():
+            assert "REPRO_LOG_OWNER_PID" not in os.environ
+
+
+    def test_figures_run_owns_the_log_only_while_it_runs(self, log_file, capsys):
+        """An in-process ``main()`` leaves the environment as it found it, so
+        a ``repro-figures`` child started afterwards owns the log itself:
+        its events reach the log, and no sidecar is left unmerged."""
+        from repro.harness.cli import main
+
+        before = dict(os.environ)
+        assert main(["table2"]) == 0
+        capsys.readouterr()
+        assert dict(os.environ) == before
+        own = len(read_events(log_file))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness.cli", "table2"],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        _, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        written = read_events(log_file)[own:]
+        assert written and {event["pid"] for event in written} == {child.pid}
+        assert sorted(path.name for path in log_file.parent.iterdir()) == [log_file.name]
 
 
 class TestSweepSpans:

@@ -436,6 +436,16 @@ def test_exhausted_cell_keeps_the_rest_of_the_run(tmp_path, monkeypatch):
 # -- dead owners ---------------------------------------------------------------
 
 
+def process_state(pid: int) -> str:
+    """The state letter of process ``pid`` from ``/proc`` (``R``, ``S``,
+    ``Z``...), or ``gone``."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return "gone"
+    return stat.rsplit(")", 1)[1].split()[0]
+
+
 class TestDeadOwners:
     @pytest.fixture
     def queue(self, tmp_path):
@@ -482,7 +492,10 @@ class TestDeadOwners:
             REPRO_CAMPAIGN_SLOW_CELL=key,
             REPRO_CAMPAIGN_SLOW_SECONDS="3",
         )
-        for name in ("REPRO_LOG_OWNER_PID", "REPRO_CAMPAIGN_STALE_SECONDS"):
+        # No result store: a stored cell is regenerated, not executed, so
+        # the slowed cell would finish at once and the kill could land
+        # after its checkpoint (no retry) or miss its claim altogether.
+        for name in ("REPRO_LOG_OWNER_PID", "REPRO_CAMPAIGN_STALE_SECONDS", "REPRO_RESULT_STORE"):
             env.pop(name, None)
         code = (
             "import json, sys\n"
@@ -500,7 +513,15 @@ class TestDeadOwners:
             claim = run_dir / "claims" / f"{key}.json"
             while not claim.exists() and time.monotonic() - started < 60:
                 time.sleep(0.005)
-            os.kill(json.loads(claim.read_text())["pid"], signal.SIGKILL)
+            seen = time.monotonic()
+            pid = json.loads(claim.read_text())["pid"]
+            evidence = {
+                "checkpoint_at_kill": (run_dir / "shards" / f"{key}.json").exists(),
+                "state_at_kill": process_state(pid),
+            }
+            os.kill(pid, signal.SIGKILL)
+            evidence["seconds_from_claim_to_kill"] = round(time.monotonic() - seen, 3)
+            evidence["state_after_kill"] = process_state(pid)
             out, err = sweep.communicate(timeout=120)
         finally:
             if sweep.poll() is None:
@@ -508,8 +529,14 @@ class TestDeadOwners:
                 sweep.communicate()
         assert sweep.returncode == 0, err
         assert time.monotonic() - started < 60
-        retries = [e for e in read_run_events(log) if e["event"] == "retry"]
-        assert [e["shard"] for e in retries] == [key]
+        events = read_run_events(log)
+        retries = [e for e in events if e["event"] == "retry"]
+        # Evidence for a run that ends without the reclaim: the killed
+        # worker's state, and every event of the cell or of that worker.
+        evidence["events"] = [
+            e for e in events if key in json.dumps(e, default=str) or e.get("pid") == pid
+        ]
+        assert [e["shard"] for e in retries] == [key], json.dumps(evidence, indent=1)
         serial = accuracy_sweep(**SWEEP_KWARGS, jobs=1)
         assert json.loads(out) == [cell.misprediction_percent for cell in serial]
 

@@ -11,13 +11,14 @@ the scalar implementations:
   deterministic, and the identity when no folding is needed;
 * the vectorized kernel twins (:func:`repro.batch.kernels.fold_bits`,
   ``bit_reverse_bits``, ``rotate_left_bits``, ``bit_lengths``,
-  :func:`repro.batch.kernels.packed_history`, ``local_histories``) agree
-  with the scalar ``fold``/``bit_reverse``/``rotate_left``/``int.bit_length``
-  and ``HistoryRegister``/``LocalHistoryTable`` on every input;
-* the batch engine's grouping primitives match their plain references:
-  :class:`repro.batch.kernels.CounterScan` (the settling scan) a per-event
-  saturating-counter loop, and :func:`repro.batch.kernels.stable_order` and
-  ``segment_positions`` ``np.argsort(kind="stable")``.
+  :func:`repro.batch.kernels.packed_history`) agree with the scalar
+  ``fold``/``bit_reverse``/``rotate_left``/``int.bit_length`` and
+  ``HistoryRegister`` on every input;
+* the batch engine's per-branch cores in :mod:`repro.native` match their
+  plain references: ``counter_replay`` a per-event saturating-counter loop
+  (with and without an update delay), ``chooser_replay`` a loop that
+  trains only where the votes disagree, and ``local_history_replay``
+  ``LocalHistoryTable``.
 """
 
 from __future__ import annotations
@@ -27,17 +28,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import native
 from repro.batch.kernels import (
-    CounterScan,
     bit_lengths,
     bit_reverse_bits,
     fold_bits,
-    local_histories,
     pack_outcomes,
     packed_history,
     rotate_left_bits,
-    segment_positions,
-    stable_order,
     unpack_history,
 )
 from repro.common.bits import bit_reverse, fold, mask, rotate_left
@@ -215,36 +213,33 @@ def test_local_histories_match_local_history_table(stream, length, split, seed_r
     takens = np.asarray([taken for _, taken in stream], dtype=bool)
     split = min(split, len(stream))
     table = start.copy()
-    first = local_histories(rows[:split], takens[:split], table, length)
-    second = local_histories(rows[split:], takens[split:], table, length)
+    first = native.local_history_replay(rows[:split], takens[:split], table, length)
+    second = native.local_history_replay(rows[split:], takens[split:], table, length)
     assert np.concatenate([first, second]).tolist() == expected
     assert table.tolist() == histories.snapshot().tolist()
 
 
-# -- grouping primitives -----------------------------------------------------
+# -- counter cores -------------------------------------------------------------
 
 
 def replay_counters(table, cells, takens, max_value):
-    """The per-event saturating-counter loop :class:`CounterScan` replaces:
-    the state each write observed, and the table after each prefix of the
-    writes (``states[k]`` holds the table after the first ``k``)."""
+    """The per-event saturating-counter loop the counter core mirrors: the
+    table after each prefix of the writes (``states[k]`` holds the table
+    after the first ``k``)."""
     table = np.asarray(table, dtype=np.int64).copy()
-    before = []
     states = [table.copy()]
     for cell, taken in zip(cells, takens):
         value = int(table[cell])
-        before.append(value)
         table[cell] = min(value + 1, max_value) if taken else max(value - 1, 0)
         states.append(table.copy())
-    return before, np.array(states)
+    return np.array(states)
 
 
 @st.composite
 def counter_streams(draw):
-    """A counter table and a write stream (cells, strictly increasing
-    times, directions): random writes, long same-direction runs on a few
-    cells (maps settle fast), or strict alternation on one hot cell (maps
-    never settle, so some are still active in the last gather pass)."""
+    """A counter table and a write stream (cells, directions): random
+    writes, long same-direction runs on a few cells (counters saturate),
+    or strict alternation on one hot cell (counters keep flipping)."""
     bits = draw(st.integers(1, 4))
     max_value = (1 << bits) - 1
     size = draw(st.integers(1, 16))
@@ -262,46 +257,61 @@ def counter_streams(draw):
         events = [(hot, (i % 2 == 0) == first) for i in range(draw(st.integers(1, 80)))]
         for noise in draw(st.lists(st.tuples(cell, st.booleans()), max_size=20)):
             events.insert(draw(st.integers(0, len(events))), noise)
-    gaps = draw(st.lists(st.integers(1, 3), min_size=len(events), max_size=len(events)))
     cells = np.array([c for c, _ in events], dtype=np.int64)
     takens = np.array([taken for _, taken in events], dtype=bool)
-    times = np.cumsum(np.array(gaps, dtype=np.int64)) - 1
-    return np.array(table, dtype=np.int16), cells, times, takens, max_value
+    return np.array(table, dtype=np.int16), cells, takens, max_value
 
 
-def check_counter_scan(table, cells, times, takens, max_value, through_time):
-    """Every output of :class:`CounterScan` against :func:`replay_counters`."""
-    before, states = replay_counters(table, cells, takens, max_value)
-    scan = CounterScan(cells, times, takens, table.copy(), max_value)
-    assert scan.states_before_writes().tolist() == before
-    # Reads of every cell at every time up to a few past the last write.
-    horizon = int(times[-1]) + 8 if len(times) else 8
-    read_cells, read_times = (
-        grid.ravel() for grid in np.meshgrid(np.arange(len(table)), np.arange(horizon))
+def check_counter_core(table, cells, takens, max_value, threshold, delay, queued, split):
+    """Two :func:`repro.native.counter_replay` calls over a stream split at
+    ``split``, from the pending writes ``queued``, against
+    :func:`replay_counters` over the pending writes then the stream: branch
+    ``i`` reads the table after all but the last ``delay`` of the writes
+    before it, and the last ``delay`` writes stay pending."""
+    pending = len(queued)
+    write_cells = np.array([c for c, _ in queued] + cells.tolist(), dtype=np.int64)
+    write_takens = np.array([t for _, t in queued] + takens.tolist(), dtype=bool)
+    states = replay_counters(table, write_cells, write_takens, max_value)
+    visible = np.maximum(np.arange(len(cells)) + pending - delay, 0)
+    expected = states[visible, cells] >= threshold
+
+    work = table.copy()
+    queue = (np.zeros(delay, dtype=np.int64), np.zeros(delay, dtype=bool))
+    queue[0][:pending] = write_cells[:pending]
+    queue[1][:pending] = write_takens[:pending]
+    first, held = native.counter_replay(
+        cells[:split], takens[:split], work, threshold, max_value, queue, pending
     )
-    for delay in (0, 1, 5):
-        visible = np.searchsorted(times, read_times - delay - 1, side="right")
-        expected = states[visible, read_cells]
-        assert scan.sample(read_cells, read_times, delay).tolist() == expected.tolist()
-    committed = table.copy()
-    partial = CounterScan(cells, times, takens, committed, max_value)
-    partial.commit(through_time)
-    assert committed.tolist() == states[np.searchsorted(times, through_time, "right")].tolist()
-    partial.commit()
-    assert committed.tolist() == states[-1].tolist()
-    untimed = table.copy()
-    scan = CounterScan(cells, None, takens, untimed, max_value)
-    assert scan.states_before_writes().tolist() == before
-    scan.commit()
-    assert untimed.tolist() == states[-1].tolist()
+    second, held = native.counter_replay(
+        cells[split:], takens[split:], work, threshold, max_value, queue, held
+    )
+    assert np.concatenate([first, second]).tolist() == expected.tolist()
+    applied = max(len(write_cells) - delay, 0)
+    assert work.tolist() == states[applied].tolist()
+    assert held == len(write_cells) - applied
+    assert queue[0][:held].tolist() == write_cells[applied:].tolist()
+    assert queue[1][:held].tolist() == write_takens[applied:].tolist()
 
 
-@settings(max_examples=200, deadline=None)
-@given(stream=counter_streams(), through=st.integers(-1, 400))
-def test_counter_scan_matches_per_event_loop(stream, through):
-    """Before-states, delayed samples, partial and full commits of the
-    settling scan equal a per-event saturating-counter loop."""
-    check_counter_scan(*stream, through_time=through)
+@settings(max_examples=300, deadline=None)
+@given(stream=counter_streams(), delay=st.sampled_from([0, 1, 5]), data=st.data())
+def test_counter_scan_matches_per_event_loop(stream, delay, data):
+    """The counter core's votes, final table and pending queue equal a
+    per-event saturating-counter loop at delays 0, 1 and 5, from any
+    pending queue of up to ``delay`` writes and any threshold, with the
+    stream split across two calls."""
+    table, cells, takens, max_value = stream
+    pending = data.draw(st.integers(0, delay))
+    queued = data.draw(
+        st.lists(
+            st.tuples(st.integers(0, len(table) - 1), st.booleans()),
+            min_size=pending,
+            max_size=pending,
+        )
+    )
+    threshold = data.draw(st.integers(0, max_value + 1))
+    split = data.draw(st.integers(0, len(cells)))
+    check_counter_core(table, cells, takens, max_value, threshold, delay, queued, split)
 
 
 @pytest.mark.parametrize("bits", [1, 2, 3, 4])
@@ -312,47 +322,45 @@ def test_counter_scan_empty_and_single_event(bits, cells, takens):
     max_value = (1 << bits) - 1
     table = np.array([0, max_value, max_value // 2], dtype=np.int16)
     cells = np.array(cells, dtype=np.int64)
-    times = np.arange(len(cells), dtype=np.int64)
-    for through_time in (-1, 0):
-        check_counter_scan(table, cells, times, np.array(takens, dtype=bool), max_value, through_time)
-
-
-@st.composite
-def grouping_keys(draw):
-    """Keys drawn from a small pool (so that many repeat, which is what
-    stability is about) in one of the ranges :func:`stable_order` treats
-    differently: one 16-bit pass, two passes, and the argsort fallback
-    for keys of 2**32 and above or negative ones."""
-    low, high = draw(
-        st.sampled_from(
-            [(0, 1 << 16), (0, 1 << 32), ((1 << 16) - 2, (1 << 32) - 1), (1 << 32, 1 << 62),
-             (-(1 << 40), 1 << 16)]
-        )
-    )
-    pool = draw(st.lists(st.integers(low, high), min_size=1, max_size=8))
-    keys = np.array(draw(st.lists(st.sampled_from(pool), max_size=200)), dtype=np.int64)
-    if len(keys) and keys.min() >= -(1 << 31) and keys.max() < 1 << 31 and draw(st.booleans()):
-        keys = keys.astype(np.int32)
-    return keys
+    takens = np.array(takens, dtype=bool)
+    threshold = 1 << (bits - 1)
+    for delay, queued in ((0, []), (1, []), (1, [(1, False)]), (5, [(2, True)] * 5)):
+        for split in range(len(cells) + 1):
+            check_counter_core(table, cells, takens, max_value, threshold, delay, queued, split)
 
 
 @settings(max_examples=200, deadline=None)
-@given(keys=grouping_keys())
-def test_stable_order_and_segment_positions_match_stable_argsort(keys):
-    expected = np.argsort(keys, kind="stable")
-    assert stable_order(keys).tolist() == expected.tolist()
-    order, position = segment_positions(keys)
-    assert order.tolist() == expected.tolist()
-    seen: dict[int, int] = {}
-    expected_position = []
-    for key in keys[expected].tolist():
-        expected_position.append(seen.get(key, 0))
-        seen[key] = seen.get(key, 0) + 1
-    assert position.tolist() == expected_position
-
-
-@pytest.mark.parametrize("keys", [[], [7] * 50, [(1 << 16) - 1] * 3 + [1 << 16], [1 << 32, 0, 1 << 32]])
-def test_stable_order_edge_keys(keys):
-    keys = np.array(keys, dtype=np.int64)
-    assert stable_order(keys).tolist() == np.argsort(keys, kind="stable").tolist()
-
+@given(
+    bits=st.integers(1, 4),
+    events=st.lists(
+        st.tuples(st.integers(0, 7), st.booleans(), st.booleans(), st.booleans()), max_size=120
+    ),
+    data=st.data(),
+)
+def test_chooser_replay_matches_disagreement_loop(bits, events, data):
+    """Tournament's chooser core equals a loop in which every branch picks
+    the global vote when its counter is at or above the threshold, and the
+    counter trains toward the global vote's correctness only where the two
+    votes disagree."""
+    max_value = (1 << bits) - 1
+    table = np.array(
+        data.draw(st.lists(st.integers(0, max_value), min_size=8, max_size=8)), dtype=np.int16
+    )
+    threshold = data.draw(st.integers(0, max_value + 1))
+    columns = list(zip(*events)) or [()] * 4
+    cells = np.array(columns[0], dtype=np.int64)
+    global_votes, local_votes, takens = (np.array(column, dtype=bool) for column in columns[1:])
+    expected_table = table.astype(np.int64)
+    expected = []
+    for cell, global_vote, local_vote, taken in events:
+        value = int(expected_table[cell])
+        expected.append(global_vote if value >= threshold else local_vote)
+        if global_vote != local_vote:
+            right = global_vote == taken
+            expected_table[cell] = min(value + 1, max_value) if right else max(value - 1, 0)
+    work = table.copy()
+    got = native.chooser_replay(
+        cells, global_votes, local_votes, takens, work, threshold, max_value
+    )
+    assert got.tolist() == expected
+    assert work.tolist() == expected_table.tolist()
