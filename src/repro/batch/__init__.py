@@ -1,8 +1,9 @@
-"""Vectorized batch prediction engine.
+"""Batch prediction engine.
 
-Evaluates every registered predictor family over whole traces with NumPy
-array kernels instead of the branch-at-a-time scalar protocol (how each
-family is batched: :mod:`repro.batch.engine`).  The engine is *bit-exact*
+Evaluates every registered predictor family over whole traces, in chunks
+through the sequential C cores of :mod:`repro.native`, instead of the
+branch-at-a-time scalar protocol (how each family is batched:
+:mod:`repro.batch.engine`).  The engine is *bit-exact*
 against the scalar reference — same per-branch prediction stream, same
 full final state (``predictor.state()``) — which :mod:`repro.batch.diff`
 checks and ``tests/test_differential_batch.py`` enforces.

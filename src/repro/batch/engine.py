@@ -1,52 +1,55 @@
-"""The batch evaluation engine: whole-trace predictor runs in array code.
+"""The batch evaluation engine: whole-trace predictor runs in C cores.
 
 :func:`evaluate_stream` replays a ``(pc, taken)`` branch stream through a
-predictor using chunked NumPy kernels and returns the full per-branch
-prediction stream.  The contract is **bit-exactness** with the scalar
-``predict``/``update`` protocol: identical predictions for every branch and
-identical final predictor state (everything ``predictor.state()`` exposes:
-tables, history registers, local histories, weights, loop entries, stats,
-pending delayed updates).  ``tests/test_differential_batch.py`` enforces the
-contract with :mod:`repro.batch.diff`.
+predictor in chunks and returns the full per-branch prediction stream.
+The contract is **bit-exactness** with the scalar ``predict``/``update``
+protocol: identical predictions for every branch and identical final
+predictor state (everything ``predictor.state()`` exposes: tables, history
+registers, local histories, weights, loop entries, stats, pending delayed
+updates).  ``tests/test_differential_batch.py`` enforces the contract with
+:mod:`repro.batch.diff`.
 
 How each family is batched
 --------------------------
 
-Every registered family has a kernel.  They share one crucial property of
-trace-driven evaluation: everything that depends only on PCs and true
-outcomes — the global history before each branch and every fold/skew
-index hash — is known for the whole trace up front and is computed
-vectorized.  What remains is the predictor's own state, which every
-branch reads after earlier branches wrote it; each table, row or weight
-array steps branch by branch in a sequential C core (:mod:`repro.native`)
-on the kernel's working copy, one call per chunk per table:
+Every registered family has a kernel.  A kernel hands the sequential C
+cores of :mod:`repro.native` the chunk's PCs and outcomes, its history
+registers (:class:`repro.native.History`, carried from chunk to chunk)
+and one index rule per table (:func:`repro.native.rule`: the fold, skew,
+gshare and gshare.fast hashes, the loop tag, the perceptron's row, each
+as the scalar predictor forms it).  Each core forms every branch's
+indices from its PC and the history before it, steps the predictor state
+that the branch reads after earlier branches wrote it, then shifts the
+outcome into the history, all on the kernel's working copies, one call
+per chunk per core:
 
 1. **A counter table that every branch reads and then trains** is
    ``counter_replay``: bimodal, gshare, gshare.fast (whose non-speculative
    update delay the core applies as ``DelayedUpdateQueue`` does, starting
-   from the writes still pending) and the local predictor's PHT.
-   **tournament** is its two PHTs on that core, local-history rows on
-   ``local_history_replay``, and ``chooser_replay`` for the chooser that
-   every branch reads and that trains only where the votes disagree.
-2. **An update rule that couples several tables** is a C replay too.
+   from the writes still pending) and the local predictor's PHT, indexed
+   from its local-history rows.  **tournament** is its two PHTs on that
+   core and ``chooser_replay`` for the chooser that every branch reads and
+   that trains only where the votes disagree.
+2. **An update rule that couples several tables** is a C replay too:
    Bi-Mode and bimode.fast (the choice table steers which direction table
    trains, and its partial update depends on that table's prediction),
    e-gskew and 2Bc-gskew (majority vote with partial update, plus the
-   2Bc-gskew meta) run their counter core over precomputed indices.  The
-   **loop** predictor's entry array is stepped the same way.
+   2Bc-gskew meta).  The **loop** predictor's entry array is stepped the
+   same way.
 3. **A composite reuses its components' kernels.**  **multicomponent**
    runs each component's own kernel for its vote stream and final state,
    then replays only the Evers selection counters in C, as one lookup per
    branch in a precomputed transition table over a row's packed counters.
-4. **Weights train in one sequential C pass.**  **perceptron** inputs —
-   the global and local history bits as ±1, signed by each outcome — are
-   one array; the pass then computes each branch's margin as an int32 dot
-   product with its weight row and trains the row when the margin is at
-   most θ.
+4. **Weights train in one sequential C pass.**  **perceptron**: each
+   branch's output is the dot product of its weight row with its inputs,
+   the bias and each global and local history bit as ±1, and the row
+   trains when the outcome sign times the output is at most θ.
 
-A predictor whose exact type is not a registered family, or a
-multicomponent whose components or selection table no kernel models
-exactly, resolves to the scalar engine under ``engine="auto"``.
+A predictor whose exact type is not a registered family, a configuration
+whose history is wider than a core's register
+(:data:`repro.native.HISTORY_BITS`), or a multicomponent whose components
+or selection table no kernel models exactly, resolves to the scalar
+engine under ``engine="auto"``.
 
 The cycle simulator uses the same kernels: every fetch policy's
 components train on every conditional branch in trace order whatever the
@@ -62,21 +65,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from repro import obs
 from repro import native
-from repro.batch.kernels import (
-    bit_lengths,
-    bit_reverse_bits,
-    fold_bits,
-    hash_pcs,
-    pack_outcomes,
-    packed_history,
-    rotate_left_bits,
-    unpack_history,
-)
-from repro.common.bits import mask
+from repro import obs
+from repro.common.bits import log2_exact
 from repro.common.counters import CounterTable
 from repro.common.errors import ConfigurationError, ProtocolError
 from repro.core.gshare_fast import PC_SELECT_BITS
@@ -132,36 +124,30 @@ class BatchResult:
 # -- shared machinery ----------------------------------------------------------
 
 
-class _GlobalHistory:
-    """A global-history register driven by a whole stream: the packed value
-    before each branch of any chunk, and the value after the stream.  The
-    register's starting value stands in for the outcomes before the
-    stream."""
+def _pc_rule(size: int) -> np.ndarray:
+    """The index ``(pc >> 2) & (size - 1)`` of a table of ``size`` entries."""
+    return native.rule(native.PC, log2_exact(size))
 
-    def __init__(self, takens: np.ndarray, length: int, value: int) -> None:
-        self.length = length
-        #: Every outcome the register sees, oldest first; the stream
-        #: starts at offset ``length``.
-        self.outcomes = np.concatenate([unpack_history(value, length), takens])
 
-    def before(self, start: int, stop: int) -> np.ndarray:
-        length = self.length
-        return packed_history(
-            self.outcomes[length + start : length + stop],
-            length,
-            self.outcomes[start : start + length],
-        )
-
-    def final(self) -> int:
-        return pack_outcomes(self.outcomes, self.length)
+def _local(table) -> native.History:
+    """A working copy of a ``LocalHistoryTable``'s rows."""
+    return native.History(table.length, table.snapshot())
 
 
 def _train_votes(
-    cells: np.ndarray, takens: np.ndarray, table: np.ndarray, counters: CounterTable
+    pcs: np.ndarray,
+    takens: np.ndarray,
+    rule: np.ndarray,
+    history: native.History,
+    table: np.ndarray,
+    counters: CounterTable,
 ) -> np.ndarray:
-    """Votes of a counter table that every branch reads and then trains at
-    ``cells`` with no delay; advances ``table`` past the chunk."""
-    votes, _ = native.counter_replay(cells, takens, table, counters.threshold, counters.max_value)
+    """Votes of a counter table that every branch reads at ``rule``'s index
+    over ``history`` and then trains with no delay; advances ``table`` and
+    ``history`` past the chunk."""
+    votes, _ = native.counter_replay(
+        pcs, takens, rule, history, table, counters.threshold, counters.max_value
+    )
     return votes
 
 
@@ -176,10 +162,21 @@ class _Kernel:
     def __init__(self, predictor: BranchPredictor) -> None:
         self.predictor = predictor
 
+    @staticmethod
+    def widths(predictor: BranchPredictor) -> tuple[int, ...]:
+        """The widths of the history registers and rows its cores carry."""
+        return ()
+
+    def rules(self) -> list[np.ndarray]:
+        """The index rule of each table the cores read, in the order the
+        scalar predictor forms the indices."""
+        raise NotImplementedError
+
     @classmethod
     def supports(cls, predictor: BranchPredictor) -> bool:
-        """Whether this kernel is exact for ``predictor``'s configuration."""
-        return True
+        """Whether this kernel is exact for ``predictor``'s configuration:
+        every history it carries fits a core's register."""
+        return all(width <= native.HISTORY_BITS for width in cls.widths(predictor))
 
     def chunks(self, n: int, chunk: int):
         """Yield ``(start, stop)`` per chunk of an ``n``-branch stream,
@@ -223,67 +220,65 @@ def _commit(
 
 
 class _SingleTableKernel(_Kernel):
-    """Chunk loop shared by every one-read-one-write-per-branch family."""
+    """Chunk loop shared by every one-read-one-write-per-branch family, on
+    ``counter_replay`` over the global history (none for bimodal)."""
 
     #: Branches of delay between a branch's update issue and visibility.
     delay = 0
 
+    @staticmethod
+    def widths(predictor: BranchPredictor) -> tuple[int, ...]:
+        register = getattr(predictor, "history", None)
+        return (register.length,) if register is not None else ()
+
     def __init__(self, predictor: BranchPredictor) -> None:
         super().__init__(predictor)
         self.table = predictor.table.snapshot()
-        register = getattr(predictor, "history", None)
-        self.history_length = register.length if register is not None else 0
-        self.initial_history = register.value if register is not None else 0
-
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        register = self.register = getattr(predictor, "history", None)
+        self.history = native.History(
+            *((register.length, register.value) if register is not None else (0,))
+        )
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         counters = self.predictor.table
         predictions = np.empty(len(pcs), dtype=bool)
-        history = _GlobalHistory(takens, self.history_length, self.initial_history)
         # The delayed writes still pending from before the stream come first.
         queued = self.predictor._deferred_updates.snapshot() if self.delay else []
         pending = len(queued)
         queue = (np.zeros(self.delay, dtype=np.int64), np.zeros(self.delay, dtype=bool))
         for slot, (cell, taken) in enumerate(queued):
             queue[0][slot], queue[1][slot] = cell, taken
+        (rule,) = self.rules()
         for start, stop in self.chunks(len(pcs), chunk):
-            cells = self.indices(pcs[start:stop], history.before(start, stop))
             predictions[start:stop], pending = native.counter_replay(
-                cells, takens[start:stop], self.table, counters.threshold,
-                counters.max_value, queue, pending,
+                pcs[start:stop], takens[start:stop], rule, self.history, self.table,
+                counters.threshold, counters.max_value, queue, pending,
             )
         self._deferred = list(zip(queue[0][:pending].tolist(), queue[1][:pending].tolist()))
-        self.final_history = history.final()
         return predictions
 
     def writeback(self) -> None:
         self.predictor.table.restore(self.table)
-        if self.history_length:
-            self.predictor.history.restore(self.final_history)
+        if self.register is not None:
+            self.register.restore(self.history.value)
 
 
 class _BimodalKernel(_SingleTableKernel):
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
-        return (pcs >> 2) & (self.predictor.table.size - 1)
+    def rules(self) -> list[np.ndarray]:
+        return [_pc_rule(self.predictor.table.size)]
 
 
 class _GshareKernel(_SingleTableKernel):
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
-        bits = self.predictor.index_bits
-        return (hash_pcs(pcs, bits) ^ history) & mask(bits)
+    def rules(self) -> list[np.ndarray]:
+        return [native.rule(native.GSHARE, self.predictor.index_bits)]
 
 
-def _gshare_fast_indices(
-    pcs: np.ndarray, history: np.ndarray, index_bits: int, buffer_bits: int, staleness: int
-) -> np.ndarray:
-    """gshare.fast's pipelinable index: a line address from stale history,
-    a select from the folded low PC bits and the newest history."""
-    high = (history >> staleness) & mask(index_bits - buffer_bits)
-    pc_bits = fold_bits((pcs >> 2) & mask(PC_SELECT_BITS), PC_SELECT_BITS, buffer_bits)
-    low = (pc_bits ^ history) & mask(buffer_bits)
-    return (high << buffer_bits) | low
+def _fast_rule(predictor: BranchPredictor) -> np.ndarray:
+    """gshare.fast's pipelinable index (also bimode.fast's direction
+    index): a line address from stale history, a select from the folded
+    low PC bits and the newest history."""
+    p = predictor
+    return native.rule(native.FAST, p.index_bits, p.buffer_bits, p.staleness, PC_SELECT_BITS)
 
 
 class _GshareFastKernel(_SingleTableKernel):
@@ -291,9 +286,8 @@ class _GshareFastKernel(_SingleTableKernel):
         super().__init__(predictor)
         self.delay = predictor.update_delay
 
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
-        p = self.predictor
-        return _gshare_fast_indices(pcs, history, p.index_bits, p.buffer_bits, p.staleness)
+    def rules(self) -> list[np.ndarray]:
+        return [_fast_rule(self.predictor)]
 
     def writeback(self) -> None:
         super().writeback()
@@ -302,160 +296,153 @@ class _GshareFastKernel(_SingleTableKernel):
 
 
 class _LocalKernel(_Kernel):
-    """The two-level local predictor (a multicomponent component): the
-    local-history rows, then one PHT over indices folded from them."""
+    """The two-level local predictor (a multicomponent component): one PHT
+    indexed by each branch's local-history row, folded."""
+
+    widths = staticmethod(lambda p: (p.histories.length,))
+
+    def rules(self) -> list[np.ndarray]:
+        p: LocalPredictor = self.predictor
+        return [native.rule(native.FOLD, p.pht_index_bits, p.histories.length)]
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p: LocalPredictor = self.predictor
         (table,) = self.snapshot_tables(p.pht)
-        self.rows = p.histories.snapshot()
-        length = p.histories.length
+        self.local = _local(p.histories)
+        (rule,) = self.rules()
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
-            ctakens = takens[start:stop]
-            rows = (pcs[start:stop] >> 2) & (p.histories.entries - 1)
-            local = native.local_history_replay(rows, ctakens, self.rows, length)
-            cells = fold_bits(local, length, p.pht_index_bits)
-            predictions[start:stop] = _train_votes(cells, ctakens, table, p.pht)
+            predictions[start:stop] = _train_votes(
+                pcs[start:stop], takens[start:stop], rule, self.local, table, p.pht
+            )
         return predictions
 
     def writeback(self) -> None:
         self.restore_tables()
-        self.predictor.histories.restore_all(self.rows)
+        self.predictor.histories.restore_all(self.local.rows)
 
 
 # -- Bi-Mode and bimode.fast -----------------------------------------------------
 
 
 class _BiModeKernel(_Kernel):
-    """Vectorized precompute + exact sequential counter core for Bi-Mode."""
+    """Bi-Mode's coupled counter core over gshare direction indices."""
 
-    def __init__(self, predictor: BranchPredictor) -> None:
-        super().__init__(predictor)
-        self.history_length = predictor.history.length
-        self.initial_history = predictor.history.value
+    @staticmethod
+    def register(predictor: BranchPredictor) -> tuple[int, int]:
+        """The global history's length and value."""
+        return predictor.history.length, predictor.history.value
 
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
-        bits = self.predictor.direction_index_bits
-        return (hash_pcs(pcs, bits) ^ history) & mask(bits)
+    @classmethod
+    def widths(cls, predictor: BranchPredictor) -> tuple[int, ...]:
+        return (cls.register(predictor)[0],)
+
+    def direction_rule(self) -> np.ndarray:
+        return native.rule(native.GSHARE, self.predictor.direction_index_bits)
+
+    def rules(self) -> list[np.ndarray]:
+        return [self.direction_rule(), _pc_rule(self.predictor.choice_table.size)]
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
         tables = self.snapshot_tables(p.taken_table, p.not_taken_table, p.choice_table)
-        history = _GlobalHistory(takens, self.history_length, self.initial_history)
+        self.history = native.History(*self.register(p))
+        rules = np.stack(self.rules())
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
-            cpcs = pcs[start:stop]
             predictions[start:stop] = native.bimode_replay(
-                self.indices(cpcs, history.before(start, stop)),
-                (cpcs >> 2) & (p.choice_table.size - 1),
+                pcs[start:stop],
                 takens[start:stop],
+                rules,
+                self.history,
                 *tables,
                 p.taken_table.threshold,
                 p.taken_table.max_value,
                 p.choice_table.threshold,
                 p.choice_table.max_value,
             )
-        self.final_history = history.final()
         return predictions
 
     def writeback(self) -> None:
         self.restore_tables()
-        self.predictor.history.restore(self.final_history)
+        self.predictor.history.restore(self.history.value)
 
 
 class _BiModeFastKernel(_BiModeKernel):
     """bimode.fast: the Bi-Mode core over gshare.fast direction indices,
     with its speculative history kept as a plain int."""
 
-    def __init__(self, predictor: BranchPredictor) -> None:
-        _Kernel.__init__(self, predictor)
-        self.history_length = predictor._history_bits
-        self.initial_history = predictor._history
+    @staticmethod
+    def register(predictor: BranchPredictor) -> tuple[int, int]:
+        return predictor._history_bits, predictor._history
 
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> np.ndarray:
-        p = self.predictor
-        return _gshare_fast_indices(pcs, history, p.index_bits, p.buffer_bits, p.staleness)
+    def direction_rule(self) -> np.ndarray:
+        return _fast_rule(self.predictor)
 
     def writeback(self) -> None:
         self.restore_tables()
-        self.predictor._history = self.final_history
+        self.predictor._history = self.history.value
 
 
 # -- e-gskew and 2Bc-gskew -------------------------------------------------------
 
 
-def _skew_indices(
-    pcs: np.ndarray, history: np.ndarray, history_length: int, index_bits: int, bank: int
-) -> np.ndarray:
-    """Vectorized :func:`repro.predictors.gskew.skew_index`."""
-    pc_bits = hash_pcs(pcs, index_bits)
-    hist_bits = fold_bits(history, history_length, index_bits)
-    if bank == 0:
-        mixed = pc_bits ^ hist_bits
-    elif bank == 1:
-        mixed = rotate_left_bits(pc_bits, index_bits // 3 + 1, index_bits) ^ bit_reverse_bits(
-            hist_bits, index_bits
-        )
-    else:
-        mixed = bit_reverse_bits(pc_bits, index_bits) ^ rotate_left_bits(
-            hist_bits, 2 * index_bits // 3 + 1, index_bits
-        )
-    return mixed & mask(index_bits)
-
-
 class _GskewKernel(_Kernel):
-    """Shared chunk loop of the gskew family: vectorized bank indices, then
-    the partial-update majority vote replayed by a C core (``replay``).
+    """Shared chunk loop of the gskew family: the partial-update majority
+    vote replayed by a C core (``replay``) over the bank rules (``rules``).
     Every bank of these families is a 2-bit counter table."""
-
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> list[np.ndarray]:
-        raise NotImplementedError
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
         tables = self.snapshot_tables(*p.tables().values())
-        history = _GlobalHistory(takens, p.history.length, p.history.value)
+        self.history = native.History(p.history.length, p.history.value)
+        rules = np.stack(self.rules())
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
             predictions[start:stop] = self.replay(
-                self.indices(pcs[start:stop], history.before(start, stop)),
+                pcs[start:stop],
                 takens[start:stop],
+                rules,
+                self.history,
                 tables,
                 p.bim.threshold,
                 p.bim.max_value,
             )
-        self.final_history = history.final()
         return predictions
 
     def writeback(self) -> None:
         self.restore_tables()
-        self.predictor.history.restore(self.final_history)
+        self.predictor.history.restore(self.history.value)
 
 
 class _EGskewKernel(_GskewKernel):
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> list[np.ndarray]:
+    widths = staticmethod(lambda p: (p.history.length,))
+
+    def rules(self) -> list[np.ndarray]:
         p = self.predictor
         length, bits = p.history.length, p.index_bits
         return [
-            (pcs >> 2) & (p.bim.size - 1),
-            _skew_indices(pcs, history, length, bits, 1),
-            _skew_indices(pcs, history, length, bits, 2),
+            _pc_rule(p.bim.size),
+            native.rule(native.SKEW, bits, length, 1),
+            native.rule(native.SKEW, bits, length, 2),
         ]
 
     replay = staticmethod(native.egskew_replay)
 
 
 class _TwoBcGskewKernel(_GskewKernel):
-    def indices(self, pcs: np.ndarray, history: np.ndarray) -> list[np.ndarray]:
+    widths = staticmethod(lambda p: (p.long_history, p.short_history))
+
+    def rules(self) -> list[np.ndarray]:
         p = self.predictor
         bits = p.index_bits
-        short = history & mask(p.short_history)
+        # G0 and the meta read the short history: skew_index folds only
+        # its low short_history bits.
         return [
-            (pcs >> 2) & (p.bim.size - 1),
-            _skew_indices(pcs, short, p.short_history, bits, 1),
-            _skew_indices(pcs, history, p.long_history, bits, 2),
-            _skew_indices(pcs, short, p.short_history, bits, 0),
+            _pc_rule(p.bim.size),
+            native.rule(native.SKEW, bits, p.short_history, 1),
+            native.rule(native.SKEW, bits, p.long_history, 2),
+            native.rule(native.SKEW, bits, p.short_history, 0),
         ]
 
     replay = staticmethod(native.twobc_gskew_replay)
@@ -465,49 +452,60 @@ class _TwoBcGskewKernel(_GskewKernel):
 
 
 class _TournamentKernel(_Kernel):
-    """Four cores per chunk: the local-history rows, the global and local
-    PHT votes, then the chooser that picks between them."""
+    """Three cores per chunk: the global and local PHT votes, then the
+    chooser that picks between them."""
+
+    widths = staticmethod(lambda p: (p.history.length, p.local_histories.length))
+
+    def rules(self) -> list[np.ndarray]:
+        """The global PHT's and the chooser's rules over the global
+        history, the local PHT's over the local-history rows."""
+        p = self.predictor
+        length = p.history.length
+        return [
+            native.rule(native.FOLD, p.global_index_bits, length),
+            native.rule(native.FOLD, p.local_pht_index_bits, p.local_histories.length),
+            native.rule(native.FOLD, p.chooser_index_bits, length),
+        ]
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
         global_table, local_table, chooser_table = self.snapshot_tables(
             p.global_pht, p.local_pht, p.chooser
         )
-        self.rows = p.local_histories.snapshot()
         length = p.history.length
-        local_length = p.local_histories.length
-        history = _GlobalHistory(takens, length, p.history.value)
+        # The global PHT and the chooser each carry their own copy of the
+        # global history through the stream.
+        self.history = native.History(length, p.history.value)
+        chooser_history = native.History(length, p.history.value)
+        self.local = _local(p.local_histories)
+        global_rule, local_rule, chooser_rule = self.rules()
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
-            ctakens = takens[start:stop]
-            ghist = history.before(start, stop)
-            rows = (pcs[start:stop] >> 2) & (p.local_histories.entries - 1)
-            local = native.local_history_replay(rows, ctakens, self.rows, local_length)
+            cpcs, ctakens = pcs[start:stop], takens[start:stop]
             global_vote = _train_votes(
-                fold_bits(ghist, length, p.global_index_bits), ctakens, global_table, p.global_pht
+                cpcs, ctakens, global_rule, self.history, global_table, p.global_pht
             )
             local_vote = _train_votes(
-                fold_bits(local, local_length, p.local_pht_index_bits),
-                ctakens,
-                local_table,
-                p.local_pht,
+                cpcs, ctakens, local_rule, self.local, local_table, p.local_pht
             )
             predictions[start:stop] = native.chooser_replay(
-                fold_bits(ghist, length, p.chooser_index_bits),
+                cpcs,
+                ctakens,
+                chooser_rule,
+                chooser_history,
                 global_vote,
                 local_vote,
-                ctakens,
                 chooser_table,
                 p.chooser.threshold,
                 p.chooser.max_value,
             )
-        self.final_history = history.final()
         return predictions
 
     def writeback(self) -> None:
         self.restore_tables()
-        self.predictor.local_histories.restore_all(self.rows)
-        self.predictor.history.restore(self.final_history)
+        self.predictor.local_histories.restore_all(self.local.rows)
+        self.predictor.history.restore(self.history.value)
 
 
 # -- loop ------------------------------------------------------------------------
@@ -517,18 +515,18 @@ class _LoopKernel(_Kernel):
     """Loop entries step branch by branch in a C core, on a copy of the
     entry array."""
 
+    def rules(self) -> list[np.ndarray]:
+        bits = log2_exact(self.predictor.entries)
+        return [native.rule(native.PC, bits), native.rule(native.LOOP_TAG, bits)]
+
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p: LoopPredictor = self.predictor
         self.entries = p.snapshot_entries()
+        rules = np.stack(self.rules())
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
-            shifted = pcs[start:stop] >> 2
-            index = shifted & (p.entries - 1)
-            # The tag shifts by the bit length of the index *value*, as
-            # LoopPredictor._entry does.
-            tags = (shifted >> bit_lengths(index)) & 0xFF
             predictions[start:stop] = native.loop_replay(
-                index, tags, takens[start:stop], self.entries,
+                pcs[start:stop], takens[start:stop], rules, self.entries,
                 p.confidence_threshold, LoopPredictor.MAX_TRIP,
             )
         return predictions
@@ -589,9 +587,17 @@ class _MultiComponentKernel(_Kernel):
     def supports(cls, predictor: BranchPredictor) -> bool:
         slots = predictor.slots
         return (
-            all(type(slot.predictor) in _COMPONENT_KERNELS for slot in slots)
+            all(
+                type(slot.predictor) in _COMPONENT_KERNELS
+                and _COMPONENT_KERNELS[type(slot.predictor)].supports(slot.predictor)
+                for slot in slots
+            )
             and len(slots) * (predictor.selector_bits + 1) <= _MAX_TRANSITION_BITS
         )
+
+    def rules(self) -> list[np.ndarray]:
+        """The selection counters' row rule."""
+        return [_pc_rule(self.predictor.selector_entries)]
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
@@ -605,15 +611,15 @@ class _MultiComponentKernel(_Kernel):
         shifts = bits * np.arange(components)
         self.state = (p._counters.astype(np.int64) << shifts).sum(axis=1)
         transitions = _selection_transitions(components, bits)
+        (rule,) = self.rules()
         selected_correct = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
             ctakens = takens[start:stop]
             correct = np.zeros(stop - start, dtype=np.int64)
             for i, votes in enumerate(self.votes):
                 correct |= (votes[start:stop] == ctakens).astype(np.int64) << i
-            rows = (pcs[start:stop] >> 2) & (p.selector_entries - 1)
             selected_correct[start:stop] = native.selection_replay(
-                rows, correct, self.state, transitions, components
+                pcs[start:stop], rule, correct, self.state, transitions, components
             )
         return selected_correct == takens
 
@@ -630,55 +636,43 @@ class _MultiComponentKernel(_Kernel):
 
 
 class _PerceptronKernel(_Kernel):
-    """The ±1 input rows of a chunk in array code, then one sequential C
-    training pass over them."""
+    """One sequential C training pass, which forms each branch's row and
+    ±1 inputs from its PC and its global and local histories."""
+
+    widths = staticmethod(lambda p: (p.global_history_length, p.local_history_length))
+
+    def rules(self) -> list[np.ndarray]:
+        """The weight row's rule."""
+        return [native.rule(native.ROW, 32, self.predictor.num_perceptrons)]
 
     def run(self, pcs: np.ndarray, takens: np.ndarray, chunk: int) -> np.ndarray:
         p = self.predictor
-        glen, llen = p.global_history_length, p.local_history_length
         self.weights = p.weights.astype(np.int32)
-        self.rows = p.local_histories.snapshot() if llen else None
-        history = _GlobalHistory(takens, glen, p.history.value)
-        # Input bit i of branch t is outcome t-1-i: the reversed window of
-        # the glen outcomes before t, as ±1.
-        signs = history.outcomes.astype(np.int8) * 2 - 1
-        windows = sliding_window_view(signs, glen)
+        self.history = native.History(p.global_history_length, p.history.value)
+        local = p.local_histories
+        self.local = _local(local) if local is not None else native.History(0)
+        (rule,) = self.rules()
         predictions = np.empty(len(pcs), dtype=bool)
         for start, stop in self.chunks(len(pcs), chunk):
-            cpcs = pcs[start:stop]
-            ctakens = takens[start:stop]
-            inputs = np.empty((stop - start, p.inputs), dtype=np.int8)
-            inputs[:, 0] = 1
-            inputs[:, 1 : 1 + glen] = windows[start:stop, ::-1]
-            if llen:
-                rows = (cpcs >> 2) & (p.local_histories.entries - 1)
-                local = native.local_history_replay(rows, ctakens, self.rows, llen)
-                for i in range(llen):
-                    inputs[:, 1 + glen + i] = ((local >> i) & 1) * 2 - 1
-            # Signed by the outcome t, w·inputs is the margin t·(w·x), and
-            # training adds inputs to the row.  A branch trains exactly when
-            # its margin is at most θ: a wrong prediction has a negative
-            # margin (or zero, predicting taken on a not-taken branch).
-            inputs *= np.where(ctakens, 1, -1).astype(np.int8)[:, None]
-            margins = native.perceptron_train(
-                hash_pcs(cpcs, 32) % p.num_perceptrons,
-                inputs,
+            predictions[start:stop] = native.perceptron_train(
+                pcs[start:stop],
+                takens[start:stop],
+                rule,
+                self.history,
+                self.local,
                 self.weights,
                 p.threshold,
                 WEIGHT_MIN,
                 WEIGHT_MAX,
             )
-            # output = t·margin, predicting taken when output >= 0
-            predictions[start:stop] = np.where(ctakens, margins >= 0, margins <= 0)
-        self.final_history = history.final()
         return predictions
 
     def writeback(self) -> None:
         p = self.predictor
         p.weights[:] = self.weights
-        if self.rows is not None:
-            p.local_histories.restore_all(self.rows)
-        p.history.restore(self.final_history)
+        if p.local_histories is not None:
+            p.local_histories.restore_all(self.local.rows)
+        p.history.restore(self.history.value)
 
 
 # -- dispatch ------------------------------------------------------------------
@@ -753,8 +747,8 @@ def evaluate_stream(
     kernel_type = _kernel_for(predictor)
     if kernel_type is None:
         raise ConfigurationError(
-            f"no batch kernel for predictor type {type(predictor).__name__}; "
-            f"use the scalar engine"
+            f"no batch kernel models this {type(predictor).__name__} (its type or its "
+            f"configuration); use the scalar engine"
         )
     if predictor._pending is not None:
         raise ProtocolError(

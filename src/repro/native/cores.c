@@ -1,33 +1,37 @@
 /* Sequential cores: the per-branch and per-block loops of the batch engine
  * and the cycle simulator.
  *
- * The batch engine (repro/batch/engine.py) and the cycle simulator
- * (repro/uarch/) compute the index hashes, the global history, input rows,
- * block and address layouts in NumPy.  What is left is a state machine
- * that must step through its events in order, because each step reads
- * what the previous one wrote:
+ * The batch engine's cores (repro/batch/engine.py) take each branch's PC
+ * and outcome and form, branch by branch, every input the scalar predictor
+ * forms from them: the global-history register (carried from call to call
+ * in its caller's array), local-history rows, each table's index under its
+ * rule (the fold, skew, gshare and gshare.fast hashes, the loop tag, the
+ * perceptron's row) and the perceptron's inputs.  Each then steps state
+ * that every branch reads after earlier branches wrote it:
  *
  *   - counter tables that every branch reads and then trains (bimodal,
  *     gshare, gshare.fast with its update delay, local PHTs), tournament's
- *     chooser and local-history rows;
+ *     chooser;
  *   - coupled counter tables (Bi-Mode, e-gskew, 2Bc-gskew), where one
  *     table decides whether another trains;
  *   - loop entries and the multicomponent selection counters;
- *   - perceptron training, where a branch's margin depends on every
- *     earlier update of its weight row;
- *   - the LRU caches, the BTB and the return-address stack;
- *   - the timing loop, a chain of double-precision operations whose
- *     result depends on their order.
+ *   - perceptron training, where a branch's output depends on every
+ *     earlier update of its weight row.
+ *
+ * The cycle simulator (repro/uarch/) lays out blocks and addresses in
+ * NumPy; its cores are the LRU caches, the BTB and the return-address
+ * stack, and the timing loop, a chain of double-precision operations whose
+ * result depends on their order.
  *
  * Each core applies exactly the rule of the scalar model it mirrors, in
  * the same order, on state arrays the Python side owns.  repro/native
  * builds this file with -ffp-contract=off so that no multiply-add is
  * fused, and never with -ffast-math, so every double operation rounds as
- * Python's float does.  The caller checks every dtype, length and shape;
- * the cores check every index they read from the caller's arrays, and
- * every fill count, and return -1 before using one that is out of range
- * (otherwise 0, or the count a core documents).  No core touches a
- * Python object.
+ * Python's float does.  The caller checks every dtype, length, shape,
+ * history width and index rule; the cores check every index they read
+ * from the caller's arrays or form, and every fill count, and return -1
+ * before using one that is out of range (otherwise 0, or the count a core
+ * documents).  No core touches a Python object.
  */
 
 #include <math.h>
@@ -46,26 +50,193 @@ static int out_of_range(int64_t index, int64_t size)
     return (uint64_t)index >= (uint64_t)size;
 }
 
-/* -- counter tables and local histories ---------------------------------- */
+/* -- bits: repro/common/bits.py, one to one (widths 0 to 63) -------------- */
 
-/* A counter table that every branch reads and then trains, each write
- * becoming visible `delay` branches after its own read (DelayedUpdateQueue):
- * once branch i has pushed its write, the oldest write beyond `delay`
- * applies.  The queue holds the writes still pending, oldest first: the
- * first `pending` of its `delay` slots on entry, the last
- * min(delay, pending + n) writes on return.  Returns that count. */
+static uint64_t mask(int64_t width)
+{
+    return ((uint64_t)1 << width) - 1;
+}
+
+/* The XOR of the value's out_width-bit slices: bits.fold's loop, run over
+ * every slice of the in_width bits (a zero slice changes nothing), so that
+ * its trip count depends on the widths only. */
+static uint64_t fold(uint64_t value, int64_t in_width, int64_t out_width)
+{
+    if (out_width == 0)
+        return 0;
+    value &= mask(in_width);
+    uint64_t folded = 0;
+    for (int64_t shift = 0; shift < in_width; shift += out_width)
+        folded ^= (value >> shift) & mask(out_width);
+    return folded;
+}
+
+/* The low `width` bits reversed: all 64 bits reversed by swapping ever
+ * larger halves, then the top `width` of them. */
+static uint64_t bit_reverse(uint64_t value, int64_t width)
+{
+    static const uint64_t halves[] = {
+        0x5555555555555555u, 0x3333333333333333u, 0x0F0F0F0F0F0F0F0Fu,
+        0x00FF00FF00FF00FFu, 0x0000FFFF0000FFFFu, 0x00000000FFFFFFFFu,
+    };
+    if (width == 0)
+        return 0;
+    for (int k = 0; k < 6; k++) {
+        int shift = 1 << k;
+        value = ((value >> shift) & halves[k]) | ((value & halves[k]) << shift);
+    }
+    return value >> (64 - width);
+}
+
+static uint64_t rotate_left(uint64_t value, int64_t amount, int64_t width)
+{
+    if (amount >= width) /* at skew widths of 1 to 3 bits only: spare the division */
+        amount %= width;
+    value &= mask(width);
+    return ((value << amount) | (value >> (width - amount))) & mask(width);
+}
+
+/* The PC's word address: Python's pc >> 2, an arithmetic shift. */
+static uint64_t word(int64_t pc)
+{
+    return (uint64_t)(pc >> 2);
+}
+
+static uint64_t hash_pc(int64_t pc, int64_t width)
+{
+    return fold(word(pc), 32, width);
+}
+
+/* -- index rules ------------------------------------------------------------ */
+
+/* gskew.skew_index: bank 0, 1 or 2 of the skewing family. */
+static uint64_t skew_index(
+    int64_t pc, uint64_t history, int64_t history_length, int64_t index_bits, int64_t bank)
+{
+    uint64_t pc_bits = hash_pc(pc, index_bits);
+    uint64_t hist_bits = fold(history, history_length, index_bits);
+    uint64_t mixed;
+    if (bank == 0)
+        mixed = pc_bits ^ hist_bits;
+    else if (bank == 1)
+        mixed = rotate_left(pc_bits, index_bits / 3 + 1, index_bits) ^
+                bit_reverse(hist_bits, index_bits);
+    else
+        mixed = bit_reverse(pc_bits, index_bits) ^
+                rotate_left(hist_bits, 2 * index_bits / 3 + 1, index_bits);
+    return mixed & mask(index_bits);
+}
+
+/* gshare.fast's index: a line address from stale history, a select from
+ * the folded low PC bits and the newest history. */
+static uint64_t fast_index(
+    int64_t pc, uint64_t history, int64_t index_bits, int64_t buffer_bits, int64_t staleness,
+    int64_t select_bits)
+{
+    uint64_t high = (history >> staleness) & mask(index_bits - buffer_bits);
+    uint64_t pc_bits = fold(word(pc) & mask(select_bits), select_bits, buffer_bits);
+    uint64_t low = (pc_bits ^ history) & mask(buffer_bits);
+    return (high << buffer_bits) | low;
+}
+
+/* Python's int.bit_length (gcc and clang provide the count of leading
+ * zeros). */
+static int64_t bit_length(uint64_t value)
+{
+    return value ? 64 - __builtin_clzll(value) : 0;
+}
+
+/* LoopPredictor's tag: the word address shifted by the bit length of the
+ * entry index's value, then its low 8 bits. */
+static uint64_t loop_tag(int64_t pc, int64_t index_bits)
+{
+    return (uint64_t)((pc >> 2) >> bit_length(word(pc) & mask(index_bits))) & 0xFF;
+}
+
+/* How a table's index is formed from a branch's PC and the history row it
+ * reads (repro.native.rule builds and checks each kind): RULE_FIELDS
+ * int64s, the kind, the index bits, then up to three parameters. */
+enum { RULE_PC, RULE_GSHARE, RULE_FAST, RULE_FOLD, RULE_SKEW, RULE_ROW, RULE_LOOP_TAG };
+enum { RULE_FIELDS = 5 };
+
+static uint64_t table_index(const int64_t *rule, int64_t pc, uint64_t history)
+{
+    int64_t bits = rule[1];
+    switch (rule[0]) {
+    case RULE_PC:
+        return word(pc) & mask(bits);
+    case RULE_GSHARE:
+        return (hash_pc(pc, bits) ^ history) & mask(bits);
+    case RULE_FAST: /* buffer bits, staleness, select bits */
+        return fast_index(pc, history, bits, rule[2], rule[3], rule[4]);
+    case RULE_FOLD: /* history length */
+        return fold(history, rule[2], bits);
+    case RULE_SKEW: /* history length, bank */
+        return skew_index(pc, history, rule[2], bits, rule[3]);
+    case RULE_ROW: /* rows: the perceptron's hash_pc(pc, 32) % rows */
+        return hash_pc(pc, bits) % (uint64_t)rule[2];
+    default: /* RULE_LOOP_TAG */
+        return loop_tag(pc, bits);
+    }
+}
+
+/* -- history rows ------------------------------------------------------------ */
+
+/* History rows of `length` bits, newest outcome in bit 0 (repro.native.
+ * History): the branch at pc reads row (pc >> 2) & (count - 1), the
+ * history before it, then shifts its outcome in.  A global-history
+ * register is one row; a LocalHistoryTable is its rows.  The count is a
+ * power of two, so every row is in range. */
+static int64_t history_row(int64_t pc, int64_t count)
+{
+    return (int64_t)(word(pc) & (uint64_t)(count - 1));
+}
+
+static void shift_in(int64_t *row, int taken, int64_t length)
+{
+    *row = (int64_t)((((uint64_t)*row << 1) | (uint64_t)taken) & mask(length));
+}
+
+/* Every index one rule forms over a stream, reading and shifting history
+ * rows as the cores do: the cores' index function, exposed so that it can
+ * be checked against the scalar predictors. */
+int64_t indices(
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rule, int64_t *rows,
+    int64_t row_count, int64_t length, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t r = history_row(pcs[i], row_count);
+        out[i] = (int64_t)table_index(rule, pcs[i], (uint64_t)rows[r]);
+        shift_in(&rows[r], takens[i] != 0, length);
+    }
+    return 0;
+}
+
+/* -- counter tables ---------------------------------------------------------- */
+
+/* A counter table that every branch reads at its rule's index over history
+ * rows, and then trains, each write becoming visible `delay` branches after
+ * its own read (DelayedUpdateQueue): once branch i has pushed its write,
+ * the oldest write beyond `delay` applies.  The queue holds the writes
+ * still pending, oldest first: the first `pending` of its `delay` slots on
+ * entry, the last min(delay, pending + n) writes on return.  `cells` keeps
+ * each branch's index for its delayed write.  Returns that count. */
 int64_t counter_replay(
-    int64_t n, const int64_t *cells, const uint8_t *takens, int16_t *table, int64_t size,
-    int64_t threshold, int64_t top, int64_t delay, int64_t *queue_cells,
-    uint8_t *queue_takens, int64_t pending, uint8_t *votes)
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rule, int64_t *rows,
+    int64_t row_count, int64_t length, int16_t *table, int64_t size, int64_t threshold,
+    int64_t top, int64_t delay, int64_t *queue_cells, uint8_t *queue_takens, int64_t pending,
+    int64_t *cells, uint8_t *votes)
 {
     if (out_of_range(pending, delay + 1))
         return -1;
     for (int64_t i = 0; i < n; i++) {
-        int64_t c = cells[i];
+        int64_t r = history_row(pcs[i], row_count);
+        int64_t c = (int64_t)table_index(rule, pcs[i], (uint64_t)rows[r]);
         if (out_of_range(c, size))
             return -1;
+        cells[i] = c;
         votes[i] = (uint8_t)(table[c] >= threshold);
+        shift_in(&rows[r], takens[i] != 0, length);
         /* The write that applies now, counted over pending then stream. */
         int64_t w = pending + i - delay;
         if (w < 0)
@@ -89,36 +260,20 @@ int64_t counter_replay(
  * the local vote, and the cell trains toward the global component only
  * where the two votes disagree. */
 int64_t chooser_replay(
-    int64_t n, const int64_t *cells, const uint8_t *global_votes, const uint8_t *local_votes,
-    const uint8_t *takens, int16_t *table, int64_t size, int64_t threshold, int64_t top,
-    uint8_t *predictions)
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rule, int64_t *history,
+    int64_t length, const uint8_t *global_votes, const uint8_t *local_votes, int16_t *table,
+    int64_t size, int64_t threshold, int64_t top, uint8_t *predictions)
 {
     for (int64_t i = 0; i < n; i++) {
-        int64_t c = cells[i];
+        int64_t c = (int64_t)table_index(rule, pcs[i], (uint64_t)*history);
         if (out_of_range(c, size))
             return -1;
+        int taken = takens[i] != 0;
         int global = global_votes[i] != 0, local = local_votes[i] != 0;
         predictions[i] = (uint8_t)(table[c] >= threshold ? global : local);
         if (global != local)
-            table[c] = step(table[c], global == (takens[i] != 0), top);
-    }
-    return 0;
-}
-
-/* Local-history rows of `length` bits (1 to 63): each branch reads its
- * row, the history before it, then shifts its outcome in. */
-int64_t local_history_replay(
-    int64_t n, const int64_t *rows, const uint8_t *takens, int64_t *table, int64_t row_count,
-    int64_t length, int64_t *histories)
-{
-    uint64_t width = ((uint64_t)1 << length) - 1;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t r = rows[i];
-        if (out_of_range(r, row_count))
-            return -1;
-        uint64_t value = (uint64_t)table[r];
-        histories[i] = (int64_t)value;
-        table[r] = (int64_t)(((value << 1) | (takens[i] != 0)) & width);
+            table[c] = step(table[c], global == taken, top);
+        shift_in(history, taken, length);
     }
     return 0;
 }
@@ -127,16 +282,18 @@ int64_t local_history_replay(
 
 /* Bi-Mode: the choice counter picks the direction table that predicts and
  * trains; the choice counter skips its update when the picked table was
- * right but disagreed with it. */
+ * right but disagreed with it.  Rules: direction, choice. */
 int64_t bimode_replay(
-    int64_t n, const int64_t *direction, const int64_t *choice, const uint8_t *takens,
-    int16_t *taken_table, int16_t *not_taken_table, int64_t direction_size,
-    int16_t *choice_table, int64_t choice_size,
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rules,
+    int64_t *history, int64_t length, int16_t *taken_table, int16_t *not_taken_table,
+    int64_t direction_size, int16_t *choice_table, int64_t choice_size,
     int64_t direction_threshold, int64_t direction_max,
     int64_t choice_threshold, int64_t choice_max, uint8_t *predictions)
 {
     for (int64_t i = 0; i < n; i++) {
-        int64_t d = direction[i], c = choice[i];
+        uint64_t h = (uint64_t)*history;
+        int64_t d = (int64_t)table_index(rules, pcs[i], h);
+        int64_t c = (int64_t)table_index(rules + RULE_FIELDS, pcs[i], h);
         if (out_of_range(d, direction_size) || out_of_range(c, choice_size))
             return -1;
         int taken = takens[i] != 0;
@@ -148,19 +305,23 @@ int64_t bimode_replay(
         if (!(prediction == taken && choose_taken != taken))
             choice_table[c] = step(choice_value, taken, choice_max);
         table[d] = step(table[d], taken, direction_max);
+        shift_in(history, taken, length);
     }
     return 0;
 }
 
 /* e-gskew: majority vote of three banks; on a correct prediction an
- * outvoted bank is left alone. */
+ * outvoted bank is left alone.  Rules: bim, g0, g1. */
 int64_t egskew_replay(
-    int64_t n, const int64_t *b_idx, const int64_t *g0_idx, const int64_t *g1_idx,
-    const uint8_t *takens, int16_t *bim, int64_t bim_size, int16_t *g0, int16_t *g1,
-    int64_t bank_size, int64_t threshold, int64_t top, uint8_t *predictions)
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rules,
+    int64_t *history, int64_t length, int16_t *bim, int64_t bim_size, int16_t *g0,
+    int16_t *g1, int64_t bank_size, int64_t threshold, int64_t top, uint8_t *predictions)
 {
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = b_idx[i], x = g0_idx[i], y = g1_idx[i];
+        uint64_t h = (uint64_t)*history;
+        int64_t b = (int64_t)table_index(rules, pcs[i], h);
+        int64_t x = (int64_t)table_index(rules + RULE_FIELDS, pcs[i], h);
+        int64_t y = (int64_t)table_index(rules + 2 * RULE_FIELDS, pcs[i], h);
         if (out_of_range(b, bim_size) || out_of_range(x, bank_size) || out_of_range(y, bank_size))
             return -1;
         int taken = takens[i] != 0;
@@ -175,20 +336,26 @@ int64_t egskew_replay(
             g0[x] = step(v0, taken, top);
         if (!correct || p1 == taken)
             g1[y] = step(v1, taken, top);
+        shift_in(history, taken, length);
     }
     return 0;
 }
 
 /* 2Bc-gskew: the meta counter picks the bimodal bank or the majority
- * vote, and trains toward whichever was right when they disagree. */
+ * vote, and trains toward whichever was right when they disagree.  Rules:
+ * bim, g0, g1, meta. */
 int64_t twobc_gskew_replay(
-    int64_t n, const int64_t *b_idx, const int64_t *g0_idx, const int64_t *g1_idx,
-    const int64_t *m_idx, const uint8_t *takens, int16_t *bim, int64_t bim_size,
-    int16_t *g0, int16_t *g1, int16_t *meta, int64_t bank_size,
-    int64_t threshold, int64_t top, uint8_t *predictions)
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rules,
+    int64_t *history, int64_t length, int16_t *bim, int64_t bim_size, int16_t *g0,
+    int16_t *g1, int16_t *meta, int64_t bank_size, int64_t threshold, int64_t top,
+    uint8_t *predictions)
 {
     for (int64_t i = 0; i < n; i++) {
-        int64_t b = b_idx[i], x = g0_idx[i], y = g1_idx[i], m = m_idx[i];
+        uint64_t h = (uint64_t)*history;
+        int64_t b = (int64_t)table_index(rules, pcs[i], h);
+        int64_t x = (int64_t)table_index(rules + RULE_FIELDS, pcs[i], h);
+        int64_t y = (int64_t)table_index(rules + 2 * RULE_FIELDS, pcs[i], h);
+        int64_t m = (int64_t)table_index(rules + 3 * RULE_FIELDS, pcs[i], h);
         if (out_of_range(b, bim_size) || out_of_range(x, bank_size) ||
             out_of_range(y, bank_size) || out_of_range(m, bank_size))
             return -1;
@@ -211,6 +378,7 @@ int64_t twobc_gskew_replay(
             if (prediction != taken || p1 == taken)
                 g1[y] = step(v1, taken, top);
         }
+        shift_in(history, taken, length);
     }
     return 0;
 }
@@ -218,21 +386,23 @@ int64_t twobc_gskew_replay(
 /* -- loop entries and selection counters -------------------------------- */
 
 /* Loop entries, one row of (tag, trip, current, confidence, direction)
- * each: the LoopPredictor rules, branch by branch. */
+ * each: the LoopPredictor rules, branch by branch.  Rules: entry, tag. */
 int64_t loop_replay(
-    int64_t n, const int64_t *index, const int64_t *tags, const uint8_t *takens,
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rules,
     int64_t *entries, int64_t entry_count, int64_t threshold, int64_t max_trip,
     uint8_t *predictions)
 {
     for (int64_t i = 0; i < n; i++) {
-        if (out_of_range(index[i], entry_count))
+        int64_t index = (int64_t)table_index(rules, pcs[i], 0);
+        int64_t tag = (int64_t)table_index(rules + RULE_FIELDS, pcs[i], 0);
+        if (out_of_range(index, entry_count))
             return -1;
-        int64_t *e = entries + 5 * index[i];
+        int64_t *e = entries + 5 * index;
         int64_t taken = takens[i] != 0;
-        if (e[0] != tags[i]) {
+        if (e[0] != tag) {
             /* Cold: allocate with taken as the body direction. */
             predictions[i] = 1;
-            e[0] = tags[i];
+            e[0] = tag;
             e[1] = 0;
             e[2] = 1;
             e[3] = 0;
@@ -260,14 +430,14 @@ int64_t loop_replay(
 }
 
 /* Evers selection counters: one lookup per branch in a transition table
- * over a row's packed counters and the components' correctness mask. */
+ * over its row's packed counters and the components' correctness mask. */
 int64_t selection_replay(
-    int64_t n, const int64_t *rows, const int64_t *correct, int64_t *state,
+    int64_t n, const int64_t *pcs, const int64_t *rule, const int64_t *correct, int64_t *state,
     int64_t state_size, const uint32_t *transitions, int64_t transition_size,
     int64_t components, uint8_t *selected_correct)
 {
     for (int64_t i = 0; i < n; i++) {
-        int64_t row = rows[i];
+        int64_t row = (int64_t)table_index(rule, pcs[i], 0);
         if (out_of_range(row, state_size))
             return -1;
         int64_t at = (state[row] << components) | correct[i];
@@ -282,30 +452,61 @@ int64_t selection_replay(
 
 /* -- perceptron ------------------------------------------------------------ */
 
-/* One pass over a chunk's input rows, which arrive multiplied by each
- * branch's outcome sign, so the dot product is the margin.  A branch
- * trains when its margin is at most the threshold: the row adds its
- * inputs, clamped to [weight_min, weight_max]. */
+/* The dot product of `count` weights with the inputs of `bits`: +1 where
+ * a bit is set, -1 where it is clear. */
+static int32_t dot(const int32_t *w, uint64_t bits, int64_t count)
+{
+    int32_t sum = 0;
+    for (int64_t j = 0; j < count; j++)
+        sum += (bits >> j) & 1 ? w[j] : -w[j];
+    return sum;
+}
+
+static int32_t clamp(int32_t value, int64_t low, int64_t high)
+{
+    return value < low ? (int32_t)low : value > high ? (int32_t)high : value;
+}
+
+/* Adds sign times each input of `bits` to its weight, clamped. */
+static void train(int32_t *w, uint64_t bits, int64_t count, int32_t sign, int64_t low, int64_t high)
+{
+    for (int64_t j = 0; j < count; j++)
+        w[j] = clamp(w[j] + ((bits >> j) & 1 ? sign : -sign), low, high);
+}
+
+/* Perceptron training, branch by branch: the row its rule picks holds a
+ * bias weight, one weight per global history bit and one per local
+ * history bit (a row of `width` = 1 + length + local_length), its inputs
+ * the bias +1 and each history bit as ±1.  The branch predicts taken when
+ * the output (the dot product) is >= 0, and trains, each weight moving
+ * toward the outcome sign times its input, when that sign times the
+ * output is at most the threshold: a wrong prediction, or a right one
+ * below it. */
 int64_t perceptron_train(
-    int64_t n, int64_t width, const int64_t *rows, const int8_t *inputs, int32_t *weights,
-    int64_t row_count, int64_t threshold, int64_t weight_min, int64_t weight_max,
-    int32_t *margins)
+    int64_t n, const int64_t *pcs, const uint8_t *takens, const int64_t *rule, int64_t *history,
+    int64_t length, int64_t *local_rows, int64_t local_count, int64_t local_length,
+    int32_t *weights, int64_t row_count, int64_t width, int64_t threshold, int64_t weight_min,
+    int64_t weight_max, uint8_t *predictions)
 {
     for (int64_t i = 0; i < n; i++) {
-        if (out_of_range(rows[i], row_count))
+        int64_t row = (int64_t)table_index(rule, pcs[i], 0);
+        int64_t r = history_row(pcs[i], local_count);
+        if (out_of_range(row, row_count))
             return -1;
-        int32_t *w = weights + rows[i] * width;
-        const int8_t *x = inputs + i * width;
-        int32_t margin = 0;
-        for (int64_t j = 0; j < width; j++)
-            margin += w[j] * x[j];
-        margins[i] = margin;
-        if (margin <= threshold) {
-            for (int64_t j = 0; j < width; j++) {
-                int32_t v = w[j] + x[j];
-                w[j] = v < weight_min ? (int32_t)weight_min : v > weight_max ? (int32_t)weight_max : v;
-            }
+        uint64_t global = (uint64_t)*history, local = (uint64_t)local_rows[r];
+        int32_t *w = weights + row * width;
+        int32_t output = w[0] + dot(w + 1, global, length) +
+                         dot(w + 1 + length, local, local_length);
+        int taken = takens[i] != 0;
+        int32_t sign = taken ? 1 : -1;
+        predictions[i] = (uint8_t)(output >= 0);
+        if (sign * output <= threshold) {
+            w[0] = clamp(w[0] + sign, weight_min, weight_max);
+            train(w + 1, global, length, sign, weight_min, weight_max);
+            train(w + 1 + length, local, local_length, sign, weight_min, weight_max);
         }
+        shift_in(history, taken, length);
+        shift_in(&local_rows[r], taken, local_length);
     }
     return 0;
 }

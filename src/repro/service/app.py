@@ -87,12 +87,15 @@ class ServiceApp:
         # The campaign workers and the render path resolve cells through
         # the *active* stores; default them into the service's data dir so
         # a bare daemon is self-contained (a set store still wins).
+        #: The stores this app set, and to what, until :meth:`close`.
+        self._defaulted: dict[str, str] = {}
         for name, path in (
             ("REPRO_RESULT_STORE", config.default_result_store),
             ("REPRO_TRACE_STORE", config.default_trace_store),
         ):
             if settings.get(name) is None:
                 settings.set(name, path)
+                self._defaulted[name] = settings.get(name)
         self.blobs = BlobStore(config.blobs_dir)
         self.jobs = JobStore(config.jobs_dir, self.blobs)
         self.attribution = AttributionCache(config.attribution_dir)
@@ -102,6 +105,14 @@ class ServiceApp:
         #: Called (from any thread) with a job_id whose state changed;
         #: the daemon wires this to wake long-polls.
         self.on_job_update = None
+
+    def close(self) -> None:
+        """Unset each store the constructor defaulted into the environment
+        and that still holds the value it set; a second call does nothing."""
+        for name, value in self._defaulted.items():
+            if settings.get(name) == value:
+                settings.set(name, None)
+        self._defaulted.clear()
 
     # -- pending ledger ---------------------------------------------------
 

@@ -13,6 +13,8 @@ import http.client
 import json
 import threading
 
+import pytest
+
 from repro.service.app import ServiceApp
 from repro.service.config import ServiceConfig
 from repro.service.daemon import JobExecutor, ServiceDaemon
@@ -62,12 +64,27 @@ def set_service_env(monkeypatch, tmp_path, trace_store) -> None:
         monkeypatch.delenv(var, raising=False)
 
 
+#: Apps :func:`make_app` opened, closed when their test ends.
+_OPEN_APPS: list[ServiceApp] = []
+
+
+@pytest.fixture(autouse=True)
+def close_apps():
+    """Close every app :func:`make_app` opened in the test (a module that
+    imports this fixture uses it for each of its tests)."""
+    yield
+    while _OPEN_APPS:
+        _OPEN_APPS.pop().close()
+
+
 def make_app(tmp_path, workers: int = 0, **config_kwargs):
-    """An app + executor over ``tmp_path/svc`` (workers=0: run_pending)."""
+    """An app + executor over ``tmp_path/svc`` (workers=0: run_pending),
+    closed when the test ends."""
     config = ServiceConfig(
         data_dir=str(tmp_path / "svc"), workers=workers, **config_kwargs
     )
     app = ServiceApp(config)
+    _OPEN_APPS.append(app)
     executor = JobExecutor(app, config)
     return app, executor
 
@@ -119,6 +136,7 @@ class DaemonHarness:
     def __exit__(self, *exc) -> None:
         self.daemon.request_shutdown()
         self._thread.join(timeout=self.daemon.config.drain_timeout + 10)
+        self.daemon.app.close()
 
     @property
     def port(self) -> int:

@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from repro.batch import diff_engines, evaluate_stream, evaluate_trace, supports_batch
 from repro.batch.diff import run_scalar, state_mismatches
 from repro.batch.engine import KERNELS
-from repro.common.errors import ProtocolError
+from repro.common.errors import ConfigurationError, ProtocolError
 from repro.core.bimode_fast import BiModeFastPredictor
 from repro.core.gshare_fast import GshareFastPredictor
 from repro.harness.experiment import measure_accuracy
@@ -262,6 +262,47 @@ def test_multicomponent_with_unmodelled_component_falls_back(small_trace):
     auto = measure_accuracy(build(TweakedBimodal), small_trace, engine="auto")
     scalar = measure_accuracy(build(TweakedBimodal), small_trace, engine="scalar")
     assert auto == scalar
+
+
+#: Hashed-history predictors at the widest global register a core carries
+#: (63 bits) and past it, by register width.
+WIDE_HISTORIES = {
+    "egskew": lambda bits: EGskewPredictor(256, history_length=bits),
+    "2bcgskew": lambda bits: TwoBcGskewPredictor(256, short_history=20, long_history=bits),
+    "perceptron": lambda bits: PerceptronPredictor(
+        64, global_history=bits, local_history=4, local_history_entries=16
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_HISTORIES))
+def test_63_bit_histories_run_batched(name):
+    """A 63-bit global register fits a core's: batch evaluation is exact."""
+    factory = lambda: WIDE_HISTORIES[name](63)  # noqa: E731
+    assert supports_batch(factory())
+    rng = random.Random(63)
+    stream = loop_stream(reps=10, trips=9) + [
+        (0x40_0000 + 4 * rng.randrange(64) + (rng.random() < 0.5) * (1 << 33),
+         rng.random() < 0.6)
+        for _ in range(1500)
+    ]
+    _assert_exact(factory, stream, chunk_branches=257)
+
+
+@pytest.mark.parametrize("bits", [64, 70])
+@pytest.mark.parametrize("name", sorted(WIDE_HISTORIES))
+def test_wider_histories_resolve_to_scalar(name, bits, small_trace):
+    """A register wider than a core's is declined: ``auto`` runs the scalar
+    engine and gives its result, and ``batch`` raises ConfigurationError."""
+    factory = lambda: WIDE_HISTORIES[name](bits)  # noqa: E731
+    assert not supports_batch(factory())
+    pcs, takens = small_trace.branch_arrays()
+    with pytest.raises(ConfigurationError):
+        evaluate_stream(factory(), pcs, takens)
+    with pytest.raises(ConfigurationError):
+        measure_accuracy(factory(), small_trace, engine="batch")
+    auto = measure_accuracy(factory(), small_trace, engine="auto")
+    assert auto == measure_accuracy(factory(), small_trace, engine="scalar")
 
 
 def clip_stream(n=24_000, period=122, seed=5):

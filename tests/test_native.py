@@ -205,12 +205,15 @@ def test_wrong_arrays_raise_before_reaching_c():
 
 def test_out_of_range_index_is_refused_before_any_write():
     tables = [np.ones(8, dtype=np.int16) for _ in range(3)]
-    direction = np.array([8, 0], dtype=np.int64)
-    choice = np.zeros(2, dtype=np.int64)
+    # Word address 8 under a 4-bit PC rule: one past the direction tables.
+    pcs = np.array([8 * 4, 0], dtype=np.int64)
+    rules = np.stack([native.rule(native.PC, 4), native.rule(native.PC, 3)])
     takens = np.ones(2, dtype=bool)
+    history = native.History(3, 5)
     with pytest.raises(IndexError, match="bimode_replay"):
-        native.bimode_replay(direction, choice, takens, *tables, 2, 3, 2, 3)
+        native.bimode_replay(pcs, takens, rules, history, *tables, 2, 3, 2, 3)
     assert all(table.tolist() == [1] * 8 for table in tables)
+    assert history.value == 5
 
 
 def test_build_span_reaches_the_event_log(tmp_path, monkeypatch):
@@ -234,53 +237,141 @@ def test_build_span_reaches_the_event_log(tmp_path, monkeypatch):
 
 
 def test_counter_cores_check_their_arrays():
-    """counter_replay, chooser_replay and local_history_replay: a wrong
-    dtype never reaches C, differing stream lengths raise ValueError, and
-    an out-of-range cell or row, or more pending writes than the delay,
-    raise IndexError."""
-    cells = np.array([0, 3], dtype=np.int64)
+    """counter_replay, chooser_replay and indices: a wrong dtype, a rule of
+    the wrong shape or a read-only or many-row register where a one-row
+    register is written never reaches C, differing stream lengths raise
+    ValueError, and an out-of-range cell, or more pending writes than the
+    delay, raise IndexError, leaving the tables and histories untouched."""
+    pcs = np.array([0, 3 * 4], dtype=np.int64)
     flags = np.array([True, False])
     table = np.ones(4, dtype=np.int16)
-    rows = np.zeros(4, dtype=np.int64)
+    rule = native.rule(native.PC, 2)
+    history = native.History(4, 9)
     queue = (np.zeros(2, dtype=np.int64), np.zeros(2, dtype=bool))
-    for wrong in (cells.astype(np.int32), cells.astype(np.uint64)):
+    for wrong in (pcs.astype(np.int32), pcs.astype(np.uint64)):
         with pytest.raises(ctypes.ArgumentError):
-            native.counter_replay(wrong, flags, table, 2, 3)
+            native.counter_replay(wrong, flags, rule, history, table, 2, 3)
         with pytest.raises(ctypes.ArgumentError):
-            native.chooser_replay(wrong, flags, flags, flags, table, 2, 3)
+            native.chooser_replay(wrong, flags, rule, history, flags, flags, table, 2, 3)
         with pytest.raises(ctypes.ArgumentError):
-            native.local_history_replay(wrong, flags, rows, 4)
+            native.indices(wrong, flags, rule, history)
+    for wrong in (rule.astype(np.int32), rule[:4].copy(), rule[None, :]):
+        with pytest.raises(ctypes.ArgumentError):
+            native.counter_replay(pcs, flags, wrong, history, table, 2, 3)
+        with pytest.raises(ctypes.ArgumentError):
+            native.indices(pcs, flags, wrong, history)
     with pytest.raises(ctypes.ArgumentError):
-        native.counter_replay(cells, flags, table.astype(np.int64), 2, 3)
+        native.counter_replay(pcs, flags, rule, history, table.astype(np.int64), 2, 3)
     with pytest.raises(ctypes.ArgumentError):
-        native.counter_replay(cells, flags, table, 2, 3, (queue[0].astype(np.int32), queue[1]))
+        native.counter_replay(
+            pcs, flags, rule, history, table, 2, 3, (queue[0].astype(np.int32), queue[1])
+        )
+    frozen = native.History(4, 9)
+    frozen.rows.flags.writeable = False
     with pytest.raises(ctypes.ArgumentError):
-        native.local_history_replay(cells, flags, rows.astype(np.int32), 4)
+        native.counter_replay(pcs, flags, rule, frozen, table, 2, 3)
+    with pytest.raises(ctypes.ArgumentError):  # chooser_replay carries one global register
+        native.chooser_replay(pcs, flags, rule, native.History(4, [0, 0]), flags, flags, table,
+                              2, 3)
 
     with pytest.raises(ValueError):
-        native.counter_replay(cells[:1], flags, table, 2, 3)
+        native.counter_replay(pcs[:1], flags, rule, history, table, 2, 3)
     with pytest.raises(ValueError):
-        native.counter_replay(cells, flags, table, 2, 3, (queue[0], queue[1][:1]))
+        native.counter_replay(pcs, flags, rule, history, table, 2, 3, (queue[0], queue[1][:1]))
     with pytest.raises(ValueError):
-        native.chooser_replay(cells, flags, flags[:1], flags, table, 2, 3)
+        native.chooser_replay(pcs, flags, rule, history, flags[:1], flags, table, 2, 3)
     with pytest.raises(ValueError):
-        native.local_history_replay(cells, flags[:1], rows, 4)
-    with pytest.raises(ValueError):
-        native.local_history_replay(cells, flags, rows, 64)
-    assert table.tolist() == [1] * 4 and not rows.any()
+        native.indices(pcs, flags[:1], rule, history)
+    assert table.tolist() == [1] * 4 and history.value == 9
 
-    out_of_range = np.array([4, 0], dtype=np.int64)
+    wide = native.rule(native.PC, 3)  # cells 0 to 7 on a 4-counter table
+    out_of_range = np.array([4 * 4, 0], dtype=np.int64)
     with pytest.raises(IndexError, match="counter_replay"):
-        native.counter_replay(out_of_range, flags, table, 2, 3)
+        native.counter_replay(out_of_range, flags, wide, history, table, 2, 3)
     with pytest.raises(IndexError, match="counter_replay"):  # a read, its write delayed
-        native.counter_replay(out_of_range, flags, table, 2, 3, queue)
+        native.counter_replay(out_of_range, flags, wide, history, table, 2, 3, queue)
     with pytest.raises(IndexError, match="counter_replay"):
-        native.counter_replay(cells, flags, table, 2, 3, queue, pending=3)
+        native.counter_replay(pcs, flags, rule, history, table, 2, 3, queue, pending=3)
     stale = (np.array([4, 0], dtype=np.int64), np.zeros(2, dtype=bool))
     with pytest.raises(IndexError, match="counter_replay"):
-        native.counter_replay(cells, flags, table, 2, 3, stale, pending=1)
+        native.counter_replay(pcs, flags, rule, history, table, 2, 3, stale, pending=1)
     with pytest.raises(IndexError, match="chooser_replay"):
-        native.chooser_replay(out_of_range, flags, ~flags, flags, table, 2, 3)
-    with pytest.raises(IndexError, match="local_history_replay"):
-        native.local_history_replay(out_of_range, flags, rows, 4)
-    assert table.tolist() == [1] * 4 and not rows.any()
+        native.chooser_replay(out_of_range, flags, wide, history, flags, ~flags, table, 2, 3)
+    assert table.tolist() == [1] * 4
+
+
+def test_index_rules_and_histories_are_checked():
+    """rule() refuses what no core can form, History a register the cores
+    cannot carry, and every other core a rule table of the wrong shape, a
+    mismatched weight row or an index its rules put out of range."""
+    for kind, bits, *parameters in (
+        (native.PC, 64),
+        (native.PC, -1),
+        (native.GSHARE, 3, 1),  # a parameter the kind does not take
+        (native.FAST, 8, 9, 3, 9),  # more buffer bits than index bits
+        (native.FAST, 8, 4, 64, 9),
+        (native.FAST, 8, 4, 3, 64),
+        (native.FOLD, 8, 64),
+        (native.SKEW, 8, 64, 1),
+        (native.SKEW, 8, 8, 3),
+        (native.SKEW, 8, 8, -1),
+        (native.SKEW, 0, 8, 1),  # banks 1 and 2 rotate, over at least one bit
+        (native.ROW, 32, 0),
+        (native.LOOP_TAG + 1, 8),
+    ):
+        with pytest.raises(ConfigurationError):
+            native.rule(kind, bits, *parameters)
+    for kind, bits, *parameters in (
+        (native.PC, 63),
+        (native.FAST, 8, 8, 63, 63),
+        (native.FOLD, 0, 63),
+        (native.SKEW, 0, 63, 0),
+        (native.SKEW, 1, 0, 2),
+        (native.ROW, 32, 1),
+    ):
+        assert native.rule(kind, bits, *parameters).tolist()[:2] == [kind, bits]
+    for length, rows in ((64, 0), (-1, 0), (4, [0, 0, 0]), (4, np.zeros((2, 2)))):
+        with pytest.raises(ValueError):
+            native.History(length, rows)
+    assert native.History(63, (1 << 63) - 1).value == (1 << 63) - 1
+
+    pcs = np.array([0, 4], dtype=np.int64)
+    # Word address 4 first: one past 4-entry tables under a 3-bit rule.
+    past = np.array([4 * 4, 0], dtype=np.int64)
+    flags = np.array([True, False])
+    history = native.History(4)
+    tables = [np.ones(4, dtype=np.int16) for _ in range(4)]
+    pc2, pc3 = native.rule(native.PC, 2), native.rule(native.PC, 3)
+    for core, count, args in (
+        (native.bimode_replay, 2, (*tables[:3], 2, 3, 2, 3)),
+        (native.egskew_replay, 3, (tables[:3], 2, 3)),
+        (native.twobc_gskew_replay, 4, (tables, 2, 3)),
+    ):
+        with pytest.raises(ctypes.ArgumentError):
+            core(pcs, flags, np.stack([pc2] * (count - 1)), history, *args)
+        with pytest.raises(IndexError, match=core.__name__):
+            core(past, flags, np.stack([pc3] * count), history, *args)
+    entries = np.zeros((4, 5), dtype=np.int64)
+    with pytest.raises(ctypes.ArgumentError):
+        native.loop_replay(pcs, flags, np.stack([pc2] * 3), entries, 2, 1023)
+    with pytest.raises(IndexError, match="loop_replay"):
+        native.loop_replay(past, flags, np.stack([pc3, native.rule(native.LOOP_TAG, 3)]),
+                           entries, 2, 1023)
+    # Four rows at the front of eight zeros: a row read one past the end
+    # would find a valid packed state rather than fail.
+    state = np.zeros(8, dtype=np.int64)[:4]
+    with pytest.raises(IndexError, match="selection_replay"):
+        native.selection_replay(past, pc3, np.zeros(2, dtype=np.int64), state,
+                                np.zeros(64, dtype=np.uint32), 2)
+    weights = np.zeros((3, 1 + 4 + 2), dtype=np.int32)
+    local = native.History(2, [0, 0])
+    row = native.rule(native.ROW, 32, 4)  # rows 0 to 3 of a 3-row table
+    with pytest.raises(ValueError):
+        native.perceptron_train(pcs, flags, row, history, native.History(3, [0, 0]), weights,
+                                30, -128, 127)
+    with pytest.raises(IndexError, match="perceptron_train"):
+        native.perceptron_train(np.array([3 * 4, 0], dtype=np.int64), flags, row, history,
+                                local, weights, 30, -128, 127)
+    assert all(table.tolist() == [1] * 4 for table in tables)
+    assert not entries.any() and not state.any() and not weights.any()
+    assert history.value == 0 and not local.rows.any()

@@ -9,16 +9,16 @@ the scalar implementations:
   (old outcomes age out, the packed value never exceeds ``mask(length)``);
 * XOR folding is length-preserving (output fits ``out_width`` bits),
   deterministic, and the identity when no folding is needed;
-* the vectorized kernel twins (:func:`repro.batch.kernels.fold_bits`,
-  ``bit_reverse_bits``, ``rotate_left_bits``, ``bit_lengths``,
-  :func:`repro.batch.kernels.packed_history`) agree with the scalar
-  ``fold``/``bit_reverse``/``rotate_left``/``int.bit_length`` and
-  ``HistoryRegister`` on every input;
+* the C twins of these primitives, the index rules of
+  :func:`repro.native.rule` as :func:`repro.native.indices` forms them
+  (the fold, skew and loop-tag rules, and a :class:`repro.native.History`
+  carried across calls, from any starting value), agree with the scalar
+  ``fold``/``skew_index``/loop tag, ``HistoryRegister`` and
+  ``LocalHistoryTable`` on every input;
 * the batch engine's per-branch cores in :mod:`repro.native` match their
   plain references: ``counter_replay`` a per-event saturating-counter loop
   (with and without an update delay), ``chooser_replay`` a loop that
-  trains only where the votes disagree, and ``local_history_replay``
-  ``LocalHistoryTable``.
+  trains only where the votes disagree.
 """
 
 from __future__ import annotations
@@ -29,18 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import native
-from repro.batch.kernels import (
-    bit_lengths,
-    bit_reverse_bits,
-    fold_bits,
-    pack_outcomes,
-    packed_history,
-    rotate_left_bits,
-    unpack_history,
-)
-from repro.common.bits import bit_reverse, fold, mask, rotate_left
+from repro.common.bits import fold, mask
 from repro.common.counters import CounterTable
 from repro.common.history import HistoryRegister, LocalHistoryTable
+from repro.predictors.gskew import skew_index
+from repro.predictors.loop import LoopPredictor
 
 # -- saturating counters -------------------------------------------------------
 
@@ -133,7 +126,17 @@ def test_fold_identity_when_wide_enough(value, width):
     assert fold(value, width, width) == value & mask(width)
 
 
-# -- vectorized kernels agree with the scalar primitives -----------------------
+# -- the cores' index rules agree with the scalar primitives ---------------------
+
+
+def split_indices(rule, pcs, takens, history, split):
+    """:func:`repro.native.indices` over a stream split across two calls
+    at ``split``, ``history`` carried from the first to the second."""
+    pcs = np.asarray(pcs, dtype=np.int64)
+    takens = np.asarray(takens, dtype=bool)
+    first = native.indices(pcs[:split], takens[:split], rule, history)
+    second = native.indices(pcs[split:], takens[split:], rule, history)
+    return np.concatenate([first, second]).tolist()
 
 
 @settings(max_examples=150, deadline=None)
@@ -142,65 +145,107 @@ def test_fold_identity_when_wide_enough(value, width):
     out_width=st.integers(1, 16),
 )
 def test_fold_bits_matches_scalar_fold(values, out_width):
-    vectorized = fold_bits(np.asarray(values, dtype=np.int64), 32, out_width)
-    assert vectorized.tolist() == [fold(v, 32, out_width) for v in values]
+    """The FOLD rule over a 32-bit register holding each value equals the
+    scalar ``fold``."""
+    rule = native.rule(native.FOLD, out_width, 32)
+    got = [native.indices(np.zeros(1, dtype=np.int64), np.zeros(1, dtype=bool), rule,
+                          native.History(32, value))[0] for value in values]
+    assert got == [fold(v, 32, out_width) for v in values]
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     outcomes=st.lists(st.booleans(), max_size=100),
-    length=st.integers(0, 20),
+    length=st.integers(0, 63),
     split=st.integers(0, 100),
 )
 def test_packed_history_matches_history_register(outcomes, length, split):
-    """Chunked history packing equals pushing through a HistoryRegister,
-    for any chunk split point."""
+    """The register before each branch (the identity fold of ``length``
+    bits), carried across a split at any point, equals pushing through a
+    HistoryRegister, and so does the register left after the stream."""
     register = HistoryRegister(length)
     expected = []
     for taken in outcomes:
         expected.append(register.value)
         register.push(taken)
+    history = native.History(length)
+    rule = native.rule(native.FOLD, length, length)
+    pcs = np.zeros(len(outcomes), dtype=np.int64)
+    assert split_indices(rule, pcs, outcomes, history, min(split, len(outcomes))) == expected
+    assert history.value == register.value
 
-    takens = np.asarray(outcomes, dtype=bool)
-    split = min(split, len(outcomes))
-    first = packed_history(takens[:split], length)
-    second = packed_history(takens[split:], length, prefix=takens[:split])
-    got = np.concatenate([first, second]).tolist()
-    assert got == expected
-    assert pack_outcomes(takens, length) == register.value
+
+#: PCs with bits 30 and above set as often as not.
+PCS = st.integers(0, (1 << 44) - 1)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    values=st.lists(st.integers(0, (1 << 20) - 1), max_size=50),
-    width=st.integers(1, 20),
-    amount=st.integers(0, 40),
+    stream=st.lists(st.tuples(PCS, st.booleans()), max_size=60),
+    width=st.integers(1, 21),
+    length=st.integers(0, 63),
+    bank=st.integers(0, 2),
+    start=st.integers(0, (1 << 63) - 1),
+    split=st.integers(0, 60),
 )
-def test_skew_bit_ops_match_scalar(values, width, amount):
-    array = np.asarray(values, dtype=np.int64)
-    assert bit_reverse_bits(array, width).tolist() == [bit_reverse(v, width) for v in values]
-    assert rotate_left_bits(array, amount, width).tolist() == [
-        rotate_left(v, amount, width) for v in values
-    ]
-    assert bit_lengths(array).tolist() == [v.bit_length() for v in values]
+def test_skew_bit_ops_match_scalar(stream, width, length, bank, start, split):
+    """The SKEW rule (hash_pc, fold, rotate_left and bit_reverse in C)
+    equals the scalar ``skew_index`` for every bank, PC, index width and
+    history length, from any starting register; and the LOOP_TAG rule the
+    loop predictor's tag (``int.bit_length`` of its entry index)."""
+    pcs = [pc for pc, _ in stream]
+    takens = [taken for _, taken in stream]
+    register = HistoryRegister(length)
+    register.restore(start)
+    skews, tags = [], []
+    loop = LoopPredictor(1 << width)
+    for pc, taken in stream:
+        skews.append(skew_index(pc, register.value, length, width, bank))
+        tags.append(loop._entry(pc)[1])
+        register.push(taken)
+    history = native.History(length, start & mask(length))
+    skew = native.rule(native.SKEW, width, length, bank)
+    split = min(split, len(stream))
+    assert split_indices(skew, pcs, takens, history, split) == skews
+    assert history.value == register.value
+    tag = native.rule(native.LOOP_TAG, width)
+    assert split_indices(tag, pcs, takens, native.History(0), split) == tags
 
 
 @settings(max_examples=150, deadline=None)
-@given(value=st.integers(0, (1 << 24) - 1), length=st.integers(0, 24))
-def test_unpack_history_inverts_pack_outcomes(value, length):
-    assert pack_outcomes(unpack_history(value, length), length) == value & mask(length)
+@given(
+    value=st.integers(0, (1 << 63) - 1),
+    length=st.integers(0, 63),
+    outcomes=st.lists(st.booleans(), max_size=70),
+)
+def test_unpack_history_inverts_pack_outcomes(value, length, outcomes):
+    """A register's starting value stands for the outcomes before the
+    stream: every later register equals a HistoryRegister restored to that
+    value and then pushed, at any length up to 63 bits."""
+    register = HistoryRegister(length)
+    register.restore(value)
+    expected = []
+    for taken in outcomes:
+        expected.append(register.value)
+        register.push(taken)
+    history = native.History(length, value & mask(length))
+    rule = native.rule(native.FOLD, length, length)
+    pcs = np.zeros(len(outcomes), dtype=np.int64)
+    assert split_indices(rule, pcs, outcomes, history, 0) == expected
+    assert history.value == register.value
 
 
 @settings(max_examples=150, deadline=None)
 @given(
     stream=st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=120),
-    length=st.integers(1, 12),
+    length=st.integers(1, 63),
     split=st.integers(0, 120),
-    seed_rows=st.lists(st.integers(0, (1 << 12) - 1), min_size=4, max_size=4),
+    seed_rows=st.lists(st.integers(0, (1 << 63) - 1), min_size=4, max_size=4),
 )
 def test_local_histories_match_local_history_table(stream, length, split, seed_rows):
-    """Chunked per-row history packing equals reading then pushing each
-    branch through a LocalHistoryTable, from any starting rows."""
+    """History rows read and shifted per branch, carried across two calls,
+    equal reading then pushing each branch through a LocalHistoryTable,
+    from any starting rows."""
     histories = LocalHistoryTable(4, length)
     start = np.asarray(seed_rows, dtype=np.int64) & mask(length)
     histories.restore_all(start)
@@ -209,14 +254,12 @@ def test_local_histories_match_local_history_table(stream, length, split, seed_r
         expected.append(histories.read(4 * slot))
         histories.push(4 * slot, taken)
 
-    rows = np.asarray([slot & 3 for slot, _ in stream], dtype=np.int64)
-    takens = np.asarray([taken for _, taken in stream], dtype=bool)
-    split = min(split, len(stream))
-    table = start.copy()
-    first = native.local_history_replay(rows[:split], takens[:split], table, length)
-    second = native.local_history_replay(rows[split:], takens[split:], table, length)
-    assert np.concatenate([first, second]).tolist() == expected
-    assert table.tolist() == histories.snapshot().tolist()
+    pcs = [4 * slot for slot, _ in stream]
+    takens = [taken for _, taken in stream]
+    rows = native.History(length, start)
+    rule = native.rule(native.FOLD, length, length)
+    assert split_indices(rule, pcs, takens, rows, min(split, len(stream))) == expected
+    assert rows.rows.tolist() == histories.snapshot().tolist()
 
 
 # -- counter cores -------------------------------------------------------------
@@ -279,11 +322,13 @@ def check_counter_core(table, cells, takens, max_value, threshold, delay, queued
     queue = (np.zeros(delay, dtype=np.int64), np.zeros(delay, dtype=bool))
     queue[0][:pending] = write_cells[:pending]
     queue[1][:pending] = write_takens[:pending]
+    # Each branch's cell is its word address: the PC rule over 4 bits.
+    pcs, rule, history = 4 * cells, native.rule(native.PC, 4), native.History(0)
     first, held = native.counter_replay(
-        cells[:split], takens[:split], work, threshold, max_value, queue, pending
+        pcs[:split], takens[:split], rule, history, work, threshold, max_value, queue, pending
     )
     second, held = native.counter_replay(
-        cells[split:], takens[split:], work, threshold, max_value, queue, held
+        pcs[split:], takens[split:], rule, history, work, threshold, max_value, queue, held
     )
     assert np.concatenate([first, second]).tolist() == expected.tolist()
     applied = max(len(write_cells) - delay, 0)
@@ -360,7 +405,8 @@ def test_chooser_replay_matches_disagreement_loop(bits, events, data):
             expected_table[cell] = min(value + 1, max_value) if right else max(value - 1, 0)
     work = table.copy()
     got = native.chooser_replay(
-        cells, global_votes, local_votes, takens, work, threshold, max_value
+        4 * cells, takens, native.rule(native.PC, 3), native.History(0), global_votes,
+        local_votes, work, threshold, max_value,
     )
     assert got.tolist() == expected
     assert work.tolist() == expected_table.tolist()

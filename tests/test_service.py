@@ -25,6 +25,7 @@ from repro.obs.aggregate import service_rollup
 from repro.obs.cli import render_service
 from repro.obs.events import read_run_events
 from repro.predictors.registry import build_count
+from repro.service.app import ServiceApp
 from repro.service.config import ServiceConfig
 from repro.service.jobs import JOB_STATES
 from repro.service.protocol import (
@@ -35,6 +36,7 @@ from repro.service.protocol import (
 )
 from tests.service_helpers import (
     DaemonHarness,
+    close_apps,  # noqa: F401 - an autouse fixture
     get_json,
     make_app,
     mini_spec,
@@ -560,6 +562,36 @@ class TestSettledAnswers:
 
 
 # -- graceful drain (real subprocess, real SIGTERM) ----------------------------
+
+
+def repro_environment() -> dict[str, str]:
+    return {name: value for name, value in os.environ.items() if name.startswith("REPRO_")}
+
+
+def test_closing_an_app_restores_the_environment(tmp_path, monkeypatch):
+    """An app defaults the stores it needs into the environment while it is
+    open; closing it leaves the ``REPRO_*`` environment as it found it,
+    whether a store was set before or not, and a second close does
+    nothing."""
+    monkeypatch.delenv("REPRO_RESULT_STORE", raising=False)
+    monkeypatch.delenv("REPRO_TRACE_STORE", raising=False)
+    before = repro_environment()
+    config = ServiceConfig(data_dir=str(tmp_path / "svc"))
+    app = ServiceApp(config)
+    assert os.environ["REPRO_RESULT_STORE"] == config.default_result_store
+    assert os.environ["REPRO_TRACE_STORE"] == config.default_trace_store
+    app.close()
+    assert repro_environment() == before
+    app.close()
+    assert repro_environment() == before
+
+    monkeypatch.setenv("REPRO_RESULT_STORE", str(tmp_path / "mine"))
+    before = repro_environment()
+    app = ServiceApp(config)
+    assert os.environ["REPRO_RESULT_STORE"] == str(tmp_path / "mine")
+    assert os.environ["REPRO_TRACE_STORE"] == config.default_trace_store
+    app.close()
+    assert repro_environment() == before
 
 
 class TestGracefulDrain:

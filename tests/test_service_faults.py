@@ -20,6 +20,7 @@ from repro.harness.cli import RUNNERS
 from repro.harness.figconfig import parse_config, run_target
 from repro.predictors.registry import build_count
 from tests.service_helpers import (
+    close_apps,  # noqa: F401 - an autouse fixture
     get_json,
     make_app,
     mini_spec,

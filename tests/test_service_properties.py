@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tests.service_helpers import SCALE, make_app, mini_spec
+from tests.service_helpers import SCALE, close_apps, make_app, mini_spec  # noqa: F401 - close_apps
 
 OPS = ("submit", "poll", "figure", "result", "drain")
 
