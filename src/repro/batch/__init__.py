@@ -24,7 +24,6 @@ from repro.batch.diff import DiffReport, diff_engines
 from repro.batch.engine import (
     BatchResult,
     evaluate_stream,
-    evaluate_trace,
     measure_accuracy_batch,
     supports_batch,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "DiffReport",
     "diff_engines",
     "evaluate_stream",
-    "evaluate_trace",
     "measure_accuracy_batch",
     "supports_batch",
 ]

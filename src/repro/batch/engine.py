@@ -735,14 +735,13 @@ def evaluate_stream(
     pcs: np.ndarray,
     takens: np.ndarray,
     chunk_branches: int = DEFAULT_CHUNK,
-    commit: bool = True,
 ) -> BatchResult:
     """Evaluate ``predictor`` over a branch stream with the batch engine.
 
-    With ``commit`` (the default) the predictor object afterwards holds
-    exactly the state a scalar ``predict``/``update`` replay would leave —
-    everything its ``state()`` exposes.  The predictor may start from any
-    state a scalar run can leave, as long as no prediction is in flight.
+    The predictor object afterwards holds exactly the state a scalar
+    ``predict``/``update`` replay would leave — everything its ``state()``
+    exposes.  The predictor may start from any state a scalar run can
+    leave, as long as no prediction is in flight.
     """
     kernel_type = _kernel_for(predictor)
     if kernel_type is None:
@@ -765,20 +764,8 @@ def evaluate_stream(
     result = BatchResult(
         predictor=predictor.name, predictions=predictions, outcomes=takens
     )
-    if commit:
-        _commit(predictor, kernel, predictions, takens)
+    _commit(predictor, kernel, predictions, takens)
     return result
-
-
-def evaluate_trace(
-    predictor: BranchPredictor,
-    trace: ColumnarTrace,
-    chunk_branches: int = DEFAULT_CHUNK,
-    commit: bool = True,
-) -> BatchResult:
-    """Evaluate ``predictor`` over a trace's conditional-branch stream."""
-    pcs, takens = trace.branch_arrays()
-    return evaluate_stream(predictor, pcs, takens, chunk_branches, commit)
 
 
 def measure_accuracy_batch(

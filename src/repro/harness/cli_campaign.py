@@ -2,7 +2,7 @@
 
 The console script (``pyproject.toml``) points straight at
 :func:`repro.harness.cli.campaign_main`; this module exists so uninstalled
-checkouts (CI drills, ``scripts/campaign_check.py``) can launch worker
+checkouts (CI drills, ``scripts/drill.py campaign``) can launch worker
 processes with ``python -m`` and nothing but ``PYTHONPATH=src``.
 """
 

@@ -17,7 +17,7 @@ All trace acquisition goes through :func:`repro.workloads.spec2000_trace`,
 so with ``REPRO_TRACE_STORE`` set every figure transparently reuses the
 content-addressed on-disk trace store: a warm run replays stored columnar
 traces with zero generation work and byte-identical rendered output
-(``scripts/trace_store_check.py`` asserts exactly this on the Figure 1
+(``scripts/drill.py trace-store`` asserts exactly this on the Figure 1
 grid).
 
 Index (see DESIGN.md for the full experiment table):

@@ -109,7 +109,7 @@ def build_count() -> int:
     """Times this process constructed a predictor through the registry.
 
     A warm result-store run of a whole figure grid should leave this at
-    zero — :mod:`scripts/result_store_check` asserts exactly that (via the
+    zero — ``scripts/drill.py result-store`` asserts exactly that (via the
     mirrored ``predictors.builds`` obs counter)."""
     return _build_count
 

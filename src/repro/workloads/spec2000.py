@@ -258,7 +258,7 @@ def executor_run_count() -> int:
     """Times this process invoked ``ProgramExecutor`` to generate a trace.
 
     A warm-store run of a whole figure grid should leave this at zero —
-    the acceptance check :mod:`scripts/trace_store_check` asserts exactly
+    the drill ``scripts/drill.py trace-store`` asserts exactly
     that (via the mirrored ``workloads.executor_runs`` obs counter)."""
     return _executor_runs
 

@@ -1,7 +1,7 @@
 """The campaign orchestrator: classification, queue/claim/steal, workers.
 
 Heavier multi-process drills (two concurrent worker processes, crash +
-steal under real subprocess kill) live in ``scripts/campaign_check.py``;
+steal under real subprocess kill) live in ``scripts/drill.py campaign``;
 here everything runs in-process on tiny grids so the full classify ->
 plan -> execute -> merge loop stays fast enough for tier-1.
 """

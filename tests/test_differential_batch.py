@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch import diff_engines, evaluate_stream, evaluate_trace, supports_batch
+from repro.batch import diff_engines, evaluate_stream, supports_batch
 from repro.batch.diff import run_scalar, state_mismatches
 from repro.batch.engine import KERNELS
 from repro.common.errors import ConfigurationError, ProtocolError
@@ -341,16 +341,6 @@ def test_perceptron_weight_clip_bit_exact(pc_offset):
     _assert_exact(factory, stream, chunk_branches=999)
 
 
-def test_uncommitted_run_leaves_predictor_untouched(small_trace):
-    """``commit=False`` computes the stream without touching any state."""
-    pcs, takens = small_trace.branch_arrays()
-    for name, factory in FAMILY_FACTORIES.items():
-        predictor = factory()
-        before = predictor.state()
-        evaluate_stream(predictor, pcs, takens, commit=False)
-        assert state_mismatches(before, predictor.state()) == [], name
-
-
 def test_batch_refuses_mid_prediction(small_trace):
     """The scalar protocol's in-flight state cannot be represented by the
     batch engine; evaluating mid-prediction is a protocol error."""
@@ -370,14 +360,6 @@ def test_batch_matches_scalar_measure_accuracy(small_trace):
         GsharePredictor(4096), small_trace, warmup_branches=500, engine="batch"
     )
     assert scalar == batch
-
-
-def test_evaluate_trace_counts(small_trace):
-    result = evaluate_trace(GsharePredictor(4096), small_trace)
-    assert len(result.predictions) == small_trace.conditional_branch_count
-    np.testing.assert_array_equal(
-        result.outcomes, small_trace.branch_arrays()[1]
-    )
 
 
 def test_batch_predictor_usable_after_writeback(small_trace):
