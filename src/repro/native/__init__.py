@@ -7,9 +7,10 @@ what the scalar predictor forms from them: the global history (a
 table's index under its :func:`rule`, the perceptron's inputs.  Then they
 step the counter tables (every single-table family, the local PHTs and
 tournament's chooser), the coupled tables (Bi-Mode, e-gskew, 2Bc-gskew),
-loop entries, multicomponent selection counters and perceptron weights;
-the cycle simulator's cache, BTB and RAS replays and timing loop step
-through their events in order on state the previous event wrote.
+loop entries, multicomponent selection counters and perceptron weights.
+The cycle simulator's one pass (:func:`simulate`) walks a trace's blocks
+in order, stepping the caches, the BTB, the RAS and the timing loop on
+state the previous block wrote.
 ``cores.c`` holds them; :mod:`repro.native.loader` builds it with the
 system C compiler on the first call to any core and caches the object
 beside this package.
@@ -19,8 +20,9 @@ declared with its dtype and ``C_CONTIGUOUS`` (and ``WRITEABLE`` where the
 core writes, and the shape of a rule or a one-row register), so a wrong
 one raises ``ctypes.ArgumentError`` before any C runs; every length is
 checked here, every history width by :class:`History` and every index
-rule by :func:`rule`.  The cores check every index and fill count they
-read or form and report one out of range, which raises ``IndexError``.
+rule by :func:`rule`.  The cores check every index, fill count and offset
+they read or form and report one out of range, which raises
+``IndexError``.
 ctypes releases the GIL for each call.
 """
 
@@ -132,7 +134,7 @@ def signatures() -> dict[str, tuple]:
     i, f = ctypes.c_int64, ctypes.c_double
     index, flags, out_flags = array(np.int64), array(np.bool_), array(np.bool_, writeable=True)
     counters, state = array(np.int16, writeable=True), array(np.int64, writeable=True)
-    rows, floats = array(np.int64, ndim=2, writeable=True), array(np.float64)
+    rows = array(np.int64, ndim=2, writeable=True)
     rule_ = array(np.int64, shape=(RULE_FIELDS,))
     register = array(np.int64, writeable=True, shape=(1,))
     return {
@@ -162,33 +164,37 @@ def signatures() -> dict[str, tuple]:
             i, index, flags, rule_, register, i, state, i, i,
             array(np.int32, ndim=2, writeable=True), i, i, i, i, i, out_flags,
         ),
-        "lru_replay": (i, index, i, i, i, i, rows, state, out_flags),
-        "btb_replay": (i, index, index, i, i, i, rows, rows, state, out_flags),
-        "ras_replay": (i, flags, index, state, i, state, out_flags),
-        "time_blocks": (
-            i, index, index, index, floats, floats, index, index, index, index, index,
-            index, index, i, flags, flags, flags, i, i, i, f, i, i, i, i, i, rows, rows,
-            state, state,
+        "simulate": (
+            i, index, array(np.int32), array(np.int8), index, flags, index, index, i, index,
+            index, i, index, i, flags, flags, index, index, i, i, i, i, f, f, f, i, i, i,
+            *(i, i, i, rows, state) * 3, i, i, rows, rows, state, state, i, state, state,
         ),
     }
 
 
-#: Fields of :func:`time_blocks`' result, in ``cores.c`` order.
-TIMING_FIELDS = (
+#: Counts of :func:`simulate`, in ``cores.c`` order: the run's totals, the
+#: stall cycles by cause, then each structure's accesses and misses.
+SIMULATION_FIELDS = (
     "cycles",
-    "mispredict_stall",
-    "ras_stall",
-    "window_stall",
+    "instructions",
+    "mispredictions",
+    "overrides",
     "slow_used",
-    "gap_wrong",
-    "gap_btb_stall",
+    "icache",
+    "dcache",
+    "mispredict",
+    "override_bubble",
+    "btb_miss",
+    "ras_miss",
+    "l1i_accesses",
+    "l1i_misses",
+    "l1d_accesses",
+    "l1d_misses",
+    "l2_accesses",
+    "l2_misses",
     "btb_lookups",
     "btb_misses",
 )
-
-#: ``probe`` values of :func:`time_blocks` besides a branch index.
-NO_PROBE = -2
-ALWAYS_PROBE = -1
 
 
 @lru_cache(maxsize=None)
@@ -369,75 +375,59 @@ def perceptron_train(
 # -- cycle simulator -------------------------------------------------------------
 
 
-def _check_sets(set_bits: int, *state: np.ndarray) -> int:
-    sets = _length(*state)
-    if sets != 1 << set_bits:
-        raise ValueError(f"{sets} sets, expected 2**{set_bits}")
-    return sets - 1
+def _sets(set_bits: int, tags: np.ndarray, *state: np.ndarray) -> tuple[int, int]:
+    """``set_bits`` and the ways of ``tags`` (sets x ways) and its per-set
+    ``state``; raises ValueError unless there are 2**set_bits sets of at
+    least one way."""
+    sets = _length(tags, *state)
+    ways = tags.shape[1] if tags.ndim == 2 else 0
+    if sets != 1 << set_bits or ways < 1:
+        raise ValueError(f"{tags.shape} entries, expected 2**{set_bits} sets of 1 way or more")
+    return set_bits, ways
 
 
-def lru_replay(addresses, line_shift, set_bits, tags, fill) -> np.ndarray:
-    """True-LRU accesses of ``addresses`` on ``tags`` (sets x ways, least
-    recent first) and ``fill``, both updated in place; returns the hits."""
-    n = len(addresses)
-    set_mask = _check_sets(set_bits, tags, fill)
-    hits = np.empty(n, dtype=bool)
-    _call("lru_replay", n, addresses, line_shift, set_mask, set_bits, tags.shape[1], tags,
-          fill, hits)
-    return hits
+def _cache(cache) -> tuple:
+    """A :class:`repro.uarch.caches.Cache`'s geometry and state arrays."""
+    return cache.line_shift, *_sets(cache.set_bits, cache.tags, cache.fill), cache.tags, cache.fill
 
 
-def btb_replay(pcs, targets, set_bits, tags, stored, fill) -> tuple[np.ndarray, int]:
-    """BTB lookup-then-install per branch on ``tags``/``stored`` targets
-    (sets x ways) and ``fill``, updated in place; returns where the lookup
-    supplied the target, and the misses."""
-    n = _length(pcs, targets)
-    set_mask = _check_sets(set_bits, tags, stored, fill)
-    if tags.shape != stored.shape:
-        raise ValueError(f"BTB tags {tags.shape} and targets {stored.shape} differ")
-    correct = np.empty(n, dtype=bool)
-    misses = _call("btb_replay", n, pcs, targets, set_mask, set_bits, tags.shape[1], tags,
-                   stored, fill, correct)
-    return correct, misses
+#: The one-entry-per-block trace columns and the per-branch stream arrays
+#: of :func:`simulate`, each in ``cores.c`` order.
+_BLOCK_COLUMNS = ("pc", "instructions", "branch_kind", "branch_pc", "taken", "target")
+_STREAMS = ("directions", "quick", "bubbles", "windows")
 
 
-def ras_replay(calls, addresses, stack, counts) -> np.ndarray:
-    """Pushes (``calls``) and pops on ``stack`` with ``counts`` = (in use,
-    overflows), updated in place; returns False for each pop that did not
-    return its address."""
-    n = _length(calls, addresses)
-    if len(counts) != 2:
-        raise ValueError("RAS counts are (entries in use, overflows)")
-    predicted = np.empty(n, dtype=bool)
-    _call("ras_replay", n, calls, addresses, stack, len(stack), counts, predicted)
-    return predicted
+def simulate(columns: dict, stream: dict, machine: dict, hierarchy, btb, ras) -> dict[str, int]:
+    """The cycle simulator's one pass over a trace's ``columns``
+    (:meth:`repro.workloads.trace.ColumnarTrace.columns`).
 
-
-def time_blocks(blocks: dict, branches: dict, machine: dict, btb) -> dict[str, int]:
-    """The timing loop over per-block arrays.
-
-    ``blocks`` holds, per block: ``instructions``, ``icache``,
-    ``fetch_cycles``, ``retire``, ``data`` (floats), ``bubble``,
-    ``window``, ``penalty``, ``flush``, ``probe``, ``pc`` and ``target``.
-    ``branches`` holds the ``quick``, ``slow`` and ``outcome`` streams a
-    probe indexes; ``machine`` the scalar parameters; ``btb`` the
-    :class:`repro.uarch.btb.BranchTargetBuffer` whose state the probes
-    update in place.  Returns :data:`TIMING_FIELDS` by name.
+    ``stream`` holds, per conditional branch, the policy's ``directions``
+    (the slow component's under a gap choice), the ``quick`` component's
+    (the directions again for a policy without one), the override
+    ``bubbles`` and the dual-path ``windows``; ``machine`` the scalar
+    parameters.  ``hierarchy`` (its L1I, L1D and L2 caches), ``btb`` and
+    ``ras`` own the state arrays the pass updates in place.  Returns
+    :data:`SIMULATION_FIELDS` by name.
     """
-    columns = (
-        "instructions", "icache", "fetch_cycles", "retire", "data", "bubble", "window",
-        "penalty", "flush", "probe", "pc", "target",
-    )
-    n = _length(*(blocks[name] for name in columns))
-    streams = (branches["quick"], branches["slow"], branches["outcome"])
-    set_mask = _check_sets(btb.set_bits, btb.tags, btb.targets, btb.fill)
+    blocks = _length(*(columns[name] for name in _BLOCK_COLUMNS))
+    if len(columns["load_offsets"]) != blocks + 1 or len(columns["store_offsets"]) != blocks + 1:
+        raise ValueError(f"load and store offsets must number {blocks + 1}, one past the blocks")
+    branches = _length(*(stream[name] for name in _STREAMS))
+    btb_state = (*_sets(btb.set_bits, btb.tags, btb.targets, btb.fill), btb.tags, btb.targets)
     if btb.tags.shape != btb.targets.shape:
         raise ValueError(f"BTB tags {btb.tags.shape} and targets {btb.targets.shape} differ")
-    out = np.zeros(len(TIMING_FIELDS), dtype=np.int64)
+    if len(ras.stack) < 1 or len(ras.counts) != 2:
+        raise ValueError("the RAS needs 1 entry or more and counts (entries in use, overflows)")
+    out = np.zeros(len(SIMULATION_FIELDS), dtype=np.int64)
     _call(
-        "time_blocks", n, *(blocks[name] for name in columns), _length(*streams), *streams,
-        machine["issue_width"], machine["blocks_per_cycle"], machine["front_depth"],
-        machine["rob_lead"], machine["btb_miss_penalty"], machine["gap_cycles"],
-        set_mask, btb.set_bits, btb.tags.shape[1], btb.tags, btb.targets, btb.fill, out,
+        "simulate", blocks, *(columns[name] for name in _BLOCK_COLUMNS),
+        columns["loads"], len(columns["loads"]), columns["load_offsets"], columns["stores"],
+        len(columns["stores"]), columns["store_offsets"], branches,
+        *(stream[name] for name in _STREAMS), machine["gap_cycles"], machine["issue_width"],
+        machine["blocks_per_cycle"], machine["front_depth"], machine["ilp"], machine["rob_lead"],
+        machine["memory_level_parallelism"], machine["btb_miss_penalty"],
+        hierarchy.l2_hit_cycles, hierarchy.memory_cycles,
+        *_cache(hierarchy.l1i), *_cache(hierarchy.l1d), *_cache(hierarchy.l2),
+        *btb_state, btb.fill, ras.stack, len(ras.stack), ras.counts, out,
     )
-    return dict(zip(TIMING_FIELDS, out.tolist()))
+    return dict(zip(SIMULATION_FIELDS, out.tolist()))

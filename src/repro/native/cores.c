@@ -18,10 +18,10 @@
  *   - perceptron training, where a branch's output depends on every
  *     earlier update of its weight row.
  *
- * The cycle simulator (repro/uarch/) lays out blocks and addresses in
- * NumPy; its cores are the LRU caches, the BTB and the return-address
- * stack, and the timing loop, a chain of double-precision operations whose
- * result depends on their order.
+ * The cycle simulator's core (repro/uarch/simulator.py) walks a trace's
+ * blocks once, stepping for each the true-LRU caches, the BTB, the
+ * return-address stack and the timing loop, a chain of double-precision
+ * operations whose result depends on their order.
  *
  * Each core applies exactly the rule of the scalar model it mirrors, in
  * the same order, on state arrays the Python side owns.  repro/native
@@ -29,13 +29,14 @@
  * fused, and never with -ffast-math, so every double operation rounds as
  * Python's float does.  The caller checks every dtype, length, shape,
  * history width and index rule; the cores check every index they read
- * from the caller's arrays or form, and every fill count, and return -1
- * before using one that is out of range (otherwise 0, or the count a core
- * documents).  No core touches a Python object.
+ * from the caller's arrays or form, and every fill count and offset, and
+ * return -1 before using one that is out of range (otherwise 0, or the
+ * count a core documents).  No core touches a Python object.
  */
 
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
 
 /* A saturating counter in [0, top] stepped toward `taken`. */
 static int16_t step(int16_t value, int taken, int64_t top)
@@ -511,7 +512,7 @@ int64_t perceptron_train(
     return 0;
 }
 
-/* -- caches, BTB and RAS ----------------------------------------------------- */
+/* -- the cycle simulator ---------------------------------------------------- */
 
 /* Move entry `at` of a row of `fill` entries to the most recent end. */
 static void bump(int64_t *row, int64_t at, int64_t fill)
@@ -522,69 +523,80 @@ static void bump(int64_t *row, int64_t at, int64_t fill)
     row[fill - 1] = value;
 }
 
-/* A true-LRU tag array, any associativity: per set `ways` tags, least
- * recently used first, of which the first fill[set] are resident.  Sets
- * are a power of two, so the set is the low line bits and the tag the
- * rest (Python's % and // for every int64).  Returns the misses. */
-int64_t lru_replay(
-    int64_t n, const int64_t *addresses, int64_t line_shift, int64_t set_mask,
-    int64_t set_bits, int64_t ways, int64_t *tags, int64_t *fill, uint8_t *hits)
+/* A true-LRU tag array of any associativity (repro.uarch.caches.Cache):
+ * per set `ways` tags, least recently used first, of which the first
+ * fill[set] are resident.  Sets are a power of two, so the set is the low
+ * line bits and the tag the rest (Python's % and // for every int64). */
+struct cache {
+    int64_t line_shift, set_bits, ways, *tags, *fill;
+    int64_t accesses, misses;
+};
+
+/* Cache.access: 1 on a hit, which makes the tag the most recent; else 0,
+ * the line filled in place of the least recent tag of a full set. */
+static int cache_access(struct cache *c, int64_t address)
 {
-    int64_t misses = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t line = addresses[i] >> line_shift;
-        int64_t set = line & set_mask, tag = line >> set_bits;
-        int64_t *row = tags + set * ways;
-        int64_t f = fill[set], j = f - 1;
-        if (out_of_range(f, ways + 1))
-            return -1;
-        while (j >= 0 && row[j] != tag)
-            j--;
-        if (j >= 0) {
-            bump(row, j, f);
-            hits[i] = 1;
-            continue;
-        }
-        misses++;
-        hits[i] = 0;
-        if (f == ways) {
-            bump(row, 0, f);
-            row[f - 1] = tag;
-        } else {
-            row[f] = tag;
-            fill[set] = f + 1;
-        }
+    int64_t line = address >> c->line_shift;
+    int64_t set = line & (((int64_t)1 << c->set_bits) - 1), tag = line >> c->set_bits;
+    int64_t *row = c->tags + set * c->ways;
+    int64_t f = c->fill[set], j = f - 1;
+    c->accesses++;
+    while (j >= 0 && row[j] != tag)
+        j--;
+    if (j >= 0) {
+        bump(row, j, f);
+        return 1;
     }
-    return misses;
+    c->misses++;
+    if (f == c->ways)
+        bump(row, 0, f);
+    else
+        c->fill[set] = ++f;
+    row[f - 1] = tag;
+    return 0;
 }
 
-/* One BTB lookup-then-install of (pc, target): 1 when the lookup
- * supplied target, else 0, or -1 on a fill count out of range.  Counts a
- * miss when pc had no entry. */
-static int btb_step(
-    int64_t pc, int64_t target, int64_t set_mask, int64_t set_bits, int64_t ways,
-    int64_t *tags, int64_t *targets, int64_t *fill, int64_t *misses)
+/* MemoryHierarchy.access_instruction and access_data: the stall cycles
+ * of an access beyond an L1 hit, its misses going to the shared L2. */
+static int64_t memory_access(
+    struct cache *l1, struct cache *l2, int64_t address, int64_t l2_hit_cycles,
+    int64_t memory_cycles)
+{
+    if (cache_access(l1, address))
+        return 0;
+    return cache_access(l2, address) ? l2_hit_cycles : memory_cycles;
+}
+
+/* The BTB (repro.uarch.btb.BranchTargetBuffer): sets of (tag, target)
+ * entries kept as a cache's tags are, indexed by the word address. */
+struct btb {
+    int64_t set_bits, ways, *tags, *targets, *fill;
+    int64_t lookups, misses;
+};
+
+/* BranchTargetBuffer.lookup then install of (pc, target): 1 when the
+ * lookup supplied target. */
+static int btb_step(struct btb *b, int64_t pc, int64_t target)
 {
     int64_t line = pc >> 2;
-    int64_t set = line & set_mask, tag = line >> set_bits;
-    int64_t *row_tags = tags + set * ways, *row_targets = targets + set * ways;
-    int64_t f = fill[set], j = f - 1;
-    if (out_of_range(f, ways + 1))
-        return -1;
+    int64_t set = line & (((int64_t)1 << b->set_bits) - 1), tag = line >> b->set_bits;
+    int64_t *row_tags = b->tags + set * b->ways, *row_targets = b->targets + set * b->ways;
+    int64_t f = b->fill[set], j = f - 1;
+    int correct = 0;
+    b->lookups++;
     while (j >= 0 && row_tags[j] != tag)
         j--;
-    int correct = 0;
     if (j >= 0) {
         correct = row_targets[j] == target;
         bump(row_tags, j, f);
         bump(row_targets, j, f);
     } else {
-        (*misses)++;
-        if (f == ways) {
+        b->misses++;
+        if (f == b->ways) {
             bump(row_tags, 0, f);
             bump(row_targets, 0, f);
         } else {
-            fill[set] = ++f;
+            b->fill[set] = ++f;
         }
     }
     row_tags[f - 1] = tag;
@@ -592,192 +604,228 @@ static int btb_step(
     return correct;
 }
 
-/* BranchTargetBuffer.lookup then install, for each branch in order.
- * Returns the misses. */
-int64_t btb_replay(
-    int64_t n, const int64_t *pcs, const int64_t *branch_targets, int64_t set_mask,
-    int64_t set_bits, int64_t ways, int64_t *tags, int64_t *targets, int64_t *fill,
-    uint8_t *correct)
+/* The return-address stack (repro.uarch.btb.ReturnAddressStack): `depth`
+ * entries, oldest first, of which counts[0] are in use; counts[1] counts
+ * the pushes that dropped the oldest entry of a full stack. */
+static void ras_push(int64_t *stack, int64_t depth, int64_t *counts, int64_t address)
 {
-    int64_t misses = 0;
-    for (int64_t i = 0; i < n; i++) {
-        int step = btb_step(
-            pcs[i], branch_targets[i], set_mask, set_bits, ways, tags, targets, fill, &misses);
-        if (step < 0)
-            return -1;
-        correct[i] = (uint8_t)step;
+    if (counts[0] == depth) {
+        bump(stack, 0, depth);
+        stack[depth - 1] = address;
+        counts[1]++;
+    } else {
+        stack[counts[0]++] = address;
     }
-    return misses;
 }
 
-/* Return-address stack of `depth` entries, oldest first; counts holds
- * (entries in use, overflows).  A push onto a full stack drops the
- * oldest entry; a pop is right when it returns the operation's address. */
-int64_t ras_replay(
-    int64_t n, const uint8_t *calls, const int64_t *addresses, int64_t *stack, int64_t depth,
-    int64_t *counts, uint8_t *predicted)
+/* A pop: 1 when it returns `target`, 0 for another address or an empty
+ * stack. */
+static int ras_pop(const int64_t *stack, int64_t *counts, int64_t target)
 {
-    int64_t size = counts[0];
-    if (size < 0 || size > depth)
-        return -1;
-    for (int64_t i = 0; i < n; i++) {
-        if (calls[i]) {
-            if (size == depth) {
-                bump(stack, 0, depth);
-                stack[depth - 1] = addresses[i];
-                counts[1]++;
-            } else {
-                stack[size++] = addresses[i];
-            }
-            predicted[i] = 1;
-        } else if (size > 0) {
-            predicted[i] = stack[--size] == addresses[i];
-        } else {
-            predicted[i] = 0;
-        }
-    }
-    counts[0] = size;
-    return 0;
+    return counts[0] > 0 && stack[--counts[0]] == target;
 }
 
-/* -- the timing loop ------------------------------------------------------------ */
+/* 1 when block b's entries of a column of `count` are [offsets[b],
+ * offsets[b + 1]) for each of `blocks` blocks: offsets from 0 up that
+ * never decrease and end within the column. */
+static int valid_offsets(const int64_t *offsets, int64_t blocks, int64_t count)
+{
+    if (offsets[0] < 0 || offsets[blocks] > count)
+        return 0;
+    for (int64_t b = 0; b < blocks; b++)
+        if (offsets[b] > offsets[b + 1])
+            return 0;
+    return 1;
+}
 
+/* 1 when every one of 2**set_bits sets holds 0 to `ways` entries. */
+static int valid_fills(const int64_t *fill, int64_t set_bits, int64_t ways)
+{
+    for (int64_t s = 0; s < (int64_t)1 << set_bits; s++)
+        if (out_of_range(fill[s], ways + 1))
+            return 0;
+    return 1;
+}
+
+enum { NONE, CONDITIONAL, UNCONDITIONAL, CALL, RETURN }; /* BranchKind */
 enum { MISPREDICT = 1, RAS_MISS = 2 };
-enum { NO_PROBE = -2, ALWAYS_PROBE = -1 };
 
-/* Indices of the timing loop's results in `out`. */
+/* Indices of simulate's counts in `out`: the run's totals, the stall
+ * cycles by cause, then the accesses and misses of L1I, L1D and L2 and
+ * the BTB's lookups and misses. */
 enum {
     OUT_CYCLES,
-    OUT_MISPREDICT_STALL,
-    OUT_RAS_STALL,
-    OUT_WINDOW_STALL,
+    OUT_INSTRUCTIONS,
+    OUT_MISPREDICTIONS,
+    OUT_OVERRIDES,
     OUT_SLOW_USED,
-    OUT_GAP_WRONG,
-    OUT_GAP_BTB_STALL,
-    OUT_BTB_LOOKUPS,
-    OUT_BTB_MISSES,
-    OUT_FIELDS
+    OUT_ICACHE,
+    OUT_DCACHE,
+    OUT_MISPREDICT,
+    OUT_OVERRIDE_BUBBLE,
+    OUT_BTB_MISS,
+    OUT_RAS_MISS,
+    OUT_STRUCTURES,
+    OUT_FIELDS = OUT_STRUCTURES + 8
 };
 
-/* The fetch and back-end cursors, block by block: every add, compare and
- * truncation in the order CycleSimulator's model defines them.  Per block:
- * its instructions, I-cache stall cycles, full-width fetch cycles, retire
- * cycles and data stall cycles, then its terminator's override bubble,
- * dual-path window, BTB-miss penalty and flush kind.
+/* CycleSimulator.run over a trace's columns: every block once, in trace
+ * order, every operation in the order of tests/uarch_reference.py's loop.
+ * A block sends its first I-fetch line, its last when that is another
+ * line, then its loads and its stores through L1I or L1D and the shared
+ * L2; the fetch cursor and the back-end cursor advance (the
+ * double-precision recurrence the simulator's docstring defines); then
+ * its terminator acts.  A call pushes its return address; a return pops,
+ * and a wrong or missing address flushes fetch as a misprediction does.
+ * A conditional branch takes the next direction of the policy's stream:
+ * from `directions`, or from `quick` when the fetch gap since the
+ * previous conditional branch is below gap_cycles (cascading; a policy
+ * without that choice passes its directions twice), then pays its
+ * override bubble and opens its dual-path window.  Calls, jumps and
+ * branches predicted taken look their target up in the BTB and install
+ * it, paying btb_miss_penalty unless the lookup supplied it.
  *
- * probe[b] is NO_PROBE except under a gap-arbitrated pair (cascading),
- * where it is ALWAYS_PROBE for a call or jump and the branch's index in
- * the quick/slow/outcome streams for a conditional branch: the fetch gap
- * before it picks the component that answers, and a taken answer probes
- * the BTB (its state arrays are updated in place). */
-int64_t time_blocks(
-    int64_t blocks, const int64_t *instructions, const int64_t *icache,
-    const int64_t *fetch_cycles, const double *retire, const double *data,
-    const int64_t *bubbles, const int64_t *windows, const int64_t *penalties,
-    const int64_t *flushes, const int64_t *probe, const int64_t *pcs, const int64_t *targets,
-    int64_t branches, const uint8_t *quick, const uint8_t *slow, const uint8_t *outcomes,
-    int64_t issue_width, int64_t blocks_per_cycle, int64_t front_depth, double rob_lead,
-    int64_t btb_miss_penalty, int64_t gap_cycles, int64_t btb_set_mask, int64_t btb_set_bits,
-    int64_t btb_ways, int64_t *btb_tags, int64_t *btb_targets, int64_t *btb_fill, int64_t *out)
+ * Before it writes anything, the core refuses load or store offsets that
+ * start below 0, decrease or run past their column, a stream of other
+ * than the trace's conditional-branch count, a RAS fill outside 0 to its
+ * depth and any set's fill outside 0 to its ways. */
+int64_t simulate(
+    int64_t blocks, const int64_t *pcs, const int32_t *instructions, const int8_t *kinds,
+    const int64_t *branch_pcs, const uint8_t *takens, const int64_t *targets,
+    const int64_t *loads, int64_t load_count, const int64_t *load_offsets,
+    const int64_t *stores, int64_t store_count, const int64_t *store_offsets,
+    int64_t branches, const uint8_t *directions, const uint8_t *quick, const int64_t *bubbles,
+    const int64_t *windows, int64_t gap_cycles, int64_t issue_width, int64_t blocks_per_cycle,
+    int64_t front_depth, double ilp, double rob_lead, double memory_level_parallelism,
+    int64_t btb_miss_penalty, int64_t l2_hit_cycles, int64_t memory_cycles,
+    int64_t l1i_line_shift, int64_t l1i_set_bits, int64_t l1i_ways, int64_t *l1i_tags,
+    int64_t *l1i_fill, int64_t l1d_line_shift, int64_t l1d_set_bits, int64_t l1d_ways,
+    int64_t *l1d_tags, int64_t *l1d_fill, int64_t l2_line_shift, int64_t l2_set_bits,
+    int64_t l2_ways, int64_t *l2_tags, int64_t *l2_fill, int64_t btb_set_bits, int64_t btb_ways,
+    int64_t *btb_tags, int64_t *btb_targets, int64_t *btb_fill, int64_t *ras_stack,
+    int64_t ras_depth, int64_t *ras_counts, int64_t *out)
 {
+    struct cache l1i = {l1i_line_shift, l1i_set_bits, l1i_ways, l1i_tags, l1i_fill, 0, 0};
+    struct cache l1d = {l1d_line_shift, l1d_set_bits, l1d_ways, l1d_tags, l1d_fill, 0, 0};
+    struct cache l2 = {l2_line_shift, l2_set_bits, l2_ways, l2_tags, l2_fill, 0, 0};
+    struct btb btb = {btb_set_bits, btb_ways, btb_tags, btb_targets, btb_fill, 0, 0};
+    int64_t conditional = 0;
+    for (int64_t i = 0; i < blocks; i++)
+        conditional += kinds[i] == CONDITIONAL;
+    if (conditional != branches || !valid_offsets(load_offsets, blocks, load_count) ||
+        !valid_offsets(store_offsets, blocks, store_count) ||
+        out_of_range(ras_counts[0], ras_depth + 1) ||
+        !valid_fills(l1i_fill, l1i_set_bits, l1i_ways) ||
+        !valid_fills(l1d_fill, l1d_set_bits, l1d_ways) ||
+        !valid_fills(l2_fill, l2_set_bits, l2_ways) ||
+        !valid_fills(btb_fill, btb_set_bits, btb_ways))
+        return -1;
+
     int64_t half_width = issue_width / 2 > 1 ? issue_width / 2 : 1;
-    int grouped = blocks_per_cycle > 1;
     double next_fetch = 0.0;                  /* next free fetch cycle */
     double backend_end = (double)front_depth; /* in-order retirement cursor */
     double half_width_until = 0.0;            /* dual-path window */
-    double group_end = -1.0;
+    double group_end = -1.0;                  /* the open multi-block fetch group */
     int64_t group_count = 0;
     double last_branch_fetch_end = 0.0;
     int64_t result[OUT_FIELDS] = {0};
 
-    for (int64_t i = 0; i < blocks; i++) {
-        int64_t n = instructions[i], cycles = fetch_cycles[i];
+    for (int64_t i = 0, branch = 0; i < blocks; i++) {
+        int64_t n = instructions[i], pc = pcs[i];
+        result[OUT_INSTRUCTIONS] += n;
         /* ROB throttle: fetch cannot run arbitrarily ahead of retire. */
         if (next_fetch < backend_end - rob_lead)
             next_fetch = backend_end - rob_lead;
         double fetch_start = next_fetch;
-        int64_t width = issue_width;
-        if (fetch_start < half_width_until) {
-            width = half_width;
-            cycles = (n + half_width - 1) / half_width;
-        }
+        int64_t last_byte = pc + n * 4 - 1;
+        int64_t icache = memory_access(&l1i, &l2, pc, l2_hit_cycles, memory_cycles);
+        if (last_byte >> l1i_line_shift != pc >> l1i_line_shift)
+            icache += memory_access(&l1i, &l2, last_byte, l2_hit_cycles, memory_cycles);
+        result[OUT_ICACHE] += icache;
+        int64_t width = fetch_start < half_width_until ? half_width : issue_width;
         /* Multi-block fetch: a block joins the open group when slots
          * remain, it follows immediately, it hit the I-cache and it fits
          * one fetch block by itself. */
         double fetch_end;
-        if (grouped && group_count < blocks_per_cycle && fetch_start == group_end &&
-            icache[i] == 0 && n <= width) {
+        if (blocks_per_cycle > 1 && group_count < blocks_per_cycle && fetch_start == group_end &&
+            icache == 0 && n <= width) {
             fetch_end = group_end;
             group_count++;
         } else {
-            fetch_end = fetch_start + (double)icache[i] + (double)cycles;
+            fetch_end = fetch_start + (double)icache + (double)((n + width - 1) / width);
             group_end = fetch_end;
             group_count = 1;
         }
         next_fetch = fetch_end;
+        /* Back end: loads stall retirement, spread by the memory-level
+         * parallelism; stores only fill. */
+        int64_t load_stall = 0;
+        for (int64_t j = load_offsets[i]; j < load_offsets[i + 1]; j++)
+            load_stall += memory_access(&l1d, &l2, loads[j], l2_hit_cycles, memory_cycles);
+        for (int64_t j = store_offsets[i]; j < store_offsets[i + 1]; j++)
+            memory_access(&l1d, &l2, stores[j], l2_hit_cycles, memory_cycles);
+        double data = (double)load_stall / memory_level_parallelism;
+        result[OUT_DCACHE] += (int64_t)data;
         double exec_ready = fetch_end + (double)front_depth;
         double prev_backend_end = backend_end;
-        backend_end = (exec_ready > backend_end ? exec_ready : backend_end) + retire[i] + data[i];
+        backend_end = (exec_ready > backend_end ? exec_ready : backend_end) + (double)n / ilp + data;
 
         /* -- the block's terminator -- */
-        int64_t penalty = penalties[i], flush = flushes[i];
-        if (probe[i] != NO_PROBE) {
-            int64_t branch = probe[i];
-            int predicted = 1;
-            if (branch >= 0) {
-                if (branch >= branches)
-                    return -1;
-                int use_slow = (int64_t)(fetch_end - last_branch_fetch_end) >= gap_cycles;
-                last_branch_fetch_end = fetch_end;
-                if (use_slow) {
-                    result[OUT_SLOW_USED]++;
-                    predicted = slow[branch] != 0;
-                } else {
-                    predicted = quick[branch] != 0;
-                }
-                if (predicted != (outcomes[branch] != 0)) {
-                    result[OUT_GAP_WRONG]++;
-                    flush = MISPREDICT;
-                }
+        int kind = kinds[i];
+        if (kind == NONE)
+            continue;
+        int probe = kind != RETURN, flush = 0;
+        if (kind == CONDITIONAL) {
+            int use_slow = (int64_t)(fetch_end - last_branch_fetch_end) >= gap_cycles;
+            last_branch_fetch_end = fetch_end;
+            result[OUT_SLOW_USED] += use_slow;
+            probe = (use_slow ? directions[branch] : quick[branch]) != 0;
+            if (probe != (takens[i] != 0)) {
+                result[OUT_MISPREDICTIONS]++;
+                flush = MISPREDICT;
             }
-            if (predicted) {
-                result[OUT_BTB_LOOKUPS]++;
-                int hit = btb_step(pcs[i], targets[i], btb_set_mask, btb_set_bits, btb_ways,
-                                   btb_tags, btb_targets, btb_fill, &result[OUT_BTB_MISSES]);
-                if (hit < 0)
-                    return -1;
-                if (!hit) {
-                    penalty = btb_miss_penalty;
-                    result[OUT_GAP_BTB_STALL] += penalty;
-                }
+            if (bubbles[branch]) {
+                result[OUT_OVERRIDES]++;
+                result[OUT_OVERRIDE_BUBBLE] += bubbles[branch];
+                next_fetch += (double)bubbles[branch];
             }
+            if (windows[branch]) {
+                /* A second branch inside an open window cannot fork again:
+                 * fetch waits for the window to close first. */
+                if (fetch_end < half_width_until) {
+                    double stall = half_width_until - fetch_end;
+                    next_fetch += stall;
+                    result[OUT_OVERRIDE_BUBBLE] += (int64_t)stall;
+                }
+                half_width_until = next_fetch + (double)windows[branch];
+            }
+            branch++;
+        } else if (kind == CALL) {
+            ras_push(ras_stack, ras_depth, ras_counts, branch_pcs[i] + 4);
+        } else if (kind == RETURN && !ras_pop(ras_stack, ras_counts, targets[i])) {
+            flush = RAS_MISS;
         }
-        if (bubbles[i])
-            next_fetch += (double)bubbles[i];
-        if (windows[i]) {
-            /* A second branch inside an open window cannot fork again:
-             * fetch waits for the window to close first. */
-            if (fetch_end < half_width_until) {
-                double stall = half_width_until - fetch_end;
-                next_fetch += stall;
-                result[OUT_WINDOW_STALL] += (int64_t)stall;
-            }
-            half_width_until = next_fetch + (double)windows[i];
+        if (probe && !btb_step(&btb, branch_pcs[i], targets[i])) {
+            /* Redirect waits for decode to compute the target. */
+            next_fetch += (double)btb_miss_penalty;
+            result[OUT_BTB_MISS] += btb_miss_penalty;
         }
-        if (penalty) /* redirect waits for decode to compute the target */
-            next_fetch += (double)penalty;
         if (flush) {
             /* The branch must reach execute before redirecting fetch. */
             double resolve = (prev_backend_end > exec_ready ? prev_backend_end : exec_ready) + 1.0;
             if (resolve > next_fetch) {
-                result[flush == MISPREDICT ? OUT_MISPREDICT_STALL : OUT_RAS_STALL] +=
+                result[flush == MISPREDICT ? OUT_MISPREDICT : OUT_RAS_MISS] +=
                     (int64_t)(resolve - next_fetch);
                 next_fetch = resolve;
             }
         }
     }
     result[OUT_CYCLES] = (int64_t)ceil(backend_end > next_fetch ? backend_end : next_fetch);
-    for (int k = 0; k < OUT_FIELDS; k++)
-        out[k] = result[k];
+    int64_t structures[OUT_FIELDS - OUT_STRUCTURES] = {
+        l1i.accesses, l1i.misses, l1d.accesses, l1d.misses, l2.accesses, l2.misses,
+        btb.lookups, btb.misses,
+    };
+    memcpy(result + OUT_STRUCTURES, structures, sizeof structures);
+    memcpy(out, result, sizeof result);
     return 0;
 }

@@ -549,8 +549,12 @@ def regress(
     the baseline measured).  Counters gate on exact equality for every
     key the baseline recorded — on a pinned grid they are deterministic,
     so *any* drift (extra retries, store misses, corrupt entries) is a
-    finding.  ``counters_only`` skips the timing checks for
-    machine-independent gating against a committed baseline.
+    finding — and a deterministic counter of the run that the baseline
+    does not list (one :func:`baseline_snapshot` would keep) is reported
+    as ``counter-unlisted``: a counter added after the baseline was
+    written is gated once the baseline is rewritten, not silently never.
+    ``counters_only`` skips the timing checks for machine-independent
+    gating against a committed baseline.
     """
     violations: list[dict] = []
     if not counters_only:
@@ -593,7 +597,19 @@ def regress(
                     }
                 )
     counters = aggregate.get("counters") or {}
-    for name, base_value in sorted((baseline.get("counters") or {}).items()):
+    listed = baseline.get("counters") or {}
+    for name in sorted(set(counters) - set(listed)):
+        if not name.startswith(_VOLATILE_COUNTER_PREFIXES):
+            violations.append(
+                {
+                    "kind": "counter-unlisted",
+                    "name": name,
+                    "baseline": None,
+                    "current": counters[name],
+                    "ratio": None,
+                }
+            )
+    for name, base_value in sorted(listed.items()):
         current = counters.get(name, 0)
         if current != base_value:
             violations.append(

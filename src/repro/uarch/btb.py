@@ -5,12 +5,9 @@ supplies targets for taken branches; a miss means the front end cannot
 redirect until the target is computed in decode, a short bubble.  Returns
 are predicted by a classic return-address stack pushed by calls.
 
-Both structures see their operations in trace order whatever the timing,
-so the simulator replays a whole trace's operations at once through the C
-cores (``replay``; a gap-arbitrated policy's BTB probes run inside the
-timing loop, :func:`repro.native.time_blocks`, on the same state).
-``lookup``/``install`` and ``push``/``pop`` are the same models one
-operation at a time, in Python.
+The simulator steps both structures' state arrays in its one pass over a
+trace, in C (:func:`repro.native.simulate`); ``lookup``/``install`` and
+``push``/``pop`` are the same models one operation at a time, in Python.
 """
 
 from __future__ import annotations
@@ -19,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro import native
 from repro.common.bits import is_power_of_two, log2_exact
 from repro.common.errors import ConfigurationError
 
@@ -55,7 +51,7 @@ class BranchTargetBuffer:
         self.stats = BtbStats()
         #: Per set, the resident entries least recently used first: the
         #: first ``fill[set]`` of ``tags[set]`` and their ``targets[set]``.
-        #: The C cores and the methods below update them in place.
+        #: The simulator's C core and the methods below update them in place.
         self.tags = np.zeros((self.sets, ways), dtype=np.int64)
         self.targets = np.zeros((self.sets, ways), dtype=np.int64)
         self.fill = np.zeros(self.sets, dtype=np.int64)
@@ -96,18 +92,6 @@ class BranchTargetBuffer:
             del entries[next(iter(entries))]
         self._store(index, entries)
 
-    def replay(self, pcs: np.ndarray, targets: np.ndarray) -> np.ndarray:
-        """``lookup`` then ``install`` for each branch in order; returns
-        True where the lookup supplied the branch's target."""
-        pcs = np.ascontiguousarray(pcs, dtype=np.int64)
-        targets = np.ascontiguousarray(targets, dtype=np.int64)
-        correct, misses = native.btb_replay(
-            pcs, targets, self.set_bits, self.tags, self.targets, self.fill
-        )
-        self.stats.lookups += len(correct)
-        self.stats.misses += misses
-        return correct
-
 
 class ReturnAddressStack:
     """Fixed-depth RAS; overflow discards the oldest entry (as hardware
@@ -118,8 +102,8 @@ class ReturnAddressStack:
             raise ConfigurationError(f"RAS depth must be >= 1, got {depth}")
         self.depth = depth
         #: The return addresses, oldest first: the first ``counts[0]``
-        #: entries; ``counts[1]`` counts overflows.  The C core and the
-        #: methods below update them in place.
+        #: entries; ``counts[1]`` counts overflows.  The simulator's C core
+        #: and the methods below update them in place.
         self.stack = np.zeros(depth, dtype=np.int64)
         self.counts = np.zeros(2, dtype=np.int64)
 
@@ -146,14 +130,6 @@ class ReturnAddressStack:
             return None
         self.counts[0] = size - 1
         return int(self.stack[size - 1])
-
-    def replay(self, calls: np.ndarray, addresses: np.ndarray) -> np.ndarray:
-        """Push each call's return address and pop for each return, in
-        order; returns, per operation, False only for a return whose
-        target (its address) the stack did not predict."""
-        calls = np.ascontiguousarray(calls, dtype=bool)
-        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        return native.ras_replay(calls, addresses, self.stack, self.counts)
 
     def __len__(self) -> int:
         return int(self.counts[0])

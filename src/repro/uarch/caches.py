@@ -8,20 +8,18 @@ tracks tags only (no data), with true-LRU replacement kept as one row of
 tags per set, least recently used first; latencies are charged by the
 simulator, not here.
 
-Cache state depends only on the order of accesses, never on timing, so the
-simulator replays a whole trace's accesses at once
-(:meth:`MemoryHierarchy.replay`) through the C LRU core
-(:func:`repro.native.lru_replay`); ``access`` and the ``access_*`` methods
-are the same model one access at a time, in Python, on the same state.
+The simulator steps these tag arrays in its one pass over a trace, in C
+(:func:`repro.native.simulate`), charging the stall cycles ``access_*``
+charges; ``access`` and the ``access_*`` methods are the same model one
+access at a time, in Python, on the same state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro import native
 from repro.common.bits import is_power_of_two, log2_exact
 from repro.common.errors import ConfigurationError
 from repro.uarch.config import MachineConfig
@@ -66,8 +64,8 @@ class Cache:
         self.set_bits = log2_exact(self.sets)
         self.stats = CacheStats()
         #: Per set, the resident tags, least recently used first: the first
-        #: ``fill[set]`` entries of ``tags[set]``.  The C core and the
-        #: methods below update them in place.
+        #: ``fill[set]`` entries of ``tags[set]``.  The simulator's C core
+        #: and the methods below update them in place.
         self.tags = np.zeros((self.sets, ways), dtype=np.int64)
         self.fill = np.zeros(self.sets, dtype=np.int64)
 
@@ -93,15 +91,6 @@ class Cache:
         self.fill[index] = len(recency)
         return hit
 
-    def replay(self, addresses: np.ndarray) -> np.ndarray:
-        """Access every address in order, as :meth:`access` one by one
-        would; returns the hit flags."""
-        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        hits = native.lru_replay(addresses, self.line_shift, self.set_bits, self.tags, self.fill)
-        self.stats.accesses += len(hits)
-        self.stats.misses += len(hits) - int(np.count_nonzero(hits))
-        return hits
-
     def probe(self, address: int) -> bool:
         """Check residency without updating state (used by tests)."""
         _, tag, recency = self._locate(address)
@@ -125,7 +114,6 @@ class MemoryHierarchy:
     l2: Cache
     l2_hit_cycles: int = 12
     memory_cycles: int = 200
-    stats_l2_from_i: CacheStats = field(default_factory=CacheStats)
 
     def access_instruction(self, address: int) -> int:
         """Stall cycles for an instruction fetch beyond an L1I hit."""
@@ -142,24 +130,6 @@ class MemoryHierarchy:
         if self.l2.access(address):
             return self.l2_hit_cycles
         return self.memory_cycles
-
-    def replay(self, addresses: np.ndarray, data: np.ndarray) -> np.ndarray:
-        """Stall cycles of every access of a stream, in order — what
-        ``access_data`` (where ``data`` is set) or ``access_instruction``
-        would return one by one.
-
-        The L1s see disjoint streams, so each replays its own; the shared
-        L2 then replays their misses in stream order.
-        """
-        hits = np.empty(len(addresses), dtype=bool)
-        fetches = ~data
-        hits[fetches] = self.l1i.replay(addresses[fetches])
-        hits[data] = self.l1d.replay(addresses[data])
-        misses = np.flatnonzero(~hits)
-        l2_hits = self.l2.replay(addresses[misses])
-        stalls = np.zeros(len(addresses), dtype=np.int64)
-        stalls[misses] = np.where(l2_hits, self.l2_hit_cycles, self.memory_cycles)
-        return stalls
 
 
 def machine_hierarchy(config: MachineConfig) -> MemoryHierarchy:

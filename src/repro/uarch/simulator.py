@@ -27,32 +27,29 @@ Predict, then simulate
 
 Most of what happens to a block does not depend on when it is fetched.
 Every policy's component predictors train on every conditional branch in
-trace order; the caches, the BTB and the RAS see their operations in trace
-order; a block's size fixes its fetch and retire work.  :meth:`CycleSimulator.run`
-therefore makes two passes over the trace's columns (``trace.columns()``):
-
-1. a pre-pass takes every branch's direction from the policy's whole
-   stream (:meth:`FetchPolicy.stream` — on the batch engine wherever engine
-   resolution picks it, exactly as ``measure_accuracy`` does), lays out
-   every block's cache accesses in array code and replays L1I/L1D/L2, the
-   BTB and the RAS through their C cores, leaving per block its I-cache
-   and data stalls and what its terminator costs the front end (override
-   bubble, half-width window, BTB-miss penalty, redirect);
-2. one timing loop, in C (:func:`repro.native.time_blocks`), runs the
-   float fetch/back-end recurrence above over those per-block arrays,
-   every operation in the order the reference loop performs it.
+trace order, whatever the timing.  :meth:`CycleSimulator.run` therefore
+takes every branch's direction from the policy's whole stream first
+(:meth:`FetchPolicy.stream` — on the batch engine wherever engine
+resolution picks it, exactly as ``measure_accuracy`` does), then walks the
+trace's columns (``trace.columns()``) once, in C
+(:func:`repro.native.simulate`).  Per block, that pass sends its I-fetch
+lines, loads and stores through L1I/L1D and the shared L2, runs the float
+fetch/back-end recurrence above, and handles its terminator: RAS push or
+pop, the branch's direction from the stream, override bubble, dual-path
+window, BTB lookup and install.  Every operation happens in the order the
+per-block reference loop performs it, on the state arrays the caches, the
+BTB and the RAS own.
 
 Cascading is the one policy whose directions depend on timing: the fetch
 gap before a branch picks the component that answers it, and with it
-whether the BTB is probed.  Its component streams still come from the
-pre-pass; the choice, and its BTB probes, run inside the C timing loop on
-the BTB's own state.  ``tests/uarch_reference.py`` keeps the former
+whether the BTB is probed.  Both component streams come from the policy;
+the pass makes the choice.  ``tests/uarch_reference.py`` keeps the former
 per-block loop, which the differential suite checks this one against.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -62,11 +59,7 @@ from repro.uarch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.uarch.caches import MemoryHierarchy, machine_hierarchy
 from repro.uarch.config import PAPER_MACHINE, MachineConfig
 from repro.uarch.policies import FetchPolicy, PolicyStream
-from repro.workloads.trace import BranchKind, ColumnarTrace
-
-#: What a block's terminator makes fetch wait for once it reaches execute.
-_MISPREDICT = 1
-_RAS_MISS = 2
+from repro.workloads.trace import ColumnarTrace
 
 
 @dataclass
@@ -79,6 +72,10 @@ class StallBreakdown:
     override_bubble: int = 0
     btb_miss: int = 0
     ras_miss: int = 0
+
+
+#: The causes :class:`StallBreakdown` counts, in its field order.
+STALL_CAUSES = tuple(cause.name for cause in fields(StallBreakdown))
 
 
 @dataclass
@@ -130,179 +127,70 @@ class CycleSimulator:
 
     def run(self, trace: ColumnarTrace) -> SimulationResult:
         """Simulate ``trace`` start to finish and return cycles/IPC/stats."""
-        columns = trace.columns()
-        kinds = columns["branch_kind"]
-        conditional = np.flatnonzero(kinds == int(BranchKind.CONDITIONAL))
-        actual = columns["taken"][conditional]
-        stream = self.policy.stream(columns["branch_pc"][conditional], actual)
-        stalls = StallBreakdown()
-        blocks = self._block_work(columns, stalls)
-        mispredictions, overrides = self._terminators(
-            columns, conditional, stream, blocks, stalls
+        pcs, takens = trace.branch_arrays()
+        stream = self.policy.stream(pcs, takens)
+        counts = native.simulate(
+            trace.columns(),
+            self._branches(stream),
+            self._machine(stream),
+            self.hierarchy,
+            self.btb,
+            self.ras,
         )
-        timing = self._time(blocks, stream, actual, stalls)
+        for name in ("l1i", "l1d", "l2"):
+            stats = getattr(self.hierarchy, name).stats
+            stats.accesses += counts[f"{name}_accesses"]
+            stats.misses += counts[f"{name}_misses"]
+        self.btb.stats.lookups += counts["btb_lookups"]
+        self.btb.stats.misses += counts["btb_misses"]
         if stream.quick is not None:
-            mispredictions += timing["gap_wrong"]
-            self.policy.record_choices(
-                len(conditional), timing["slow_used"], timing["gap_wrong"]
-            )
+            self.policy.record_choices(len(pcs), counts["slow_used"], counts["mispredictions"])
         result = SimulationResult(
             trace=trace.name,
             policy=self.policy.name,
-            instructions=int(columns["instructions"].sum()),
-            cycles=max(timing["cycles"], 1),
-            conditional_branches=len(conditional),
-            mispredictions=mispredictions,
-            overrides=overrides,
-            stalls=stalls,
+            instructions=counts["instructions"],
+            cycles=max(counts["cycles"], 1),
+            conditional_branches=len(pcs),
+            mispredictions=counts["mispredictions"],
+            overrides=counts["overrides"],
+            stalls=StallBreakdown(**{cause: counts[cause] for cause in STALL_CAUSES}),
         )
         if obs.enabled():
             self._publish(result)
         return result
 
-    def _block_work(self, columns: dict, stalls: StallBreakdown) -> dict[str, np.ndarray]:
-        """Per block: instructions, I-cache stall cycles, full-width fetch
-        cycles, retire cycles (instructions / ILP) and data stall cycles
-        (load stalls / MLP).  Replays the caches."""
-        config = self.config
-        pcs = columns["pc"]
-        instructions = columns["instructions"].astype(np.int64)
-        load_offsets = columns["load_offsets"]
-        store_offsets = columns["store_offsets"]
-        # A block accesses, in order: its first line, its last line when
-        # that is another one, its loads, its stores.
-        shift = self.hierarchy.l1i.line_shift
-        last_bytes = pcs + instructions * 4 - 1
-        second_line = (last_bytes >> shift) != (pcs >> shift)
-        fetches = 1 + second_line.astype(np.int64)
-        loads = np.diff(load_offsets)
-        sizes = fetches + loads + np.diff(store_offsets)
-        starts = np.cumsum(sizes) - sizes
-        seconds = starts[second_line] + 1
-        addresses = np.empty(int(sizes.sum()), dtype=np.int64)
-        addresses[starts] = pcs
-        addresses[seconds] = last_bytes[second_line]
-        data = np.ones(len(addresses), dtype=bool)
-        data[starts] = data[seconds] = False
-        _scatter(addresses, columns["loads"], load_offsets, starts + fetches)
-        _scatter(addresses, columns["stores"], store_offsets, starts + fetches + loads)
-        totals = np.concatenate(([0], np.cumsum(self.hierarchy.replay(addresses, data))))
-        icache = totals[starts + fetches] - totals[starts]
-        load_stalls = totals[starts + fetches + loads] - totals[starts + fetches]
-        data_stalls = load_stalls / config.memory_level_parallelism
-        stalls.icache += int(icache.sum())
-        stalls.dcache += int(data_stalls.astype(np.int64).sum())
+    @staticmethod
+    def _branches(stream: PolicyStream) -> dict[str, np.ndarray]:
+        """The per-branch arrays of :func:`repro.native.simulate`: a policy
+        with no gap choice passes its directions as the quick ones too, and
+        zeros for a cost it does not have."""
+        directions = np.ascontiguousarray(stream.taken, dtype=bool)
+        none = np.zeros(len(directions), dtype=np.int64)
+
+        def costs(cycles):
+            return none if cycles is None else np.ascontiguousarray(cycles, dtype=np.int64)
+
+        quick = directions if stream.quick is None else stream.quick
         return {
-            "instructions": instructions,
-            "icache": icache,
-            "fetch_cycles": -(-instructions // config.issue_width),
-            "retire": instructions / self.ilp,
-            "data": data_stalls,
+            "directions": directions,
+            "quick": np.ascontiguousarray(quick, dtype=bool),
+            "bubbles": costs(stream.bubble_cycles),
+            "windows": costs(stream.half_width_cycles),
         }
 
-    def _terminators(
-        self,
-        columns: dict,
-        conditional: np.ndarray,
-        stream: PolicyStream,
-        blocks: dict[str, np.ndarray],
-        stalls: StallBreakdown,
-    ) -> tuple[int, int]:
-        """Adds to ``blocks`` what each block's terminator costs the front
-        end: override ``bubble``, dual-path ``window``, BTB-miss
-        ``penalty``, ``flush`` kind, and the BTB ``probe`` the timing loop
-        makes when directions wait on timing (with the branch's ``pc`` and
-        ``target``).  Replays the RAS and, unless directions wait on
-        timing, the BTB.
-
-        Returns the mispredictions and the overrides known before timing.
-        """
-        kinds = columns["branch_kind"]
-        branch_pcs = columns["branch_pc"]
-        targets = columns["target"]
-        count = len(kinds)
-        calls = kinds == int(BranchKind.CALL)
-        ras_ops = np.flatnonzero(calls | (kinds == int(BranchKind.RETURN)))
-        pushes = calls[ras_ops]
-        addresses = np.where(pushes, branch_pcs[ras_ops] + 4, targets[ras_ops])
-        predicted = self.ras.replay(pushes, addresses)
-        flushes = np.zeros(count, dtype=np.int64)
-        flushes[ras_ops[~predicted]] = _RAS_MISS
-        bubbles = np.zeros(count, dtype=np.int64)
-        windows = np.zeros(count, dtype=np.int64)
-        penalties = np.zeros(count, dtype=np.int64)
-        probe = np.full(count, native.NO_PROBE, dtype=np.int64)
-        # The BTB is probed by calls, jumps and branches predicted taken.
-        probed = calls | (kinds == int(BranchKind.UNCONDITIONAL))
-        if stream.quick is None:
-            probed[conditional] = stream.taken
-            flushes[conditional[stream.taken != columns["taken"][conditional]]] = _MISPREDICT
-            if stream.bubble_cycles is not None:
-                bubbles[conditional] = stream.bubble_cycles
-            if stream.half_width_cycles is not None:
-                windows[conditional] = stream.half_width_cycles
-            probes = np.flatnonzero(probed)
-            correct = self.btb.replay(branch_pcs[probes], targets[probes])
-            penalties[probes[~correct]] = self.config.btb_miss_penalty
-        else:
-            # A conditional branch probes through its index in the branch
-            # stream, once the timing loop picks its direction.
-            probe[probed] = native.ALWAYS_PROBE
-            probe[conditional] = np.arange(len(conditional))
-        stalls.override_bubble += int(bubbles.sum())
-        stalls.btb_miss += int(penalties.sum())
-        blocks.update(
-            bubble=bubbles,
-            window=windows,
-            penalty=penalties,
-            flush=flushes,
-            probe=probe,
-            pc=np.ascontiguousarray(branch_pcs, dtype=np.int64),
-            target=np.ascontiguousarray(targets, dtype=np.int64),
-        )
-        return int(np.count_nonzero(flushes == _MISPREDICT)), int(np.count_nonzero(bubbles))
-
-    def _time(
-        self,
-        blocks: dict[str, np.ndarray],
-        stream: PolicyStream,
-        actual: np.ndarray,
-        stalls: StallBreakdown,
-    ) -> dict[str, int]:
-        """The timing loop: fetch and back-end cursors, block by block, in C.
-
-        Returns the cycle count and, for a gap-arbitrated policy, how many
-        branches the slow component answered (``slow_used``) and how many
-        were wrong (``gap_wrong``), with the rest of
-        :data:`repro.native.TIMING_FIELDS`.
-        """
+    def _machine(self, stream: PolicyStream) -> dict:
+        """The scalar parameters of :func:`repro.native.simulate`."""
         config = self.config
-        none = np.zeros(0, dtype=bool)
-        gapped = stream.quick is not None
-        timing = native.time_blocks(
-            blocks,
-            {
-                "quick": np.ascontiguousarray(stream.quick, dtype=bool) if gapped else none,
-                "slow": np.ascontiguousarray(stream.taken, dtype=bool) if gapped else none,
-                "outcome": np.ascontiguousarray(actual, dtype=bool) if gapped else none,
-            },
-            {
-                "issue_width": config.issue_width,
-                "blocks_per_cycle": config.blocks_per_cycle,
-                "front_depth": config.front_depth,
-                "rob_lead": config.rob_size / self.ilp,  # max cycles fetch may lead
-                "btb_miss_penalty": config.btb_miss_penalty,
-                "gap_cycles": stream.gap_cycles,
-            },
-            self.btb,
-        )
-        stalls.mispredict += timing["mispredict_stall"]
-        stalls.ras_miss += timing["ras_stall"]
-        stalls.override_bubble += timing["window_stall"]
-        stalls.btb_miss += timing["gap_btb_stall"]
-        self.btb.stats.lookups += timing["btb_lookups"]
-        self.btb.stats.misses += timing["btb_misses"]
-        return timing
+        return {
+            "gap_cycles": stream.gap_cycles,
+            "issue_width": config.issue_width,
+            "blocks_per_cycle": config.blocks_per_cycle,
+            "front_depth": config.front_depth,
+            "ilp": self.ilp,
+            "rob_lead": config.rob_size / self.ilp,  # max cycles fetch may lead
+            "memory_level_parallelism": config.memory_level_parallelism,
+            "btb_miss_penalty": config.btb_miss_penalty,
+        }
 
     def _publish(self, result: SimulationResult) -> None:
         """Account this run's cycles — bubbles broken down by cause — into
@@ -314,23 +202,9 @@ class CycleSimulator:
         registry.counter("sim.branches").inc(result.conditional_branches)
         registry.counter("sim.mispredictions").inc(result.mispredictions)
         registry.counter("sim.overrides").inc(result.overrides)
-        stalls = result.stalls
-        for cause, amount in (
-            ("icache", stalls.icache),
-            ("dcache", stalls.dcache),
-            ("mispredict", stalls.mispredict),
-            ("override_bubble", stalls.override_bubble),
-            ("btb_miss", stalls.btb_miss),
-            ("ras_miss", stalls.ras_miss),
-        ):
-            registry.counter(f"sim.stall.{cause}").inc(amount)
+        for cause in STALL_CAUSES:
+            registry.counter(f"sim.stall.{cause}").inc(getattr(result.stalls, cause))
         overriding = getattr(self.policy, "overriding", None)
         if overriding is not None and hasattr(overriding, "record_stats"):
             overriding.record_stats(registry)
 
-
-def _scatter(out: np.ndarray, values: np.ndarray, offsets: np.ndarray, firsts: np.ndarray) -> None:
-    """Place CSR ``values`` (block ``b`` owns ``values[offsets[b]:offsets[b+1]]``)
-    into ``out`` so that block ``b``'s run starts at ``firsts[b]``."""
-    owners = np.repeat(np.arange(len(firsts)), np.diff(offsets))
-    out[firsts[owners] + np.arange(len(owners)) - offsets[:-1][owners]] = values[: len(owners)]

@@ -26,6 +26,11 @@ from repro import native, obs
 from repro.common.errors import ConfigurationError
 from repro.native import loader
 from repro.native.loader import Library
+from repro.predictors.gshare import GsharePredictor
+from repro.uarch.policies import SingleCyclePolicy
+from repro.uarch.simulator import CycleSimulator
+from repro.workloads.trace import Block, BranchKind
+from tests.trace_blocks import trace_from_blocks
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -121,10 +126,10 @@ def test_concurrent_builds_into_one_directory_all_load(tmp_path):
         "from repro import native; from repro.native.loader import Library; "
         f"time.sleep(max({start} - time.time(), 0)); "
         f"cores = native.bind(Library({str(directory)!r}).cdll()); "
-        "tags = np.zeros((1, 2), dtype=np.int64); fill = np.zeros(1, dtype=np.int64); "
-        "hits = np.empty(2, dtype=bool); "
-        "cores.lru_replay(2, np.array([64, 64]), 6, 0, 0, 2, tags, fill, hits); "
-        "print(hits.tolist())"
+        "rule = native.rule(native.PC, 4); rows = np.zeros(1, dtype=np.int64); "
+        "out = np.empty(2, dtype=np.int64); "
+        "cores.indices(2, np.array([64, 68]), np.array([True, False]), rule, rows, 1, 3, out); "
+        "print(out.tolist(), rows.tolist())"
     )
     env = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
     workers = [
@@ -137,7 +142,7 @@ def test_concurrent_builds_into_one_directory_all_load(tmp_path):
     outputs = [worker.communicate(timeout=120) for worker in workers]
     for worker, (out, err) in zip(workers, outputs):
         assert worker.returncode == 0, err
-        assert out.strip() == "[False, True]"
+        assert out.strip() == "[0, 1] [2]"
     path = Library(directory).path()
     assert published(directory) == [path.name, path.name + ".sha256"]
     checksum = (directory / (path.name + ".sha256")).read_text().strip()
@@ -180,27 +185,28 @@ def test_importing_the_program_builds_and_loads_nothing():
 
 
 def test_wrong_arrays_raise_before_reaching_c():
-    tags = np.zeros((4, 2), dtype=np.int64)
-    fill = np.zeros(4, dtype=np.int64)
-    addresses = np.arange(0, 64 * 16, 64, dtype=np.int64)
+    entries = np.zeros((4, 5), dtype=np.int64)
+    pcs = np.arange(0, 4 * 16, 4, dtype=np.int64)
+    takens = np.ones(16, dtype=bool)
+    rules = np.stack([native.rule(native.PC, 2), native.rule(native.LOOP_TAG, 2)])
     for wrong in (
-        addresses.astype(np.int32),  # dtype
-        addresses.astype(np.float64),  # dtype
-        np.arange(0, 64 * 32, 64, dtype=np.int64)[::2],  # not contiguous
+        pcs.astype(np.int32),  # dtype
+        pcs.astype(np.float64),  # dtype
+        np.arange(0, 4 * 32, 4, dtype=np.int64)[::2],  # not contiguous
     ):
         with pytest.raises(ctypes.ArgumentError):
-            native.lru_replay(wrong, 6, 2, tags, fill)
-    frozen = fill.copy()
+            native.loop_replay(wrong, takens, rules, entries, 2, 1023)
+    frozen = entries.copy()
     frozen.flags.writeable = False
     with pytest.raises(ctypes.ArgumentError):
-        native.lru_replay(addresses, 6, 2, tags, frozen)  # state the core would write
+        native.loop_replay(pcs, takens, rules, frozen, 2, 1023)  # state the core would write
     with pytest.raises(ctypes.ArgumentError):
-        native.lru_replay(addresses, 6, 2, np.zeros((4, 4), dtype=np.int64)[:, ::2], fill)
-    assert not tags.any() and not fill.any()
+        native.loop_replay(pcs, takens, rules, np.zeros((4, 10), dtype=np.int64)[:, ::2], 2, 1023)
+    assert not entries.any()
     with pytest.raises(ValueError):
-        native.lru_replay(addresses, 6, 3, tags, fill)  # 4 sets is not 2**3
+        native.loop_replay(pcs, takens, rules, np.zeros((4, 4), dtype=np.int64), 2, 1023)
     with pytest.raises(ValueError):
-        native.btb_replay(addresses, addresses[:-1], 2, tags, tags.copy(), fill)
+        native.loop_replay(pcs, takens[:-1], rules, entries, 2, 1023)
 
 
 def test_out_of_range_index_is_refused_before_any_write():
@@ -375,3 +381,164 @@ def test_index_rules_and_histories_are_checked():
     assert all(table.tolist() == [1] * 4 for table in tables)
     assert not entries.any() and not state.any() and not weights.any()
     assert history.value == 0 and not local.rows.any()
+
+
+# -- the cycle simulator's core ------------------------------------------------
+
+
+def simulation() -> tuple[dict, dict, dict, CycleSimulator]:
+    """The arguments of ``native.simulate`` for five blocks (a call, two
+    conditional branches, a return, a call) on the paper machine, after
+    one run of them has left entries in every cache, the BTB and the RAS;
+    the columns are writeable copies."""
+    blocks = [
+        Block(0x1000, 4, (0x100, 0x200), (0x300,), BranchKind.CALL, 0x100C, True, 0x2000),
+        Block(0x2000, 3, (0x140,), (), BranchKind.CONDITIONAL, 0x2008, True, 0x2000),
+        Block(0x2000, 3, (), (0x340, 0x380), BranchKind.CONDITIONAL, 0x2008, False, 0x2000),
+        Block(0x200C, 2, (0x180,), (), BranchKind.RETURN, 0x2010, True, 0x1010),
+        Block(0x1010, 5, (), (), BranchKind.CALL, 0x1020, True, 0x2000),
+    ]
+    trace = trace_from_blocks("five", blocks)
+    simulator = CycleSimulator(SingleCyclePolicy(GsharePredictor(64)))
+    simulator.run(trace)
+    # Each column is the front of an array one entry longer: a core that
+    # read one past the end would find a one there, a conditional branch.
+    columns = {
+        name: np.concatenate((column, np.ones(1, dtype=column.dtype)))[:-1]
+        for name, column in trace.columns().items()
+    }
+    directions = np.array([True, False])
+    stream = {
+        "directions": directions,
+        "quick": directions,
+        "bubbles": np.zeros(2, dtype=np.int64),
+        "windows": np.zeros(2, dtype=np.int64),
+    }
+    machine = {
+        "gap_cycles": 0,
+        "issue_width": 8,
+        "blocks_per_cycle": 1,
+        "front_depth": 14,
+        "ilp": 2.0,
+        "rob_lead": 64.0,
+        "memory_level_parallelism": 4.0,
+        "btb_miss_penalty": 6,
+    }
+    return columns, stream, machine, simulator
+
+
+def structure_state(simulator: CycleSimulator) -> list[np.ndarray]:
+    """Copies of every cache, BTB and RAS array ``simulate`` writes."""
+    hierarchy, btb, ras = simulator.hierarchy, simulator.btb, simulator.ras
+    caches = (hierarchy.l1i, hierarchy.l1d, hierarchy.l2)
+    arrays = [array for cache in caches for array in (cache.tags, cache.fill)]
+    return [a.copy() for a in (*arrays, btb.tags, btb.targets, btb.fill, ras.stack, ras.counts)]
+
+
+def run_simulate(columns, stream, machine, simulator) -> dict[str, int]:
+    return native.simulate(
+        columns, stream, machine, simulator.hierarchy, simulator.btb, simulator.ras
+    )
+
+
+def assert_untouched(before: list[np.ndarray], simulator: CycleSimulator) -> None:
+    after = structure_state(simulator)
+    assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def test_simulator_core_checks_its_arrays():
+    """A wrong dtype, a non-contiguous array or read-only state never
+    reaches C; mismatched lengths and shapes raise ValueError."""
+    columns, stream, machine, simulator = simulation()
+    before = structure_state(simulator)
+    for name, wrong in (
+        ("pc", columns["pc"].astype(np.int32)),
+        ("instructions", columns["instructions"].astype(np.int64)),
+        ("branch_kind", columns["branch_kind"].astype(np.int32)),
+        ("loads", columns["loads"].astype(np.uint64)),
+        ("target", np.repeat(columns["target"], 2)[::2]),  # not contiguous
+        ("store_offsets", np.repeat(columns["store_offsets"], 2)[::2]),
+    ):
+        with pytest.raises(ctypes.ArgumentError):
+            run_simulate({**columns, name: wrong}, stream, machine, simulator)
+    for name, wrong in (
+        ("directions", stream["directions"].astype(np.int8)),
+        ("bubbles", stream["bubbles"].astype(np.int32)),
+        ("windows", np.zeros(4, dtype=np.int64)[::2]),
+    ):
+        with pytest.raises(ctypes.ArgumentError):
+            run_simulate(columns, {**stream, name: wrong}, machine, simulator)
+    hierarchy, btb, ras = simulator.hierarchy, simulator.btb, simulator.ras
+    for state in (hierarchy.l1i.tags, hierarchy.l2.fill, btb.targets, btb.fill, ras.stack,
+                  ras.counts):
+        state.flags.writeable = False
+        with pytest.raises(ctypes.ArgumentError):
+            run_simulate(columns, stream, machine, simulator)
+        state.flags.writeable = True
+    assert_untouched(before, simulator)
+    for wrong_columns, wrong_stream in (
+        ({**columns, "load_offsets": columns["load_offsets"][:-1]}, stream),
+        ({**columns, "taken": columns["taken"][:-1]}, stream),
+        (columns, {**stream, "windows": stream["windows"][:-1]}),
+    ):
+        with pytest.raises(ValueError):
+            run_simulate(wrong_columns, wrong_stream, machine, simulator)
+    for replace in (
+        lambda sim: setattr(sim.hierarchy.l1d, "tags", sim.hierarchy.l1d.tags[:, :0].copy()),
+        lambda sim: setattr(sim.hierarchy.l2, "set_bits", sim.hierarchy.l2.set_bits + 1),
+        lambda sim: setattr(sim.btb, "targets", sim.btb.targets[:, :1].copy()),
+        lambda sim: setattr(sim.ras, "stack", sim.ras.stack[:0].copy()),
+    ):
+        _, _, _, simulator = simulation()
+        replace(simulator)
+        with pytest.raises(ValueError):
+            run_simulate(columns, stream, machine, simulator)
+
+
+def test_simulator_core_refuses_before_writing():
+    """Offsets that start below 0, decrease or run past their column, a
+    stream one branch short or long, and a RAS or set fill out of range
+    raise IndexError, leaving every cache, BTB and RAS array as it was."""
+    columns, stream, machine, simulator = simulation()
+    before = structure_state(simulator)
+    assert columns["load_offsets"].tolist() == [0, 2, 3, 3, 4, 4]
+    assert columns["store_offsets"].tolist() == [0, 1, 1, 3, 3, 3]
+    bad_columns = []
+    for name, count in (("load_offsets", 4), ("store_offsets", 3)):
+        # Below 0; decreasing at the first, a middle and the last block;
+        # past the column.
+        for at, value in ((0, -1), (0, columns[name][1] + 1), (1, count), (-2, count + 1),
+                          (-1, count + 1)):
+            offsets = columns[name].copy()
+            offsets[at] = value
+            bad_columns.append({**columns, name: offsets})
+    for wrong in bad_columns:
+        with pytest.raises(IndexError, match="simulate"):
+            run_simulate(wrong, stream, machine, simulator)
+    for size in (1, 3):  # one branch short, one long
+        directions = np.ones(size, dtype=bool)
+        zeros = np.zeros(size, dtype=np.int64)
+        wrong = {"directions": directions, "quick": directions, "bubbles": zeros, "windows": zeros}
+        with pytest.raises(IndexError, match="simulate"):
+            run_simulate(columns, wrong, machine, simulator)
+    hierarchy, btb, ras = simulator.hierarchy, simulator.btb, simulator.ras
+    assert ras.counts.tolist() == [1, 0]
+    for fill, bad in (
+        (ras.counts, (0, ras.depth + 1)),
+        (ras.counts, (0, -1)),
+        (hierarchy.l1i.fill, (-1, 2)),
+        (hierarchy.l1d.fill, (0, 2)),
+        (hierarchy.l2.fill, (-1, hierarchy.l2.ways + 1)),
+        (btb.fill, (3, btb.ways + 1)),
+    ):
+        at, value = bad
+        kept = fill[at]
+        fill[at] = value
+        with pytest.raises(IndexError, match="simulate"):
+            run_simulate(columns, stream, machine, simulator)
+        fill[at] = kept
+    assert_untouched(before, simulator)
+    # The same arguments, untouched, run and move the state on.
+    counts = run_simulate(columns, stream, machine, simulator)
+    assert counts["instructions"] == 17 and counts["l1i_accesses"] == 5
+    assert ras.counts.tolist() == [2, 0]

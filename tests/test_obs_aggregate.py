@@ -202,6 +202,29 @@ class TestRegressionGate:
             }
         ]
 
+    def test_counter_the_baseline_lacks_fails(self, run_events):
+        snapshot = self.baseline(run_events)
+        del snapshot["counters"]["shards.executed"]
+        agg = aggregate.aggregate_run(run_events)
+        violations = aggregate.regress(agg, snapshot, counters_only=True)
+        assert violations == [
+            {
+                "kind": "counter-unlisted",
+                "name": "shards.executed",
+                "baseline": None,
+                "current": 4,
+                "ratio": None,
+            }
+        ]
+
+    def test_volatile_counter_the_baseline_lacks_passes(self, run_events):
+        snapshot = self.baseline(run_events)
+        agg = aggregate.aggregate_run(run_events)
+        assert "trace_cache.hits" in agg["counters"]
+        assert "trace_cache.hits" not in snapshot["counters"]
+        assert aggregate.regress(agg, snapshot, counters_only=True) == []
+        assert aggregate.regress(agg, snapshot) == []
+
     def test_counters_only_ignores_timings(self, run_events):
         snapshot = self.baseline(run_events)
         agg = aggregate.aggregate_run(run_events)

@@ -1,18 +1,19 @@
 """Differential suite: the cycle simulator against its per-block reference.
 
 :class:`repro.uarch.simulator.CycleSimulator` takes its branch directions
-from whole-stream predictor runs and replays caches, BTB and RAS before its
-timing loop; ``tests/uarch_reference.py`` keeps the per-block loop it
-replaced, driving every structure one call at a time.  Both must produce
-the same ``SimulationResult`` and leave the same state behind: every
-component predictor's ``state()``, the policy's own statistics, each
-cache's statistics and contents, the BTB's and the RAS's.
+from whole-stream predictor runs and then steps caches, BTB, RAS and the
+timing loop in one C pass over the blocks; ``tests/uarch_reference.py``
+keeps the per-block loop it replaced, driving every structure one call at
+a time.  Both must produce the same ``SimulationResult`` and leave the same
+state behind: every component predictor's ``state()``, the policy's own
+statistics, each cache's statistics and contents, the BTB's and the RAS's.
 
 Two sources of traces: the twelve SPEC stand-ins (the Figure 7 families in
-both modes, a cascading and a dual-path pair, two-block fetch), and Hypothesis-generated block traces on a tiny machine —
-2-way L1s, a 1- to 8-way L2, an 8-entry 1- to 4-way BTB, a depth-2 RAS —
-under all four fetch policies, where conflicts, evictions, RAS overflow
-and dual-path windows are common.
+both modes, a cascading and a dual-path pair, two-block fetch), and
+Hypothesis-generated block traces on a tiny machine — 2-way L1s, a 1- to
+16-way L2 (16 ways: one fully associative set), an 8-entry 1- to 4-way
+BTB, a depth-2 RAS — under all four fetch policies, where conflicts,
+evictions, RAS overflow and dual-path windows are common.
 """
 
 from __future__ import annotations
@@ -140,6 +141,17 @@ def test_stand_ins_match_reference(stand_in):
     )
 
 
+def test_last_byte_opening_a_line_fetches_it():
+    """A block whose last byte is the first of the next I-cache line
+    fetches both lines (only an unaligned PC puts it there)."""
+    blocks = [Block(0x1001, 16), Block(0x2000, 3), Block(0x1001, 15)]
+    trace = trace_from_blocks("line-boundary", blocks)
+    assert_same_run(lambda cls: cls(SingleCyclePolicy(GsharePredictor(64))), trace)
+    simulator = CycleSimulator(SingleCyclePolicy(GsharePredictor(64)))
+    simulator.run(trace)
+    assert simulator.hierarchy.l1i.stats.accesses == 4
+
+
 def test_second_run_starts_from_warm_state():
     """A simulator run twice keeps its trained predictors, caches, BTB and
     RAS between runs, as the reference does."""
@@ -244,7 +256,7 @@ def _blocks(raw: list[tuple]) -> list[Block]:
     blocks_per_cycle=st.sampled_from([1, 2]),
     engine=st.sampled_from(["auto", "scalar"]),
     ilp=st.sampled_from([1.5, 3.0, 8.0]),
-    l2_ways=st.sampled_from([1, 2, 4, 8]),
+    l2_ways=st.sampled_from([1, 2, 4, 8, 16]),
     btb_ways=st.sampled_from([1, 2, 4]),
     runs=st.sampled_from([1, 2]),
     latency=st.sampled_from([2, 3, 12, 16]),
@@ -254,11 +266,11 @@ def test_generated_traces_match_reference(
 ):
     """Every policy (dual-path windows, cascading's gap arbitration and
     its BTB probes in the timing loop), one or two blocks per cycle, a
-    direct-mapped to 8-way L2, a direct-mapped to 4-way BTB, and a second
-    run from the state the first left.  Fetch gaps between branches on
-    this machine are at least ~10 cycles, mostly 10-25, so a slow latency
-    of 12 or 16 puts cascading's gap threshold among them: both components
-    answer, and some gaps equal the threshold."""
+    direct-mapped to fully associative L2, a direct-mapped to 4-way BTB,
+    and a second run from the state the first left.  Fetch gaps between
+    branches on this machine are at least ~10 cycles, mostly 10-25, so a
+    slow latency of 12 or 16 puts cascading's gap threshold among them:
+    both components answer, and some gaps equal the threshold."""
     trace = trace_from_blocks("generated", _blocks(raw))
     config = MachineConfig(
         btb_entries=8,
@@ -286,16 +298,3 @@ def test_unbatched_predictor_resolves_scalar():
     assert resolve_engine(UnbatchedGshare(64), "auto") == "scalar"
     assert resolve_engine(GsharePredictor(64), "auto") == "batch"
 
-
-@settings(max_examples=40, deadline=None)
-@given(
-    addresses=st.lists(st.integers(0, 1 << 12), max_size=200),
-    ways=st.sampled_from([1, 2, 4, 8, 16]),
-)
-def test_cache_replay_matches_access(addresses, ways):
-    """``Cache.replay`` is ``Cache.access`` over a whole stream."""
-    one, many = Cache(512, 32, ways=ways), Cache(512, 32, ways=ways)
-    for chunk in (addresses[: len(addresses) // 2], addresses[len(addresses) // 2 :]):
-        hits = many.replay(np.array(chunk, dtype=np.int64))
-        assert hits.tolist() == [one.access(a) for a in chunk]
-    assert cache_contents(many) == cache_contents(one)

@@ -1,10 +1,12 @@
 """The cycle simulator's per-block loop, kept as the reference.
 
 :class:`ReferenceSimulator` runs the loop :class:`repro.uarch.simulator.
-CycleSimulator` used before its timing-independent work moved into a
-pre-pass: one ``Block`` at a time, with a ``policy.predict``/``update``
-call per conditional branch and one ``access_*``/``lookup``/``install``/
-``push``/``pop`` call per cache, BTB and RAS operation.  It is the loop as
+CycleSimulator` used before it became the policy's whole-stream
+prediction plus one C pass over the blocks: one ``Block`` at a time, with
+a ``policy.predict``/``update`` call per conditional branch and one
+``access_*``/``lookup``/``install``/``push``/``pop`` call per cache, BTB
+and RAS operation.  The C pass (:func:`repro.native.simulate`) makes the
+same operations in this loop's order, block by block.  It is the loop as
 it was, except that the second-line I-fetch check takes its shift from the
 L1I line size instead of a hard-coded 64-byte line.
 
